@@ -7,7 +7,7 @@ package estimates the outage probability P(I < r) of the per-channel
 mutual information I = (1/Nt) log det(1 + rho U^H U) three independent
 ways, which are validated against each other:
 
-* ``montecarlo`` - direct Haar sampling;
+* ``montecarlo`` - sampling of the Jacobi bidiagonal matrix model;
 * ``exact``      - closed-form finite-size expression (small channel counts);
 * ``coulomb``    - large-channel-count rate function and the constrained
                    spectral densities behind it.
@@ -25,7 +25,8 @@ from .ensemble import (
     spectrum,
     truncate,
 )
-from .montecarlo import McConfig, OutageEstimate, eigen_histogram, estimate_outage, moments
+from .results import OutageEstimate
+from .montecarlo import McConfig, eigen_histogram, estimate_outage, moments
 from .exact import ExactConfig, c_coefficient, f_residue, log_selberg_z, outage_density_exact, outage_exact
 from .coulomb import (
     ErgodicSummary,

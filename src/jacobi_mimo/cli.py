@@ -203,10 +203,10 @@ def _parse_outage_spec(args) -> RunSpec:
             )
     if sorted(rates) != rates:
         rates = sorted(rates)
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
+    try:
+        McConfig(dims=dims, snr=snr, trials=args.trials, seed=args.seed, workers=args.workers)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     return RunSpec(
         dims=dims,
         rho=snr.rho,

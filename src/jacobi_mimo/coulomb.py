@@ -47,10 +47,10 @@ import math
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
-from scipy.stats import norm as _norm
+from scipy.special import log_ndtr
 
 from .ensemble import SnrParam
-from .montecarlo import OutageEstimate
+from .results import OutageEstimate
 from .specfun import g_closed, q_fn
 
 __all__ = [
@@ -703,7 +703,7 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
     u = nt * abs(sol.k) / math.sqrt(kp)
     log_tail = (
         -nt * nt * (sol.exponent - sol.k * sol.k / (2.0 * kp))
-        + float(_norm.logsf(u))
+        + float(log_ndtr(-u))
         - 0.5 * math.log(kp * summ.v_erg)
     )
     tail = math.exp(min(log_tail, 0.0))

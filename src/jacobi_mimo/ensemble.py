@@ -43,7 +43,6 @@ __all__ = [
 
 # Eigenvalues of U^H U may drift slightly outside [0, 1] through the QR and
 # eigensolver round-off; beyond _EIG_HARD_TOL the source was not unitary.
-_EIG_CLAMP_TOL = 1e-12
 _EIG_HARD_TOL = 1e-9
 
 
@@ -171,7 +170,7 @@ def sample_truncation(dims: ChannelDims, rng: np.random.Generator) -> np.ndarray
     isometry, which is the QR factor (same diagonal phase fix) of an
     N x Nt Ginibre matrix; the corner is its first Nr rows.  Identical in
     distribution to truncating :func:`sample_haar_unitary`, at thin-QR
-    cost, which is what makes large Monte Carlo runs affordable.
+    cost; the tests use it as the oracle for the Monte Carlo sampler.
     """
     while True:
         q, r = np.linalg.qr(_ginibre(rng, dims.N, dims.Nt))

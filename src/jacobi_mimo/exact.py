@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 from mpmath import mp, mpf, matrix as mp_matrix, det as mp_det
 
 from .ensemble import ChannelDims, SnrParam
-from .montecarlo import OutageEstimate
+from .results import OutageEstimate
 from .specfun import elementary_symmetric
 
 __all__ = [

@@ -1,11 +1,14 @@
 """Monte Carlo estimation of outage, rate moments, and spectral histograms.
 
 This is the empirical ground truth the deterministic solvers are checked
-against.  Reproducibility contract: every trial draws from its own
-counter-based Philox substream keyed by (seed, trial index), and trials
-are processed in fixed-size blocks reduced in block order, so results
-are bit-identical for a given (seed, trials) no matter how many workers
-run the blocks.
+against.  Trials sample the beta = 2 Jacobi bidiagonal matrix model
+(Edelman & Sutton, FoCM 2008; Killip & Nenciu, IMRN 2004), whose squared
+singular values follow the Jacobi law of U^H U exactly, so no Haar matrix
+is drawn.  Reproducibility contract: trials run in fixed blocks of
+``_BLOCK``, each drawn from its own counter-based Philox substream keyed
+by (seed, block index) and reduced in block order, so results are
+bit-identical for a given (seed, trials) no matter how many workers run
+the blocks.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
+from scipy.special import betaincinv
 
 from .ensemble import ChannelDims, SnrParam
+from .results import OutageEstimate
 
 __all__ = [
     "McConfig",
@@ -28,14 +32,14 @@ __all__ = [
     "eigen_histogram",
 ]
 
-# Trials per batched linear-algebra block.  Fixed (not configurable) so the
-# partitioning, and therefore the floating-point reduction order, never
-# depends on the worker count.
+# Trials per block.  Fixed (not configurable) so the partitioning, and
+# therefore the random stream and the floating-point reduction order,
+# never depends on the worker count.
 _BLOCK = 1024
 
-# Each trial owns a 2^128-wide counter slab in the Philox stream; draws can
-# never run into a neighboring trial's slab.
-_TRIAL_STRIDE = 1 << 128
+# Each block owns a 2^128-wide counter slab in the Philox stream; draws can
+# never run into a neighboring block's slab.
+_BLOCK_STRIDE = 1 << 128
 
 
 @dataclass(frozen=True)
@@ -53,26 +57,8 @@ class McConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    """An outage probability with provenance and uncertainty.
-
-    For Monte Carlo the bounds are a Clopper-Pearson 95% interval; the
-    deterministic methods report their numerical tolerance through
-    ``trials_or_tol`` and collapse the interval onto the value.
-    """
-
-    p: float
-    ci_low: float
-    ci_high: float
-    method: str
-    trials_or_tol: float
-
-    def __post_init__(self):
-        if not self.ci_low <= self.p <= self.ci_high:
-            raise ValueError("require ci_low <= p <= ci_high")
+        if not 0 <= self.seed < 1 << 128:  # the seed is a 128-bit Philox key
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -86,82 +72,69 @@ class EigenHistogram:
         return float(np.sum(self.density * np.diff(self.edges)))
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial * _TRIAL_STRIDE))
+def _block_bidiagonal(dims: ChannelDims, seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared diagonal (Nt, hi-lo) and superdiagonal (Nt-1, hi-lo) of B, one column per trial.
+
+    B is upper bidiagonal with diagonal (c_Nt, c_{Nt-1} s'_{Nt-1}, ..., c_1 s'_1)
+    and superdiagonal (-s_Nt c'_{Nt-1}, ..., -s_2 c'_1), where with a = Nr - Nt,
+    b = N0: c_k^2 ~ Beta(a+k, b+k), c'_k^2 ~ Beta(k, a+b+1+k), s = sqrt(1 - c^2).
+    Signs drop out of B^T B's spectrum, so only squares are returned.
+    """
+    nt, a, b, count = dims.Nt, dims.Nr - dims.Nt, dims.N0, hi - lo
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=(lo // _BLOCK) * _BLOCK_STRIDE))
+    c2 = [rng.beta(a + k, b + k, count) for k in range(nt, 0, -1)]
+    cp2 = [rng.beta(k, a + b + 1 + k, count) for k in range(nt - 1, 0, -1)]
+    c2, cp2 = np.split(np.array(c2 + cp2), [nt])  # one array even when Nt = 1
+    d2 = c2.copy()
+    d2[1:] *= 1.0 - cp2
+    e2 = (1.0 - c2[:-1]) * cp2
+    return d2, e2
+
+
+def _block_rates(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
+    """Per-trial rates for trials [lo, hi) from the LDL^T pivots of 1 + rho B^T B.
+
+    On the tridiagonal T = B^T B the pivots p_i = 1 + rho T_ii - (rho T_{i-1,i})^2 / p_{i-1}
+    equal 1 + u_i + rho d_i^2, with u_1 = 0 and u_{i+1} = rho e_i^2 (1 + u_i) / p_i.  No
+    term is negative, so nothing cancels at large rho and log1p keeps small rho accurate.
+    """
+    d2, e2 = _block_bidiagonal(cfg.dims, cfg.seed, lo, hi)
+    rho = cfg.snr.rho
+    w = rho * d2
+    u = 0.0
+    for i in range(cfg.dims.Nt - 1):
+        w[i] += u
+        u = rho * e2[i] * (1.0 + u) / (1.0 + w[i])
+    w[-1] += u
+    rates = np.log1p(w).sum(axis=0) / cfg.dims.Nt
+    if cfg.dims.rate_offset:
+        rates = rates + float(cfg.dims.rate_offset) * np.log1p(rho)
+    return rates
 
 
 def _block_eigenvalues(dims: ChannelDims, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Eigenvalues of U^H U for trials [lo, hi): array of shape (hi-lo, Nt).
-
-    Gaussians come from each trial's own substream.  One Philox object is
-    reused by resetting its counter to trial * 2^128 per trial, which is
-    bit-identical to constructing the substream fresh but several times
-    cheaper; the QR / Gram / eigensolve steps then run batched.
-    """
-    n, nt, nr = dims.N, dims.Nt, dims.Nr
-    count = hi - lo
-    g = np.empty((count, n, 2 * nt))
-    bitgen = np.random.Philox(key=seed)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    for i in range(count):
-        counter[:] = 0
-        counter[2] = lo + i  # counter word 2 == trial * 2^128
-        bitgen.state = state
-        g[i] = gen.standard_normal((n, 2 * nt))
-    z = (g[:, :, :nt] + 1j * g[:, :, nt:]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    bad = np.any(d == 0, axis=1)
-    if bad.any():
-        # probability-zero event; redraw those trials from their own streams
-        for i in np.nonzero(bad)[0]:
-            rng = _trial_rng(seed, lo + i)
-            rng.standard_normal((n, 2 * nt))  # skip the draw that produced the zero
-            while True:
-                gi = rng.standard_normal((n, 2 * nt))
-                zi = (gi[:, :nt] + 1j * gi[:, nt:]) / np.sqrt(2.0)
-                qi, ri = np.linalg.qr(zi)
-                di = np.diagonal(ri)
-                if np.all(di != 0):
-                    q[i], d[i] = qi, di
-                    break
-    corner = q[:, :nr, :] * (d / np.abs(d))[:, None, :]
-    gram = np.matmul(corner.conj().transpose(0, 2, 1), corner)
-    lam = np.linalg.eigvalsh(gram)
-    return np.clip(lam, 0.0, 1.0)
-
-
-def _block_ranges(trials: int):
-    return [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    """Eigenvalues of B^T B for trials [lo, hi): array of shape (hi-lo, Nt), in [0, 1]."""
+    d2, e2 = _block_bidiagonal(dims, seed, lo, hi)
+    idx = np.arange(dims.Nt)
+    b = np.zeros((hi - lo, dims.Nt, dims.Nt))
+    b[:, idx, idx] = np.sqrt(d2).T
+    b[:, idx[:-1], idx[1:]] = np.sqrt(e2).T
+    return np.clip(np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b)), 0.0, 1.0)
 
 
 def _map_blocks(cfg: McConfig, fn):
-    """Apply fn(eigenvalue_block) to every block, in block order."""
-    ranges = _block_ranges(cfg.trials)
-
-    def run(span):
-        lo, hi = span
-        return fn(_block_eigenvalues(cfg.dims, cfg.seed, lo, hi))
-
+    """Apply fn(lo, hi) to every block of trials, in block order."""
+    ranges = [(lo, min(lo + _BLOCK, cfg.trials)) for lo in range(0, cfg.trials, _BLOCK)]
     if cfg.workers == 1 or len(ranges) == 1:
-        return [run(span) for span in ranges]
+        return [fn(*span) for span in ranges]
     with ThreadPoolExecutor(max_workers=min(cfg.workers, len(ranges))) as pool:
-        return list(pool.map(run, ranges))
-
-
-def _rates(lam: np.ndarray, cfg: McConfig) -> np.ndarray:
-    rates = np.log1p(cfg.snr.rho * lam).sum(axis=1) / cfg.dims.Nt
-    if cfg.dims.rate_offset:
-        rates = rates + float(cfg.dims.rate_offset) * np.log1p(cfg.snr.rho)
-    return rates
+        return list(pool.map(lambda span: fn(*span), ranges))
 
 
 def _clopper_pearson(k: int, n: int, conf: float = 0.95) -> tuple[float, float]:
     alpha = 1.0 - conf
-    lo = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta_dist.ppf(1 - alpha / 2, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 
@@ -177,7 +150,7 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
         raise ValueError("rate thresholds must be >= 0")
     counts = _map_blocks(
         cfg,
-        lambda lam: np.count_nonzero(_rates(lam, cfg)[:, None] < thresholds[None, :], axis=0),
+        lambda lo, hi: np.count_nonzero(_block_rates(cfg, lo, hi)[:, None] < thresholds[None, :], axis=0),
     )
     totals = np.sum(counts, axis=0)
     out = []
@@ -204,7 +177,7 @@ def moments(cfg: McConfig) -> tuple[float, float]:
     if cfg.trials < 2:
         raise ValueError("moments needs at least 2 trials")
     partials = _map_blocks(
-        cfg, lambda lam: (float(np.sum(r := _rates(lam, cfg))), float(np.sum(r * r)))
+        cfg, lambda lo, hi: (float(np.sum(r := _block_rates(cfg, lo, hi))), float(np.sum(r * r)))
     )
     s1 = sum(p[0] for p in partials)
     s2 = sum(p[1] for p in partials)
@@ -220,7 +193,7 @@ def eigen_histogram(cfg: McConfig, bins: int) -> EigenHistogram:
         raise ValueError("bins must be >= 2")
     edges = np.linspace(0.0, 1.0, bins + 1)
     counts = _map_blocks(
-        cfg, lambda lam: np.histogram(lam.ravel(), bins=edges)[0].astype(np.int64)
+        cfg, lambda lo, hi: np.histogram(_block_eigenvalues(cfg.dims, cfg.seed, lo, hi), bins=edges)[0]
     )
     total = np.sum(counts, axis=0)
     density = total / (cfg.trials * cfg.dims.Nt * np.diff(edges))

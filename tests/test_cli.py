@@ -101,6 +101,8 @@ def test_outage_usage_errors():
     assert run_cli(BASE + ["--r-min", "0.0", "--r-max", "2.0"])[0] == 2  # outside open window
     assert run_cli(["outage", "--N", "2", "--Nt", "3", "--Nr", "1", "--rho", "3"])[0] == 2
     assert run_cli(BASE + ["--trials", "0"])[0] == 2
+    assert run_cli(BASE + ["--seed", "-1"])[0] == 2
+    assert run_cli(BASE + ["--seed", str(2**128)])[0] == 2
 
 
 def test_outage_exact_auto_disabled_over_caps(tmp_path):

@@ -2,12 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import chisquare, ks_2samp
 
-from jacobi_mimo.ensemble import SnrParam, normalize_dims
+from jacobi_mimo.ensemble import (
+    SnrParam,
+    SpectrumSample,
+    mutual_information,
+    normalize_dims,
+    sample_truncation,
+    spectrum,
+)
 from jacobi_mimo.montecarlo import (
+    _BLOCK,
     McConfig,
     OutageEstimate,
+    _block_bidiagonal,
+    _block_eigenvalues,
+    _block_rates,
     eigen_histogram,
     estimate_outage,
     moments,
@@ -23,6 +34,10 @@ def test_config_validation():
         McConfig(dims=FLAT, snr=SNR3, trials=0)
     with pytest.raises(ValueError):
         McConfig(dims=FLAT, snr=SNR3, trials=10, workers=0)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            McConfig(dims=FLAT, snr=SNR3, trials=10, seed=seed)
+    McConfig(dims=FLAT, snr=SNR3, trials=10, seed=2**128 - 1)
     with pytest.raises(ValueError):
         OutageEstimate(p=0.5, ci_low=0.6, ci_high=0.7, method="mc", trials_or_tol=1)
 
@@ -45,14 +60,56 @@ def test_flat_law_outage_within_ci():
 
 
 def test_worker_partitioning_is_invisible():
-    for workers in (1, 4):
-        cfg = McConfig(dims=normalize_dims(4, 2, 2), snr=SnrParam(10.0), trials=30_000, seed=3, workers=workers)
-        est = estimate_outage(cfg, 1.0)
-        mean, var = moments(cfg)
-        if workers == 1:
-            base = (est.p, mean, var)
-        else:
-            assert (est.p, mean, var) == base
+    # neither trial count is a multiple of the block size, so the last
+    # block is partial
+    for shape, trials in (((4, 2, 2), 30_000), ((7, 2, 3), 2 * _BLOCK + 452)):
+        for workers in (1, 2, 4):
+            cfg = McConfig(dims=normalize_dims(*shape), snr=SnrParam(10.0), trials=trials, seed=3, workers=workers)
+            est = estimate_outage(cfg, 1.0)
+            mean, var = moments(cfg)
+            density = eigen_histogram(cfg, bins=16).density.tolist()
+            if workers == 1:
+                base = (est.p, mean, var, density)
+            else:
+                assert (est.p, mean, var, density) == base
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(4, 2, 2), (7, 2, 3), (3, 1, 1), (4, 3, 2), (6, 4, 4), (200, 4, 4)],
+    ids=["square", "rect-lossy", "nt1", "reduced-offset", "reduced-offset-nt2", "wide-lossy"],
+)
+def test_bidiagonal_model_matches_haar_oracle(shape):
+    # rate, largest and smallest eigenvalue laws of the sampler against
+    # thin-QR corners of Haar unitaries
+    dims = normalize_dims(*shape)
+    cfg = McConfig(dims=dims, snr=SnrParam(10.0), trials=8 * _BLOCK, seed=41)
+    spans = [(lo, lo + _BLOCK) for lo in range(0, cfg.trials, _BLOCK)]
+    rates = np.concatenate([_block_rates(cfg, lo, hi) for lo, hi in spans])
+    lam = np.vstack([_block_eigenvalues(dims, cfg.seed, lo, hi) for lo, hi in spans])
+    rng = np.random.default_rng(43)
+    ref_lam = np.array([spectrum(sample_truncation(dims, rng)).eigenvalues for _ in range(cfg.trials)])
+    ref_rates = np.array([mutual_information(SpectrumSample(row), cfg.snr, dims) for row in ref_lam])
+    assert ks_2samp(rates, ref_rates).pvalue > 1e-3
+    assert ks_2samp(lam.max(axis=1), ref_lam.max(axis=1)).pvalue > 1e-3
+    assert ks_2samp(lam.min(axis=1), ref_lam.min(axis=1)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("rho", [1e-2, 1.0, 1e4])
+def test_pivot_recurrence_matches_eigvalsh(rho):
+    # log det(1 + rho B^T B) from the pivots against the eigenvalues of the
+    # same dense B (superdiagonal signs included)
+    for shape in ((18, 6, 6), (7, 2, 3), (3, 1, 1), (6, 4, 4)):
+        dims = normalize_dims(*shape)
+        cfg = McConfig(dims=dims, snr=SnrParam(rho), trials=300, seed=5)
+        d2, e2 = _block_bidiagonal(dims, cfg.seed, 0, cfg.trials)
+        b = np.zeros((cfg.trials, dims.Nt, dims.Nt))
+        idx = np.arange(dims.Nt)
+        b[:, idx, idx] = np.sqrt(d2).T
+        b[:, idx[:-1], idx[1:]] = -np.sqrt(e2).T
+        lam = np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b))
+        expected = np.log1p(rho * lam).sum(axis=1) / dims.Nt + float(dims.rate_offset) * math.log1p(rho)
+        assert np.max(np.abs(_block_rates(cfg, 0, cfg.trials) - expected)) < 1e-10
 
 
 def test_outage_curve_monotone_on_shared_samples():
