@@ -68,19 +68,20 @@ class RunSpec:
 
 @dataclass
 class CurveTable:
-    """Rows of per-method outage values plus a metadata block."""
+    """Rows of values under a CSV header, plus a metadata block."""
 
     rows: list[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    header: list[str] = field(default_factory=lambda: list(_CSV_HEADER))
 
     def write_csv(self, fh):
         for key, value in self.meta.items():
             fh.write(f"# {key}: {json.dumps(value)}\n")
         writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
+        writer.writerow(self.header)
         for row in self.rows:
             writer.writerow(
-                ["" if row.get(col) is None else repr(row[col]) for col in _CSV_HEADER]
+                ["" if row.get(col) is None else repr(row[col]) for col in self.header]
             )
 
     def write_json(self, fh):
@@ -384,7 +385,7 @@ def cmd_density(args) -> CurveTable:
     extra_meta["rate_unit"] = "bits" if args.bits else "nats"
     if not args.reproducible:
         extra_meta["wall_time_s"] = round(time.time() - started, 3)
-    return CurveTable(rows=rows, meta=_meta_block(args, dims, extra_meta))
+    return CurveTable(rows=rows, meta=_meta_block(args, dims, extra_meta), header=["x", "p"])
 
 
 def cmd_ergodic(args) -> CurveTable:
@@ -405,29 +406,16 @@ def cmd_ergodic(args) -> CurveTable:
     extra = {"rate_unit": "bits" if args.bits else "nats"}
     if not args.reproducible:
         extra["wall_time_s"] = round(time.time() - started, 3)
-    return CurveTable(rows=[row], meta=_meta_block(args, dims, extra))
+    return CurveTable(rows=[row], meta=_meta_block(args, dims, extra), header=list(row))
 
 
-def _emit(table: CurveTable, fmt: str, output: str | None, csv_header=None):
-    if fmt == "csv" and csv_header is not None:
-        buf = io.StringIO()
-        for key, value in table.meta.items():
-            buf.write(f"# {key}: {json.dumps(value)}\n")
-        writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        for row in table.rows:
-            writer.writerow(
-                ["" if row.get(col) is None else repr(row[col]) for col in csv_header]
-            )
-        text = buf.getvalue()
-    elif fmt == "csv":
-        buf = io.StringIO()
+def _emit(table: CurveTable, fmt: str, output: str | None):
+    buf = io.StringIO()
+    if fmt == "csv":
         table.write_csv(buf)
-        text = buf.getvalue()
     else:
-        buf = io.StringIO()
         table.write_json(buf)
-        text = buf.getvalue()
+    text = buf.getvalue()
     if output:
         with open(output, "w", newline="") as fh:
             fh.write(text)
@@ -452,16 +440,11 @@ def main(argv=None) -> int:
             return 1 if all_failed else 0
         if args.command == "density":
             table = cmd_density(args)
-            _emit(table, args.format, args.output, csv_header=["x", "p"])
+            _emit(table, args.format, args.output)
             return 0
         if args.command == "ergodic":
             table = cmd_ergodic(args)
-            _emit(
-                table,
-                args.format,
-                args.output,
-                csv_header=["a0", "b0", "r_erg", "v_erg", "e0", "regime"],
-            )
+            _emit(table, args.format, args.output)
             return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

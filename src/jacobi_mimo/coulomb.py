@@ -27,6 +27,21 @@ and edge conditions at fixed k; the outer solve matches r(k) = r using
 the monotonicity of r(k).  All the rate and energy integrals reduce to
 closed forms in the kernel function G(x, y) from :mod:`.specfun`.
 
+The Sab endpoints need no iteration in k.  With X = sqrt((1-a)(1-b)),
+Y = sqrt((1+rho a)(1+rho b)), W = sqrt(ab) and c = n0+beta+1+k, the two
+soft-edge conditions are linear in k,
+
+    n0/X = c - k/Y,    (beta-1)/W = c - k(1+rho)/Y,
+
+and the three quantities are tied by rho X^2 + Y^2 = (1+rho)(1+rho W^2).
+For beta = 1 and for n0 = 0 that is a closed form; otherwise X and W are
+explicit in Y and one bracketed scalar root in y = Y-1 in (0, rho)
+remains.  a and b are the roots of t^2 - (a+b) t + ab.  The thresholds
+are closed forms as well (z = 1/rho): Sab takes over from S0b above
+k_c3 = (n0+2)z + 2 sqrt((n0+1)z(1+z)), where ab reaches 0, and from Sa1
+below k_c4 = -(1+z)(beta+1) - 2 sqrt(beta z(1+z)), where (1-a)(1-b)
+does; at n0 = 0, beta = 1 they are the two ends of S01.
+
 Two transcription corrections relative to common statements of the
 ergodic (k = 0) solution, both forced by the mass and moment checks in
 the tests: the support endpoints are
@@ -246,170 +261,82 @@ def _sa1_poles(beta: float, z: float, k: float, a: float) -> list[tuple[float, f
 # Regime Sab: detached support (a, b); soft edges p(a) = p(b) = 0
 # ---------------------------------------------------------------------------
 
-def _sab_residuals(n0: float, beta: float, z: float, k: float, a: float, b: float):
-    rho = 1.0 / z
-    root = math.sqrt((1.0 + rho * a) * (1.0 + rho * b))
-    edge = -k * rho / root
-    mass = k * (1.0 + rho) / root - (n0 + beta + 1.0 + k)
-    if n0:
-        edge += n0 / math.sqrt((1.0 - a) * (1.0 - b))
-    if beta > 1.0:
-        t = (beta - 1.0) / math.sqrt(a * b)
-        edge -= t
-        mass += t
-    return edge, mass
-
-
-def _sab_newton(n0, beta, z, k, a, b, tol=1e-13, iters=60):
-    for _ in range(iters):
-        f1, f2 = _sab_residuals(n0, beta, z, k, a, b)
-        res = math.hypot(f1, f2)
-        if res < tol:
-            return a, b
-        ha = 1e-8 * max(a, 1e-8)
-        hb = 1e-8 * max(1.0 - b, 1e-8)
-        g1a, g2a = _sab_residuals(n0, beta, z, k, a + ha, b)
-        g1b, g2b = _sab_residuals(n0, beta, z, k, a, b + hb)
-        j11, j12 = (g1a - f1) / ha, (g1b - f1) / hb
-        j21, j22 = (g2a - f2) / ha, (g2b - f2) / hb
-        det = j11 * j22 - j12 * j21
-        if det == 0 or not math.isfinite(det):
-            break
-        da = -(f1 * j22 - f2 * j12) / det
-        db = -(j11 * f2 - j21 * f1) / det
-        step = 1.0
-        improved = False
-        for _ in range(40):
-            na = min(max(a + step * da, _EDGE), 1.0 - _EDGE)
-            nb = min(max(b + step * db, _EDGE), 1.0 - _EDGE)
-            if nb <= na:
-                nb = min(1.0 - _EDGE, na + max(0.5 * (b - a), _EDGE))
-            n1, n2 = _sab_residuals(n0, beta, z, k, na, nb)
-            if math.isfinite(n1) and math.isfinite(n2) and math.hypot(n1, n2) < res:
-                a, b = na, nb
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    f1, f2 = _sab_residuals(n0, beta, z, k, a, b)
-    if math.hypot(f1, f2) < 1e-10:
-        return a, b
-    return None
-
-
-def _sab_nested(n0, beta, z, k, b_lo=0.0, b_hi=1.0):
-    """Fallback: for each b solve the edge condition for a, bisect on mass."""
-    b_lo = max(b_lo, 4.0 * _EDGE)
-    b_hi = min(b_hi, 1.0 - _EDGE)
-
-    def a_of_b(b):
-        lo, hi = _EDGE, b * (1.0 - 1e-12)
-
-        def f(a):
-            return _sab_residuals(n0, beta, z, k, a, b)[0]
-
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi > 0:
-            return None
-        return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16)
-
-    def mass(b):
-        a = a_of_b(b)
-        if a is None:
-            return None
-        return _sab_residuals(n0, beta, z, k, a, b)[1], a
-
-    prev_b = prev_m = None
-    for i in range(401):
-        b = b_lo + (b_hi - b_lo) * i / 400.0
-        cur = mass(b)
-        if cur is None:
-            prev_b = prev_m = None
-            continue
-        if prev_m is not None and prev_m * cur[0] <= 0.0:
-            bb = brentq(
-                lambda x: mass(x)[0], prev_b, b, xtol=1e-300, rtol=8.9e-16
-            )
-            return a_of_b(bb), bb
-        prev_b, prev_m = b, cur[0]
-    raise ArithmeticError(
-        f"Sab nested bisection found no sign change for k={k!r} "
-        f"over b in ({b_lo!r}, {b_hi!r})"
-    )
-
-
 def _kc3(n0: float, z: float) -> tuple[float, float]:
-    """beta = 1, n0 > 0: Sab takes over from S0b where p(0+) hits zero.
+    """beta = 1, n0 > 0: Sab takes over from S0b above k_c3, where p(0+) hits zero.
 
-    At the threshold n0*(1+z) = (2+n0+k)*sqrt(1-b) jointly with the S0b
-    normalization; eliminated down to one equation in b.
+    Returns (k_c3, e): the roots of the ab = 0 quadratic
+    k^2 - 2(n0+2)z k + z(1+z)n0^2 - z(n0+2)^2 are (n0+2)z -/+ e.
     """
-
-    def k_of_b(b):
-        return n0 * (1.0 + z) / math.sqrt(1.0 - b) - 2.0 - n0
-
-    def h(b):
-        return _s0b_norm_residual(n0, z, k_of_b(b), b)
-
-    b0 = 4.0 * (1.0 + n0) / (2.0 + n0) ** 2
-    b = brentq(h, b0, 1.0 - _EDGE, xtol=1e-300, rtol=8.9e-16)
-    return k_of_b(b), b
+    e = 2.0 * math.sqrt((n0 + 1.0) * z * (1.0 + z))
+    return (n0 + 2.0) * z + e, e
 
 
 def _kc4(beta: float, z: float) -> tuple[float, float]:
-    """n0 = 0, beta > 1: Sab takes over from Sa1 where p(1-) hits zero.
+    """n0 = 0, beta > 1: Sab takes over from Sa1 below k_c4, where p(1-) hits zero.
 
-    At the threshold (beta-1)*z + (1+beta+k)*sqrt(a) = 0 jointly with the
-    Sa1 normalization; eliminated down to one equation in a.
+    Returns (k_c4, e): the roots of the (1-a)(1-b) = 0 quadratic
+    k^2 + 2(1+z)(beta+1)k + (1+z)((beta+1)^2 + z(beta-1)^2) are
+    -(1+z)(beta+1) -/+ e.
     """
-
-    def k_of_a(a):
-        return -(beta - 1.0) * z / math.sqrt(a) - (1.0 + beta)
-
-    def h(a):
-        return _sa1_norm_residual(beta, z, k_of_a(a), a)
-
-    a0 = ((beta - 1.0) / (beta + 1.0)) ** 2
-    a = brentq(h, _EDGE, a0, xtol=1e-300, rtol=8.9e-16)
-    return k_of_a(a), a
+    e = 2.0 * math.sqrt(beta * z * (1.0 + z))
+    return -(1.0 + z) * (beta + 1.0) - e, e
 
 
-def _sab_seed(n0: float, beta: float, z: float) -> tuple[float, tuple[float, float]]:
-    """Continuation origin (k_start, (a, b)) for the Sab family."""
-    if n0 > 0 and beta > 1.0:
-        return 0.0, _ergodic_support(n0, beta)
-    if n0 > 0:  # beta == 1: Sab takes over above k_c3
-        k_c3, b_c3 = _kc3(n0, z)
-        return k_c3 + 1e-6, (1e-8, b_c3)
-    # n0 == 0, beta > 1: Sab takes over below k_c4
-    k_c4, a_c4 = _kc4(beta, z)
-    return k_c4 - 1e-6, (a_c4, 1.0 - 1e-8)
+def _sab_support(rho: float, y: float, x2: float, m: float) -> tuple[float, float]:
+    """(a, b) from Y = 1+y, X^2 and m = ab as the roots of t^2 - st + m.
 
-
-def _sab_ab_of_k(n0: float, beta: float, z: float, k: float):
-    k_start, (a, b) = _sab_seed(n0, beta, z)
-    span = k - k_start
-    steps = max(1, math.ceil(abs(span) / 0.25))
-    prev_k = k_start
-    for i in range(1, steps + 1):
-        kk = k_start + span * i / steps
-        got = _sab_newton(n0, beta, z, kk, a, b)
-        if got is None:
-            mid = 0.5 * (prev_k + kk)
-            got = _sab_newton(n0, beta, z, mid, a, b)
-            if got is not None:
-                a, b = got
-                got = _sab_newton(n0, beta, z, kk, a, b)
-        if got is None:
-            got = _sab_nested(n0, beta, z, kk)
-        a, b = got
-        prev_k = kk
+    s = a+b comes from Y^2 = 1 + rho s + rho^2 m or from X^2 = 1 - s + m,
+    whichever loses less to cancellation (the first while a << 1/rho).
+    """
+    yy = y * (2.0 + y)
+    if yy + rho * rho * m < rho * (1.0 + m + x2):
+        s = (yy - rho * rho * m) / rho
+    else:
+        s = 1.0 + m - x2
+    disc = s * s - 4.0 * m
+    if not disc >= 0.0:
+        raise ArithmeticError(f"Sab endpoints not real (s={s!r}, ab={m!r})")
+    b = 0.5 * (s + math.sqrt(disc))
+    a = m / b
+    if not 0.0 <= a < b <= 1.0:
+        raise ArithmeticError(f"Sab endpoints ({a!r}, {b!r}) outside [0, 1]")
     return a, b
+
+
+def _sab_ab_of_k(n0: float, beta: float, z: float, k: float) -> tuple[float, float]:
+    rho = 1.0 / z
+    c = n0 + beta + 1.0 + k
+    if beta == 1.0:  # n0/X = c rho/(1+rho), Y = k(1+rho)/c
+        k_c3, e = _kc3(n0, z)
+        return _sab_support(
+            rho, (k - (n0 + 2.0) * z) / (z * c), (n0 * (1.0 + z) / c) ** 2,
+            (k - k_c3) * (k - k_c3 + 2.0 * e) / (c * c),
+        )
+    if n0 == 0:  # Y = k/c, (beta-1)/W = -rho c
+        k_c4, e = _kc4(beta, z)
+        return _sab_support(
+            rho, -(beta + 1.0) / c, (k - k_c4) * (k - k_c4 - 2.0 * e) / (c * c),
+            ((beta - 1.0) * z / c) ** 2,
+        )
+
+    def inverses(y):  # 1/X and 1/W from the two conditions
+        t = k / (1.0 + y)
+        return (c - t) / n0, (c - (1.0 + rho) * t) / (beta - 1.0)
+
+    def tie(y):  # rho X^2 + Y^2 - (1+rho)(1+rho W^2), times (ix iw)^2
+        ix, iw = inverses(y)
+        ix2, iw2 = ix * ix, iw * iw
+        return rho * iw2 + (y * (2.0 + y) - rho) * ix2 * iw2 - rho * (1.0 + rho) * ix2
+
+    # ix, iw > 0 on (lo, hi); tie < 0 at lo (y = 0 or iw = 0) and > 0 at hi
+    lo, hi = 0.0, rho
+    if k > 0:
+        lo = max(lo, k * (1.0 + rho) / c - 1.0)
+    elif c < 0:
+        hi = min(hi, k / c - 1.0)
+    y = brentq(tie, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    ix, iw = inverses(y)
+    return _sab_support(rho, y, 1.0 / (ix * ix), 1.0 / (iw * iw))
 
 
 def _sab_poles(n0: float, beta: float, z: float, a: float, b: float) -> list[tuple[float, float]]:
@@ -513,11 +440,13 @@ def critical_thresholds(n0: float, beta: float, snr: SnrParam) -> list[tuple[flo
         r_erg, v = _s01_rate_coeffs(z)
         k1, k2 = _s01_k_limits(z)
         return [(k1, r_erg + k1 * v), (k2, r_erg + k2 * v)]
-    if beta == 1.0:
-        k, b = _kc3(n0, z)
+    if beta == 1.0:  # a = 0, sqrt(1-b) = n0(1+z)/c
+        k = _kc3(n0, z)[0]
+        b = 1.0 - (n0 * (1.0 + z) / (n0 + 2.0 + k)) ** 2
         return [(k, _rate_from_poles(z, 0.0, b, _s0b_poles(n0, z, k, b)))]
-    if n0 == 0:
-        k, a = _kc4(beta, z)
+    if n0 == 0:  # b = 1, sqrt(a) = (beta-1)z/|c|
+        k = _kc4(beta, z)[0]
+        a = ((beta - 1.0) * z / (beta + 1.0 + k)) ** 2
         return [(k, _rate_from_poles(z, a, 1.0, _sa1_poles(beta, z, k, a)))]
     return []
 

@@ -147,12 +147,12 @@ def c_coefficient(k: int, n: int, dims: ChannelDims, snr: SnrParam):
     return sign * math.comb(dn, k) * math.comb(dims.N0, n) * (1 + mpf(snr.rho)) ** n
 
 
-def _cluster(s: Sequence, tol) -> list[tuple]:
-    """Group sorted values into (value, multiplicity) clusters."""
+def _cluster(s: Sequence) -> list[tuple]:
+    """Group equal values into sorted (value, multiplicity) clusters."""
     ordered = sorted(s)
     clusters: list[list] = [[ordered[0], 1]]
     for v in ordered[1:]:
-        if v - clusters[-1][0] <= tol:
+        if v == clusters[-1][0]:
             clusters[-1][1] += 1
         else:
             clusters.append([v, 1])
@@ -180,13 +180,12 @@ def _poly_derivative(p: int, x, order: int):
     return mpf(math.perm(p, order)) * x ** (p - order)
 
 
-def f_residue(zneg: float, s: Sequence, dedup_tol: float = 0.0):
+def f_residue(zneg: float, s: Sequence):
     """The residue function F(z, s) for z < 0 (extended precision).
 
     Distinct s uses the plain residue sum; exact collisions (the s_j are
     integers in production) switch to the confluent determinant with
-    derivative columns.  ``dedup_tol`` widens the collision test, which
-    the near-collision limit tests exploit.
+    derivative columns.
     """
     if not zneg < 0:
         raise ValueError(f"f_residue requires z < 0, got {zneg!r}")
@@ -200,7 +199,7 @@ def f_residue(zneg: float, s: Sequence, dedup_tol: float = 0.0):
     for v in svals:
         lead /= v
 
-    clusters = _cluster(svals, mpf(dedup_tol))
+    clusters = _cluster(svals)
     if len(clusters) == n:
         f1 = mpf(0)
         ordered = [c[0] for c in clusters]

@@ -11,7 +11,7 @@ points y = -1 and y = 0 (and x = 0) are removable and are evaluated as
 continuity limits.  ``i3_fn`` is the y = -1 limit, which appears on its
 own in the rate-exponent formulas.
 
-Also here: the Gaussian upper-tail Q, log-gamma, stable elementary
+Also here: the Gaussian upper-tail Q, stable elementary
 symmetric polynomials, and the adaptive Gauss-Legendre quadrature used
 as the independent oracle for everything above.
 """
@@ -30,7 +30,6 @@ __all__ = [
     "g_closed",
     "i3_fn",
     "q_fn",
-    "log_gamma",
     "elementary_symmetric",
 ]
 
@@ -197,13 +196,6 @@ _SQRT2 = math.sqrt(2.0)
 def q_fn(x: float) -> float:
     """Gaussian upper-tail probability Q(x) = int_x^inf exp(-t^2/2)/sqrt(2 pi) dt."""
     return 0.5 * math.erfc(x / _SQRT2)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got x={x!r}")
-    return math.lgamma(x)
 
 
 def elementary_symmetric(values: Sequence, degree: int):

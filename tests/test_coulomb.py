@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -115,9 +116,16 @@ def test_solution_invariants_across_regimes():
         (1.0, 2.0, 10.0, 0.80),
         (1.0, 2.0, 10.0, 2.00),
     ]
-    for n0, beta, rho, r in cases:
+    # (18, 6, 6) at low SNR above the ergodic rate: Sab points that the
+    # earlier continuation solver failed on
+    low_snr_sab = [
+        (1.0, 1.0, rho, f * math.log1p(rho)) for rho in (0.01, 0.1) for f in (0.7, 0.88)
+    ]
+    for n0, beta, rho, r in cases + low_snr_sab:
         snr = SnrParam(rho)
         sol = solve_regime(n0, beta, snr, r)
+        if (n0, beta, rho, r) in low_snr_sab:
+            assert sol.regime == "Sab"
         assert 0.0 <= sol.a < sol.b <= 1.0
         assert abs(sol.r - r) < 1e-8
         mass, rate = density_mass_and_rate(sol)
@@ -152,6 +160,47 @@ def test_sab_soft_edge_conditions_hold():
         (1 + rho * sol.a) * (1 + rho * sol.b)
     )
     assert abs(norm - (sol.n0 + sol.beta + 1 + sol.k)) < 1e-10
+
+
+def _sab_root_160bit(n0, beta, rho, k, a, b):
+    """Root of the two Sab soft-edge conditions in 160-bit arithmetic."""
+    with mpmath.workprec(160):
+        n0, beta, rho, k = (mpmath.mpf(v) for v in (n0, beta, rho, k))
+
+        def conditions(a, b):
+            y = mpmath.sqrt((1 + rho * a) * (1 + rho * b))
+            wall = (beta - 1) / mpmath.sqrt(a * b)
+            edge = n0 / mpmath.sqrt((1 - a) * (1 - b)) - wall - k * rho / y
+            mass = wall + k * (1 + rho) / y - (n0 + beta + 1 + k)
+            return [edge, mass]
+
+        root = mpmath.findroot(conditions, (mpmath.mpf(a), mpmath.mpf(b)))
+        return [float(v) for v in root]
+
+
+@pytest.mark.parametrize("rho", [1e-2, 1.0, 1e4])
+@pytest.mark.parametrize(
+    "n0, beta, side, other",
+    [(1.0, 1.0, 1.0, "S0b"), (0.0, 2.0, -1.0, "Sa1"), (0.25, 1.1, 0.0, None)],
+    ids=["beta1", "n0zero", "generic"],
+)
+def test_sab_endpoints_match_extended_precision_root(n0, beta, side, other, rho):
+    snr = SnrParam(rho)
+    if side:
+        # Sab lies on one side of the single threshold, ``other`` on the far side
+        ((k_c, _),) = critical_thresholds(n0, beta, snr)
+        for dk in (0.01, 1.0):
+            assert solve_at_multiplier(n0, beta, snr, k_c - side * dk).regime == other
+        ks = [k_c + side * dk for dk in (0.01, 1.0, 30.0, 300.0)]
+    else:
+        # at rho = 1e4, k = -300 the left edge a ~ 8e-10 sits far below 1/rho
+        ks = [-300.0, -10.0, -1.0, 0.0, 1.0, 10.0, 300.0]
+    for k in ks:
+        sol = solve_at_multiplier(n0, beta, snr, k)
+        assert sol.regime == "Sab"
+        a, b = _sab_root_160bit(n0, beta, rho, k, sol.a, sol.b)
+        assert abs(sol.a - a) <= 1e-10 * a
+        assert abs(sol.b - b) <= 1e-10 * b
 
 
 def test_energy_matches_functional_quadrature():

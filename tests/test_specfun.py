@@ -9,7 +9,6 @@ from jacobi_mimo.specfun import (
     g_closed,
     g_fn,
     i3_fn,
-    log_gamma,
     q_fn,
     quadrature,
 )
@@ -115,18 +114,6 @@ def test_q_fn_values_and_symmetry():
     assert q_fn(-40.0) > 1.0 - 1e-15
     for x in np.linspace(-8, 8, 33):
         assert abs(q_fn(float(x)) + q_fn(float(-x)) - 1.0) < 1e-14
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-    assert abs(log_gamma(0.5) - 0.5 * math.log(math.pi)) < 1e-13
-    for n in range(1, 16):
-        assert round(math.exp(log_gamma(n + 1))) == math.factorial(n)
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.5)
 
 
 def _esp_bruteforce(values, degree):
