@@ -66,6 +66,13 @@ class RunSpec:
     reproducible: bool
 
 
+def _csv_cell(value) -> str:
+    """Blank for None, text verbatim, numbers by ``repr`` (round-trip exact)."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
+
+
 @dataclass
 class CurveTable:
     """Rows of values under a CSV header, plus a metadata block."""
@@ -80,9 +87,7 @@ class CurveTable:
         writer = csv.writer(fh)
         writer.writerow(self.header)
         for row in self.rows:
-            writer.writerow(
-                ["" if row.get(col) is None else repr(row[col]) for col in self.header]
-            )
+            writer.writerow([_csv_cell(row.get(col)) for col in self.header])
 
     def write_json(self, fh):
         json.dump({"meta": self.meta, "rows": self.rows}, fh, indent=2)

@@ -1,32 +1,34 @@
 """Closed-form finite-size outage probability for the Jacobi channel.
 
 For integer channel counts the outage probability has an exact finite
-expression: expanding the binomials (x-1)^{|Nt-Nr|} and ((1+rho)-x)^{N0}
-and the Vandermonde-squared interaction term turns P_out into a triple
-sum over two multi-indices (k, n) and permutations sigma, with
+expression: expanding (x-1)^{|Nt-Nr|} ((1+rho)-x)^{N0} and the
+Vandermonde-squared interaction term turns P_out into a double sum over
+a multi-index m and permutations sigma, with
 
-    1 - P_out(r) = A' * sum_{k,n} prod_j c_{k_j,n_j}
+    1 - P_out(r) = A' * sum_m prod_j c_{m_j}
                       * sum_sigma sgn(sigma)
                       * sum_{l >= l(r)} (-1)^{l+Nt} d_l(s) F(Nt*r - l*log(1+rho), s),
 
-    s_j  = j + sigma_j - 1 + k_j + N0 - n_j            (always >= 1)
+    s_j  = j + sigma_j - 1 + m_j                       (always >= 1)
+    c_m  = sum_{k + N0 - n = m} c_{k,n}                (0 <= m <= |Nt-Nr|+N0)
     d_l  = e_l((1+rho)^{s_1}, ..., (1+rho)^{s_Nt})
     A'   = Nt! / (Z * rho^{Nt^2 + (|Nt-Nr|+N0) Nt})
 
-and F(z, s) the inverse Fourier transform of 1/((eps-ip) prod(s_j-ip)),
+where c_{k,n} are the coefficients of the two binomial expansions and
+F(z, s) the inverse Fourier transform of 1/((eps-ip) prod(s_j-ip)),
 which for z < 0 is a residue sum; only l with Nt*r < l*log(1+rho)
 contribute.  Z is the Selberg normalization of the joint eigenvalue law.
 
-Two conventions here are pinned by independent oracles rather than by
+One convention here is pinned by independent oracles rather than by
 transcription (see the tests): the residue sum enters F with a minus
 sign,
 
     F(z, s) = prod_j 1/s_j  -  sum_j e^{s_j z} / (s_j prod_{k != j} (s_k - s_j)),
 
 which is what reproduces P_out = (e^r-1)/rho for the single-channel flat
-law, and the confluent (repeated s_j) determinant uses polynomial rows
-x^0 .. x^{Nt-2} alongside e^{xz}/x, which is what matches the limit of
-the distinct-s formula.
+law.  Both terms together are (-1)^{n-1} h[s_1, ..., s_n], the divided
+difference of h(x) = (1 - e^{xz})/x, so repeated (integer) s_j are its
+Hermite limit and one divided-difference table covers every s.
 
 The sum is violently alternating, so every interior operation runs in
 mpmath extended precision (default 256-bit significand) and is rounded
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from mpmath import mp, mpf, matrix as mp_matrix, det as mp_det
+from mpmath import mp, mpf
 
 from .ensemble import ChannelDims, SnrParam
 from .results import OutageEstimate
@@ -71,9 +73,9 @@ class ExactConfig:
     """Exact-solver configuration and complexity caps.
 
     ``precision_bits`` is the working significand of the interior sums.
-    The term count (|Nt-Nr|+1)^Nt * (N0+1)^Nt * Nt! must stay within
-    ``term_budget``; beyond a few channels the asymptotic solver is the
-    right tool anyway.
+    The term count (|Nt-Nr|+N0+1)^Nt * Nt! (merged expansion indices m
+    times permutations) must stay within ``term_budget``; beyond a few
+    channels the asymptotic solver is the right tool anyway.
     """
 
     dims: ChannelDims
@@ -89,7 +91,7 @@ class ExactConfig:
     def term_count(self) -> int:
         d = self.dims
         dn = d.Nr - d.Nt
-        return (dn + 1) ** d.Nt * (d.N0 + 1) ** d.Nt * math.factorial(d.Nt)
+        return (dn + d.N0 + 1) ** d.Nt * math.factorial(d.Nt)
 
     def check_caps(self):
         if self.dims.Nt > self.max_nt:
@@ -147,92 +149,41 @@ def c_coefficient(k: int, n: int, dims: ChannelDims, snr: SnrParam):
     return sign * math.comb(dn, k) * math.comb(dims.N0, n) * (1 + mpf(snr.rho)) ** n
 
 
-def _cluster(s: Sequence) -> list[tuple]:
-    """Group equal values into sorted (value, multiplicity) clusters."""
-    ordered = sorted(s)
-    clusters: list[list] = [[ordered[0], 1]]
-    for v in ordered[1:]:
-        if v == clusters[-1][0]:
-            clusters[-1][1] += 1
-        else:
-            clusters.append([v, 1])
-    return [tuple(c) for c in clusters]
-
-
-def _g_derivative(x, z, order: int):
-    """d^order/dx^order of exp(x z)/x (Leibniz on exp * x^{-1})."""
-    acc = mpf(0)
-    for j in range(order + 1):
-        acc += (
-            math.comb(order, j)
-            * z ** (order - j)
-            * (-1) ** j
-            * math.factorial(j)
-            * x ** (-(1 + j))
-        )
-    return mp.exp(x * z) * acc
-
-
-def _poly_derivative(p: int, x, order: int):
-    """d^order/dx^order of x^p for integer p >= 0."""
-    if order > p:
-        return mpf(0)
-    return mpf(math.perm(p, order)) * x ** (p - order)
-
-
 def f_residue(zneg: float, s: Sequence):
     """The residue function F(z, s) for z < 0 (extended precision).
 
-    Distinct s uses the plain residue sum; exact collisions (the s_j are
-    integers in production) switch to the confluent determinant with
-    derivative columns.
+    F(z, s) = (-1)^{n-1} h[s_1, ..., s_n], the divided difference of
+    h(x) = (1 - e^{xz})/x over the sorted s.  Repeated values take the
+    Hermite (confluent) limit: where a table entry spans equal points it
+    is the Taylor coefficient h_d of h there, from x h(x) = 1 - e^{xz},
+    i.e. v h_t + h_{t-1} = [t = 0] - e^{vz} z^t / t!.
     """
     if not zneg < 0:
         raise ValueError(f"f_residue requires z < 0, got {zneg!r}")
     if any(v <= 0 for v in s):
         raise ValueError("all components of s must be positive")
-    z = mpf(zneg) if not isinstance(zneg, mpf) else zneg
-    svals = [v if isinstance(v, mpf) else mpf(v) for v in s]
-    n = len(svals)
+    z = mpf(zneg)
+    x = sorted(mpf(v) for v in s)
+    n = len(x)
 
-    lead = mpf(1)
-    for v in svals:
-        lead /= v
+    taylor = {}
+    for v in dict.fromkeys(x):
+        term = mp.exp(v * z)  # e^{vz} z^t / t!
+        coeffs = [(1 - term) / v]
+        for t in range(1, x.count(v)):
+            term *= z / t
+            coeffs.append((-term - coeffs[-1]) / v)
+        taylor[v] = coeffs
 
-    clusters = _cluster(svals)
-    if len(clusters) == n:
-        f1 = mpf(0)
-        ordered = [c[0] for c in clusters]
-        for j, sj in enumerate(ordered):
-            denom = sj
-            for k, sk in enumerate(ordered):
-                if k != j:
-                    denom *= sk - sj
-            f1 += mp.exp(sj * z) / denom
-        return lead - f1
-
-    # confluent case: one column per derivative order within each cluster
-    cols = []
-    for v, m in clusters:
-        for t in range(m):
-            col = [_g_derivative(v, z, t)]
-            for i in range(2, n + 1):
-                col.append(_poly_derivative(i - 2, v, t))
-            cols.append(col)
-    zmat = mp_matrix(n, n)
-    for j, col in enumerate(cols):
-        for i, entry in enumerate(col):
-            zmat[i, j] = entry
-    denom = mpf(1)
-    for _, m in clusters:
-        for q in range(1, m):
-            denom *= math.factorial(q)
-    for gi in range(len(clusters)):
-        for gj in range(gi + 1, len(clusters)):
-            vi, mi = clusters[gi]
-            vj, mj = clusters[gj]
-            denom *= (vj - vi) ** (mi * mj)
-    return lead - mp_det(zmat) / denom
+    table = [taylor[v][0] for v in x]
+    for d in range(1, n):
+        table = [
+            taylor[x[i]][d]
+            if x[i + d] == x[i]
+            else (table[i + 1] - table[i]) / (x[i + d] - x[i])
+            for i in range(n - d)
+        ]
+    return table[0] if n % 2 else -table[0]
 
 
 def _perms_with_sign(n: int):
@@ -264,10 +215,12 @@ def _outage_sum(cfg: ExactConfig, r_eff: float) -> float:
         * mpf(rho) ** (nt * nt + (dn + n0) * nt)
     )
 
-    c_table = [
-        [c_coefficient(k, n, dims, cfg.snr) for n in range(n0 + 1)]
-        for k in range(dn + 1)
-    ]
+    # s_j depends on (k_j, n_j) only through m_j = k_j + N0 - n_j, so the
+    # two expansions merge into the coefficients of one polynomial
+    coef = [mpf(0)] * (dn + n0 + 1)
+    for k in range(dn + 1):
+        for n in range(n0 + 1):
+            coef[k + n0 - n] += c_coefficient(k, n, dims, cfg.snr)
     smax = 2 * nt - 1 + dn + n0
     opr_pow = [one_rho**e for e in range(smax + 1)]
     zs = [ntr - l * log_one_rho for l in range(nt + 1)]
@@ -289,19 +242,12 @@ def _outage_sum(cfg: ExactConfig, r_eff: float) -> float:
 
     perms = _perms_with_sign(nt)
     total = mpf(0)
-    for kvec in itertools.product(range(dn + 1), repeat=nt):
-        for nvec in itertools.product(range(n0 + 1), repeat=nt):
-            coeff = mpf(1)
-            for kj, nj in zip(kvec, nvec):
-                coeff *= c_table[kj][nj]
-            perm_acc = mpf(0)
-            for perm, sign in perms:
-                s = tuple(
-                    j + perm[j - 1] - 1 + kvec[j - 1] + n0 - nvec[j - 1]
-                    for j in range(1, nt + 1)
-                )
-                perm_acc += sign * inner(s)
-            total += coeff * perm_acc
+    for mvec in itertools.product(range(dn + n0 + 1), repeat=nt):
+        perm_acc = mpf(0)
+        for perm, sign in perms:
+            s = tuple(j + perm[j] + mvec[j] for j in range(nt))
+            perm_acc += sign * inner(s)
+        total += math.prod(coef[m] for m in mvec) * perm_acc
 
     return float(1 - a_norm * total)
 

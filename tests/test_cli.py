@@ -218,6 +218,7 @@ def test_ergodic_csv_schema():
     meta, header, rows = parse_csv(out)
     assert header == ["a0", "b0", "r_erg", "v_erg", "e0", "regime"]
     assert len(rows) == 1
+    assert rows[0][-1] in ("S01", "S0b", "Sa1", "Sab")
 
 
 def test_worker_env_cap(monkeypatch):

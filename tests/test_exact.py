@@ -81,6 +81,17 @@ def test_f_residue_randomized_near_collisions():
             conf = f_residue(z, s_conf)
             near = f_residue(z, s_near)
             assert abs(float(conf - near)) < 1e-8
+        # production multiplicities: at Nt = 5 one value can repeat 5 times
+        for n, mult in [(4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4), (5, 5)] * 3:
+            value = int(rng.integers(1, 13))
+            rest = [int(v) for v in rng.integers(1, 13, size=n - mult)]
+            s_conf = sorted([value] * mult + rest)
+            z = -float(rng.uniform(0.05, 1.5))
+            eps = mpf(1) / 10**10
+            s_near = [mpf(v) + i * eps for i, v in enumerate(s_conf)]
+            conf = f_residue(z, s_conf)
+            near = f_residue(z, s_near)
+            assert abs(float(conf - near)) < 1e-8
 
 
 def test_f_residue_continuous_toward_zero():
@@ -107,6 +118,20 @@ def test_flat_law_outage_closed_form():
 def test_tilted_law_golden():
     cfg = ExactConfig(dims=TILTED, snr=SNR3)
     assert abs(outage_exact(cfg, math.log(2.0)).p - 5.0 / 9.0) < 1e-9
+
+
+def test_merged_expansion_golden():
+    # |Nt-Nr| = 1 and N0 = 1, so pairs (k, n) with equal k + N0 - n share
+    # a merged coefficient; values from the separate (k, n) expansion
+    cfg = ExactConfig(dims=normalize_dims(10, 4, 5), snr=SnrParam(10.0))
+    golden = {
+        0.3: 2.634266541878571e-10,
+        0.4: 2.8249041993276026e-06,
+        0.55: 0.020921440178622002,
+    }
+    for frac, ref in golden.items():
+        p = outage_exact(cfg, frac * math.log1p(10.0)).p
+        assert abs(p - ref) <= 1e-12 * ref
 
 
 def test_outage_monotone_and_bounded():
@@ -167,6 +192,10 @@ def test_caps_are_enforced():
     assert "term_budget" in str(info.value)
     with pytest.raises(ValueError):
         ExactConfig(dims=FLAT, snr=snr, precision_bits=64)
+    # merged expansion: 7^5 * 5! terms, where (k, n) pairs counted 4^5 * 4^5 * 5!
+    wide = ExactConfig(dims=normalize_dims(16, 5, 8), snr=snr)
+    assert wide.term_count() == 7**5 * 120
+    wide.check_caps()
 
 
 def test_density_flat_law():
