@@ -13,18 +13,7 @@ ways, which are validated against each other:
                    spectral densities behind it.
 """
 
-from .ensemble import (
-    ChannelDims,
-    SnrParam,
-    SpectrumSample,
-    log_joint_density_unnormalized,
-    mutual_information,
-    normalize_dims,
-    sample_haar_unitary,
-    sample_truncation,
-    spectrum,
-    truncate,
-)
+from .ensemble import ChannelDims, SnrParam, normalize_dims
 from .results import OutageEstimate
 from .montecarlo import McConfig, eigen_histogram, estimate_outage, moments
 from .exact import ExactConfig, c_coefficient, f_residue, log_selberg_z, outage_density_exact, outage_exact
@@ -49,14 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelDims",
     "SnrParam",
-    "SpectrumSample",
     "normalize_dims",
-    "sample_haar_unitary",
-    "sample_truncation",
-    "truncate",
-    "spectrum",
-    "mutual_information",
-    "log_joint_density_unnormalized",
     "McConfig",
     "OutageEstimate",
     "estimate_outage",

@@ -42,6 +42,14 @@ k_c3 = (n0+2)z + 2 sqrt((n0+1)z(1+z)), where ab reaches 0, and from Sa1
 below k_c4 = -(1+z)(beta+1) - 2 sqrt(beta z(1+z)), where (1-a)(1-b)
 does; at n0 = 0, beta = 1 they are the two ends of S01.
 
+The rate function's curvature needs no differencing.  At fixed k the
+density is the equilibrium measure on one interval (a, b) in a field
+tilted by k log(1+rho x), so dr/dk = V(a, b), the variance of that linear
+statistic: a closed form in the endpoints alone (Beenakker, PRL 1993;
+see _rate_variance).  Edge motion does not enter, since hard edges stay
+fixed and soft edges move where the density is zero.  So V holds in all
+four regimes, v_erg = V(a0, b0), and k' = dk/dr = E''(r) = 1/V.
+
 Two transcription corrections relative to common statements of the
 ergodic (k = 0) solution, both forced by the mass and moment checks in
 the tests: the support endpoints are
@@ -153,6 +161,18 @@ def _ergodic_support(n0: float, beta: float) -> tuple[float, float]:
     return ((hi - lo) / t) ** 2, ((hi + lo) / t) ** 2
 
 
+def _rate_variance(rho: float, a: float, b: float) -> float:
+    """dr/dk = V(a, b) = log((s_a+s_b)^2/(4 s_a s_b)), s = sqrt(1+rho x).
+
+    Evaluated as log1p(d^2/(4 s_a s_b)), d = s_b - s_a = rho(b-a)/(s_a+s_b),
+    which does not cancel on narrow supports or at small rho.
+    """
+    sa = math.sqrt(1.0 + rho * a)
+    sb = math.sqrt(1.0 + rho * b)
+    d = rho * (b - a) / (sa + sb)
+    return math.log1p(d * d / (4.0 * sa * sb))
+
+
 def ergodic_density(n0: float, beta: float, x: float) -> float:
     """Unconstrained limiting eigenvalue density p0 at x (0 outside support)."""
     a0, b0 = _ergodic_support(n0, beta)
@@ -168,10 +188,8 @@ def ergodic_density(n0: float, beta: float, x: float) -> float:
 def _s01_rate_coeffs(z: float) -> tuple[float, float]:
     """(r_erg, v) with r(k) = r_erg + k*v in the S01 family."""
     rho = 1.0 / z
-    s = math.sqrt(1.0 + rho)
-    r_erg = 2.0 * math.log(0.5 * (1.0 + s))
-    v = math.log((1.0 + s) ** 2 / (4.0 * s))
-    return r_erg, v
+    r_erg = 2.0 * math.log(0.5 * (1.0 + math.sqrt(1.0 + rho)))
+    return r_erg, _rate_variance(rho, 0.0, 1.0)
 
 
 def _s01_k_limits(z: float) -> tuple[float, float]:
@@ -502,7 +520,8 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
 
     Outer bracketed root-find on the multiplier k; r(k) is strictly
     increasing (dr/dk = 1/E'' > 0 by convexity), which the expanding
-    bracket verifies as it goes.
+    bracket verifies as it goes.  A root whose rate misses r by more than
+    _LD_TOL (near the top of the window) raises ArithmeticError.
     """
     _check_params(n0, beta, snr)
     rmax = math.log1p(snr.rho)
@@ -519,29 +538,22 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     r0 = rate_at(0.0)
     if abs(r - r0) < 1e-14:
         return cache[0.0]
-    if r > r0:
-        lo, hi = 0.0, 1.0
-        r_prev, r_hi = r0, rate_at(1.0)
-        while r_hi < r:
-            if r_hi < r_prev:
-                raise ArithmeticError("r(k) not increasing during bracket expansion")
-            lo, hi = hi, 2.0 * hi
-            if hi > 2.0**60:
-                raise ArithmeticError(f"failed to bracket k for rate {r!r}")
-            r_prev, r_hi = r_hi, rate_at(hi)
-    else:
-        lo, hi = -1.0, 0.0
-        r_prev, r_lo = r0, rate_at(-1.0)
-        while r_lo > r:
-            if r_lo > r_prev:
-                raise ArithmeticError("r(k) not increasing during bracket expansion")
-            lo, hi = 2.0 * lo, lo
-            if lo < -(2.0**60):
-                raise ArithmeticError(f"failed to bracket k for rate {r!r}")
-            r_prev, r_lo = r_lo, rate_at(lo)
-
+    step = 1.0 if r > r0 else -1.0  # widen the bracket (near, far) toward r
+    near, r_near, far = 0.0, r0, step
+    r_far = rate_at(far)
+    while (r_far - r) * step < 0:
+        if (r_far - r_near) * step < 0:
+            raise ArithmeticError("r(k) not increasing during bracket expansion")
+        near, r_near, far = far, r_far, 2.0 * far
+        if abs(far) > 2.0**60:
+            raise ArithmeticError(f"failed to bracket k for rate {r!r}")
+        r_far = rate_at(far)
+    lo, hi = sorted((near, far))
     k_star = brentq(lambda k: rate_at(k) - r, lo, hi, xtol=_K_TOL, rtol=8.9e-16)
-    return cache.get(k_star) or solve_at_multiplier(n0, beta, snr, k_star)
+    sol = cache.get(k_star) or solve_at_multiplier(n0, beta, snr, k_star)
+    if abs(sol.r - r) > _LD_TOL * r:
+        raise ArithmeticError(f"multiplier root k={k_star!r} reaches rate {sol.r!r}, not {r!r}")
+    return sol
 
 
 def density_at(sol: RegimeSolution, x: float) -> float:
@@ -579,13 +591,9 @@ def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> ErgodicSummary:
     _check_params(n0, beta, snr)
     a0, b0 = _ergodic_support(n0, beta)
     sol0 = solve_at_multiplier(n0, beta, snr, 0.0)
-    rho = snr.rho
-    sa = math.sqrt(1.0 + rho * a0)
-    sb = math.sqrt(1.0 + rho * b0)
-    v_erg = math.log((sb + sa) ** 2 / (4.0 * sb * sa))
     return ErgodicSummary(
-        n0=n0, beta=beta, rho=rho, a0=a0, b0=b0,
-        r_erg=sol0.r, v_erg=v_erg, e0=_e0_value(n0, beta),
+        n0=n0, beta=beta, rho=snr.rho, a0=a0, b0=b0,
+        r_erg=sol0.r, v_erg=_rate_variance(snr.rho, a0, b0), e0=_e0_value(n0, beta),
     )
 
 
@@ -598,9 +606,9 @@ def density_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float)
     """Large-Nt rate density: Nt exp(-Nt^2 Delta E(r)) / sqrt(2 pi v_erg)."""
     if nt < 1:
         raise ValueError("nt must be >= 1")
-    summ = ergodic_summary(n0, beta, snr)
     de = solve_regime(n0, beta, snr, r).exponent
-    return nt * math.exp(-nt * nt * de) / math.sqrt(_TWO_PI * summ.v_erg)
+    v_erg = _rate_variance(snr.rho, *_ergodic_support(n0, beta))
+    return nt * math.exp(-nt * nt * de) / math.sqrt(_TWO_PI * v_erg)
 
 
 def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) -> OutageEstimate:
@@ -610,34 +618,29 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
 
         P_out ~ exp(-Nt^2 (dE - k^2/(2 k'))) * Q(Nt |k| / sqrt(k')) / sqrt(k' v_erg)
 
-    with k' = dk/dr by central differences of the solved multiplier, and
-    one minus the mirrored expression for r > r_erg; the branches meet at
-    1/2 at the ergodic rate.  Evaluated in log space so deep tails
-    neither underflow nor lose the exponent.
+    with k' = dk/dr = 1/V(a, b) from the solved support (module docstring),
+    and one minus the mirrored expression for r > r_erg (k > 0); the
+    branches meet at 1/2 at the ergodic rate.  Evaluated in log space so
+    deep tails neither underflow nor lose the exponent.
     """
     if nt < 1:
         raise ValueError("nt must be >= 1")
-    summ = ergodic_summary(n0, beta, snr)
     sol = solve_regime(n0, beta, snr, r)
-    h = max(1e-5, 1e-4 * abs(summ.r_erg))
-    h = min(h, 0.45 * r, 0.45 * (math.log1p(snr.rho) - r))
-    k_hi = solve_regime(n0, beta, snr, r + h).k
-    k_lo = solve_regime(n0, beta, snr, r - h).k
-    kp = (k_hi - k_lo) / (2.0 * h)
-    if not kp > 0:
+    v = _rate_variance(snr.rho, sol.a, sol.b)
+    if not v > 0:
         raise ArithmeticError(
-            f"non-positive multiplier slope k'={kp!r} at r={r!r}; the rate "
-            "function should be convex, so this signals a solver failure"
+            f"non-positive slope dr/dk={v!r} at r={r!r}: the support ({sol.a!r}, "
+            f"{sol.b!r}) has collapsed, which a convex rate function does not allow"
         )
-    u = nt * abs(sol.k) / math.sqrt(kp)
+    v_erg = _rate_variance(snr.rho, *_ergodic_support(n0, beta))
+    u = nt * abs(sol.k) * math.sqrt(v)
     log_tail = (
-        -nt * nt * (sol.exponent - sol.k * sol.k / (2.0 * kp))
+        -nt * nt * (sol.exponent - 0.5 * sol.k * sol.k * v)
         + float(log_ndtr(-u))
-        - 0.5 * math.log(kp * summ.v_erg)
+        - 0.5 * math.log(v_erg / v)
     )
     tail = math.exp(min(log_tail, 0.0))
-    p = tail if r <= summ.r_erg else 1.0 - tail
-    p = min(1.0, max(0.0, p))
+    p = tail if sol.k <= 0.0 else 1.0 - tail
     return OutageEstimate(p=p, ci_low=p, ci_high=p, method="ld", trials_or_tol=_LD_TOL)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jacobi_mimo.coulomb import (
+    _rate_variance,
     critical_thresholds,
     density_asymptotic,
     density_at,
@@ -282,6 +283,19 @@ def test_solve_regime_validates_rate_window():
         solve_regime(0.0, 0.5, SNR3, 0.3)
 
 
+@pytest.mark.parametrize(
+    "n0, beta, rho, frac",
+    [(0.25, 1.1, 0.01, 0.999), (1.0, 1.0, 1.0, 0.9999)],
+    ids=["generic-rho0.01", "beta1-rho1"],
+)
+def test_solve_regime_raises_when_root_misses_rate(n0, beta, rho, frac):
+    # near the top of the window the support shrinks toward 1 and the
+    # multiplier root reaches a rate 9e-5 / 1.3e-7 relative off target
+    r = frac * math.log1p(rho)
+    with pytest.raises(ArithmeticError, match="reaches rate"):
+        solve_regime(n0, beta, SnrParam(rho), r)
+
+
 def test_density_asymptotic_peak_and_normalization():
     snr = SnrParam(10.0)
     nt = 8
@@ -316,6 +330,67 @@ def test_outage_asymptotic_crossover_and_tail():
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[0] < 1e-30  # deep tail decays, no underflow to garbage
+
+
+@pytest.mark.parametrize(
+    "regime, n0, beta",
+    [("S01", 0.0, 1.0), ("S0b", 1.0, 1.0), ("Sa1", 0.0, 2.0), ("Sab", 1.0, 2.0)],
+    ids=["S01", "S0b", "Sa1", "Sab"],
+)
+def test_multiplier_slope_closed_form(regime, n0, beta):
+    # dr/dk = V(a, b) on the solved support; k = 0 lies in ``regime`` for
+    # these (n0, beta), and the other multipliers sit well inside it
+    for rho in (1.0, 10.0, 100.0):
+        snr = SnrParam(rho)
+        k_c = [k for k, _ in critical_thresholds(n0, beta, snr)]
+        lo = 0.5 * k_c[0] if regime in ("S01", "Sa1") else -5.0
+        hi = 0.5 * k_c[-1] if regime in ("S01", "S0b") else 5.0
+        summ = ergodic_summary(n0, beta, snr)
+        for k in (0.0, lo, hi):
+            sol = solve_at_multiplier(n0, beta, snr, k)
+            assert sol.regime == regime
+            v = _rate_variance(rho, sol.a, sol.b)
+            h = 1e-5 * max(1.0, abs(k))
+            fd = (
+                solve_at_multiplier(n0, beta, snr, k + h).r
+                - solve_at_multiplier(n0, beta, snr, k - h).r
+            ) / (2.0 * h)
+            assert abs(fd - v) <= 1e-7 * v
+            if k == 0.0:
+                assert abs(v - summ.v_erg) <= 1e-12 * summ.v_erg
+            elif regime == "S01":  # r = r_erg + k v exactly
+                assert abs(v - (sol.r - summ.r_erg) / k) <= 1e-12 * v
+
+
+def test_rate_variance_matches_200bit_reference():
+    # small rho and a narrow support near 1: log((sa+sb)^2/(4 sa sb))
+    # taken directly loses 1e-7 .. 7e-6 relative here
+    cases = [(1e-4, 0.0, 1.0), (1e-4, 0.06698729810778063, 0.9330127018922192),
+             (0.01, 0.999, 0.99995)]
+    for rho, a, b in cases:
+        with mpmath.workprec(200):
+            sa = mpmath.sqrt(1 + mpmath.mpf(rho) * mpmath.mpf(a))
+            sb = mpmath.sqrt(1 + mpmath.mpf(rho) * mpmath.mpf(b))
+            ref = float(mpmath.log((sa + sb) ** 2 / (4 * sa * sb)))
+        assert abs(_rate_variance(rho, a, b) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize(
+    "regime, n0, beta, rho, r, p_ref",
+    [
+        ("S01", 0.0, 1.0, 3.0, 0.6, 0.006977346127193711),
+        ("S0b", 1.0, 1.0, 10.0, 0.9, 0.008746649474411266),
+        ("Sa1", 0.0, 2.0, 3.0, 0.75, 2.3292396361823845e-05),
+        ("Sab", 1.0, 2.0, 10.0, 1.2, 3.151302690140982e-05),
+    ],
+    ids=["S01", "S0b", "Sa1", "Sab"],
+)
+def test_outage_asymptotic_golden_per_regime(regime, n0, beta, rho, r, p_ref):
+    # Nt = 4 values from the central-difference slope, which was accurate
+    # at rho >= 1; the closed-form slope must reproduce them
+    snr = SnrParam(rho)
+    assert solve_regime(n0, beta, snr, r).regime == regime
+    assert abs(outage_asymptotic(n0, beta, snr, 4, r).p - p_ref) <= 1e-6 * p_ref
 
 
 def test_s01_quadratic_exponent_value():

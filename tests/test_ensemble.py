@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from jacobi_mimo.ensemble import (
-    SnrParam,
+from jacobi_mimo.ensemble import SnrParam, normalize_dims
+from jacobi_mimo.montecarlo import _block_eigenvalues
+
+from _oracles import (
     SpectrumSample,
     log_joint_density_unnormalized,
     mutual_information,
-    normalize_dims,
     sample_haar_unitary,
     sample_truncation,
     spectrum,
     truncate,
 )
-from jacobi_mimo.montecarlo import _block_eigenvalues
 
 
 def test_normalize_dims_already_canonical():

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp
 
-from jacobi_mimo.ensemble import (
-    SnrParam,
-    SpectrumSample,
-    mutual_information,
-    normalize_dims,
-    sample_truncation,
-    spectrum,
-)
+from jacobi_mimo.ensemble import SnrParam, normalize_dims
 from jacobi_mimo.montecarlo import (
     _BLOCK,
     McConfig,
@@ -24,6 +17,8 @@ from jacobi_mimo.montecarlo import (
     moments,
     outage_curve,
 )
+
+from _oracles import SpectrumSample, mutual_information, sample_truncation, spectrum
 
 FLAT = normalize_dims(2, 1, 1)
 SNR3 = SnrParam(3.0)
