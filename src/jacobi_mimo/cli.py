@@ -399,14 +399,13 @@ def cmd_ergodic(args) -> CurveTable:
     offset = float(dims.rate_offset) * math.log1p(snr.rho)
     started = time.time()
     summ = ergodic_summary(n0, beta, snr)
-    sol0 = solve_at_multiplier(n0, beta, snr, 0.0)
     row = {
         "a0": summ.a0,
         "b0": summ.b0,
         "r_erg": _from_nats(summ.r_erg + offset, args.bits),
         "v_erg": summ.v_erg,
         "e0": summ.e0,
-        "regime": sol0.regime,
+        "regime": summ.regime,
     }
     extra = {"rate_unit": "bits" if args.bits else "nats"}
     if not args.reproducible:

@@ -99,7 +99,7 @@ _LD_TOL = 1e-8          # advertised tolerance of the deterministic estimates
 
 @dataclass(frozen=True)
 class ErgodicSummary:
-    """Unconstrained (k = 0) solution: support, rate, peak variance, E0."""
+    """Unconstrained (k = 0) solution: support, rate, peak variance, E0, regime."""
 
     n0: float
     beta: float
@@ -109,6 +109,7 @@ class ErgodicSummary:
     r_erg: float
     v_erg: float
     e0: float
+    regime: str
 
 
 @dataclass(frozen=True)
@@ -587,13 +588,14 @@ def density_at(sol: RegimeSolution, x: float) -> float:
 
 
 def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> ErgodicSummary:
-    """Support, ergodic rate, peak variance, and E0 of the k = 0 solution."""
+    """Support, ergodic rate, peak variance, E0 and regime of the k = 0 solution."""
     _check_params(n0, beta, snr)
     a0, b0 = _ergodic_support(n0, beta)
     sol0 = solve_at_multiplier(n0, beta, snr, 0.0)
     return ErgodicSummary(
         n0=n0, beta=beta, rho=snr.rho, a0=a0, b0=b0,
         r_erg=sol0.r, v_erg=_rate_variance(snr.rho, a0, b0), e0=_e0_value(n0, beta),
+        regime=sol0.regime,
     )
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "i3_fn",
     "q_fn",
     "elementary_symmetric",
+    "elementary_symmetric_all",
 ]
 
 
@@ -198,19 +199,24 @@ def q_fn(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-def elementary_symmetric(values: Sequence, degree: int):
-    """Elementary symmetric polynomial e_degree of the given values.
+def elementary_symmetric_all(values: Sequence) -> list:
+    """Elementary symmetric polynomials e_0, ..., e_n of the given values.
 
     Uses the one-value-at-a-time update e[d] += v * e[d-1], which only
     adds products of distinct entries and is stable for non-negative
     inputs.  Works for any numeric type supporting + and * (floats,
     mpmath mpf, Fractions).  e_0 = 1 by convention.
     """
+    e = [1] + [0] * len(values)
+    for i, v in enumerate(values, 1):
+        for d in range(i, 0, -1):
+            e[d] = e[d] + v * e[d - 1]
+    return e
+
+
+def elementary_symmetric(values: Sequence, degree: int):
+    """Elementary symmetric polynomial e_degree of the given values."""
     n = len(values)
     if not 0 <= degree <= n:
         raise ValueError(f"degree must be in [0, {n}], got {degree}")
-    e = [1] + [0] * degree
-    for v in values:
-        for d in range(degree, 0, -1):
-            e[d] = e[d] + v * e[d - 1]
-    return e[degree]
+    return elementary_symmetric_all(values)[degree]

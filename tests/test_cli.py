@@ -221,6 +221,26 @@ def test_ergodic_csv_schema():
     assert rows[0][-1] in ("S01", "S0b", "Sa1", "Sab")
 
 
+def test_ergodic_solves_zero_multiplier_once(monkeypatch):
+    from jacobi_mimo import cli, coulomb
+
+    solves = []
+    original = coulomb.solve_at_multiplier
+
+    def counting(n0, beta, snr, k):
+        solves.append(k)
+        return original(n0, beta, snr, k)
+
+    monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
+    monkeypatch.setattr(cli, "solve_at_multiplier", counting)
+    code, out, _ = run_cli(
+        ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--reproducible"]
+    )
+    assert code == 0
+    assert solves == [0.0]
+    assert parse_csv(out)[2][0][-1] == "Sab"
+
+
 def test_worker_env_cap(monkeypatch):
     monkeypatch.setenv("JACOBI_OUTAGE_THREADS", "2")
     code, out, _ = run_cli(

@@ -1,10 +1,17 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from jacobi_mimo.ensemble import SnrParam, normalize_dims
+from jacobi_mimo import exact
 from jacobi_mimo.exact import (
     ExactConfig,
     TermBudgetError,
@@ -134,6 +141,52 @@ def test_merged_expansion_golden():
         assert abs(p - ref) <= 1e-12 * ref
 
 
+def test_exact_tail_shapes_golden():
+    # the benchmark's exact_tail shapes down to P ~ 1e-21; values from the
+    # evaluation that called f_residue once per (sorted s, l)
+    golden = [
+        ((12, 5, 5), 10.0, 0.33, 8.738939458610622e-08),
+        ((8, 4, 4), 1.0, 0.12, 3.3166824520313005e-12),
+        ((7, 2, 3), 10.0, 0.04, 7.280841673058671e-10),
+        ((9, 3, 3), 1e4, 0.2, 4.244051454725217e-21),
+    ]
+    for shape, rho, frac, ref in golden:
+        cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))
+        p = outage_exact(cfg, frac * math.log1p(rho)).p
+        assert abs(p - ref) <= 1e-12 * ref
+
+
+def _perm_sign(perm):
+    # parity from the cycle decomposition, independent of inversion counting
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_key_table_matches_bruteforce():
+    for nt in (1, 2, 3):
+        for width in (1, 2, 3):
+            brute = Counter()
+            for mvec in itertools.product(range(width), repeat=nt):
+                for perm in itertools.permutations(range(nt)):
+                    s = tuple(sorted(j + perm[j] + 1 + mvec[j] for j in range(nt)))
+                    brute[s, tuple(sorted(mvec))] += _perm_sign(perm)
+            expected = {key: c for key, c in brute.items() if c}
+            got = {}
+            for s, row in exact._key_table(nt, width):
+                for m, count in row:
+                    assert isinstance(count, int) and count != 0
+                    got[s, m] = count
+            assert got == expected
+
+
 def test_outage_monotone_and_bounded():
     cfg = ExactConfig(dims=normalize_dims(5, 2, 2), snr=SnrParam(2.0))
     grid = np.linspace(0.0, math.log1p(2.0), 15)
@@ -163,6 +216,29 @@ def test_precision_escalation_stability():
     hi = ExactConfig(dims=dims, snr=snr, precision_bits=512)
     for r in (0.4, 1.0, 1.8):
         assert abs(outage_exact(lo, r).p - outage_exact(hi, r).p) < 1e-9
+    # only the rho-free integer key table may be cached across calls: the
+    # 512-bit results after 128-bit calls are bitwise those of a fresh
+    # interpreter, where no 128-bit call ran before them; in the deep
+    # (9,3,3) tail the two precisions round to different floats
+    cases = [((8, 3, 4), 10.0, r) for r in (0.4, 1.0, 1.8)]
+    cases += [((9, 3, 3), 1e4, f * math.log1p(1e4)) for f in (0.1, 0.2)]
+    script = (
+        "from jacobi_mimo.ensemble import SnrParam, normalize_dims\n"
+        "from jacobi_mimo.exact import ExactConfig, outage_exact\n"
+        f"for shape, rho, r in {cases!r}:\n"
+        "    cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho), precision_bits=512)\n"
+        "    print(outage_exact(cfg, r).p.hex())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(exact.__file__).resolve().parents[1])}
+    fresh = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    after = []
+    for shape, rho, r in cases:
+        setup = {"dims": normalize_dims(*shape), "snr": SnrParam(rho)}
+        outage_exact(ExactConfig(**setup, precision_bits=128), r)
+        after.append(outage_exact(ExactConfig(**setup, precision_bits=512), r).p.hex())
+    assert after == fresh
 
 
 def test_exact_matches_monte_carlo_small_configs():
