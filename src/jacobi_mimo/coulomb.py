@@ -10,45 +10,51 @@ where E(r) minimizes the electrostatic energy functional
     E[p] = -n0 Int p log(1-x) - (beta-1) Int p log(x) - Int Int p p log|x-y|
 
 over unit-mass densities with rate Int p(x) log(1+rho*x) dx pinned to r,
-and E0 is the unconstrained minimum.  Stationarity gives a singular
-integral equation whose solution on a single support interval (a, b)
-falls into four families, depending on whether the support touches the
-hard walls at 0 and 1:
+and E0 is the unconstrained minimum.  The rate constraint enters through
+a Lagrange multiplier k with E'(r) = k: k = 0 at the ergodic rate r_erg
+(the distribution's peak), k < 0 below it, k > 0 above.  The outer solve
+matches r(k) = r using the monotonicity of r(k).
 
-    S01 (a=0, b=1)   only for n0=0, beta=1
-    S0b (a=0, b<1)   only for beta=1
-    Sa1 (a>0, b=1)   only for n0=0
-    Sab (a>0, b<1)   generic; the soft-edge conditions p(a)=p(b)=0 hold
+At fixed k the minimizer is a one-cut density on (a, b) whose edges are
+either soft (p vanishes there) or pinned to the hard walls at 0 and 1.
+With X = sqrt((1-a)(1-b)), Y = sqrt((1+rho a)(1+rho b)), W = sqrt(ab) and
+c = n0+beta+1+k, one edge system covers every case:
 
-The rate constraint enters through a Lagrange multiplier k with
-E'(r) = k: k = 0 at the ergodic rate r_erg (the distribution's peak),
-k < 0 below it, k > 0 above.  Support endpoints come from normalization
-and edge conditions at fixed k; the outer solve matches r(k) = r using
-the monotonicity of r(k).  All the rate and energy integrals reduce to
-closed forms in the kernel function G(x, y) from :mod:`.specfun`.
+    soft a:   (beta-1)/W = c - k(1+rho)/Y
+    soft b:   n0/X       = c - k/Y
+    always:   rho X^2 + Y^2 = (1+rho)(1+rho W^2),  W = 0 / X = 0 when pinned.
 
-The Sab endpoints need no iteration in k.  With X = sqrt((1-a)(1-b)),
-Y = sqrt((1+rho a)(1+rho b)), W = sqrt(ab) and c = n0+beta+1+k, the two
-soft-edge conditions are linear in k,
+An edge pins only when it carries no wall charge: a for beta = 1 below
+k_c3 = (n0+2)z + 2 sqrt((n0+1)z(1+z)), where ab reaches 0, and b for
+n0 = 0 above k_c4 = -(1+z)(beta+1) - 2 sqrt(beta z(1+z)), where (1-a)(1-b)
+does (z = 1/rho).  The two flags name the four regimes:
 
-    n0/X = c - k/Y,    (beta-1)/W = c - k(1+rho)/Y,
+    S01 (a=0, b=1)   n0=0, beta=1, k_c4 <= k <= k_c3
+    S0b (a=0, b<1)   beta=1
+    Sa1 (a>0, b=1)   n0=0
+    Sab (a>0, b<1)   generic
 
-and the three quantities are tied by rho X^2 + Y^2 = (1+rho)(1+rho W^2).
-For beta = 1 and for n0 = 0 that is a closed form; otherwise X and W are
-explicit in Y and one bracketed scalar root in y = Y-1 in (0, rho)
-remains.  a and b are the roots of t^2 - (a+b) t + ab.  The thresholds
-are closed forms as well (z = 1/rho): Sab takes over from S0b above
-k_c3 = (n0+2)z + 2 sqrt((n0+1)z(1+z)), where ab reaches 0, and from Sa1
-below k_c4 = -(1+z)(beta+1) - 2 sqrt(beta z(1+z)), where (1-a)(1-b)
-does; at n0 = 0, beta = 1 they are the two ends of S01.
+A soft edge without charge (beta = 1 at a, n0 = 0 at b) makes Y explicit
+in k, so those supports are closed forms; otherwise X and W are explicit
+in Y and one bracketed scalar root in y = Y-1 in (0, rho) remains.
+
+The density is one pole decomposition in t = (x-a)/d, d = b-a:
+
+    p(x) dx = (1/2pi) sqrt(t(1-t)) sum_i gamma_i/(t + y_i) dt,
+
+with poles y = (a+z)/d, -(1-a)/d and a/d and weights d k rho/Y,
+-n0 d/X (soft b) and (beta-1) d/W (soft a); a pinned edge takes the
+weight that makes them sum to zero, and in S01 the wall at 1 carries
+-d(c - k/Y).  All the rate and energy integrals then reduce to closed
+forms in the kernel function G(x, y) from :mod:`.specfun`.
 
 The rate function's curvature needs no differencing.  At fixed k the
 density is the equilibrium measure on one interval (a, b) in a field
 tilted by k log(1+rho x), so dr/dk = V(a, b), the variance of that linear
 statistic: a closed form in the endpoints alone (Beenakker, PRL 1993;
-see _rate_variance).  Edge motion does not enter, since hard edges stay
-fixed and soft edges move where the density is zero.  So V holds in all
-four regimes, v_erg = V(a0, b0), and k' = dk/dr = E''(r) = 1/V.
+see _rate_variance).  Edge motion does not enter, since pinned edges
+stay fixed and soft edges move where the density is zero.  So V holds in
+all four regimes, v_erg = V(a0, b0), and k' = dk/dr = E''(r) = 1/V.
 
 Two transcription corrections relative to common statements of the
 ergodic (k = 0) solution, both forced by the mass and moment checks in
@@ -93,7 +99,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _K_TOL = 1e-12          # root tolerance on the Lagrange multiplier
-_EDGE = 1e-15           # hard floor keeping endpoints inside (0, 1)
 _LD_TOL = 1e-8          # advertised tolerance of the deterministic estimates
 
 
@@ -183,105 +188,14 @@ def ergodic_density(n0: float, beta: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regime S01: support (0, 1); only for n0 = 0, beta = 1
+# One edge system for all four regimes
 # ---------------------------------------------------------------------------
 
-def _s01_rate_coeffs(z: float) -> tuple[float, float]:
-    """(r_erg, v) with r(k) = r_erg + k*v in the S01 family."""
-    rho = 1.0 / z
-    r_erg = 2.0 * math.log(0.5 * (1.0 + math.sqrt(1.0 + rho)))
-    return r_erg, _rate_variance(rho, 0.0, 1.0)
+_REGIMES = {(True, True): "S01", (True, False): "S0b", (False, True): "Sa1", (False, False): "Sab"}
 
-
-def _s01_k_limits(z: float) -> tuple[float, float]:
-    d = math.sqrt(z + 1.0) - math.sqrt(z)
-    return -2.0 * math.sqrt(z + 1.0) / d, 2.0 * math.sqrt(z) / d
-
-
-# ---------------------------------------------------------------------------
-# Regime S0b: support (0, b); only for beta = 1
-# ---------------------------------------------------------------------------
-
-def _s0b_norm_residual(n0: float, z: float, k: float, b: float) -> float:
-    return n0 / math.sqrt(1.0 - b) + k * math.sqrt(z / (z + b)) - (2.0 + n0 + k)
-
-
-def _s0b_b_of_k(n0: float, z: float, k: float) -> float:
-    lo, hi = _EDGE, 1.0 - _EDGE
-    flo = _s0b_norm_residual(n0, z, k, lo)
-    fhi = _s0b_norm_residual(n0, z, k, hi)
-    if not flo < 0 < fhi:
-        raise ArithmeticError(
-            f"S0b normalization not bracketed for k={k!r} "
-            f"(residuals {flo!r} at b->0, {fhi!r} at b->1)"
-        )
-    return brentq(
-        lambda b: _s0b_norm_residual(n0, z, k, b), lo, hi, xtol=1e-300, rtol=8.9e-16
-    )
-
-
-def _s0b_poles(n0: float, z: float, k: float, b: float) -> list[tuple[float, float]]:
-    """Pole decomposition of the S0b density in t = x/b.
-
-    p(x) dx = (1/2pi) sqrt(t(1-t)) sum_i gamma_i/(t + y_i) dt; the hard
-    edge at 0 contributes the y = 0 pole.
-    """
-    big_n = n0 / math.sqrt(1.0 - b)
-    big_k = k * math.sqrt(z) / math.sqrt(z + b)
-    return [
-        (b * big_n - b * big_k / z, 0.0),
-        (-b * big_n, -1.0 / b),
-        (b * big_k / z, z / b),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Regime Sa1: support (a, 1); only for n0 = 0
-# ---------------------------------------------------------------------------
-
-def _sa1_norm_residual(beta: float, z: float, k: float, a: float) -> float:
-    return (
-        (beta - 1.0) / math.sqrt(a)
-        + k * math.sqrt((z + 1.0) / (z + a))
-        - (beta + 1.0 + k)
-    )
-
-
-def _sa1_a_of_k(beta: float, z: float, k: float) -> float:
-    lo, hi = _EDGE, 1.0 - _EDGE
-    flo = _sa1_norm_residual(beta, z, k, lo)
-    fhi = _sa1_norm_residual(beta, z, k, hi)
-    if not flo > 0 > fhi:
-        raise ArithmeticError(
-            f"Sa1 normalization not bracketed for k={k!r} "
-            f"(residuals {flo!r} at a->0, {fhi!r} at a->1)"
-        )
-    return brentq(
-        lambda a: _sa1_norm_residual(beta, z, k, a), lo, hi, xtol=1e-300, rtol=8.9e-16
-    )
-
-
-def _sa1_poles(beta: float, z: float, k: float, a: float) -> list[tuple[float, float]]:
-    """Pole decomposition of the Sa1 density in t = (x-a)/(1-a).
-
-    The hard edge at 1 contributes the y = -1 pole.
-    """
-    d = 1.0 - a
-    kk = k * d / math.sqrt((z + 1.0) * (z + a))
-    bb = (beta - 1.0) * d / math.sqrt(a)
-    return [
-        (-(kk + bb), -1.0),
-        (kk, (a + z) / d),
-        (bb, a / d),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Regime Sab: detached support (a, b); soft edges p(a) = p(b) = 0
-# ---------------------------------------------------------------------------
 
 def _kc3(n0: float, z: float) -> tuple[float, float]:
-    """beta = 1, n0 > 0: Sab takes over from S0b above k_c3, where p(0+) hits zero.
+    """beta = 1: a leaves the wall at 0 above k_c3, where W^2 = ab reaches zero.
 
     Returns (k_c3, e): the roots of the ab = 0 quadratic
     k^2 - 2(n0+2)z k + z(1+z)n0^2 - z(n0+2)^2 are (n0+2)z -/+ e.
@@ -291,7 +205,7 @@ def _kc3(n0: float, z: float) -> tuple[float, float]:
 
 
 def _kc4(beta: float, z: float) -> tuple[float, float]:
-    """n0 = 0, beta > 1: Sab takes over from Sa1 below k_c4, where p(1-) hits zero.
+    """n0 = 0: b leaves the wall at 1 below k_c4, where X^2 = (1-a)(1-b) reaches zero.
 
     Returns (k_c4, e): the roots of the (1-a)(1-b) = 0 quadratic
     k^2 + 2(1+z)(beta+1)k + (1+z)((beta+1)^2 + z(beta-1)^2) are
@@ -301,84 +215,113 @@ def _kc4(beta: float, z: float) -> tuple[float, float]:
     return -(1.0 + z) * (beta + 1.0) - e, e
 
 
-def _sab_support(rho: float, y: float, x2: float, m: float) -> tuple[float, float]:
-    """(a, b) from Y = 1+y, X^2 and m = ab as the roots of t^2 - st + m.
+def _endpoints(rho: float, y: float, x2: float, m: float) -> tuple[float, float]:
+    """(a, b) from Y = 1+y, X^2 and W^2 = m.
 
-    s = a+b comes from Y^2 = 1 + rho s + rho^2 m or from X^2 = 1 - s + m,
-    whichever loses less to cancellation (the first while a << 1/rho).
+    A support off the wall at 1 is the root pair of t^2 - st + m, with
+    s = a+b from Y^2 = 1 + rho s + rho^2 m or from X^2 = 1 - s + m,
+    whichever carries the smaller rounding error (the first while
+    a << 1/rho, the second near the wall at 1); a on the wall at 0 is
+    m = 0.  With b on the wall at 1 (X = 0), a = W^2, or near the wall its
+    gap 1 - a = ((1+rho)^2 - Y^2)/(rho(1+rho)), which keeps its digits.
     """
+    if x2 == 0.0:
+        a = m if m < 0.5 else 1.0 - (rho - y) * (2.0 + rho + y) / (rho * (1.0 + rho))
+        return a, 1.0
     yy = y * (2.0 + y)
-    if yy + rho * rho * m < rho * (1.0 + m + x2):
+    if yy + rho * rho * m < rho * (m + x2):
         s = (yy - rho * rho * m) / rho
     else:
         s = 1.0 + m - x2
     disc = s * s - 4.0 * m
     if not disc >= 0.0:
-        raise ArithmeticError(f"Sab endpoints not real (s={s!r}, ab={m!r})")
+        raise ArithmeticError(f"support endpoints not real (s={s!r}, ab={m!r})")
     b = 0.5 * (s + math.sqrt(disc))
     a = m / b
     if not 0.0 <= a < b <= 1.0:
-        raise ArithmeticError(f"Sab endpoints ({a!r}, {b!r}) outside [0, 1]")
+        raise ArithmeticError(f"support endpoints ({a!r}, {b!r}) outside [0, 1]")
     return a, b
 
 
-def _sab_ab_of_k(n0: float, beta: float, z: float, k: float) -> tuple[float, float]:
+def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, float]:
+    """Regime and support (a, b) at multiplier k.
+
+    a sits on the wall at 0 for beta = 1 below k_c3, b on the wall at 1
+    for n0 = 0 above k_c4; the regime names the pair of pins.  S01 keeps
+    its two end points, while S0b and Sa1 leave theirs to Sab.
+    """
+    k_c3, e3 = _kc3(n0, z)
+    k_c4, e4 = _kc4(beta, z)
+    s01 = n0 == 0 and beta == 1.0 and k_c4 <= k <= k_c3
+    pin_a = s01 or beta == 1.0 and k < k_c3
+    pin_b = s01 or n0 == 0 and k > k_c4
+    regime = _REGIMES[pin_a, pin_b]
+    if pin_a and pin_b:
+        return regime, 0.0, 1.0
     rho = 1.0 / z
     c = n0 + beta + 1.0 + k
-    if beta == 1.0:  # n0/X = c rho/(1+rho), Y = k(1+rho)/c
-        k_c3, e = _kc3(n0, z)
-        return _sab_support(
+    if beta == 1.0 and not pin_a:  # uncharged soft a: Y = k(1+rho)/c, X = n0(1+z)/c
+        return regime, *_endpoints(
             rho, (k - (n0 + 2.0) * z) / (z * c), (n0 * (1.0 + z) / c) ** 2,
-            (k - k_c3) * (k - k_c3 + 2.0 * e) / (c * c),
+            (k - k_c3) * (k - k_c3 + 2.0 * e3) / (c * c),
         )
-    if n0 == 0:  # Y = k/c, (beta-1)/W = -rho c
-        k_c4, e = _kc4(beta, z)
-        return _sab_support(
-            rho, -(beta + 1.0) / c, (k - k_c4) * (k - k_c4 - 2.0 * e) / (c * c),
+    if n0 == 0 and not pin_b:  # uncharged soft b: Y = k/c, W = (beta-1)z/|c|
+        return regime, *_endpoints(
+            rho, -(beta + 1.0) / c, (k - k_c4) * (k - k_c4 - 2.0 * e4) / (c * c),
             ((beta - 1.0) * z / c) ** 2,
         )
 
-    def inverses(y):  # 1/X and 1/W from the two conditions
+    def inverses(y):  # 1/X and 1/W from the soft-edge conditions
         t = k / (1.0 + y)
-        return (c - t) / n0, (c - (1.0 + rho) * t) / (beta - 1.0)
+        ix = 0.0 if pin_b else (c - t) / n0
+        iw = 0.0 if pin_a else (c - (1.0 + rho) * t) / (beta - 1.0)
+        return ix, iw
 
-    def tie(y):  # rho X^2 + Y^2 - (1+rho)(1+rho W^2), times (ix iw)^2
+    def tie(y):  # rho X^2 + Y^2 - (1+rho)(1+rho W^2), times the soft edges' (ix iw)^2
         ix, iw = inverses(y)
-        ix2, iw2 = ix * ix, iw * iw
-        return rho * iw2 + (y * (2.0 + y) - rho) * ix2 * iw2 - rho * (1.0 + rho) * ix2
+        fx = 1.0 if pin_b else ix * ix
+        fw = 1.0 if pin_a else iw * iw
+        t = (y * (2.0 + y) - rho) * fx * fw
+        if not pin_b:
+            t += rho * fw
+        if not pin_a:
+            t -= rho * (1.0 + rho) * fx
+        return t
 
-    # ix, iw > 0 on (lo, hi); tie < 0 at lo (y = 0 or iw = 0) and > 0 at hi
+    # the soft edges' ix, iw > 0 on (lo, hi); tie < 0 at lo and > 0 at hi
     lo, hi = 0.0, rho
-    if k > 0:
+    if k > 0 and not pin_a:
         lo = max(lo, k * (1.0 + rho) / c - 1.0)
-    elif c < 0:
+    elif c < 0 and not pin_b:
         hi = min(hi, k / c - 1.0)
     y = brentq(tie, lo, hi, xtol=1e-300, rtol=8.9e-16)
     ix, iw = inverses(y)
-    return _sab_support(rho, y, 1.0 / (ix * ix), 1.0 / (iw * iw))
+    x2 = 0.0 if pin_b else 1.0 / (ix * ix)
+    return regime, *_endpoints(rho, y, x2, 0.0 if pin_a else 1.0 / (iw * iw))
 
 
-def _sab_poles(n0: float, beta: float, z: float, a: float, b: float) -> list[tuple[float, float]]:
-    """Pole decomposition of the Sab density in t = (x-a)/(b-a).
+def _poles(
+    n0: float, beta: float, z: float, k: float, a: float, b: float
+) -> list[tuple[float, float]]:
+    """Pole decomposition of the density in t = (x-a)/(b-a).
 
-    Terms are (gamma, y) for gamma/(t+y): the SNR pole carries y = az,
-    the wall terms y = -(1-a)/d and y = a/d.  Both edges are soft, so
-    every pole sits strictly outside [0, 1].
+    Terms are (gamma, y) for gamma/(t+y), with poles at the SNR point
+    y = (a+z)/d, the wall at 1, y = -(1-a)/d, and the wall at 0, y = a/d
+    (d = b-a).  The weights are d k rho/Y, -n0 d/X at a soft b and
+    (beta-1) d/W at a soft a; a pinned edge takes the weight that makes
+    them sum to zero, and with both edges pinned the wall at 1 carries
+    -d(c - k/Y).
     """
     d = b - a
-    az = (a + z) / d
-    gz = 0.0
-    gc = 0.0
-    ga = 0.0
-    if n0:
-        w = n0 / math.sqrt(((1.0 - a) / d) * ((1.0 - b) / d))
-        gz += w
-        gc -= w
-    if beta > 1.0:
-        w = (beta - 1.0) / math.sqrt((a / d) * (b / d))
-        gz -= w
-        ga += w
-    return [(gz, az), (gc, -(1.0 - a) / d), (ga, a / d)]
+    gz = d * k / math.sqrt((z + a) * (z + b))  # z gz / d = k/Y
+    g0 = (beta - 1.0) * d / math.sqrt(a * b) if a > 0.0 else None
+    if b < 1.0:
+        g1 = -n0 * d / math.sqrt((1.0 - a) * (1.0 - b))
+    else:
+        g1 = -(gz + g0) if g0 is not None else z * gz - d * (n0 + beta + 1.0 + k)
+    if g0 is None:
+        g0 = -(gz + g1)
+    return [(gz, (a + z) / d), (g1, -(1.0 - a) / d), (g0, a / d)]
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +343,9 @@ def _sab_poles(n0: float, beta: float, z: float, a: float, b: float) -> list[tup
 #   E(r) = (k/2)(r - log(1+rho x0)) - (n0/2)(Ic + log(1-x0))
 #          - ((beta-1)/2)(I0 + log x0) - L(x0)
 #
-# for any reference point x0 in the support; x0 = b except for Sa1, whose
-# support ends at the wall b = 1 (there x0 = a).  This assembly is what
-# the per-regime energy expressions unfold to, and is validated against
-# direct quadrature of the energy functional in the tests.
+# for any reference point x0 in the support; x0 = b unless b is pinned to
+# the wall at 1 (then x0 = a).  The assembly is validated against direct
+# quadrature of the energy functional in the tests.
 # ---------------------------------------------------------------------------
 
 def _rate_from_poles(z: float, a: float, b: float, poles) -> float:
@@ -455,30 +397,12 @@ def critical_thresholds(n0: float, beta: float, snr: SnrParam) -> list[tuple[flo
     """
     _check_params(n0, beta, snr)
     z = snr.z
-    if n0 == 0 and beta == 1.0:
-        r_erg, v = _s01_rate_coeffs(z)
-        k1, k2 = _s01_k_limits(z)
-        return [(k1, r_erg + k1 * v), (k2, r_erg + k2 * v)]
-    if beta == 1.0:  # a = 0, sqrt(1-b) = n0(1+z)/c
-        k = _kc3(n0, z)[0]
-        b = 1.0 - (n0 * (1.0 + z) / (n0 + 2.0 + k)) ** 2
-        return [(k, _rate_from_poles(z, 0.0, b, _s0b_poles(n0, z, k, b)))]
-    if n0 == 0:  # b = 1, sqrt(a) = (beta-1)z/|c|
-        k = _kc4(beta, z)[0]
-        a = ((beta - 1.0) * z / (beta + 1.0 + k)) ** 2
-        return [(k, _rate_from_poles(z, a, 1.0, _sa1_poles(beta, z, k, a)))]
-    return []
-
-
-def _regime_for_k(n0: float, beta: float, z: float, k: float) -> str:
-    if n0 == 0 and beta == 1.0:
-        k1, k2 = _s01_k_limits(z)
-        return "S0b" if k < k1 else ("Sa1" if k > k2 else "S01")
-    if beta == 1.0:
-        return "S0b" if k < _kc3(n0, z)[0] else "Sab"
-    if n0 == 0:
-        return "Sa1" if k > _kc4(beta, z)[0] else "Sab"
-    return "Sab"
+    ks = ([_kc4(beta, z)[0]] if n0 == 0 else []) + ([_kc3(n0, z)[0]] if beta == 1.0 else [])
+    out = []
+    for k in ks:
+        _, a, b = _support(n0, beta, z, k)
+        out.append((k, _rate_from_poles(z, a, b, _poles(n0, beta, z, k, a, b))))
+    return out
 
 
 def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> RegimeSolution:
@@ -490,30 +414,12 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
     """
     _check_params(n0, beta, snr)
     z = snr.z
-    e0 = _e0_value(n0, beta)
-    regime = _regime_for_k(n0, beta, z, k)
-    if regime == "S01":
-        r_erg, v = _s01_rate_coeffs(z)
-        r = r_erg + k * v
-        energy = e0 + 0.5 * k * k * v
-        return RegimeSolution("S01", 0.0, 1.0, k, r, energy, energy - e0, n0, beta, snr.rho)
-    if regime == "S0b":
-        b = _s0b_b_of_k(n0, z, k)
-        poles = _s0b_poles(n0, z, k, b)
-        r = _rate_from_poles(z, 0.0, b, poles)
-        energy = _energy_from_poles(n0, beta, z, k, 0.0, b, r, poles, x0=b)
-        return RegimeSolution("S0b", 0.0, b, k, r, energy, energy - e0, n0, beta, snr.rho)
-    if regime == "Sa1":
-        a = _sa1_a_of_k(beta, z, k)
-        poles = _sa1_poles(beta, z, k, a)
-        r = _rate_from_poles(z, a, 1.0, poles)
-        energy = _energy_from_poles(n0, beta, z, k, a, 1.0, r, poles, x0=a)
-        return RegimeSolution("Sa1", a, 1.0, k, r, energy, energy - e0, n0, beta, snr.rho)
-    a, b = _sab_ab_of_k(n0, beta, z, k)
-    poles = _sab_poles(n0, beta, z, a, b)
+    regime, a, b = _support(n0, beta, z, k)
+    poles = _poles(n0, beta, z, k, a, b)
     r = _rate_from_poles(z, a, b, poles)
-    energy = _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0=b)
-    return RegimeSolution("Sab", a, b, k, r, energy, energy - e0, n0, beta, snr.rho)
+    energy = _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0=a if b == 1.0 else b)
+    e0 = _e0_value(n0, beta)
+    return RegimeSolution(regime, a, b, k, r, energy, energy - e0, n0, beta, snr.rho)
 
 
 def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolution:
@@ -558,33 +464,18 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
 
 
 def density_at(sol: RegimeSolution, x: float) -> float:
-    """Constrained eigenvalue density of ``sol`` at x (0 outside support)."""
-    if not sol.a < x < sol.b:
-        return 0.0
-    z = 1.0 / sol.rho
-    k, n0, beta = sol.k, sol.n0, sol.beta
-    if sol.regime == "S01":
-        num = (z + x) * (k + 2.0) - k * math.sqrt(z * (z + 1.0))
-        return num / (_TWO_PI * (z + x) * math.sqrt(x * (1.0 - x)))
-    if sol.regime == "S0b":
-        b = sol.b
-        body = -k * math.sqrt(z) / (math.sqrt(z + b) * (z + x))
-        if n0:
-            body += n0 / (math.sqrt(1.0 - b) * (1.0 - x))
-        return math.sqrt((b - x) / x) * body / _TWO_PI
-    if sol.regime == "Sa1":
-        a = sol.a
-        body = k * math.sqrt((z + 1.0) / (z + a)) / (z + x)
-        if beta > 1.0:
-            body += (beta - 1.0) / (x * math.sqrt(a))
-        return math.sqrt(x - a) / (_TWO_PI * math.sqrt(1.0 - x)) * body
+    """Constrained eigenvalue density of ``sol`` at x (0 outside support).
+
+    p = sqrt(t(1-t)) sum gamma/(t+y) / (2 pi d) with t = (x-a)/d, from the
+    pole decomposition of the solution.
+    """
     a, b = sol.a, sol.b
-    body = 0.0
-    if n0:
-        body += n0 * (sol.rho + 1.0) / ((1.0 - x) * math.sqrt((1.0 - a) * (1.0 - b)))
-    if beta > 1.0:
-        body += (beta - 1.0) / (x * math.sqrt(a * b))
-    return math.sqrt((x - a) * (b - x)) / (_TWO_PI * (1.0 + sol.rho * x)) * body
+    if not a < x < b:
+        return 0.0
+    d = b - a
+    u = x - a
+    poles = _poles(sol.n0, sol.beta, 1.0 / sol.rho, sol.k, a, b)
+    return math.sqrt(u * (b - x)) * sum(g / (u + y * d) for g, y in poles) / (_TWO_PI * d)
 
 
 def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> ErgodicSummary:

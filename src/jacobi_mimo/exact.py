@@ -59,9 +59,7 @@ from mpmath import mp, mpf
 
 from .ensemble import ChannelDims, SnrParam
 from .results import OutageEstimate
-# elementary_symmetric stays importable as exact.elementary_symmetric, where
-# the perfbench tracer wraps it
-from .specfun import elementary_symmetric, elementary_symmetric_all  # noqa: F401
+from .specfun import elementary_symmetric_all
 
 __all__ = [
     "ExactConfig",

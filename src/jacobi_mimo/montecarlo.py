@@ -24,7 +24,6 @@ from .results import OutageEstimate
 
 __all__ = [
     "McConfig",
-    "OutageEstimate",
     "EigenHistogram",
     "estimate_outage",
     "outage_curve",

@@ -18,9 +18,8 @@ from jacobi_mimo.coulomb import (
     solve_regime,
 )
 from jacobi_mimo.ensemble import SnrParam
-from jacobi_mimo.specfun import quadrature
 
-from _oracles import density_mass_and_rate, energy_functional
+from _oracles import density_mass_and_rate, energy_functional, quadrature
 
 SNR3 = SnrParam(3.0)
 CORNERS = [(0.0, 1.0, 3.0), (1.0, 1.0, 3.0), (0.0, 2.0, 3.0), (1.0, 2.0, 10.0)]
@@ -202,6 +201,114 @@ def test_sab_endpoints_match_extended_precision_root(n0, beta, side, other, rho)
         a, b = _sab_root_160bit(n0, beta, rho, k, sol.a, sol.b)
         assert abs(sol.a - a) <= 1e-10 * a
         assert abs(sol.b - b) <= 1e-10 * b
+
+
+def _hard_edge_root_160bit(regime, n0, beta, rho, k, guess):
+    """Soft endpoint of S0b (b) or Sa1 (a) from its own condition, 160-bit.
+
+    Returns the float nearest the root and that float's distance to 1.
+    """
+    with mpmath.workprec(160):
+        n0, beta, k = (mpmath.mpf(v) for v in (n0, beta, k))
+        z = 1 / mpmath.mpf(rho)
+        if regime == "S0b":
+            def condition(b):
+                wall = n0 / mpmath.sqrt(1 - b)
+                return wall + k * mpmath.sqrt(z / (z + b)) - (n0 + 2 + k)
+        else:
+            def condition(a):
+                wall = (beta - 1) / mpmath.sqrt(a)
+                return wall + k * mpmath.sqrt((z + 1) / (z + a)) - (beta + 1 + k)
+        # bracketed, so no step leaves (0, 1); the float solve is far inside it
+        guess = mpmath.mpf(guess)
+        eps = mpmath.mpf("1e-6")
+        bracket = (guess * (1 - eps), guess + min(guess, 1 - guess) * eps)
+        root = float(mpmath.findroot(condition, bracket, solver="anderson"))
+        # a stored endpoint can be no nearer the wall than the float nearest
+        # the root: at b ~ 1 - 2.5e-5 that float's own gap is 1.5e-12 off
+        return root, 1.0 - root
+
+
+@pytest.mark.parametrize("rho", [1e-2, 1.0, 1e4])
+@pytest.mark.parametrize(
+    "regime, n0, beta, side",
+    [("S0b", 0.0, 1.0, -1.0), ("S0b", 1.0, 1.0, -1.0),
+     ("Sa1", 0.0, 1.0, 1.0), ("Sa1", 0.0, 1.1, 1.0), ("Sa1", 0.0, 2.0, 1.0)],
+    ids=["S0b-n0=0", "S0b-n0=1", "Sa1-beta=1", "Sa1-beta=1.1", "Sa1-beta=2"],
+)
+def test_hard_edge_endpoints_match_extended_precision_root(regime, n0, beta, side, rho):
+    snr = SnrParam(rho)
+    # the threshold this regime shares with its neighbour: the lower one for
+    # S0b, the upper one for Sa1 (the two differ only at n0 = 0, beta = 1)
+    k_c = critical_thresholds(n0, beta, snr)[0 if side < 0 else -1][0]
+    for dk in (0.01, 1.0, 30.0, 300.0):
+        k = k_c + side * dk
+        sol = solve_at_multiplier(n0, beta, snr, k)
+        assert sol.regime == regime
+        if regime == "S0b":
+            assert sol.a == 0.0
+            soft, gap = sol.b, 1.0 - sol.b
+        else:
+            assert sol.b == 1.0
+            soft, gap = sol.a, 1.0 - sol.a
+        ref, ref_gap = _hard_edge_root_160bit(regime, n0, beta, rho, k, soft)
+        assert abs(soft - ref) <= 1e-12 * ref
+        assert abs(gap - ref_gap) <= 1e-12 * ref_gap
+
+
+# (n0, beta, rho, k) -> (regime, a, b, r, exponent, density at t = 0.1, 0.5, 0.9
+# of the support), frozen from the per-regime solver that preceded the
+# single edge system
+SOLVE_GOLDEN = [
+    ((0.0, 1.0, 3.0, -5.0),
+     ("S0b", 0.0, 0.5925925925925927, 0.2526715392157056, 1.329979657984189,
+      (3.648551997295336, 0.7583264935555012, 0.1836403189521868))),
+    ((0.0, 1.0, 3.0, 0.5),
+     ("S01", 0.0, 1.0, 0.8698217340445205, 0.014722879457047977,
+      (0.9182015947609348, 0.6684507609859605, 1.182908360818141))),
+    ((0.0, 1.0, 3.0, 5.0),
+     ("Sa1", 0.3469387755102041, 1.0, 1.2188473862988551, 0.7782203573946018,
+      (0.4980852689828478, 1.106557002983516, 2.635790286076617))),
+    ((1.0, 1.0, 3.0, -5.0),
+     ("S0b", 0.0, 0.423861988467735, 0.21577622395487936, 0.8430425682759473,
+      (4.872711961977077, 1.2343870022090175, 0.35921495013623694))),
+    ((1.0, 1.0, 3.0, 0.5),
+     ("S0b", 0.0, 0.904773282928246, 0.6599552284545085, 0.01313727812047727,
+      (1.4088923669224245, 0.8892661541536577, 0.9137663545669261))),
+    ((1.0, 1.0, 3.0, 5.0),
+     ("Sab", 0.20145202542034665, 0.9652146412463201, 1.0755003242662236, 1.046838874162348,
+      (0.6609874645797515, 1.2730290745221824, 2.147349195872229))),
+    ((0.0, 2.0, 3.0, -5.0),
+     ("Sa1", 0.016607166774575247, 1.0, 0.564371318784207, 1.2958294863900361,
+      (2.426395737759071, 0.584080425611433, 0.3358576339133029))),
+    ((0.0, 2.0, 3.0, 0.5),
+     ("Sa1", 0.14113706113836672, 1.0, 1.0904821142895915, 0.008609545603282864,
+      (0.7013790052311892, 0.8900740978072702, 1.711153330525879))),
+    ((0.0, 2.0, 3.0, 5.0),
+     ("Sa1", 0.452410903485117, 1.0, 1.2525138764738695, 0.3731756053014279,
+      (0.566627635338494, 1.3041998283870784, 3.1832699515667886))),
+    ((1.0, 2.0, 10.0, -5.0),
+     ("Sab", 0.004784724422168858, 0.3671087684490676, 0.5427018130920287, 2.703569296000989,
+      (7.3136474793465425, 1.4655409429171191, 0.37269710892627983))),
+    ((1.0, 2.0, 10.0, 0.5),
+     ("Sab", 0.09805183965566065, 0.9424696242762367, 1.7793362580410614, 0.022343560774848115,
+      (1.1003130150212328, 1.1589888928838805, 1.4475666573890924))),
+    ((1.0, 2.0, 10.0, 5.0),
+     ("Sab", 0.4108122138677198, 0.9755131091635699, 2.134926908787072, 0.7903987448778187,
+      (0.8331433879777677, 1.7038862015558491, 2.997584388302455))),
+]
+
+
+@pytest.mark.parametrize("params, expected", SOLVE_GOLDEN, ids=[str(p) for p, _ in SOLVE_GOLDEN])
+def test_solve_at_multiplier_golden_per_regime(params, expected):
+    n0, beta, rho, k = params
+    regime, a, b, r, exponent, dens = expected
+    sol = solve_at_multiplier(n0, beta, SnrParam(rho), k)
+    assert sol.regime == regime
+    for got, want in [(sol.a, a), (sol.b, b), (sol.r, r), (sol.exponent, exponent)]:
+        assert abs(got - want) <= 1e-10 * abs(want)
+    for t, want in zip((0.1, 0.5, 0.9), dens):
+        assert abs(density_at(sol, a + t * (b - a)) - want) <= 1e-10 * want
 
 
 def test_energy_matches_functional_quadrature():

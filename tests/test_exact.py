@@ -22,7 +22,8 @@ from jacobi_mimo.exact import (
     outage_exact,
 )
 from jacobi_mimo.montecarlo import McConfig, outage_curve
-from jacobi_mimo.specfun import quadrature
+
+from _oracles import quadrature
 
 FLAT = normalize_dims(2, 1, 1)
 TILTED = normalize_dims(3, 1, 1)

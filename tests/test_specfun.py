@@ -3,17 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from jacobi_mimo.specfun import (
-    QuadratureError,
-    elementary_symmetric,
-    g_closed,
-    g_fn,
-    i3_fn,
-    q_fn,
-    quadrature,
-)
+from jacobi_mimo.specfun import elementary_symmetric, g_closed, q_fn
 
-from _oracles import g_defining_integral
+from _oracles import QuadratureError, g_defining_integral, g_fn, i3_fn, quadrature
 
 # frozen from the quadrature oracle (target 1e-13)
 G_1_1 = 0.031019311907168664
