@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -90,8 +91,7 @@ class CurveTable:
             writer.writerow([_csv_cell(row.get(col)) for col in self.header])
 
     def write_json(self, fh):
-        json.dump({"meta": self.meta, "rows": self.rows}, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps({"meta": self.meta, "rows": self.rows}, indent=2) + "\n")
 
 
 def _worker_cap(requested: int) -> int:
@@ -117,7 +117,9 @@ def _common_channel_args(sub):
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="jacobi-mimo",
         description="Outage probability for the Jacobi (truncated Haar unitary) MIMO channel",
@@ -428,8 +430,7 @@ def _emit(table: CurveTable, fmt: str, output: str | None):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "outage":
             spec = _parse_outage_spec(args)

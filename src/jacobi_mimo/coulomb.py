@@ -13,7 +13,9 @@ over unit-mass densities with rate Int p(x) log(1+rho*x) dx pinned to r,
 and E0 is the unconstrained minimum.  The rate constraint enters through
 a Lagrange multiplier k with E'(r) = k: k = 0 at the ergodic rate r_erg
 (the distribution's peak), k < 0 below it, k > 0 above.  The outer solve
-matches r(k) = r using the monotonicity of r(k).
+matches r(k) = r by Newton on k with the closed-form slope dr/dk = V(a, b)
+below, from the Gaussian guess (r - r_erg)/v_erg; r(k) is increasing, so
+k = 0, solved once per (n0, beta, rho), bounds the root on one side.
 
 At fixed k the minimizer is a one-cut density on (a, b) whose edges are
 either soft (p vanishes there) or pinned to the hard walls at 0 and 1.
@@ -72,15 +74,15 @@ At n0=0, beta=1 these reduce to the arcsine law on (0, 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
 from scipy.special import log_ndtr
 
 from .ensemble import SnrParam
 from .results import OutageEstimate
-from .specfun import g_closed, q_fn
+from .specfun import brentq, g_closed, q_fn
 
 __all__ = [
     "ErgodicSummary",
@@ -99,6 +101,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _K_TOL = 1e-12          # root tolerance on the Lagrange multiplier
+_K_ITER = 200           # cap on the outer multiplier iterations
+_EPS = 2.0**-52         # binary64 unit roundoff, for the rate rounding floor
 _LD_TOL = 1e-8          # advertised tolerance of the deterministic estimates
 
 
@@ -294,7 +298,7 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
         lo = max(lo, k * (1.0 + rho) / c - 1.0)
     elif c < 0 and not pin_b:
         hi = min(hi, k / c - 1.0)
-    y = brentq(tie, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    y = brentq(tie, lo, hi, 1e-300, 8.9e-16)
     ix, iw = inverses(y)
     x2 = 0.0 if pin_b else 1.0 / (ix * ix)
     return regime, *_endpoints(rho, y, x2, 0.0 if pin_a else 1.0 / (iw * iw))
@@ -348,14 +352,14 @@ def _poles(
 # quadrature of the energy functional in the tests.
 # ---------------------------------------------------------------------------
 
-def _rate_from_poles(z: float, a: float, b: float, poles) -> float:
+def _rate_terms(z: float, a: float, b: float, poles) -> list[float]:
     d = b - a
     az = (a + z) / d
-    r = math.log(d / z)
-    for gamma, y in poles:
-        if gamma:
-            r += 0.5 * gamma * g_closed(az, y)
-    return r
+    return [math.log(d / z)] + [0.5 * gamma * g_closed(az, y) for gamma, y in poles if gamma]
+
+
+def _rate_from_poles(z: float, a: float, b: float, poles) -> float:
+    return sum(_rate_terms(z, a, b, poles))
 
 
 def _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0) -> float:
@@ -422,45 +426,67 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
     return RegimeSolution(regime, a, b, k, r, energy, energy - e0, n0, beta, snr.rho)
 
 
+@functools.lru_cache(maxsize=64)
+def _zero_multiplier(n0: float, beta: float, rho: float) -> RegimeSolution:
+    """The k = 0 solution, solved once per (n0, beta, rho)."""
+    return solve_at_multiplier(n0, beta, SnrParam(rho), 0.0)
+
+
 def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolution:
     """Constrained-density solution at prescribed rate r in (0, log(1+rho)).
 
-    Outer bracketed root-find on the multiplier k; r(k) is strictly
-    increasing (dr/dk = 1/E'' > 0 by convexity), which the expanding
-    bracket verifies as it goes.  A root whose rate misses r by more than
-    _LD_TOL (near the top of the window) raises ArithmeticError.
+    Newton on the multiplier k with the closed-form slope dr/dk = V(a, b)
+    of each iterate's support, started from the Gaussian guess
+    (r - r_erg)/v_erg.  r(k) is strictly increasing (dr/dk = 1/E'' > 0 by
+    convexity), so k = 0 bounds one side of the root and every iterate
+    moves a side of the bracket: a step that leaves a finite bracket is
+    replaced by bisection, and one that goes more than twice as far from
+    0 while the bracket is still open by doubling.  The iteration stops
+    when the step falls below the multiplier tolerance, or when r(k) - r
+    reaches the rounding floor of the pole-sum rate (the terms' magnitudes
+    times 8 eps; about 1e-10 of r at rho <= 0.1, below which no k
+    resolves r).  It returns the iterate whose rate is closest to r; one
+    that misses r by more than _LD_TOL (near the ends of the window)
+    raises ArithmeticError.
     """
     _check_params(n0, beta, snr)
     rmax = math.log1p(snr.rho)
     if not 0.0 < r < rmax:
         raise ValueError(f"rate {r!r} outside the achievable interval (0, {rmax!r})")
-
-    cache: dict[float, RegimeSolution] = {}
-
-    def rate_at(k: float) -> float:
-        sol = solve_at_multiplier(n0, beta, snr, k)
-        cache[k] = sol
-        return sol.r
-
-    r0 = rate_at(0.0)
-    if abs(r - r0) < 1e-14:
-        return cache[0.0]
-    step = 1.0 if r > r0 else -1.0  # widen the bracket (near, far) toward r
-    near, r_near, far = 0.0, r0, step
-    r_far = rate_at(far)
-    while (r_far - r) * step < 0:
-        if (r_far - r_near) * step < 0:
-            raise ArithmeticError("r(k) not increasing during bracket expansion")
-        near, r_near, far = far, r_far, 2.0 * far
-        if abs(far) > 2.0**60:
+    best = sol = _zero_multiplier(n0, beta, snr.rho)
+    if abs(r - sol.r) < 1e-14:
+        return sol
+    z = snr.z
+    lo, hi = (0.0, math.inf) if r > sol.r else (-math.inf, 0.0)
+    k = (r - sol.r) / _rate_variance(snr.rho, *_ergodic_support(n0, beta))
+    for _ in range(_K_ITER):
+        if abs(k) > 2.0**60:
             raise ArithmeticError(f"failed to bracket k for rate {r!r}")
-        r_far = rate_at(far)
-    lo, hi = sorted((near, far))
-    k_star = brentq(lambda k: rate_at(k) - r, lo, hi, xtol=_K_TOL, rtol=8.9e-16)
-    sol = cache.get(k_star) or solve_at_multiplier(n0, beta, snr, k_star)
-    if abs(sol.r - r) > _LD_TOL * r:
-        raise ArithmeticError(f"multiplier root k={k_star!r} reaches rate {sol.r!r}, not {r!r}")
-    return sol
+        sol = solve_at_multiplier(n0, beta, snr, k)
+        res = sol.r - r
+        if abs(res) < abs(best.r - r):
+            best = sol
+        if res < 0.0:
+            lo = k
+        else:
+            hi = k
+        step = res / _rate_variance(snr.rho, sol.a, sol.b)
+        tol = _K_TOL + 8.9e-16 * abs(k)
+        if abs(step) < tol or hi - lo < tol:
+            break
+        terms = _rate_terms(z, sol.a, sol.b, _poles(n0, beta, z, k, sol.a, sol.b))
+        if abs(res) <= 8.0 * _EPS * sum(map(abs, terms)):
+            break
+        k_new = k - step
+        if math.isinf(hi - lo):
+            k = k_new if lo < k_new < hi and abs(k_new) <= 2.0 * abs(k) else 2.0 * k
+        else:
+            k = k_new if lo < k_new < hi else 0.5 * (lo + hi)
+    else:
+        raise ArithmeticError(f"multiplier iteration for rate {r!r} did not converge")
+    if abs(best.r - r) > _LD_TOL * r:
+        raise ArithmeticError(f"multiplier root k={best.k!r} reaches rate {best.r!r}, not {r!r}")
+    return best
 
 
 def density_at(sol: RegimeSolution, x: float) -> float:
@@ -482,7 +508,7 @@ def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> ErgodicSummary:
     """Support, ergodic rate, peak variance, E0 and regime of the k = 0 solution."""
     _check_params(n0, beta, snr)
     a0, b0 = _ergodic_support(n0, beta)
-    sol0 = solve_at_multiplier(n0, beta, snr, 0.0)
+    sol0 = _zero_multiplier(n0, beta, snr.rho)
     return ErgodicSummary(
         n0=n0, beta=beta, rho=snr.rho, a0=a0, b0=b0,
         r_erg=sol0.r, v_erg=_rate_variance(snr.rho, a0, b0), e0=_e0_value(n0, beta),

@@ -10,9 +10,9 @@ y outside [-1, 0] it has a closed form in elementary functions; the
 points y = -1 and y = 0 (and x = 0) are removable and are evaluated as
 continuity limits.
 
-Also here: the Gaussian upper-tail Q and stable elementary symmetric
-polynomials.  The adaptive quadrature that checks these closed forms
-lives with the tests (``tests/_oracles.py``).
+Also here: the Gaussian upper-tail Q, stable elementary symmetric
+polynomials and Brent's bracketed scalar root.  The adaptive quadrature
+that checks these closed forms lives with the tests (``tests/_oracles.py``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from typing import Sequence
 
 __all__ = [
+    "brentq",
     "g_closed",
     "q_fn",
     "elementary_symmetric",
@@ -72,6 +73,63 @@ _SQRT2 = math.sqrt(2.0)
 def q_fn(x: float) -> float:
     """Gaussian upper-tail probability Q(x) = int_x^inf exp(-t^2/2)/sqrt(2 pi) dt."""
     return 0.5 * math.erfc(x / _SQRT2)
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f in the bracket [xa, xb] by Brent's method.
+
+    A line-for-line transcription of scipy's ``Zeros/brentq.c`` (the
+    routine behind ``scipy.optimize.brentq``), so it returns the same
+    root bit for bit; the stop is |step| < (xtol + rtol |x|)/2.  Raises
+    ValueError when f(xa), f(xb) share a sign or f returns NaN, and
+    ArithmeticError after ``maxiter`` iterations.
+    """
+    def call(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ArithmeticError(f"brentq failed to converge after {maxiter} iterations, value is {xcur!r}")
 
 
 def elementary_symmetric_all(values: Sequence) -> list:

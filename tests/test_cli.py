@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 
+import jacobi_mimo
 from jacobi_mimo.cli import main
 
 HEADER = ["r", "pout_mc", "ci_lo", "ci_hi", "pout_exact", "pout_ld", "pout_gauss"]
@@ -233,12 +238,14 @@ def test_ergodic_solves_zero_multiplier_once(monkeypatch):
 
     monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
     monkeypatch.setattr(cli, "solve_at_multiplier", counting)
-    code, out, _ = run_cli(
-        ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--reproducible"]
-    )
+    coulomb._zero_multiplier.cache_clear()
+    argv = ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--reproducible"]
+    code, out, _ = run_cli(argv)
     assert code == 0
     assert solves == [0.0]
     assert parse_csv(out)[2][0][-1] == "Sab"
+    assert run_cli(argv) == (code, out, "")
+    assert solves == [0.0]  # the repeat reuses the cached k = 0 solution
 
 
 def test_worker_env_cap(monkeypatch):
@@ -267,3 +274,40 @@ def test_offset_dims_rate_window():
         assert 0.0 <= row["pout_ld"] <= 1.0
     bad = run_cli(args[:9] + ["--r-min", "0.1", "--r-max", "0.5"] + args[9:])
     assert bad[0] == 2
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of ``python -c code`` in a new interpreter that imports this package."""
+    src = str(Path(jacobi_mimo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    return proc.stdout.decode()  # no newline translation: CSV rows end in \r\n
+
+
+MIXED_REQUESTS = [
+    ["outage", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "10", "--points", "4",
+     "--methods", "ld,gauss", "--format", "json", "--bits", "--reproducible"],
+    ["density", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "10", "--kind", "constrained",
+     "--r", "1.1", "--grid-points", "16", "--reproducible"],
+    ["ergodic", "--N", "18", "--Nt", "6", "--Nr", "6", "--rho", "3", "--bits", "--reproducible"],
+]
+
+
+def test_requests_back_to_back_match_fresh_processes():
+    # the parser is built once per process and the k = 0 solution cached:
+    # neither may carry state from one request into the next
+    alone = [
+        _fresh_python(f"import sys; from jacobi_mimo.cli import main; sys.exit(main({argv!r}))")
+        for argv in MIXED_REQUESTS
+    ]
+    for order in (MIXED_REQUESTS, MIXED_REQUESTS[::-1]):
+        outs = {tuple(argv): run_cli(argv) for argv in order}
+        for argv, want in zip(MIXED_REQUESTS, alone):
+            assert outs[tuple(argv)] == (0, want, "")
+
+
+def test_cli_import_skips_scipy_optimize():
+    loaded = _fresh_python(
+        "import sys, jacobi_mimo.cli; print('scipy.optimize' in sys.modules)"
+    )
+    assert loaded.strip() == "False"

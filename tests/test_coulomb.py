@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from jacobi_mimo import coulomb
 from jacobi_mimo.coulomb import (
     _rate_variance,
     critical_thresholds,
@@ -539,3 +540,71 @@ def test_solve_at_multiplier_roundtrip():
         sol = solve_at_multiplier(1.0, 2.0, snr, k)
         back = solve_regime(1.0, 2.0, snr, sol.r)
         assert abs(back.k - k) < 1e-9
+
+
+# the outer-solve grid: the CORNERS channels at four SNRs and four window fractions
+SOLVE_GRID = [(n0, beta, rho) for n0, beta, _ in CORNERS for rho in (1.0, 10.0, 100.0, 1e4)]
+SOLVE_FRACS = (0.1, 0.3, 0.7, 0.9)
+
+
+def test_solve_regime_newton_solve_count(monkeypatch):
+    # Newton on k from the Gaussian guess takes 5.4 multiplier solves per
+    # rate here; the bracketed brentq search it replaced took 12.3
+    ks = []
+    original = coulomb.solve_at_multiplier
+
+    def counting(n0, beta, snr, k):
+        ks.append(k)
+        return original(n0, beta, snr, k)
+
+    monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
+    coulomb._zero_multiplier.cache_clear()
+    for n0, beta, rho in SOLVE_GRID:
+        for f in SOLVE_FRACS:
+            solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
+    assert len(ks) / (len(SOLVE_GRID) * len(SOLVE_FRACS)) <= 8.0
+    assert ks.count(0.0) == len(SOLVE_GRID)  # k = 0 once per channel
+
+
+# Nt = 4 outage at SOLVE_FRACS, from the bracketed brentq search on k that
+# Newton replaced
+OUTAGE_GOLDEN = [
+    ((0.0, 1.0, 1.0), (4.4433333134665573e-14, 4.8216072629327385e-05, 0.9940744859507453, 0.9999999996408736)),
+    ((0.0, 1.0, 10.0), (2.729750405816628e-20, 9.400810225167481e-09, 0.8314572119905143, 0.9999990987292193)),
+    ((0.0, 1.0, 100.0), (3.719793948070154e-30, 5.864157405875282e-15, 0.23783084132411292, 0.9996069708501033)),
+    ((0.0, 1.0, 10000.0), (7.586689926347816e-54, 7.107848178722273e-30, 0.0009532505820087412, 0.9276052720967276)),
+    ((1.0, 1.0, 1.0), (4.091013533310977e-09, 0.061407190778002246, 0.9999999522703436, 1.0)),
+    ((1.0, 1.0, 10.0), (4.988803815471041e-15, 0.00010137904921789042, 0.9993384488135164, 0.9999999999999964)),
+    ((1.0, 1.0, 100.0), (9.573749302785873e-25, 2.1878324131999492e-10, 0.8403834624116897, 0.9999999976683597)),
+    ((1.0, 1.0, 10000.0), (2.1640819554686744e-48, 3.6950879315175594e-25, 0.02388954878421135, 0.999413733712462)),
+    ((0.0, 2.0, 1.0), (1.2853693169417857e-30, 1.9335906626985917e-13, 0.38622734918252494, 0.9999871608120721)),
+    ((0.0, 2.0, 10.0), (1.6540059848932676e-43, 1.488811052064645e-22, 0.00842242592072743, 0.9932116036402571)),
+    ((0.0, 2.0, 100.0), (7.260923183876781e-64, 1.8999576558715674e-37, 7.572596238749438e-07, 0.6924485271623757)),
+    ((0.0, 2.0, 10000.0), (7.81585162334816e-113, 3.8240592525612495e-73, 2.9477379253887957e-18, 0.012580258447088544)),
+    ((1.0, 2.0, 1.0), (8.721557199629187e-23, 3.4084993897783916e-07, 0.9958707173034034, 0.9999999999999949)),
+    ((1.0, 2.0, 10.0), (2.1618481792507203e-35, 2.5756673441896994e-15, 0.47234516320389885, 0.9999999838344019)),
+    ((1.0, 2.0, 100.0), (1.2712760562739e-55, 1.1370949958428234e-29, 0.0015376858736734945, 0.9992750792936874)),
+    ((1.0, 2.0, 10000.0), (1.4969043971116675e-104, 2.5728358186910767e-65, 7.778259307555995e-14, 0.3850455583117566)),
+]
+
+
+@pytest.mark.parametrize("params, expected", OUTAGE_GOLDEN, ids=[str(p) for p, _ in OUTAGE_GOLDEN])
+def test_outage_asymptotic_matches_bracketed_solve(params, expected):
+    n0, beta, rho = params
+    snr = SnrParam(rho)
+    for f, want in zip(SOLVE_FRACS, expected):
+        got = outage_asymptotic(n0, beta, snr, 4, f * math.log1p(rho)).p
+        assert abs(got - want) <= 1e-9 * want
+
+
+def test_zero_multiplier_cache_cold_and_warm_agree():
+    for n0, beta, rho in CORNERS:
+        snr = SnrParam(rho)
+        r = 0.3 * math.log1p(rho)
+        coulomb._zero_multiplier.cache_clear()
+        cold_sol = solve_regime(n0, beta, snr, r)
+        coulomb._zero_multiplier.cache_clear()
+        cold_summ = ergodic_summary(n0, beta, snr)
+        assert solve_regime(n0, beta, snr, r) == cold_sol
+        assert ergodic_summary(n0, beta, snr) == cold_summ
+        assert coulomb._zero_multiplier.cache_info().misses == 1

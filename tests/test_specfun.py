@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from jacobi_mimo.specfun import elementary_symmetric, g_closed, q_fn
+from jacobi_mimo.specfun import brentq, elementary_symmetric, g_closed, q_fn
 
 from _oracles import QuadratureError, g_defining_integral, g_fn, i3_fn, quadrature
 
@@ -143,3 +145,33 @@ def test_elementary_symmetric_rejects_bad_degree():
         elementary_symmetric([1.0], 2)
     with pytest.raises(ValueError):
         elementary_symmetric([1.0], -1)
+
+
+@pytest.mark.parametrize("xtol, rtol", [(1e-300, 8.9e-16), (1e-12, 8.9e-16), (2e-12, 1e-9)])
+def test_brentq_matches_scipy_bit_for_bit(xtol, rtol):
+    rng = random.Random(17)
+    shapes = [
+        lambda x, c, s: s * (x - c),
+        lambda x, c, s: s * ((x - c) ** 3 + 0.1 * (x - c)),
+        lambda x, c, s: math.tanh(s * (x - c)),
+        lambda x, c, s: math.expm1(x - c),
+        lambda x, c, s: math.atan(x - c) * (1.0 + (x - c) ** 2),
+    ]
+    for i in range(400):
+        c = rng.uniform(-5.0, 5.0)
+        s = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        shape = shapes[i % len(shapes)]
+        f = lambda x: shape(x, c, s)
+        lo = c - 10.0 ** rng.uniform(-4.0, 1.0)
+        hi = c + 10.0 ** rng.uniform(-4.0, 1.0)
+        assert brentq(f, lo, hi, xtol, rtol) == scipy.optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+
+
+def test_brentq_errors():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan, -1.0, 1.0, 1e-12, 8.9e-16)
+    with pytest.raises(ArithmeticError, match="converge"):
+        brentq(lambda x: math.copysign(1.0, x - 0.3), -1.0, 1.0, 1e-300, 8.9e-16, maxiter=20)
+    assert brentq(lambda x: x, 0.0, 1.0, 1e-12, 8.9e-16) == 0.0
