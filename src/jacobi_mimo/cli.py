@@ -13,7 +13,8 @@ suppressed under --reproducible.  Rates are nats by default, bits with
 --bits (inputs and outputs alike).
 
 Exit codes: 0 success, 2 usage error, 1 when a solver failure left no
-usable row.
+usable row.  Usage errors include a non-finite --rho, --r or --k, and
+--r or --k given with ``density --kind ergodic``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,48 +51,11 @@ _CSV_HEADER = ["r", "pout_mc", "ci_lo", "ci_hi", "pout_exact", "pout_ld", "pout_
 _LN2 = math.log(2.0)
 
 
-@dataclass
-class RunSpec:
-    """Parsed, validated invocation of the outage sweep."""
-
-    dims: ChannelDims
-    rho: float
-    rates: list[float]  # always stored in nats
-    methods: list[str]
-    trials: int
-    seed: int
-    workers: int
-    fmt: str
-    output: str | None
-    bits: bool
-    reproducible: bool
-
-
 def _csv_cell(value) -> str:
     """Blank for None, text verbatim, numbers by ``repr`` (round-trip exact)."""
     if value is None:
         return ""
     return value if isinstance(value, str) else repr(value)
-
-
-@dataclass
-class CurveTable:
-    """Rows of values under a CSV header, plus a metadata block."""
-
-    rows: list[dict] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    header: list[str] = field(default_factory=lambda: list(_CSV_HEADER))
-
-    def write_csv(self, fh):
-        for key, value in self.meta.items():
-            fh.write(f"# {key}: {json.dumps(value)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(self.header)
-        for row in self.rows:
-            writer.writerow([_csv_cell(row.get(col)) for col in self.header])
-
-    def write_json(self, fh):
-        fh.write(json.dumps({"meta": self.meta, "rows": self.rows}, indent=2) + "\n")
 
 
 def _worker_cap(requested: int) -> int:
@@ -156,225 +120,196 @@ class UsageError(ValueError):
     pass
 
 
-def _normalize_or_usage(args) -> tuple[ChannelDims, SnrParam]:
+@dataclass(frozen=True)
+class Channel:
+    """The channel of one request, and the unit (nats or bits) of its rates."""
+
+    dims: ChannelDims
+    snr: SnrParam
+    n0: float
+    beta: float
+    offset: float  # nats per channel carried by eigenvalues pinned at 1
+    unit: float  # nats per unit of the rates read and written: ln 2 under --bits, else 1
+
+
+def _channel(args) -> Channel:
+    """Parse the channel flags every subcommand shares; bad values are usage errors."""
     try:
         dims = normalize_dims(args.N, args.Nt, args.Nr)
     except ValueError as err:
         raise UsageError(str(err)) from err
+    for name in ("rho", "r", "k"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{name} must be finite, got {value!r}")
     if args.rho <= 0:
         raise UsageError("--rho must be positive")
-    return dims, SnrParam(args.rho)
+    return Channel(
+        dims=dims,
+        snr=SnrParam(args.rho),
+        n0=float(dims.n0),
+        beta=float(dims.beta),
+        offset=dims.pinned_rate(args.rho),
+        unit=_LN2 if args.bits else 1.0,
+    )
 
 
-def _rate_window(dims: ChannelDims, snr: SnrParam) -> tuple[float, float]:
-    off = float(dims.rate_offset) * math.log1p(snr.rho)
-    return off, off + math.log1p(snr.rho)
+def _meta(args, ch: Channel, fields: dict, started: float) -> dict:
+    """Request echo, the command's own fields, rate unit, warnings (if any), wall time."""
+    meta = {
+        "tool": "jacobi-mimo",
+        "version": __version__,
+        "command": args.command,
+        "config": {key: getattr(args, key) for key in ("N", "Nt", "Nr", "rho", "bits")},
+        "normalized": {
+            "Nt": ch.dims.Nt,
+            "Nr": ch.dims.Nr,
+            "N0": ch.dims.N0,
+            "beta": ch.beta,
+            "n0": ch.n0,
+            "rate_offset": float(ch.dims.rate_offset),
+        },
+    }
+    warnings = fields.pop("warnings", None)
+    meta.update(fields, rate_unit="bits" if args.bits else "nats")
+    if warnings is not None:
+        meta["warnings"] = warnings
+    if not args.reproducible:
+        meta["wall_time_s"] = round(time.time() - started, 3)
+    return meta
 
 
-def _to_nats(value: float, bits: bool) -> float:
-    return value * _LN2 if bits else value
+def _column(name: str, estimate, rates: list[float], warnings: list[str]) -> list:
+    """``estimate(r).p`` at each rate: None, and a warning, where the solver fails."""
+    values = []
+    for r in rates:
+        try:
+            values.append(estimate(r).p)
+        except (ArithmeticError, ValueError) as err:
+            warnings.append(f"{name}: r={r!r} failed: {err}")
+            values.append(None)
+    return values
 
 
-def _from_nats(value: float, bits: bool) -> float:
-    return value / _LN2 if bits else value
+def _rate_grid(args, ch: Channel) -> list[float]:
+    """The outage rates in nats, sorted, each inside the achievable open window."""
+    lo = ch.offset
+    hi = lo + math.log1p(ch.snr.rho)
+    if args.rates is not None:
+        try:
+            rates = [float(tok) * ch.unit for tok in args.rates.split(",")]
+        except ValueError as err:
+            raise UsageError(f"bad --rates list: {err}") from err
+    elif args.points < 1:
+        raise UsageError("--points must be >= 1")
+    else:
+        r_min = lo + 0.05 * (hi - lo) if args.r_min is None else args.r_min * ch.unit
+        r_max = lo + 0.95 * (hi - lo) if args.r_max is None else args.r_max * ch.unit
+        rates = [float(v) for v in np.linspace(r_min, r_max, args.points)]
+    for r in rates:
+        if not lo < r < hi:
+            raise UsageError(
+                f"rate {r / ch.unit!r} outside the achievable open interval "
+                f"({lo / ch.unit!r}, {hi / ch.unit!r})"
+            )
+    return sorted(rates)
 
 
-def _parse_outage_spec(args) -> RunSpec:
-    dims, snr = _normalize_or_usage(args)
+def cmd_outage(args, ch: Channel):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("empty method set")
     for m in methods:
         if m not in _METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {_METHODS}")
-    lo, hi = _rate_window(dims, snr)
-    if args.rates is not None:
-        try:
-            rates = [_to_nats(float(tok), args.bits) for tok in args.rates.split(",")]
-        except ValueError as err:
-            raise UsageError(f"bad --rates list: {err}") from err
-    else:
-        if args.points < 1:
-            raise UsageError("--points must be >= 1")
-        span = hi - lo
-        r_min = _to_nats(args.r_min, args.bits) if args.r_min is not None else lo + 0.05 * span
-        r_max = _to_nats(args.r_max, args.bits) if args.r_max is not None else lo + 0.95 * span
-        if args.points == 1:
-            rates = [float(r_min)]
-        else:
-            rates = [float(v) for v in np.linspace(r_min, r_max, args.points)]
-    for r in rates:
-        if not lo < r < hi:
-            raise UsageError(
-                f"rate {_from_nats(r, args.bits)!r} outside the achievable open interval "
-                f"({_from_nats(lo, args.bits)!r}, {_from_nats(hi, args.bits)!r})"
-            )
-    if sorted(rates) != rates:
-        rates = sorted(rates)
+    rates = _rate_grid(args, ch)
     try:
-        McConfig(dims=dims, snr=snr, trials=args.trials, seed=args.seed, workers=args.workers)
+        mc = McConfig(
+            dims=ch.dims, snr=ch.snr, trials=args.trials, seed=args.seed, workers=args.workers
+        )
     except ValueError as err:
         raise UsageError(str(err)) from err
-    return RunSpec(
-        dims=dims,
-        rho=snr.rho,
-        rates=rates,
-        methods=methods,
-        trials=args.trials,
-        seed=args.seed,
-        workers=_worker_cap(args.workers),
-        fmt=args.format,
-        output=args.output,
-        bits=args.bits,
-        reproducible=args.reproducible,
-    )
-
-
-def _meta_block(args, dims: ChannelDims, extra: dict) -> dict:
-    meta = {
-        "tool": "jacobi-mimo",
-        "version": __version__,
-        "command": args.command,
-        "config": {
-            "N": args.N,
-            "Nt": args.Nt,
-            "Nr": args.Nr,
-            "rho": args.rho,
-            "bits": args.bits,
-        },
-        "normalized": {
-            "Nt": dims.Nt,
-            "Nr": dims.Nr,
-            "N0": dims.N0,
-            "beta": float(dims.beta),
-            "n0": float(dims.n0),
-            "rate_offset": float(dims.rate_offset),
-        },
-    }
-    meta.update(extra)
-    return meta
-
-
-def cmd_outage(spec: RunSpec, args) -> CurveTable:
-    dims = spec.dims
-    snr = SnrParam(spec.rho)
-    n0, beta = float(dims.n0), float(dims.beta)
-    offset = float(dims.rate_offset) * math.log1p(spec.rho)
-    started = time.time()
+    mc = replace(mc, workers=_worker_cap(args.workers))
     warnings: list[str] = []
+    columns = {"r": [r / ch.unit for r in rates]}
 
-    columns: dict[str, list] = {}
-
-    if "mc" in spec.methods:
-        cfg = McConfig(dims=dims, snr=snr, trials=spec.trials, seed=spec.seed, workers=spec.workers)
-        ests = outage_curve(cfg, spec.rates)
-        low = [r for r, e in zip(spec.rates, ests) if e.p * spec.trials < 10]
+    if "mc" in methods:
+        ests = outage_curve(mc, rates)
+        low = sum(e.p * args.trials < 10 for e in ests)
         if low:
             warnings.append(
-                f"mc: fewer than 10 expected outages at {len(low)} grid point(s); "
+                f"mc: fewer than 10 expected outages at {low} grid point(s); "
                 "the tail there belongs to the ld solver"
             )
         columns["pout_mc"] = [e.p for e in ests]
         columns["ci_lo"] = [e.ci_low for e in ests]
         columns["ci_hi"] = [e.ci_high for e in ests]
 
-    if "exact" in spec.methods:
-        ecfg = ExactConfig(dims=dims, snr=snr)
+    if "exact" in methods:
+        ecfg = ExactConfig(dims=ch.dims, snr=ch.snr)
         try:
             ecfg.check_caps()
         except TermBudgetError as err:
             warnings.append(f"exact: disabled ({err})")
-            columns["pout_exact"] = [None] * len(spec.rates)
         else:
-            vals = []
-            for r in spec.rates:
-                try:
-                    vals.append(outage_exact(ecfg, r).p)
-                except (ArithmeticError, ValueError) as err:
-                    warnings.append(f"exact: r={r!r} failed: {err}")
-                    vals.append(None)
-            columns["pout_exact"] = vals
+            columns["pout_exact"] = _column("exact", functools.partial(outage_exact, ecfg), rates, warnings)
 
-    if "ld" in spec.methods:
-        vals = []
-        for r in spec.rates:
-            try:
-                vals.append(outage_asymptotic(n0, beta, snr, dims.Nt, r - offset).p)
-            except (ArithmeticError, ValueError) as err:
-                warnings.append(f"ld: r={r!r} failed: {err}")
-                vals.append(None)
-        columns["pout_ld"] = vals
+    if "ld" in methods:
+        ld = lambda r: outage_asymptotic(ch.n0, ch.beta, ch.snr, ch.dims.Nt, r - ch.offset)
+        columns["pout_ld"] = _column("ld", ld, rates, warnings)
 
-    if "gauss" in spec.methods:
-        summ = ergodic_summary(n0, beta, snr)
-        vals = []
-        for r in spec.rates:
-            try:
-                vals.append(gaussian_outage(summ, dims.Nt, r - offset).p)
-            except (ArithmeticError, ValueError) as err:
-                warnings.append(f"gauss: r={r!r} failed: {err}")
-                vals.append(None)
-        columns["pout_gauss"] = vals
+    if "gauss" in methods:
+        summ = ergodic_summary(ch.n0, ch.beta, ch.snr)
+        gauss = lambda r: gaussian_outage(summ, ch.dims.Nt, r - ch.offset)
+        columns["pout_gauss"] = _column("gauss", gauss, rates, warnings)
 
-    rows = []
-    for i, r in enumerate(spec.rates):
-        row = {col: None for col in _CSV_HEADER}
-        row["r"] = _from_nats(r, spec.bits)
-        for col, vals in columns.items():
-            row[col] = vals[i]
-        rows.append(row)
-
-    extra = {
-        "methods": spec.methods,
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "workers": spec.workers,
-        "rate_unit": "bits" if spec.bits else "nats",
+    blank = [None] * len(rates)
+    cells = zip(*(columns.get(col, blank) for col in _CSV_HEADER))
+    rows = [dict(zip(_CSV_HEADER, row)) for row in cells]
+    usable = any(v is not None for col, vals in columns.items() if col != "r" for v in vals)
+    fields = {
+        "methods": methods,
+        "trials": mc.trials,
+        "seed": mc.seed,
+        "workers": mc.workers,
         "warnings": warnings,
     }
-    if not spec.reproducible:
-        extra["wall_time_s"] = round(time.time() - started, 3)
-    table = CurveTable(rows=rows, meta=_meta_block(args, dims, extra))
-    return table
+    return fields, _CSV_HEADER, rows, usable
 
 
-def cmd_density(args) -> CurveTable:
-    dims, snr = _normalize_or_usage(args)
-    n0, beta = float(dims.n0), float(dims.beta)
-    offset = float(dims.rate_offset) * math.log1p(snr.rho)
+def cmd_density(args, ch: Channel):
     if args.grid_points < 2:
         raise UsageError("--grid-points must be >= 2")
-    started = time.time()
-
     if args.kind == "constrained":
         if (args.r is None) == (args.k is None):
             raise UsageError("constrained density needs exactly one of --r or --k")
         if args.r is not None:
-            r_nat = _to_nats(args.r, args.bits) - offset
-            lo, hi = 0.0, math.log1p(snr.rho)
-            if not lo < r_nat < hi:
+            r_nat = args.r * ch.unit - ch.offset
+            if not 0.0 < r_nat < math.log1p(ch.snr.rho):
                 raise UsageError("--r outside the achievable open interval")
-            sol = solve_regime(n0, beta, snr, r_nat)
+            sol = solve_regime(ch.n0, ch.beta, ch.snr, r_nat)
         else:
-            sol = solve_at_multiplier(n0, beta, snr, args.k)
+            sol = solve_at_multiplier(ch.n0, ch.beta, ch.snr, args.k)
         a, b = sol.a, sol.b
         density = lambda x: density_at(sol, x)
-        extra_meta = {
+        fields = {
             "kind": "constrained",
             "regime": sol.regime,
             "support": [a, b],
             "k": sol.k,
-            "r": _from_nats(sol.r + offset, args.bits),
+            "r": (sol.r + ch.offset) / ch.unit,
             "exponent": sol.exponent,
         }
     else:
-        summ = ergodic_summary(n0, beta, snr)
+        if args.r is not None or args.k is not None:
+            raise UsageError("--r and --k apply only to --kind constrained")
+        summ = ergodic_summary(ch.n0, ch.beta, ch.snr)
         a, b = summ.a0, summ.b0
-        density = lambda x: ergodic_density(n0, beta, x)
-        extra_meta = {
+        density = lambda x: ergodic_density(ch.n0, ch.beta, x)
+        fields = {
             "kind": "ergodic",
             "support": [a, b],
-            "r_erg": _from_nats(summ.r_erg + offset, args.bits),
+            "r_erg": (summ.r_erg + ch.offset) / ch.unit,
             "v_erg": summ.v_erg,
             "e0": summ.e0,
         }
@@ -388,76 +323,57 @@ def cmd_density(args) -> CurveTable:
         # hard-wall divergences to ~1e-5 at the default 512 points
         x = a + (b - a) * (1.0 + u) ** 2 / (2.0 * (1.0 + u * u))
         rows.append({"x": x, "p": density(x)})
-
-    extra_meta["rate_unit"] = "bits" if args.bits else "nats"
-    if not args.reproducible:
-        extra_meta["wall_time_s"] = round(time.time() - started, 3)
-    return CurveTable(rows=rows, meta=_meta_block(args, dims, extra_meta), header=["x", "p"])
+    return fields, ["x", "p"], rows, True
 
 
-def cmd_ergodic(args) -> CurveTable:
-    dims, snr = _normalize_or_usage(args)
-    n0, beta = float(dims.n0), float(dims.beta)
-    offset = float(dims.rate_offset) * math.log1p(snr.rho)
-    started = time.time()
-    summ = ergodic_summary(n0, beta, snr)
+def cmd_ergodic(args, ch: Channel):
+    summ = ergodic_summary(ch.n0, ch.beta, ch.snr)
     row = {
         "a0": summ.a0,
         "b0": summ.b0,
-        "r_erg": _from_nats(summ.r_erg + offset, args.bits),
+        "r_erg": (summ.r_erg + ch.offset) / ch.unit,
         "v_erg": summ.v_erg,
         "e0": summ.e0,
         "regime": summ.regime,
     }
-    extra = {"rate_unit": "bits" if args.bits else "nats"}
-    if not args.reproducible:
-        extra["wall_time_s"] = round(time.time() - started, 3)
-    return CurveTable(rows=[row], meta=_meta_block(args, dims, extra), header=list(row))
+    return {}, list(row), [row], True
 
 
-def _emit(table: CurveTable, fmt: str, output: str | None):
-    buf = io.StringIO()
-    if fmt == "csv":
-        table.write_csv(buf)
-    else:
-        table.write_json(buf)
-    text = buf.getvalue()
-    if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# Each command returns (metadata fields, header, rows, usable); usable is
+# False when every data cell is empty, which exits 1.
+_COMMANDS = {"outage": cmd_outage, "density": cmd_density, "ergodic": cmd_ergodic}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    started = time.time()
     try:
-        if args.command == "outage":
-            spec = _parse_outage_spec(args)
-            table = cmd_outage(spec, args)
-            for warning in table.meta.get("warnings", []):
-                print(f"warning: {warning}", file=sys.stderr)
-            data_cols = [c for c in _CSV_HEADER if c != "r"]
-            all_failed = all(
-                all(row[c] is None for c in data_cols) for row in table.rows
-            )
-            _emit(table, spec.fmt, spec.output)
-            return 1 if all_failed else 0
-        if args.command == "density":
-            table = cmd_density(args)
-            _emit(table, args.format, args.output)
-            return 0
-        if args.command == "ergodic":
-            table = cmd_ergodic(args)
-            _emit(table, args.format, args.output)
-            return 0
+        ch = _channel(args)
+        fields, header, rows, usable = _COMMANDS[args.command](args, ch)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
+    meta = _meta(args, ch, fields, started)
+    for warning in meta.get("warnings", ()):
+        print(f"warning: {warning}", file=sys.stderr)
+    if args.format == "json":
+        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        buf.writelines(f"# {key}: {json.dumps(value)}\n" for key, value in meta.items())
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows([_csv_cell(row[col]) for col in header] for row in rows)
+        text = buf.getvalue()
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0 if usable else 1
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ canonical per-transmit-channel units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,16 +58,20 @@ class ChannelDims:
         if self.beta != Fraction(self.Nr, self.Nt) or self.n0 != Fraction(self.N0, self.Nt):
             raise ValueError("beta and n0 must equal Nr/Nt and N0/Nt exactly")
 
+    def pinned_rate(self, rho: float) -> float:
+        """Rate of the eigenvalues pinned at 1: rate_offset * log(1+rho) nats per channel."""
+        return float(self.rate_offset) * math.log1p(rho)
+
 
 @dataclass(frozen=True)
 class SnrParam:
-    """Total signal-to-noise ratio rho > 0 (linear scale)."""
+    """Total signal-to-noise ratio 0 < rho < inf (linear scale)."""
 
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho!r}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho!r}")
 
     @property
     def z(self) -> float:
@@ -81,8 +86,8 @@ def normalize_dims(N: int, Nt: int, Nr: int) -> ChannelDims:
     log det(1 + rho U^H U) is invariant under the swap), then applies the
     N0 < 0 reduction (Nt, Nr, N0) -> (N-Nr, N-Nt, -N0).  In that case
     Nt + Nr - N eigenvalues equal 1 exactly and contribute the
-    deterministic offset (N0'/Nt') * log(1+rho) recorded in
-    ``rate_offset``.
+    deterministic offset (N0'/Nt') * log(1+rho): ``rate_offset`` records
+    the coefficient and ``pinned_rate(rho)`` the rate.
 
     The fully deterministic corner max(Nt, Nr) = N with N0 < 0 (the
     truncation keeps complete rows or columns of the unitary, so every

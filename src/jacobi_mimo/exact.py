@@ -308,7 +308,7 @@ def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
     if r < 0:
         raise ValueError("rate threshold r must be >= 0")
     cfg.check_caps()
-    r_eff = r - float(cfg.dims.rate_offset) * math.log1p(cfg.snr.rho)
+    r_eff = r - cfg.dims.pinned_rate(cfg.snr.rho)
     if r_eff <= 0:
         p = 0.0
     elif r_eff >= math.log1p(cfg.snr.rho):
@@ -336,9 +336,8 @@ def outage_density_exact(cfg: ExactConfig, r: float, step: float | None = None) 
     the error estimate combines the observed step-halving change with
     the rounding floor of the underlying outage values.
     """
-    offset = float(cfg.dims.rate_offset) * math.log1p(cfg.snr.rho)
-    lo_edge = offset
-    hi_edge = offset + math.log1p(cfg.snr.rho)
+    lo_edge = cfg.dims.pinned_rate(cfg.snr.rho)
+    hi_edge = lo_edge + math.log1p(cfg.snr.rho)
     h = step if step is not None else 1e-4 * max(1.0, abs(r))
     room = min(r - lo_edge, hi_edge - r)
     if room > 0:

@@ -105,10 +105,7 @@ def _block_rates(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
         w[i] += u
         u = rho * e2[i] * (1.0 + u) / (1.0 + w[i])
     w[-1] += u
-    rates = np.log1p(w).sum(axis=0) / cfg.dims.Nt
-    if cfg.dims.rate_offset:
-        rates = rates + float(cfg.dims.rate_offset) * np.log1p(rho)
-    return rates
+    return np.log1p(w).sum(axis=0) / cfg.dims.Nt + cfg.dims.pinned_rate(rho)
 
 
 def _block_eigenvalues(dims: ChannelDims, seed: int, lo: int, hi: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import jacobi_mimo
 from jacobi_mimo.cli import main
@@ -186,6 +187,28 @@ def test_density_constrained_needs_exactly_one_constraint():
     assert run_cli(base + ["--r", "0.4", "--k", "1.0"])[0] == 2
     assert run_cli(base + ["--r", "0.4"])[0] == 0
     assert run_cli(base + ["--k", "-2.0"])[0] == 0
+    # a constraint given with the ergodic kind is refused, not ignored
+    ergodic = base[:-2] + ["--kind", "ergodic"]
+    for extra in (["--r", "0.4"], ["--k", "-2.0"], ["--r", "0.4", "--k", "1.0"]):
+        code, out, err = run_cli(ergodic + extra)
+        assert (code, out) == (2, "")
+        assert err == "error: --r and --k apply only to --kind constrained\n"
+        assert run_cli(base[:-2] + extra)[0] == 2  # ergodic is the default kind
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("outage", "--rho"), ("density", "--rho"), ("ergodic", "--rho"),
+     ("density", "--r"), ("density", "--k")],
+)
+def test_non_finite_input_is_a_usage_error(command, flag, value):
+    argv = [command, "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3"]
+    if flag != "--rho":
+        argv += ["--kind", "constrained"]
+    code, out, err = run_cli(argv + [f"{flag}={value}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
 
 
 def test_density_integrates_across_regimes():
@@ -199,6 +222,54 @@ def test_density_integrates_across_regimes():
         xs = np.array([row["x"] for row in doc["rows"]])
         ps = np.array([row["p"] for row in doc["rows"]])
         assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-4
+
+
+# The metadata block's keys in order, per request kind; wall_time_s closes
+# every block without --reproducible.  Consumers read these lines by
+# position and by their literal text (a "# workers: N" line, say).
+META_KEYS = {
+    "outage": ["methods", "trials", "seed", "workers", "rate_unit", "warnings"],
+    "density": ["kind", "support", "r_erg", "v_erg", "e0", "rate_unit"],
+    "density-constrained": ["kind", "regime", "support", "k", "r", "exponent", "rate_unit"],
+    "ergodic": ["rate_unit"],
+}
+META_REQUESTS = {
+    "outage": ["outage", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--points", "2",
+               "--methods", "mc,gauss", "--trials", "2048", "--seed", "5", "--workers", "2"],
+    "density": ["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3",
+                "--grid-points", "4"],
+    "density-constrained": ["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3",
+                            "--grid-points", "4", "--kind", "constrained", "--k", "1.5"],
+    "ergodic": ["ergodic", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3"],
+}
+
+
+@pytest.mark.parametrize("kind", list(META_REQUESTS))
+def test_metadata_block_order_and_line_format(kind, monkeypatch):
+    monkeypatch.delenv("JACOBI_OUTAGE_THREADS", raising=False)
+    argv = META_REQUESTS[kind]
+    head = [
+        '# tool: "jacobi-mimo"\n',
+        f'# version: "{jacobi_mimo.__version__}"\n',
+        f'# command: "{argv[0]}"\n',
+        '# config: {"N": 9, "Nt": 3, "Nr": 3, "rho": 3.0, "bits": false}\n',
+        '# normalized: {"Nt": 3, "Nr": 3, "N0": 3, "beta": 1.0, "n0": 1.0, "rate_offset": 0.0}\n',
+    ]
+    for extra, tail in ((["--reproducible"], []), ([], ["wall_time_s"])):
+        keys = ["tool", "version", "command", "config", "normalized"] + META_KEYS[kind] + tail
+        code, out, _ = run_cli(argv + extra)
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        block, first_row = lines[: len(keys)], lines[len(keys)]
+        assert not first_row.startswith("#")
+        assert block[:5] == head
+        meta = parse_csv(out)[0]
+        assert list(meta) == keys
+        assert block == [f"# {key}: {json.dumps(value)}\n" for key, value in meta.items()]
+        code, doc, _ = run_cli(argv + extra + ["--format", "json"])
+        assert list(json.loads(doc)["meta"]) == keys
+        if kind == "outage":
+            assert block[8:10] == ["# workers: 2\n", '# rate_unit: "nats"\n']
 
 
 def test_ergodic_golden_record():

@@ -40,6 +40,19 @@ def test_normalize_dims_swap_then_reduce():
     assert dims.rate_offset == Fraction(1)
 
 
+def test_pinned_rate():
+    # eigenvalues pinned at 1 add rate_offset * log(1 + rho); none when already canonical
+    assert normalize_dims(4, 1, 2).pinned_rate(3.0) == 0.0
+    assert normalize_dims(4, 3, 3).pinned_rate(3.0) == 2.0 * math.log1p(3.0)
+    assert normalize_dims(4, 3, 2).pinned_rate(0.2) == math.log1p(0.2)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_snr_rejects_non_positive_and_non_finite(rho):
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        SnrParam(rho)
+
+
 def test_normalize_dims_idempotent():
     dims = normalize_dims(5, 3, 1)
     again = normalize_dims(dims.N, dims.Nt, dims.Nr)
