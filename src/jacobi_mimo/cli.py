@@ -259,8 +259,10 @@ def cmd_outage(args, ch: Channel):
         columns["pout_ld"] = _column("ld", ld, rates, warnings)
 
     if "gauss" in methods:
-        summ = ergodic_summary(ch.n0, ch.beta, ch.snr)
-        gauss = lambda r: gaussian_outage(summ, ch.dims.Nt, r - ch.offset)
+        # the summary is made inside the per-rate handling, so that its failure
+        # empties cells, not the run; once made, it is kept for the other rates
+        summary = functools.cache(lambda: ergodic_summary(ch.n0, ch.beta, ch.snr))
+        gauss = lambda r: gaussian_outage(summary(), ch.dims.Nt, r - ch.offset)
         columns["pout_gauss"] = _column("gauss", gauss, rates, warnings)
 
     blank = [None] * len(rates)

@@ -78,11 +78,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from scipy.special import log_ndtr
-
 from .ensemble import SnrParam
 from .results import OutageEstimate
-from .specfun import brentq, g_closed, q_fn
+from .specfun import brentq, g_closed, log_q, q_fn
 
 __all__ = [
     "ErgodicSummary",
@@ -555,7 +553,7 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
     u = nt * abs(sol.k) * math.sqrt(v)
     log_tail = (
         -nt * nt * (sol.exponent - 0.5 * sol.k * sol.k * v)
-        + float(log_ndtr(-u))
+        + log_q(u)
         - 0.5 * math.log(v_erg / v)
     )
     tail = math.exp(min(log_tail, 0.0))

@@ -8,7 +8,8 @@ is drawn.  Reproducibility contract: trials run in fixed blocks of
 ``_BLOCK``, each drawn from its own counter-based Philox substream keyed
 by (seed, block index) and reduced in block order, so results are
 bit-identical for a given (seed, trials) no matter how many workers run
-the blocks.
+the blocks.  Each outage cell carries a 95% Clopper-Pearson interval,
+solved for a whole curve at once by ``specfun.clopper_pearson``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .ensemble import ChannelDims, SnrParam
 from .results import OutageEstimate
+from .specfun import clopper_pearson
 
 __all__ = [
     "McConfig",
@@ -127,13 +128,6 @@ def _map_blocks(cfg: McConfig, fn):
         return list(pool.map(lambda span: fn(*span), ranges))
 
 
-def _clopper_pearson(k: int, n: int, conf: float = 0.95) -> tuple[float, float]:
-    alpha = 1.0 - conf
-    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
-    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
-    return lo, hi
-
-
 def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
     """Outage estimates at several thresholds over one shared sample set.
 
@@ -148,11 +142,9 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
         cfg,
         lambda lo, hi: np.count_nonzero(_block_rates(cfg, lo, hi)[:, None] < thresholds[None, :], axis=0),
     )
-    totals = np.sum(counts, axis=0)
+    totals = np.sum(counts, axis=0).tolist()
     out = []
-    for k in totals:
-        k = int(k)
-        lo, hi = _clopper_pearson(k, cfg.trials)
+    for k, (lo, hi) in zip(totals, clopper_pearson(totals, cfg.trials)):
         p = k / cfg.trials
         out.append(
             OutageEstimate(p=p, ci_low=min(lo, p), ci_high=max(hi, p), method="mc", trials_or_tol=cfg.trials)

@@ -10,9 +10,13 @@ y outside [-1, 0] it has a closed form in elementary functions; the
 points y = -1 and y = 0 (and x = 0) are removable and are evaluated as
 continuity limits.
 
-Also here: the Gaussian upper-tail Q, stable elementary symmetric
-polynomials and Brent's bracketed scalar root.  The adaptive quadrature
-that checks these closed forms lives with the tests (``tests/_oracles.py``).
+Also here: the Gaussian upper tail Q and its logarithm ``log_q`` (finite
+where Q underflows), exact Clopper-Pearson binomial intervals
+(``clopper_pearson``), stable elementary symmetric polynomials and Brent's
+bracketed scalar root.  These keep scipy off the runtime path: the
+package needs only numpy and mpmath, and scipy serves the tests as an
+oracle.  The adaptive quadrature that checks the closed forms lives with
+the tests (``tests/_oracles.py``).
 """
 
 from __future__ import annotations
@@ -20,9 +24,13 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "brentq",
+    "clopper_pearson",
     "g_closed",
+    "log_q",
     "q_fn",
     "elementary_symmetric",
     "elementary_symmetric_all",
@@ -68,11 +76,32 @@ def g_closed(x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 _SQRT2 = math.sqrt(2.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def q_fn(x: float) -> float:
     """Gaussian upper-tail probability Q(x) = int_x^inf exp(-t^2/2)/sqrt(2 pi) dt."""
     return 0.5 * math.erfc(x / _SQRT2)
+
+
+def log_q(u: float) -> float:
+    """log Q(u) for u >= 0, accurate to a few ulp also where Q(u) underflows.
+
+    log(q_fn(u)) up to u = 37, where 0.5 erfc(u/sqrt 2) ~ 1e-300 is still
+    a normal float.  Beyond, the asymptotic series
+    Q(u) = phi(u)/u * sum_j (-1)^j (2j-1)!! / u^(2j), whose terms fall
+    below 1e-17 within eight terms.
+    """
+    if u <= 37.0:
+        return math.log(q_fn(u))
+    inv = 1.0 / (u * u)
+    total = term = 1.0
+    j = 1
+    while abs(term) > 1e-17:
+        term *= -(2 * j - 1) * inv
+        total += term
+        j += 1
+    return -0.5 * u * u - math.log(u) - _HALF_LOG_2PI + math.log(total)
 
 
 def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -153,3 +182,149 @@ def elementary_symmetric(values: Sequence, degree: int):
     if not 0 <= degree <= n:
         raise ValueError(f"degree must be in [0, {n}], got {degree}")
     return elementary_symmetric_all(values)[degree]
+
+
+# ---------------------------------------------------------------------------
+# Clopper-Pearson interval
+# ---------------------------------------------------------------------------
+
+# Stirling remainder log k! - log(sqrt(2 pi k) (k/e)^k) for k <= 15; larger k
+# use its series (Loader 2000).
+_STIRLERR_SMALL = [0.0] + [
+    math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _HALF_LOG_2PI for k in range(1, 16)
+]
+
+# Iterations per bound before clopper_pearson gives up.
+_CP_MAXITER = 50
+
+
+def _stirlerr(k: int) -> float:
+    if k > 15:
+        kk = float(k) * k
+        return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+    return _STIRLERR_SMALL[k]
+
+
+# The interval's level, conf = 0.95: log(alpha/2), and the z with
+# Q(z) = alpha/2 that the iteration's start needs.
+_CP_HALF_ALPHA = (1.0 - 0.95) / 2.0
+_CP_LOG_HALF_ALPHA = math.log(_CP_HALF_ALPHA)
+_CP_Z = brentq(lambda z: q_fn(z) - _CP_HALF_ALPHA, 0.0, 40.0, 1e-12, 1e-12)
+
+
+def clopper_pearson(counts, n: int) -> list[tuple[float, float]]:
+    """Exact two-sided 95% binomial intervals (Clopper & Pearson, 1934).
+
+    For each count k of n trials returns (lo, hi): lo solves
+    P(Bin(n, x) >= k) = alpha/2 and hi solves P(Bin(n, x) <= k) = alpha/2,
+    with lo = 0 at k = 0 and hi = 1 at k = n; hi(0) = -expm1(log(alpha/2)/n)
+    and lo(n) = exp(log(alpha/2)/n) are closed forms.  Every other bound is
+    the root x_m of P(Bin(n, x) >= m) = alpha/2 for some m in [1, n-1]:
+    lo(k) = x_k, and hi(k) = 1 - x_{n-k} by the symmetry x -> 1 - x.
+
+    The root is found in t = logit x, so that 1 - x_{n-k} = 1/(1 + e^t)
+    keeps its relative accuracy.  log P(X >= m) = log pmf(m) + log T(t),
+    where T = 1 + sum_{o>=1} prod_{i<o} rho_i e^t, rho_i = (n-m-i)/(m+1+i),
+    summed over 3.6 sqrt(n) + 8 terms: the anchor m lies about two standard
+    deviations above the mean n x, so later terms are below 1e-17 of T.
+    pmf(m) is Loader's saddle-point form (stirlerr plus the two deviance
+    terms through log1p), whose log has absolute error O(eps |m - n x|),
+    not O(eps n log n) as a difference of lgammas would.  log P(X >= m) is
+    concave in t (the binomial is log-concave).  From the Abramowitz &
+    Stegun 26.5.22 beta-quantile approximation, Householder's third-order
+    step (f and three derivatives) usually lands on the root at once: each
+    root stops on its own residual |f| <= 1e-3, from which the step leaves
+    at most a few ulp of t (measured for n from 2 to 1e7).  The window
+    depends only on n and every reduction runs along one root's own row, so
+    a count's bounds are bit-identical alone or in any batch.  Raises
+    ArithmeticError when a root does not converge.
+    """
+    counts = [int(k) for k in counts]
+    if n < 1 or any(not 0 <= k <= n for k in counts):
+        raise ValueError(f"counts must lie in [0, n] with n >= 1, got n={n!r}")
+    inner = [k for k in counts if 0 < k < n]
+    roots = _binomial_tail_roots(inner, n)
+    logits = iter(zip(roots, roots[len(inner):]))
+    out = []
+    for k in counts:
+        if k == 0:
+            out.append((0.0, -math.expm1(_CP_LOG_HALF_ALPHA / n)))
+        elif k == n:
+            out.append((math.exp(_CP_LOG_HALF_ALPHA / n), 1.0))
+        else:
+            t_lo, t_hi = next(logits)
+            out.append((1.0 / (1.0 + math.exp(-t_lo)), 1.0 / (1.0 + math.exp(t_hi))))
+    return out
+
+
+def _binomial_tail_roots(counts: list[int], n: int) -> list[float]:
+    """logit x_m with P(Bin(n, x_m) >= m) = alpha/2 for the anchors m = k, then m = n - k.
+
+    Every count lies in [1, n-1].
+    """
+    if not counts:
+        return []
+    anchors = counts + [n - k for k in counts]
+    # the x-independent part of log pmf(m) - log(alpha/2) (Loader's stirlerr
+    # terms), the same for m = k and m = n - k
+    base = _stirlerr(n) - _CP_LOG_HALF_ALPHA
+    consts = [
+        base - _stirlerr(k) - _stirlerr(n - k) - 0.5 * math.log(2.0 * math.pi * k * (n - k) / n)
+        for k in counts
+    ] * 2
+    # start: Abramowitz & Stegun 26.5.22 for logit of the Beta(m, n-m+1) quantile
+    z = _CP_Z
+    lam = (z * z - 3.0) / 6.0
+    ts = []
+    for m in anchors:
+        ia, ib = 1.0 / (2 * m - 1), 1.0 / (2 * (n - m) + 1)
+        h = 2.0 / (ia + ib)
+        w = z * math.sqrt(h + lam) / h - (ib - ia) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        ts.append(math.log(m / (n - m + 1.0)) - 2.0 * w)
+    m_arr = np.array(anchors, dtype=float)
+    o = np.arange(1.0, min(n, int(3.6 * math.sqrt(n)) + 8))
+    ratios = np.subtract.outer(n - m_arr, o - 1.0)
+    ratios /= np.add.outer(m_arr, o)
+    powers = np.stack([o, o * o, o * o * o])
+    exp, log, log1p = math.exp, math.log, math.log1p
+    active = list(range(len(anchors)))
+    for _ in range(_CP_MAXITER):
+        rows = ratios if len(active) == len(anchors) else ratios[active]
+        terms = rows * np.exp([ts[i] for i in active])[:, None]
+        np.cumprod(terms, axis=1, out=terms)
+        sums = terms.sum(axis=1).tolist()
+        moments = np.einsum("ij,kj->ik", terms, powers).tolist()
+        # f = log P(X >= m) - log(alpha/2) and its t-derivatives: the excess
+        # of the mean, variance and third cumulant of X given X >= m over
+        # those of Bin(n, x)
+        still = []
+        for i, tail, (m1, m2, m3) in zip(active, sums, moments):
+            m, t = anchors[i], ts[i]
+            tail += 1.0
+            m1, m2, m3 = m1 / tail, m2 / tail, m3 / tail
+            e = exp(t)
+            nq = n / (1.0 + e)
+            nx = nq * e
+            d = m - nx
+            f = consts[i] - m * log1p(d / nx) - (n - m) * log1p(-d / nq) + log(tail)
+            var = nx / (1.0 + e)
+            f1 = d + m1
+            f2 = m2 - m1 * m1 - var
+            f3 = m3 - 3.0 * m1 * m2 + 2.0 * m1 * m1 * m1 - var * (nq - nx) / n
+            # Householder's third-order step; Newton's where it strays
+            s = f / f1
+            a = s * f2 / f1
+            den = 1.0 - a + s * s * f3 / (6.0 * f1)
+            corr = (1.0 - 0.5 * a) / den if den > 0.0 else 1.0
+            ts[i] = t - s * (corr if 0.5 <= corr <= 2.0 else 1.0)
+            if not abs(f) <= 1e-3:
+                if not math.isfinite(f):
+                    raise ArithmeticError(f"Clopper-Pearson residual for count {m} of {n} is {f!r} at t={t!r}")
+                still.append(i)
+        active = still
+        if not active:
+            return ts
+    raise ArithmeticError(
+        f"Clopper-Pearson roots for counts {[anchors[i] for i in active]} of {n} "
+        f"did not converge in {_CP_MAXITER} iterations"
+    )

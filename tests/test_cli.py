@@ -377,8 +377,36 @@ def test_requests_back_to_back_match_fresh_processes():
             assert outs[tuple(argv)] == (0, want, "")
 
 
-def test_cli_import_skips_scipy_optimize():
+def test_no_scipy_module_loads_at_runtime():
+    # one request per layer: the argvs of perfbench.workloads.warmup_argvs()
+    requests = [
+        ["outage", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "10", "--points", "3",
+         "--methods", "mc,exact,ld,gauss", "--trials", "2048", "--seed", "1"],
+        ["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--kind", "constrained",
+         "--r", "0.5", "--format", "json"],
+        ["ergodic", "--N", "24", "--Nt", "8", "--Nr", "8", "--rho", "10"],
+    ]
     loaded = _fresh_python(
-        "import sys, jacobi_mimo.cli; print('scipy.optimize' in sys.modules)"
+        "import contextlib, io, sys\n"
+        "from jacobi_mimo.cli import main\n"
+        f"for argv in {requests!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    assert loaded.strip() == "False"
+    assert loaded.strip() == "[]"
+
+
+def test_gauss_failure_empties_its_cells_and_keeps_the_run():
+    # at rho = 1e300 the k = 0 solve behind the gauss column fails; the mc
+    # column already computed must survive
+    code, out, err = run_cli(
+        ["outage", "--N", "18", "--Nt", "6", "--Nr", "6", "--rho", "1e300", "--points", "3",
+         "--methods", "mc,gauss", "--trials", "2000", "--reproducible"]
+    )
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert len(rows) == 3
+    assert all(row[1] != "" and row[2] != "" and row[6] == "" for row in rows)
+    assert err.count("warning: gauss: r=") == 3
+    assert sum(w.startswith("gauss: ") for w in meta["warnings"]) == 3

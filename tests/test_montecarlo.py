@@ -155,6 +155,18 @@ def test_clopper_pearson_edges():
     assert one.p == 1.0 and one.ci_high == 1.0 and one.ci_low < 1.0
 
 
+def test_curve_entry_does_not_depend_on_the_other_rates():
+    # the Clopper-Pearson solve runs once per curve; each cell must be what
+    # the curve at its own rate alone gives, bit for bit
+    cfg = McConfig(dims=normalize_dims(4, 2, 2), snr=SnrParam(10.0), trials=3000, seed=5)
+    rates = [0.3, 0.7, 1.0, 1.4, 2.0]
+    curve = outage_curve(cfg, rates)
+    assert len({e.p for e in curve}) == len(rates)
+    for r, est in zip(rates, curve):
+        assert outage_curve(cfg, [r]) == [est]
+        assert est.ci_low <= est.p <= est.ci_high
+
+
 def test_ci_coverage_on_analytic_case():
     # flat law at rho=3, r=log 2: true outage is exactly 1/3
     hits = 0

@@ -1,11 +1,14 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.special import betaincinv, log_ndtr
 
-from jacobi_mimo.specfun import brentq, elementary_symmetric, g_closed, q_fn
+from jacobi_mimo import specfun
+from jacobi_mimo.specfun import brentq, clopper_pearson, elementary_symmetric, g_closed, log_q, q_fn
 
 from _oracles import QuadratureError, g_defining_integral, g_fn, i3_fn, quadrature
 
@@ -108,6 +111,93 @@ def test_q_fn_values_and_symmetry():
     assert q_fn(-40.0) > 1.0 - 1e-15
     for x in np.linspace(-8, 8, 33):
         assert abs(q_fn(float(x)) + q_fn(float(-x)) - 1.0) < 1e-14
+
+
+def test_log_q_matches_scipy_log_ndtr():
+    # both sides of the switch to the asymptotic series at u = 37, out to 1e4
+    us = np.concatenate([np.linspace(0.0, 50.0, 5001), np.geomspace(1e-8, 1e4, 5001)])
+    for u in us.tolist():
+        want = float(log_ndtr(-u))
+        assert abs(log_q(u) - want) <= 2e-15 * abs(want), u
+    assert log_q(0.0) == math.log(0.5)
+    assert log_q(math.inf) == -math.inf
+
+
+CP_SIZES = [1, 2, 5, 37, 2048, 12288, 10**5, 10**7]
+LOG_HALF_ALPHA = math.log((1.0 - 0.95) / 2.0)  # the rounding of conf = 0.95 included
+
+
+def _cp_oracle(k, n):
+    alpha = 1.0 - 0.95
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
+    return lo, hi
+
+
+@pytest.mark.parametrize("n", CP_SIZES)
+def test_clopper_pearson_matches_betaincinv(n):
+    rng = np.random.default_rng(n)
+    fixed = [0, 1, 2, n // 3, n // 2, n - 1, n]
+    counts = sorted({k for k in fixed + rng.integers(0, n + 1, 8).tolist() if 0 <= k <= n})
+    # at n = 1e7 betaincinv itself is 6.6e-11 off (see the mpmath test below)
+    tol = 1e-12 if n <= 10**5 else 1e-10
+    for k, (lo, hi) in zip(counts, clopper_pearson(counts, n)):
+        want_lo, want_hi = _cp_oracle(k, n)
+        assert abs(lo - want_lo) <= tol * want_lo, (k, n)
+        assert abs(hi - want_hi) <= tol * want_hi, (k, n)
+
+
+def test_clopper_pearson_small_counts_at_large_n():
+    n = 10**7
+    # k = 1: P(X >= 1) = 1 - (1-x)^n, so lo(1) = 1 - hi(n-1) has a closed form
+    (lo1, _), (_, hi_top) = clopper_pearson([1, n - 1], n)
+    closed = -math.expm1(math.log1p(-math.exp(LOG_HALF_ALPHA)) / n)
+    assert abs(lo1 - closed) <= 1e-14 * closed
+    assert abs(hi_top - (1.0 - closed)) <= 2.3e-16  # an ulp near 1
+    # hi(1), hi(2) against a 50-digit root of the finite lower tail
+    with mpmath.workdps(50):
+        for k in (1, 2):
+            def excess(x):
+                tail = sum(mpmath.binomial(n, j) * x**j * (1 - x) ** (n - j) for j in range(k + 1))
+                return mpmath.log(tail) - LOG_HALF_ALPHA
+            want = mpmath.findroot(excess, (mpmath.mpf(k + 1) / n, mpmath.mpf(k + 10) / n), solver="anderson")
+            hi = clopper_pearson([k], n)[0][1]
+            assert abs(hi - want) <= 1e-14 * want
+
+
+def test_clopper_pearson_closed_forms_at_the_edges():
+    for n in CP_SIZES:
+        (lo0, hi0), (lo_n, hi_n) = clopper_pearson([0, n], n)
+        assert lo0 == 0.0 and hi_n == 1.0
+        assert hi0 == -math.expm1(LOG_HALF_ALPHA / n)
+        assert lo_n == math.exp(LOG_HALF_ALPHA / n)
+
+
+def test_clopper_pearson_interval_contains_the_estimate():
+    for n in (1, 2, 5, 37, 2048, 12288):
+        counts = list(range(n + 1)) if n <= 37 else list(range(0, n + 1, n // 97)) + [n]
+        for k, (lo, hi) in zip(counts, clopper_pearson(counts, n)):
+            assert 0.0 <= lo < k / n < hi <= 1.0 or (k in (0, n) and lo <= k / n <= hi)
+
+
+def test_clopper_pearson_bounds_do_not_depend_on_the_batch():
+    for n in (5, 37, 2048, 12288, 10**5):
+        rng = np.random.default_rng(3)
+        batch = rng.integers(0, n + 1, 9).tolist() + [0, n]
+        together = clopper_pearson(batch, n)
+        for k, pair in zip(batch, together):
+            assert clopper_pearson([k], n) == [pair]  # bit for bit
+        assert clopper_pearson(batch[::-1], n) == together[::-1]
+
+
+def test_clopper_pearson_errors(monkeypatch):
+    for counts, n in (([3], 2), ([-1], 2), ([0], 0)):
+        with pytest.raises(ValueError):
+            clopper_pearson(counts, n)
+    # a root that misses its iteration cap raises; nothing is clamped
+    monkeypatch.setattr(specfun, "_CP_MAXITER", 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        clopper_pearson([5], 100)
 
 
 def _esp_bruteforce(values, degree):
