@@ -33,22 +33,33 @@ Hermite limit and one divided-difference table covers every s.
 The evaluation groups the terms by sorted s.  A cached integer table
 holds, for each sorted s and sorted m, the sum of sgn(sigma) over the
 (m, sigma) that produce them; it depends only on Nt and |Nt-Nr|+N0+1.
-Each distinct s then gets one weight sum count * prod c_m, one
-recurrence for all d_l, and, since the divided difference is linear,
-one table for H_s = sum_l (-1)^{l-1} d_l h_l over s.  The Taylor
-coefficients of each h_l at the integers are computed once per call,
-one exp per (point, l).  At (12,5,5) that is about a thousand distinct s
-and some 0.2 s per rate point.
+On integer nodes the divided difference is a fixed rational combination
+of the Taylor coefficients h_t(v), and a second cached table holds those
+weights for each sorted s, scaled to integers by one common denominator.
+Since 1+rho is a dyadic rational, everything but the leaves h_{l,t}(v)
+is then exact integer arithmetic: each call sums, over the sorted s,
+weight * d_l * (divided-difference weights) into one integer coefficient
+per (l, v, t), and
 
-The sum is violently alternating, so every interior operation runs in
-mpmath extended precision (default 256-bit significand) and is rounded
-to binary64 only at the end.
+    1 - P_out = A' sum_{l >= l(r)} (-1)^{l-1} sum_{v,t} C[l][v,t] h_{l,t}(v)
+
+is one mpmath dot product of at most Nt^2 * max(s) terms, with one exp
+per (l, v) for the leaves.  A (12,5,5) point at rho = 10 takes about
+15 ms (pure-Python mpmath, one core).
+
+The sum is violently alternating, so the leaves and the dot product
+run in mpmath extended precision (from a 256-bit significand by
+default).  The exact coefficients make the rounding error bound
+sum |C| * (scale of each leaf's recurrence) free, and the working
+precision escalates until that bound is 2^-(53+16) of |P_out|; the
+result is rounded to binary64 only at the end.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import logging
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -73,7 +84,11 @@ __all__ = [
 ]
 
 _EXACT_TOL = 1e-9  # guaranteed accuracy of the rounded result
-_CONSISTENCY_SLACK = 1e-6  # |P| may not exceed [0,1] by more than this
+_GUARD_BITS = 16  # margin of the error bound over the small factors it omits
+_MAX_BITS = 4096  # precision ceiling of the escalation
+_TINY = mpf(2) ** -1022  # below the smallest normal double, P is wanted to this absolute
+
+_log = logging.getLogger("jacobi_mimo")
 
 
 class TermBudgetError(ValueError):
@@ -84,10 +99,14 @@ class TermBudgetError(ValueError):
 class ExactConfig:
     """Exact-solver configuration and complexity caps.
 
-    ``precision_bits`` is the working significand of the interior sums.
-    The term count (|Nt-Nr|+N0+1)^Nt * Nt! (merged expansion indices m
-    times permutations) must stay within ``term_budget``; beyond a few
-    channels the asymptotic solver is the right tool anyway.
+    ``precision_bits`` is the working significand the residue sum starts
+    from; it escalates from there where the measured cancellation needs
+    more.  The term count (|Nt-Nr|+N0+1)^Nt * Nt! (merged expansion
+    indices m times permutations) must stay within ``term_budget``.  It
+    bounds the one-time build of the rho-free integer tables, cached per
+    (Nt, |Nt-Nr|+N0+1); a rate point costs one pass over their distinct
+    sorted s.  Beyond a few channels the asymptotic solver is the right
+    tool anyway.
     """
 
     dims: ChannelDims
@@ -240,60 +259,169 @@ def _key_table(nt: int, width: int) -> tuple:
     )
 
 
-def _outage_sum(cfg: ExactConfig, r_eff: float) -> float:
-    """Evaluate the triple sum at the current working precision."""
-    dims, rho = cfg.dims, cfg.snr.rho
+@functools.cache
+def _dd_weights(nt: int, width: int) -> tuple:
+    """Divided-difference weights of each sorted s of ``_key_table(nt, width)``.
+
+    On integer nodes the divided difference is a fixed rational
+    combination of the Taylor coefficients, h[s] = sum alpha h_t(v).
+    Returns (D, weights) with weights[i] the pairs (slot, D alpha),
+    slot = (v-1) nt + t, of the i-th sorted s.  The common denominator is
+    D = lcm(1, ..., smax-1)^(nt-1): every path through the table divides
+    by at most nt-1 differences of nodes in 1..smax, so with leaves equal
+    to D each division is exact.  Integers only, like the key table.
+    """
+    smax = 2 * nt - 2 + width
+    den = math.lcm(*range(1, smax)) ** (nt - 1)
+    weights = []
+    for s, _ in _key_table(nt, width):
+        # the Newton/Hermite table of _divided_difference, one unit leaf per slot
+        table = [{(v - 1) * nt: den} for v in s]
+        for d in range(1, nt):
+            table = [
+                {(s[i] - 1) * nt + d: den}
+                if s[i + d] == s[i]
+                else {
+                    slot: (table[i + 1].get(slot, 0) - table[i].get(slot, 0)) // (s[i + d] - s[i])
+                    for slot in table[i].keys() | table[i + 1].keys()
+                }
+                for i in range(nt - d)
+            ]
+        weights.append(tuple((slot, a) for slot, a in table[0].items() if a))
+    return den, tuple(weights)
+
+
+def _coefficients(dims: ChannelDims, rho: float, ls: range) -> tuple[list, int]:
+    """Integer coefficients of the residue sum and their common denominator.
+
+    Returns (C, den) with sum_{v,t} C[i][slot] h_{l,t}(v) / den
+    = (-1)^{l-1} sum_s w_s e_l((1+rho)^s) h_l[s] for l = ls[i], exactly:
+    1+rho is a binary64 value plus one, the dyadic rational a / 2^k, so
+    every power of it is an integer power of a shifted by a multiple of k.
+    """
     nt, dn, n0 = dims.Nt, dims.Nr - dims.Nt, dims.N0
-    one_rho = 1 + mpf(rho)
-    log_one_rho = mp.log(one_rho)
-    ntr = nt * mpf(r_eff)
-
-    # smallest l with Nt*r < l*log(1+rho); terms below it vanish
-    l_min = int(mp.floor(ntr / log_one_rho)) + 1
-    if l_min > nt:
-        return 1.0
-
-    zfrac = _selberg_z_fraction(dims)
-    a_norm = mpf(math.factorial(nt)) / (
-        (mpf(zfrac.numerator) / mpf(zfrac.denominator))
-        * mpf(rho) ** (nt * nt + (dn + n0) * nt)
-    )
-
-    # s_j depends on (k_j, n_j) only through m_j = k_j + N0 - n_j, so the
-    # two expansions merge into the coefficients of one polynomial
-    coef = [mpf(0)] * (dn + n0 + 1)
-    for k in range(dn + 1):
+    width = dn + n0 + 1
+    smax = 2 * nt - 2 + width
+    a, b = (1 + Fraction(rho)).as_integer_ratio()
+    k = b.bit_length() - 1
+    den, weights = _dd_weights(nt, width)
+    # 2^(k n0) times the merged binomial coefficients (see c_coefficient):
+    # s_j depends on (k_j, n_j) only through m_j = k_j + N0 - n_j
+    coef = [0] * width
+    for kk in range(dn + 1):
         for n in range(n0 + 1):
-            coef[k + n0 - n] += c_coefficient(k, n, dims, cfg.snr)
-    smax = 2 * nt - 1 + dn + n0
-    opr_pow = [one_rho**e for e in range(smax + 1)]
-    ls = range(l_min, nt + 1)
-    # leaves[v][t][i]: order-t Taylor coefficient at the integer v of
-    # h_l(x) = (1 - e^{x z_l})/x, z_l = Nt r - l log(1+rho), l = ls[i];
-    # no point repeats more than Nt times in an s
-    leaves = {
-        v: list(zip(*(_taylor_leaves(v, ntr - l * log_one_rho, nt) for l in ls)))
-        for v in range(1, smax + 1)
-    }
-
-    # per sorted s: sum_l (-1)^{l+Nt} e_l F(z_l, s) = H[s] with
-    # H = sum_l (-1)^{l-1} e_l h_l, by linearity of the divided difference
+            sign = -1 if (dn - kk + n0 - n) % 2 else 1
+            coef[kk + n0 - n] += sign * math.comb(dn, kk) * math.comb(n0, n) * a**n << k * (n0 - n)
     mprods = {
         m: math.prod(coef[i] for i in m)
-        for m in itertools.combinations_with_replacement(range(dn + n0 + 1), nt)
+        for m in itertools.combinations_with_replacement(range(width), nt)
     }
-    total = mpf(0)
-    for s, row in _key_table(nt, dn + n0 + 1):
-        weight = sum(count * mprods[m] for m, count in row)
-        e = elementary_symmetric_all([opr_pow[v] for v in s])
-        signed = [e[l] if l % 2 else -e[l] for l in ls]
-        taylor = {
-            v: [mp.fdot(signed, leaves[v][t]) for t in range(s.count(v))]
-            for v in dict.fromkeys(s)
-        }
-        total += weight * _divided_difference(s, taylor)
+    # 2^(k smax) (1+rho)^v, so e_l of these is 2^(k smax l) e_l((1+rho)^s)
+    powers = [a**v << k * (smax - v) for v in range(smax + 1)]
+    coeffs = [[0] * (smax * nt) for _ in ls]
+    for (s, row), alpha in zip(_key_table(nt, width), weights):
+        w = sum(count * mprods[m] for m, count in row)
+        e = elementary_symmetric_all([powers[v] for v in s])
+        for acc, l in zip(coeffs, ls):
+            we = w * e[l] if l % 2 else -w * e[l]
+            for slot, al in alpha:
+                acc[slot] += we * al
+    for acc, l in zip(coeffs, ls):
+        acc[:] = [c << k * smax * (nt - l) for c in acc]
+    return coeffs, den << k * (n0 + smax) * nt
 
-    return float(1 - a_norm * total)
+
+def _leaf_scales(v: int, z: float, reach: float, count: int) -> list:
+    """Rounding-error scales of ``_taylor_leaves(v, z, count)``.
+
+    Entry t bounds, up to a small factor of the working epsilon, the error
+    of h_t: the operands of its recurrence, (|e^{vz} z^t / t!| + scale_{t-1}) / v
+    (the first has 1 + e^{vz}), plus the effect of an error of reach * eps
+    in z, since dh_t/dz = -e^{vz} z^t / t!.  Each scale is at least |h_t|.
+    """
+    term = math.exp(v * z)
+    scale = (1 + term) / v
+    scales = [scale + reach * term]
+    for t in range(1, count):
+        term *= -z / t
+        scale = (term + scale) / v
+        scales.append(scale + reach * term)
+    return scales
+
+
+def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: list, den: int):
+    """P_out and a bound on its rounding error at the working precision.
+
+    The leaves h_{l,t}(v) are the only rounded quantities: one exp per
+    (l, v), then one dot product with the exact integer coefficients.
+    """
+    dims, rho = cfg.dims, cfg.snr.rho
+    nt = dims.Nt
+    log_one_rho = mp.log(1 + mpf(rho))
+    ntr = nt * mpf(r_eff)
+    zfrac = _selberg_z_fraction(dims)
+    # A' / den, with A' = Nt! / (Z rho^(Nt^2 + (|Nt-Nr|+N0) Nt))
+    a_norm = mpf(math.factorial(nt)) / (
+        (mpf(zfrac.numerator) / mpf(zfrac.denominator))
+        * mpf(rho) ** (nt * nt + (dims.Nr - dims.Nt + dims.N0) * nt)
+        * den
+    )
+    nonzero, leaves, scales = [], [], []
+    for acc, l in zip(coeffs, ls):
+        z = ntr - l * log_one_rho
+        reach = float(ntr + l * log_one_rho)
+        for v in range(1, len(acc) // nt + 1):
+            hs = _taylor_leaves(v, z, nt)
+            for t, scale in enumerate(_leaf_scales(v, float(z), reach, nt)):
+                c = acc[(v - 1) * nt + t]
+                if c:
+                    nonzero.append(c)
+                    leaves.append(hs[t])
+                    scales.append(scale)
+    p = 1 - a_norm * mp.fdot(nonzero, leaves)
+    # sum |C| scale in binary64, the coefficients cut to their top 64 bits
+    shift = max(0, max((c.bit_length() for c in nonzero), default=0) - 64)
+    bound = math.fsum(float(abs(c) >> shift) * scale for c, scale in zip(nonzero, scales))
+    return p, a_norm * mp.ldexp(bound, shift) * mp.eps
+
+
+def _outage_sum(cfg: ExactConfig, r_eff: float) -> float:
+    """P_out(r_eff) to a relative 2^-53, escalating on measured cancellation.
+
+    The coefficients are built once; a precision retry redoes only the
+    leaves and the dot product.  A result is kept once its error bound is
+    2^-(53 + _GUARD_BITS) of |P| (of the smallest normal double, for P
+    below it).
+    """
+    nt, rho = cfg.dims.Nt, cfg.snr.rho
+    # smallest l with Nt*r < l*log(1+rho); terms below it vanish.  Where
+    # rounding puts l on the wrong side, its z_l is within rounding of 0
+    # and its term, O(z^Nt), with it.
+    l_min = int(nt * r_eff / math.log1p(rho)) + 1
+    if l_min > nt:
+        return 1.0
+    ls = range(l_min, nt + 1)
+    coeffs, den = _coefficients(cfg.dims, rho, ls)
+    prec = cfg.precision_bits
+    while True:
+        with mp.workprec(prec):
+            p, err = _residue_sum(cfg, r_eff, ls, coeffs, den)
+            needed = prec + 53 + _GUARD_BITS + mp.mag(err / max(abs(p), _TINY))
+        if needed <= prec:
+            break
+        if needed > _MAX_BITS:
+            raise ArithmeticError(
+                f"exact outage needs {needed} bits (error bound {float(err):.3g} "
+                f"at {prec} bits against |P| = {float(abs(p)):.3g}), above the "
+                f"{_MAX_BITS}-bit ceiling"
+            )
+        _log.debug("exact outage: %d-bit sum needs %d bits; retrying at %d", prec, needed, needed)
+        prec = needed
+    if not -err <= p <= 1 + err:
+        raise ArithmeticError(
+            f"exact outage {float(p)!r} outside [0,1] beyond its rounding bound {float(err):.3g}"
+        )
+    return min(1.0, max(0.0, float(p)))
 
 
 def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
@@ -301,9 +429,11 @@ def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
 
     ``r`` is the full per-channel rate including any deterministic
     offset carried by reduced dims; the random part is what the formula
-    sees.  The result is accurate to 1e-9 after rounding from extended
-    precision; an out-of-range interior result signals catastrophic
-    cancellation, triggering one retry at doubled precision.
+    sees.  The sum starts at ``cfg.precision_bits`` and escalates until
+    its measured rounding error bound allows a relative 2^-53, so the
+    result is accurate to 1e-9 absolute and, in the tail, relative.
+    ``ArithmeticError`` means the bound could not be met within 4096
+    bits, or the result left [0, 1] by more than it.
     """
     if r < 0:
         raise ValueError("rate threshold r must be >= 0")
@@ -314,17 +444,7 @@ def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
     elif r_eff >= math.log1p(cfg.snr.rho):
         p = 1.0
     else:
-        with mp.workprec(cfg.precision_bits):
-            p = _outage_sum(cfg, r_eff)
-        if not -_CONSISTENCY_SLACK <= p <= 1 + _CONSISTENCY_SLACK:
-            with mp.workprec(2 * cfg.precision_bits):
-                p = _outage_sum(cfg, r_eff)
-            if not -_CONSISTENCY_SLACK <= p <= 1 + _CONSISTENCY_SLACK:
-                raise ArithmeticError(
-                    f"exact outage {p!r} outside [0,1] even after doubling the "
-                    f"working precision to {2 * cfg.precision_bits} bits"
-                )
-        p = min(1.0, max(0.0, p))
+        p = _outage_sum(cfg, r_eff)
     return OutageEstimate(p=p, ci_low=p, ci_high=p, method="exact", trials_or_tol=_EXACT_TOL)
 
 

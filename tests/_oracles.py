@@ -6,19 +6,24 @@ its definition), the electrostatic energy functional by a cosine-series
 (DCT) expansion of the density, which turns the double logarithmic
 integral into a fast spectral sum, and the channel itself by drawing
 Haar unitaries (QR of a Ginibre matrix) in place of the Monte Carlo
-sampler's bidiagonal model.
+sampler's bidiagonal model.  The exact solver's residue sum is checked
+against its evaluation one divided-difference table per sorted s, all
+in mpmath, in place of the exact integer coefficients.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from mpmath import mp, mpf
 from scipy.fft import dct
 
+from jacobi_mimo import exact
 from jacobi_mimo.coulomb import density_at
 from jacobi_mimo.ensemble import ChannelDims, SnrParam
-from jacobi_mimo.specfun import g_closed
+from jacobi_mimo.specfun import elementary_symmetric_all, g_closed
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +309,61 @@ def log_joint_density_unnormalized(s: SpectrumSample, dims: ChannelDims) -> floa
     val += (dims.Nr - dims.Nt) * float(np.log(lam).sum())
     val += dims.N0 * float(np.log1p(-lam).sum())
     return val
+
+
+# ---------------------------------------------------------------------------
+# Exact solver: the residue sum evaluated per distinct sorted s
+# ---------------------------------------------------------------------------
+
+def outage_sum_per_s(cfg, r_eff: float, bits: int) -> float:
+    """P_out(r_eff) from the residue sum, one divided-difference table per sorted s.
+
+    Everything runs in mpmath at ``bits`` bits: for each sorted s of the
+    key table, its weight sum count * prod c_m, one recurrence for all
+    d_l = e_l((1+rho)^s), and one divided-difference table for
+    H_s = sum_l (-1)^{l-1} d_l h_l (the divided difference is linear).
+    The production solver instead sums exact integer coefficients per
+    (l, v, t) and takes one dot product with the leaves.
+    """
+    dims, rho = cfg.dims, cfg.snr.rho
+    nt, dn, n0 = dims.Nt, dims.Nr - dims.Nt, dims.N0
+    with mp.workprec(bits):
+        one_rho = 1 + mpf(rho)
+        log_one_rho = mp.log(one_rho)
+        ntr = nt * mpf(r_eff)
+        # smallest l with Nt*r < l*log(1+rho); terms below it vanish
+        l_min = int(mp.floor(ntr / log_one_rho)) + 1
+        if l_min > nt:
+            return 1.0
+        zfrac = exact._selberg_z_fraction(dims)
+        a_norm = mpf(math.factorial(nt)) / (
+            (mpf(zfrac.numerator) / mpf(zfrac.denominator))
+            * mpf(rho) ** (nt * nt + (dn + n0) * nt)
+        )
+        coef = [mpf(0)] * (dn + n0 + 1)
+        for k in range(dn + 1):
+            for n in range(n0 + 1):
+                coef[k + n0 - n] += exact.c_coefficient(k, n, dims, cfg.snr)
+        smax = 2 * nt - 1 + dn + n0
+        opr_pow = [one_rho**e for e in range(smax + 1)]
+        ls = range(l_min, nt + 1)
+        # leaves[v][t][i]: order-t Taylor coefficient at v of h_l, l = ls[i]
+        leaves = {
+            v: list(zip(*(exact._taylor_leaves(v, ntr - l * log_one_rho, nt) for l in ls)))
+            for v in range(1, smax + 1)
+        }
+        mprods = {
+            m: math.prod(coef[i] for i in m)
+            for m in itertools.combinations_with_replacement(range(dn + n0 + 1), nt)
+        }
+        total = mpf(0)
+        for s, row in exact._key_table(nt, dn + n0 + 1):
+            weight = sum(count * mprods[m] for m, count in row)
+            e = elementary_symmetric_all([opr_pow[v] for v in s])
+            signed = [e[l] if l % 2 else -e[l] for l in ls]
+            taylor = {
+                v: [mp.fdot(signed, leaves[v][t]) for t in range(s.count(v))]
+                for v in dict.fromkeys(s)
+            }
+            total += weight * exact._divided_difference(s, taylor)
+        return float(1 - a_norm * total)

@@ -149,6 +149,21 @@ def test_outage_explicit_rate_list():
     assert bad[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, ref",
+    [
+        # references: the residue sum per sorted s at 1024 bits
+        (["--N", "12", "--Nt", "4", "--Nr", "6", "--rho", "1e4", "--rates", "0.921"], 6.540826634514447e-79),
+        (["--N", "11", "--Nt", "4", "--Nr", "5", "--rho", "0.01", "--rates", "0.000995033"], 1.4060010179017963e-11),
+    ],
+)
+def test_outage_exact_deep_cancellation(argv, ref):
+    code, out, _ = run_cli(["outage", *argv, "--methods", "exact", "--format", "json", "--reproducible"])
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert abs(row["pout_exact"] - ref) <= 1e-9 * ref
+
+
 def test_density_ergodic_trapezoid_mass():
     code, out, _ = run_cli(
         ["density", "--N", "2", "--Nt", "1", "--Nr", "1", "--rho", "3", "--format", "json", "--reproducible"]

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import os
 import subprocess
@@ -23,7 +24,7 @@ from jacobi_mimo.exact import (
 )
 from jacobi_mimo.montecarlo import McConfig, outage_curve
 
-from _oracles import quadrature
+from _oracles import outage_sum_per_s, quadrature
 
 FLAT = normalize_dims(2, 1, 1)
 TILTED = normalize_dims(3, 1, 1)
@@ -186,6 +187,78 @@ def test_key_table_matches_bruteforce():
                     assert isinstance(count, int) and count != 0
                     got[s, m] = count
             assert got == expected
+
+
+def test_dd_weights_match_f_residue():
+    # the integer weights alpha, over D, are the divided difference on the
+    # sorted s as a combination of the Taylor leaves h_t(v)
+    with mp.workprec(256):
+        for nt in (1, 2, 3):
+            for width in (1, 2, 3):
+                den, weights = exact._dd_weights(nt, width)
+                keys = exact._key_table(nt, width)
+                assert len(weights) == len(keys)
+                for (s, _), alpha in zip(keys, weights):
+                    for z in (-0.05, -0.7, -3.0):
+                        leaves = [
+                            h
+                            for v in range(1, 2 * nt - 1 + width)
+                            for h in exact._taylor_leaves(v, mpf(z), nt)
+                        ]
+                        combo = mp.fdot([a for _, a in alpha], [leaves[slot] for slot, _ in alpha]) / den
+                        ref = f_residue(z, s) * (-1) ** (len(s) - 1)
+                        assert abs(combo - ref) <= mpf(2) ** -240 * max(1, abs(ref))
+
+
+def test_residue_sum_matches_per_s_oracle():
+    # the integer-coefficient kernel against the per-s mpmath evaluation
+    shapes = [(2, 1, 1), (7, 2, 3), (8, 4, 4), (10, 4, 5), (12, 5, 5), (9, 3, 3)]
+    for shape in shapes:
+        for rho in (0.01, 10**0.3, 10.0, 1e4):
+            cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))
+            for frac in (0.07, 0.23, 0.41, 0.63, 0.88):
+                r = frac * math.log1p(rho)
+                ref = outage_sum_per_s(cfg, r, 512)
+                assert abs(outage_exact(cfg, r).p - ref) <= 1e-12 * ref
+
+
+# deep-tail and low-rho points where the 256-bit sum loses every digit
+# and once landed inside [0, 1] anyway
+CANCELLING = [
+    ((12, 4, 6), 1e4, 0.921),
+    ((11, 4, 5), 0.01, 0.000995033),
+    ((12, 4, 6), 1e4, 0.1 * math.log1p(1e4)),
+]
+
+
+def test_escalation_recovers_cancelled_tail():
+    for shape, rho, r in CANCELLING:
+        cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))
+        ref = outage_sum_per_s(cfg, r, 1024)
+        assert abs(outage_exact(cfg, r).p - ref) <= 1e-9 * ref
+
+
+def test_escalation_is_logged(caplog):
+    shape, rho, r = CANCELLING[1]
+    cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))
+    with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
+        outage_exact(cfg, r)
+    steps = [rec.args for rec in caplog.records if rec.name == "jacobi_mimo"]
+    assert steps and steps[0][0] == 256
+    for prec, needed, new in steps:
+        assert needed > prec and new == needed
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
+        outage_exact(ExactConfig(dims=normalize_dims(12, 5, 5), snr=SnrParam(10.0)), 0.33 * math.log1p(10.0))
+    assert not caplog.records
+
+
+def test_escalation_ceiling_raises(monkeypatch):
+    shape, rho, r = CANCELLING[0]
+    cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))
+    monkeypatch.setattr(exact, "_MAX_BITS", 300)
+    with pytest.raises(ArithmeticError, match="300-bit ceiling"):
+        outage_exact(cfg, r)
 
 
 def test_outage_monotone_and_bounded():
