@@ -291,7 +291,8 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
         return t
 
     # the soft edges' ix, iw > 0 on (lo, hi); tie < 0 at lo and > 0 at hi
-    lo, hi = 0.0, rho
+    # (with a pinned, Y^2 = 1 + rho b <= 1 + rho)
+    lo, hi = 0.0, rho / (math.sqrt(1.0 + rho) + 1.0) if pin_a else rho
     if k > 0 and not pin_a:
         lo = max(lo, k * (1.0 + rho) / c - 1.0)
     elif c < 0 and not pin_b:

@@ -48,11 +48,13 @@ per (l, v) for the leaves.  A (12,5,5) point at rho = 10 takes about
 15 ms (pure-Python mpmath, one core).
 
 The sum is violently alternating, so the leaves and the dot product
-run in mpmath extended precision (from a 256-bit significand by
-default).  The exact coefficients make the rounding error bound
+run in mpmath extended precision (from a 256-bit significand).  The
+exact coefficients make the rounding error bound
 sum |C| * (scale of each leaf's recurrence) free, and the working
 precision escalates until that bound is 2^-(53+16) of |P_out|; the
-result is rounded to binary64 only at the end.
+result is rounded to binary64 only at the end.  The rate density P'(r)
+is the same dot product: dh_t/dz = v h_t + h_{t-1} - [t = 0] turns the
+coefficients exactly into those of the derivative.
 """
 
 from __future__ import annotations
@@ -85,7 +87,10 @@ __all__ = [
 
 _EXACT_TOL = 1e-9  # guaranteed accuracy of the rounded result
 _GUARD_BITS = 16  # margin of the error bound over the small factors it omits
+_START_BITS = 256  # working precision the escalation starts from
 _MAX_BITS = 4096  # precision ceiling of the escalation
+_MAX_NT = 5  # largest Nt the solver accepts
+_TERM_BUDGET = 10**8  # largest term count (see ExactConfig) it accepts
 _TINY = mpf(2) ** -1022  # below the smallest normal double, P is wanted to this absolute
 
 _log = logging.getLogger("jacobi_mimo")
@@ -97,27 +102,18 @@ class TermBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class ExactConfig:
-    """Exact-solver configuration and complexity caps.
+    """Channel and SNR of an exact-solver request.
 
-    ``precision_bits`` is the working significand the residue sum starts
-    from; it escalates from there where the measured cancellation needs
-    more.  The term count (|Nt-Nr|+N0+1)^Nt * Nt! (merged expansion
-    indices m times permutations) must stay within ``term_budget``.  It
-    bounds the one-time build of the rho-free integer tables, cached per
-    (Nt, |Nt-Nr|+N0+1); a rate point costs one pass over their distinct
-    sorted s.  Beyond a few channels the asymptotic solver is the right
-    tool anyway.
+    The caps are module constants: Nt at most ``_MAX_NT``, and the term
+    count (|Nt-Nr|+N0+1)^Nt * Nt! (merged expansion indices m times
+    permutations) at most ``_TERM_BUDGET``.  The count bounds the one-time
+    build of the rho-free integer tables, cached per (Nt, |Nt-Nr|+N0+1);
+    a rate point costs one pass over their distinct sorted s.  Beyond a
+    few channels the asymptotic solver is the right tool anyway.
     """
 
     dims: ChannelDims
     snr: SnrParam
-    precision_bits: int = 256
-    max_nt: int = 5
-    term_budget: int = 10**8
-
-    def __post_init__(self):
-        if self.precision_bits < 128:
-            raise ValueError("precision_bits must be >= 128")
 
     def term_count(self) -> int:
         d = self.dims
@@ -125,15 +121,11 @@ class ExactConfig:
         return (dn + d.N0 + 1) ** d.Nt * math.factorial(d.Nt)
 
     def check_caps(self):
-        if self.dims.Nt > self.max_nt:
-            raise TermBudgetError(
-                f"Nt={self.dims.Nt} exceeds the exact-solver cap max_nt={self.max_nt}"
-            )
+        if self.dims.Nt > _MAX_NT:
+            raise TermBudgetError(f"Nt={self.dims.Nt} exceeds the exact-solver cap of Nt <= {_MAX_NT}")
         count = self.term_count()
-        if count > self.term_budget:
-            raise TermBudgetError(
-                f"term count {count} exceeds term_budget={self.term_budget}"
-            )
+        if count > _TERM_BUDGET:
+            raise TermBudgetError(f"term count {count} exceeds the term budget of {_TERM_BUDGET}")
 
 
 class DensityEstimate(NamedTuple):
@@ -349,8 +341,23 @@ def _leaf_scales(v: int, z: float, reach: float, count: int) -> list:
     return scales
 
 
-def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: list, den: int):
-    """P_out and a bound on its rounding error at the working precision.
+def _slope_coefficients(coeffs: list, nt: int) -> tuple[list, int]:
+    """Coefficients of the residue sum's derivative -d/dz, on the same leaves.
+
+    From dh_t/dz = -e^{vz} z^t / t! = v h_t + h_{t-1} - [t = 0],
+    -d/dz sum_t C[v,t] h_t(v) = -sum_t (v C[v,t] + C[v,t+1]) h_t(v) + C[v,0]
+    with C[v,Nt] = 0.  Returns the transformed coefficients of each l and
+    the sum of the constants, which rides on a unit leaf.
+    """
+    slopes = [
+        [-((i // nt + 1) * c + (acc[i + 1] if (i + 1) % nt else 0)) for i, c in enumerate(acc)]
+        for acc in coeffs
+    ]
+    return slopes, sum(c for acc in coeffs for c in acc[::nt])
+
+
+def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: list, den: int, unit: int):
+    """A' (unit + sum C[l][v,t] h_{l,t}(v)) / den and its rounding error bound.
 
     The leaves h_{l,t}(v) are the only rounded quantities: one exp per
     (l, v), then one dot product with the exact integer coefficients.
@@ -366,7 +373,7 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: list, den: i
         * mpf(rho) ** (nt * nt + (dims.Nr - dims.Nt + dims.N0) * nt)
         * den
     )
-    nonzero, leaves, scales = [], [], []
+    coefs, leaves, scales = [unit], [mpf(1)], [0.0]
     for acc, l in zip(coeffs, ls):
         z = ntr - l * log_one_rho
         reach = float(ntr + l * log_one_rho)
@@ -375,53 +382,61 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: list, den: i
             for t, scale in enumerate(_leaf_scales(v, float(z), reach, nt)):
                 c = acc[(v - 1) * nt + t]
                 if c:
-                    nonzero.append(c)
+                    coefs.append(c)
                     leaves.append(hs[t])
                     scales.append(scale)
-    p = 1 - a_norm * mp.fdot(nonzero, leaves)
+    total = a_norm * mp.fdot(coefs, leaves)
     # sum |C| scale in binary64, the coefficients cut to their top 64 bits
-    shift = max(0, max((c.bit_length() for c in nonzero), default=0) - 64)
-    bound = math.fsum(float(abs(c) >> shift) * scale for c, scale in zip(nonzero, scales))
-    return p, a_norm * mp.ldexp(bound, shift) * mp.eps
+    shift = max(0, max(c.bit_length() for c in coefs) - 64)
+    bound = math.fsum(float(abs(c) >> shift) * scale for c, scale in zip(coefs, scales))
+    return total, a_norm * mp.ldexp(bound, shift) * mp.eps
 
 
-def _outage_sum(cfg: ExactConfig, r_eff: float) -> float:
-    """P_out(r_eff) to a relative 2^-53, escalating on measured cancellation.
+def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
+    """P_out(r_eff), or with ``slope`` its density P'(r_eff), to a relative 2^-53.
 
     The coefficients are built once; a precision retry redoes only the
     leaves and the dot product.  A result is kept once its error bound is
-    2^-(53 + _GUARD_BITS) of |P| (of the smallest normal double, for P
-    below it).
+    2^-(53 + _GUARD_BITS) of its size (of the smallest normal double, for
+    a result below it).  A sum without one correct digit says little of
+    the precision it needs, so its retry at least doubles the precision.
     """
     nt, rho = cfg.dims.Nt, cfg.snr.rho
     # smallest l with Nt*r < l*log(1+rho); terms below it vanish.  Where
     # rounding puts l on the wrong side, its z_l is within rounding of 0
-    # and its term, O(z^Nt), with it.
+    # and its term, O(z^Nt) (O(z^(Nt-1)) in the density), with it.
     l_min = int(nt * r_eff / math.log1p(rho)) + 1
     if l_min > nt:
-        return 1.0
+        return 0.0 if slope else 1.0
     ls = range(l_min, nt + 1)
     coeffs, den = _coefficients(cfg.dims, rho, ls)
-    prec = cfg.precision_bits
+    unit = 0
+    if slope:  # P' = Nt A' (-d/dz sum) / den
+        coeffs, unit = _slope_coefficients(coeffs, nt)
+    what, top = ("density", math.inf) if slope else ("outage", 1.0)
+    prec = _START_BITS
     while True:
         with mp.workprec(prec):
-            p, err = _residue_sum(cfg, r_eff, ls, coeffs, den)
+            total, err = _residue_sum(cfg, r_eff, ls, coeffs, den, unit)
+            p, err = (nt * total, nt * err) if slope else (1 - total, err)
             needed = prec + 53 + _GUARD_BITS + mp.mag(err / max(abs(p), _TINY))
         if needed <= prec:
             break
         if needed > _MAX_BITS:
             raise ArithmeticError(
-                f"exact outage needs {needed} bits (error bound {float(err):.3g} "
-                f"at {prec} bits against |P| = {float(abs(p)):.3g}), above the "
+                f"exact {what} needs {needed} bits (error bound {float(err):.3g} "
+                f"at {prec} bits against {float(abs(p)):.3g}), above the "
                 f"{_MAX_BITS}-bit ceiling"
             )
-        _log.debug("exact outage: %d-bit sum needs %d bits; retrying at %d", prec, needed, needed)
-        prec = needed
-    if not -err <= p <= 1 + err:
+        new = max(needed, min(2 * prec, _MAX_BITS)) if err >= abs(p) else needed
+        _log.debug("exact solver: %d-bit sum needs %d bits; retrying at %d", prec, needed, new)
+        prec = new
+    if not -err <= p <= top + err:
         raise ArithmeticError(
-            f"exact outage {float(p)!r} outside [0,1] beyond its rounding bound {float(err):.3g}"
+            f"exact {what} {float(p)!r} outside [0, {top}] "
+            f"beyond its rounding bound {float(err):.3g}"
         )
-    return min(1.0, max(0.0, float(p)))
+    return min(top, max(0.0, float(p)))
 
 
 def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
@@ -429,9 +444,9 @@ def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
 
     ``r`` is the full per-channel rate including any deterministic
     offset carried by reduced dims; the random part is what the formula
-    sees.  The sum starts at ``cfg.precision_bits`` and escalates until
-    its measured rounding error bound allows a relative 2^-53, so the
-    result is accurate to 1e-9 absolute and, in the tail, relative.
+    sees.  The sum starts at 256 bits and escalates until its measured
+    rounding error bound allows a relative 2^-53, so the result is
+    accurate to 1e-9 absolute and, in the tail, relative.
     ``ArithmeticError`` means the bound could not be met within 4096
     bits, or the result left [0, 1] by more than it.
     """
@@ -444,33 +459,20 @@ def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
     elif r_eff >= math.log1p(cfg.snr.rho):
         p = 1.0
     else:
-        p = _outage_sum(cfg, r_eff)
+        p = _series(cfg, r_eff, slope=False)
     return OutageEstimate(p=p, ci_low=p, ci_high=p, method="exact", trials_or_tol=_EXACT_TOL)
 
 
-def outage_density_exact(cfg: ExactConfig, r: float, step: float | None = None) -> DensityEstimate:
-    """Rate density P'(r) by Richardson-extrapolated central differences.
+def outage_density_exact(cfg: ExactConfig, r: float) -> DensityEstimate:
+    """Rate density P'(r): the residue sum of :func:`outage_exact`, differentiated.
 
-    The step shrinks near the ends of the achievable rate window (where
-    the outage clamps to 0 or 1, which would bias a straddling stencil);
-    the error estimate combines the observed step-halving change with
-    the rounding floor of the underlying outage values.
+    Same error bound and escalation as the outage, so ``error``, one unit
+    in the last place of ``value``, is guaranteed.  The density is 0
+    outside the open rate window.
     """
-    lo_edge = cfg.dims.pinned_rate(cfg.snr.rho)
-    hi_edge = lo_edge + math.log1p(cfg.snr.rho)
-    h = step if step is not None else 1e-4 * max(1.0, abs(r))
-    room = min(r - lo_edge, hi_edge - r)
-    if room > 0:
-        h = min(h, 0.49 * room)
-    h = max(h, 1e-12)
-
-    def central(hh: float) -> float:
-        hi = outage_exact(cfg, r + hh).p
-        lo = outage_exact(cfg, max(0.0, r - hh)).p
-        return (hi - lo) / (2.0 * hh)
-
-    d1 = central(h)
-    d2 = central(h / 2)
-    value = (4 * d2 - d1) / 3
-    error = abs(d2 - d1) / 3 + _EXACT_TOL / h
-    return DensityEstimate(value=value, error=error)
+    cfg.check_caps()
+    r_eff = r - cfg.dims.pinned_rate(cfg.snr.rho)
+    if not 0 < r_eff < math.log1p(cfg.snr.rho):
+        return DensityEstimate(value=0.0, error=0.0)
+    value = _series(cfg, r_eff, slope=True)
+    return DensityEstimate(value=value, error=math.ulp(value))

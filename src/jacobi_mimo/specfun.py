@@ -32,7 +32,6 @@ __all__ = [
     "g_closed",
     "log_q",
     "q_fn",
-    "elementary_symmetric",
     "elementary_symmetric_all",
 ]
 
@@ -174,14 +173,6 @@ def elementary_symmetric_all(values: Sequence) -> list:
         for d in range(i, 0, -1):
             e[d] = e[d] + v * e[d - 1]
     return e
-
-
-def elementary_symmetric(values: Sequence, degree: int):
-    """Elementary symmetric polynomial e_degree of the given values."""
-    n = len(values)
-    if not 0 <= degree <= n:
-        raise ValueError(f"degree must be in [0, {n}], got {degree}")
-    return elementary_symmetric_all(values)[degree]
 
 
 # ---------------------------------------------------------------------------

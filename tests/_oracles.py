@@ -315,15 +315,12 @@ def log_joint_density_unnormalized(s: SpectrumSample, dims: ChannelDims) -> floa
 # Exact solver: the residue sum evaluated per distinct sorted s
 # ---------------------------------------------------------------------------
 
-def outage_sum_per_s(cfg, r_eff: float, bits: int) -> float:
-    """P_out(r_eff) from the residue sum, one divided-difference table per sorted s.
+def _sum_per_s(cfg, r_eff: float, bits: int, leaf_fn):
+    """A' sum_s w_s (-1)^{n-1} H_s[s], one divided-difference table per sorted s.
 
-    Everything runs in mpmath at ``bits`` bits: for each sorted s of the
-    key table, its weight sum count * prod c_m, one recurrence for all
-    d_l = e_l((1+rho)^s), and one divided-difference table for
-    H_s = sum_l (-1)^{l-1} d_l h_l (the divided difference is linear).
-    The production solver instead sums exact integer coefficients per
-    (l, v, t) and takes one dot product with the leaves.
+    H_s = sum_l (-1)^{l-1} d_l g_l, where ``leaf_fn(v, z, count)`` gives the
+    Taylor coefficients at v of g_l(x), at z = Nt r - l log(1+rho).  None
+    when no l contributes.  Runs at ``bits`` bits and returns an mpf.
     """
     dims, rho = cfg.dims, cfg.snr.rho
     nt, dn, n0 = dims.Nt, dims.Nr - dims.Nt, dims.N0
@@ -334,7 +331,7 @@ def outage_sum_per_s(cfg, r_eff: float, bits: int) -> float:
         # smallest l with Nt*r < l*log(1+rho); terms below it vanish
         l_min = int(mp.floor(ntr / log_one_rho)) + 1
         if l_min > nt:
-            return 1.0
+            return None
         zfrac = exact._selberg_z_fraction(dims)
         a_norm = mpf(math.factorial(nt)) / (
             (mpf(zfrac.numerator) / mpf(zfrac.denominator))
@@ -347,9 +344,9 @@ def outage_sum_per_s(cfg, r_eff: float, bits: int) -> float:
         smax = 2 * nt - 1 + dn + n0
         opr_pow = [one_rho**e for e in range(smax + 1)]
         ls = range(l_min, nt + 1)
-        # leaves[v][t][i]: order-t Taylor coefficient at v of h_l, l = ls[i]
+        # leaves[v][t][i]: order-t Taylor coefficient at v of g_l, l = ls[i]
         leaves = {
-            v: list(zip(*(exact._taylor_leaves(v, ntr - l * log_one_rho, nt) for l in ls)))
+            v: list(zip(*(leaf_fn(v, ntr - l * log_one_rho, nt) for l in ls)))
             for v in range(1, smax + 1)
         }
         mprods = {
@@ -366,4 +363,42 @@ def outage_sum_per_s(cfg, r_eff: float, bits: int) -> float:
                 for v in dict.fromkeys(s)
             }
             total += weight * exact._divided_difference(s, taylor)
-        return float(1 - a_norm * total)
+        return a_norm * total
+
+
+def outage_sum_per_s(cfg, r_eff: float, bits: int) -> float:
+    """P_out(r_eff) from the residue sum, one divided-difference table per sorted s.
+
+    Everything runs in mpmath at ``bits`` bits: for each sorted s of the
+    key table, its weight sum count * prod c_m, one recurrence for all
+    d_l = e_l((1+rho)^s), and one divided-difference table for
+    H_s = sum_l (-1)^{l-1} d_l h_l (the divided difference is linear).
+    The production solver instead sums exact integer coefficients per
+    (l, v, t) and takes one dot product with the leaves.
+    """
+    total = _sum_per_s(cfg, r_eff, bits, exact._taylor_leaves)
+    if total is None:
+        return 1.0
+    with mp.workprec(bits):
+        return float(1 - total)
+
+
+def _exp_leaves(v, z, count: int) -> list:
+    """Taylor coefficients at v of e^{xz}: e^{vz} z^t / t!."""
+    term = mp.exp(v * z)
+    coeffs = [term]
+    for t in range(1, count):
+        term *= z / t
+        coeffs.append(term)
+    return coeffs
+
+
+def density_sum_per_s(cfg, r_eff: float, bits: int) -> float:
+    """The rate density P'(r_eff) from the per-s sum of the derivative.
+
+    d/dz h(x) = -e^{xz}, so P' = Nt A' sum_s w_s (-1)^{n-1} H_s with the
+    exponential leaves e^{vz} z^t / t! in place of the h_t; this does not
+    use the production solver's integer transform of the coefficients.
+    """
+    total = _sum_per_s(cfg, r_eff, bits, _exp_leaves)
+    return 0.0 if total is None else float(cfg.dims.Nt * total)

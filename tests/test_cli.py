@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import jacobi_mimo
+from jacobi_mimo import cli
 from jacobi_mimo.cli import main
 
 HEADER = ["r", "pout_mc", "ci_lo", "ci_hi", "pout_exact", "pout_ld", "pout_gauss"]
@@ -412,9 +413,13 @@ def test_no_scipy_module_loads_at_runtime():
     assert loaded.strip() == "[]"
 
 
-def test_gauss_failure_empties_its_cells_and_keeps_the_run():
-    # at rho = 1e300 the k = 0 solve behind the gauss column fails; the mc
-    # column already computed must survive
+def test_gauss_failure_empties_its_cells_and_keeps_the_run(monkeypatch):
+    # the k = 0 solve behind the gauss column fails; the mc column already
+    # computed must survive
+    def fail(*args):
+        raise ArithmeticError("injected k = 0 failure")
+
+    monkeypatch.setattr(cli, "ergodic_summary", fail)
     code, out, err = run_cli(
         ["outage", "--N", "18", "--Nt", "6", "--Nr", "6", "--rho", "1e300", "--points", "3",
          "--methods", "mc,gauss", "--trials", "2000", "--reproducible"]

@@ -44,6 +44,16 @@ def test_ergodic_support_within_unit_interval():
         assert summ.v_erg > 0.0
 
 
+@pytest.mark.parametrize("n0", [0.25, 1.0 / 3.0, 1.0, 2.0])
+def test_ergodic_rate_saturates_at_extreme_rho(n0):
+    # S0b at beta = 1: r_erg - log(rho) has converged by rho = 1e30, and the
+    # edge root must keep solving far beyond it
+    ref = ergodic_summary(n0, 1.0, SnrParam(1e30)).r_erg - math.log(1e30)
+    for rho in (1e32, 1e60, 1e150):
+        gap = ergodic_summary(n0, 1.0, SnrParam(rho)).r_erg - math.log(rho)
+        assert abs(gap - ref) <= 1e-12 * abs(ref)
+
+
 def test_ergodic_density_unit_mass_random_params():
     rng = np.random.default_rng(9)
     for _ in range(20):

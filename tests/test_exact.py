@@ -24,7 +24,7 @@ from jacobi_mimo.exact import (
 )
 from jacobi_mimo.montecarlo import McConfig, outage_curve
 
-from _oracles import outage_sum_per_s, quadrature
+from _oracles import density_sum_per_s, outage_sum_per_s, quadrature
 
 FLAT = normalize_dims(2, 1, 1)
 TILTED = normalize_dims(3, 1, 1)
@@ -246,11 +246,23 @@ def test_escalation_is_logged(caplog):
     steps = [rec.args for rec in caplog.records if rec.name == "jacobi_mimo"]
     assert steps and steps[0][0] == 256
     for prec, needed, new in steps:
-        assert needed > prec and new == needed
+        assert needed > prec and new >= needed
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
         outage_exact(ExactConfig(dims=normalize_dims(12, 5, 5), snr=SnrParam(10.0)), 0.33 * math.log1p(10.0))
     assert not caplog.records
+
+
+def test_digitless_sum_doubles_the_precision(caplog):
+    # the 256-bit sum has no correct digit, so its |P| says little of the
+    # precision needed; small steps took seven sums here
+    cfg = ExactConfig(dims=normalize_dims(12, 4, 6), snr=SnrParam(2.1e-4))
+    with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
+        p = outage_exact(cfg, 0.00253 * math.log1p(2.1e-4)).p
+    assert p == 1.2873935689031418e-52
+    steps = [rec.args for rec in caplog.records if rec.name == "jacobi_mimo"]
+    assert len(steps) <= 2  # at most three sums
+    assert steps[0][0] == 256 and steps[0][2] == 512
 
 
 def test_escalation_ceiling_raises(monkeypatch):
@@ -283,13 +295,13 @@ def test_reduced_dims_offset_handling():
     assert abs(mid - ref) < 1e-9
 
 
-def test_precision_escalation_stability():
-    dims = normalize_dims(8, 3, 4)
-    snr = SnrParam(10.0)
-    lo = ExactConfig(dims=dims, snr=snr, precision_bits=128)
-    hi = ExactConfig(dims=dims, snr=snr, precision_bits=512)
+def test_precision_escalation_stability(monkeypatch):
+    def at_bits(bits, shape, rho, r):
+        monkeypatch.setattr(exact, "_START_BITS", bits)
+        return outage_exact(ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho)), r).p
+
     for r in (0.4, 1.0, 1.8):
-        assert abs(outage_exact(lo, r).p - outage_exact(hi, r).p) < 1e-9
+        assert abs(at_bits(128, (8, 3, 4), 10.0, r) - at_bits(512, (8, 3, 4), 10.0, r)) < 1e-9
     # only the rho-free integer key table may be cached across calls: the
     # 512-bit results after 128-bit calls are bitwise those of a fresh
     # interpreter, where no 128-bit call ran before them; in the deep
@@ -297,10 +309,12 @@ def test_precision_escalation_stability():
     cases = [((8, 3, 4), 10.0, r) for r in (0.4, 1.0, 1.8)]
     cases += [((9, 3, 3), 1e4, f * math.log1p(1e4)) for f in (0.1, 0.2)]
     script = (
+        "from jacobi_mimo import exact\n"
         "from jacobi_mimo.ensemble import SnrParam, normalize_dims\n"
         "from jacobi_mimo.exact import ExactConfig, outage_exact\n"
+        "exact._START_BITS = 512\n"
         f"for shape, rho, r in {cases!r}:\n"
-        "    cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho), precision_bits=512)\n"
+        "    cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))\n"
         "    print(outage_exact(cfg, r).p.hex())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(exact.__file__).resolve().parents[1])}
@@ -308,10 +322,9 @@ def test_precision_escalation_stability():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     after = []
-    for shape, rho, r in cases:
-        setup = {"dims": normalize_dims(*shape), "snr": SnrParam(rho)}
-        outage_exact(ExactConfig(**setup, precision_bits=128), r)
-        after.append(outage_exact(ExactConfig(**setup, precision_bits=512), r).p.hex())
+    for case in cases:
+        at_bits(128, *case)
+        after.append(at_bits(512, *case).hex())
     assert after == fresh
 
 
@@ -330,18 +343,17 @@ def test_exact_matches_monte_carlo_small_configs():
             assert abs(pe - est.p) <= 3.0 * se + 1e-9
 
 
-def test_caps_are_enforced():
+def test_caps_are_enforced(monkeypatch):
     snr = SnrParam(1.0)
     with pytest.raises(TermBudgetError):
         outage_exact(ExactConfig(dims=normalize_dims(12, 6, 6), snr=snr), 0.5)
-    small_budget = ExactConfig(
-        dims=normalize_dims(8, 3, 4), snr=snr, term_budget=10
-    )
+    with pytest.raises(TermBudgetError):
+        outage_density_exact(ExactConfig(dims=normalize_dims(12, 6, 6), snr=snr), 0.5)
+    monkeypatch.setattr(exact, "_TERM_BUDGET", 10)
     with pytest.raises(TermBudgetError) as info:
-        outage_exact(small_budget, 0.5)
-    assert "term_budget" in str(info.value)
-    with pytest.raises(ValueError):
-        ExactConfig(dims=FLAT, snr=snr, precision_bits=64)
+        outage_exact(ExactConfig(dims=normalize_dims(8, 3, 4), snr=snr), 0.5)
+    assert "term budget" in str(info.value)
+    monkeypatch.undo()
     # merged expansion: 7^5 * 5! terms, where (k, n) pairs counted 4^5 * 4^5 * 5!
     wide = ExactConfig(dims=normalize_dims(16, 5, 8), snr=snr)
     assert wide.term_count() == 7**5 * 120
@@ -364,3 +376,59 @@ def test_density_flat_law():
     assert abs(val - 1.0) < 1e-6
     for r in np.linspace(0.1, 1.2, 7):
         assert outage_density_exact(cfg, float(r)).value >= -1e-9
+
+
+def test_density_matches_per_s_oracle():
+    # the integer transform of the coefficients against the per-s sum with
+    # the exponential leaves e^{vz} z^t / t!, the leaves' own z-derivative
+    shapes = [(2, 1, 1), (7, 2, 3), (8, 4, 4), (10, 4, 5), (12, 5, 5), (9, 3, 3)]
+    points = [
+        (shape, rho, frac * math.log1p(rho), 512)
+        for shape in shapes
+        for rho in (0.01, 10**0.3, 10.0, 1e4)
+        for frac in (0.07, 0.23, 0.41, 0.63, 0.88)
+    ]
+    points += [(shape, rho, r, 1024) for shape, rho, r in CANCELLING]
+    for shape, rho, r, bits in points:
+        cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))
+        ref = density_sum_per_s(cfg, r, bits)
+        est = outage_density_exact(cfg, r)
+        assert abs(est.value - ref) <= 1e-12 * ref
+        assert est.error <= 1e-12 * est.value
+
+
+def test_density_golden():
+    golden = [
+        ((11, 4, 5), 0.01, 0.000995033, 2.6996326098053477e-7),
+        ((8, 4, 4), 1.0, 0.12 * math.log(2.0), 6.8872842864317085e-10),
+        ((12, 4, 6), 1e4, 0.1 * math.log1p(1e4), 3.1457584675380573e-77),
+    ]
+    for shape, rho, r, ref in golden:
+        est = outage_density_exact(ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho)), r)
+        assert abs(est.value - ref) <= 1e-12 * ref
+        assert est.error <= 1e-12 * est.value
+
+
+def test_density_reduced_dims_and_window():
+    # (4,3,3): the flat part has law 3(1-x)^2, so P(log(1+3x) < r) = 1 - (1 - x)^3
+    # with x = (e^r - 1)/3, whose slope at r = log 2 is (2/3)^2 * 2 = 8/9
+    cfg = ExactConfig(dims=normalize_dims(4, 3, 3), snr=SNR3)
+    floor = 2.0 * math.log(4.0)
+    est = outage_density_exact(cfg, floor + math.log(2.0))
+    assert abs(est.value - 8.0 / 9.0) <= 1e-12
+    for r in (0.0, floor - 0.01, floor, floor + 5.0):
+        assert outage_density_exact(cfg, r) == (0.0, 0.0)
+    flat = ExactConfig(dims=FLAT, snr=SNR3)
+    for r in (-0.1, 0.0, math.log(4.0), 5.0):
+        assert outage_density_exact(flat, r) == (0.0, 0.0)
+
+
+def test_density_integrates_to_one():
+    # the density is smooth between the kinks at l log(1+rho) / Nt
+    cfg = ExactConfig(dims=normalize_dims(5, 2, 2), snr=SnrParam(2.0))
+    kink = math.log(3.0) / 2
+    total = sum(
+        quadrature(lambda r: outage_density_exact(cfg, r).value, lo, hi, target=1e-11)[0]
+        for lo, hi in ((0.0, kink), (kink, math.log(3.0)))
+    )
+    assert abs(total - 1.0) <= 1e-9
