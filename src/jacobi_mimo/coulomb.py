@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ensemble import SnrParam
 from .results import OutageEstimate
@@ -125,6 +125,9 @@ class RegimeSolution:
 
     ``energy`` is E(r); ``exponent`` is Delta E = E(r) - E0 >= 0, the decay
     rate of the outage (r < r_erg) or overshoot (r > r_erg) probability.
+    ``poles`` is the (gamma, y) decomposition the solution was built from,
+    and ``r_floor`` the rounding floor of ``r`` (8 eps times the
+    magnitudes of its terms).
     """
 
     regime: str
@@ -137,6 +140,8 @@ class RegimeSolution:
     n0: float
     beta: float
     rho: float
+    poles: tuple[tuple[float, float], ...] = field(repr=False)
+    r_floor: float = field(repr=False)
 
 
 def _check_params(n0: float, beta: float, snr: SnrParam):
@@ -305,7 +310,7 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
 
 def _poles(
     n0: float, beta: float, z: float, k: float, a: float, b: float
-) -> list[tuple[float, float]]:
+) -> tuple[tuple[float, float], ...]:
     """Pole decomposition of the density in t = (x-a)/(b-a).
 
     Terms are (gamma, y) for gamma/(t+y), with poles at the SNR point
@@ -324,7 +329,7 @@ def _poles(
         g1 = -(gz + g0) if g0 is not None else z * gz - d * (n0 + beta + 1.0 + k)
     if g0 is None:
         g0 = -(gz + g1)
-    return [(gz, (a + z) / d), (g1, -(1.0 - a) / d), (g0, a / d)]
+    return (gz, (a + z) / d), (g1, -(1.0 - a) / d), (g0, a / d)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +345,10 @@ def _poles(
 #   L(a):= Int p log(x-a)   = log d + (1/2) sum gamma G(0, y)
 #
 # (the flipped arguments come from t -> 1-t, which negates gamma and maps
-# the pole y to -(1+y)).  Multiplying the stationarity condition by p and
-# integrating eliminates the double logarithmic integral, leaving
+# the pole y to -(1+y)).  One routine, _pole_integral, sums every one of
+# them over the decomposition a solve builds once and stores.  Multiplying
+# the stationarity condition by p and integrating eliminates the double
+# logarithmic integral, leaving
 #
 #   E(r) = (k/2)(r - log(1+rho x0)) - (n0/2)(Ic + log(1-x0))
 #          - ((beta-1)/2)(I0 + log x0) - L(x0)
@@ -351,14 +358,20 @@ def _poles(
 # quadrature of the energy functional in the tests.
 # ---------------------------------------------------------------------------
 
-def _rate_terms(z: float, a: float, b: float, poles) -> list[float]:
-    d = b - a
-    az = (a + z) / d
-    return [math.log(d / z)] + [0.5 * gamma * g_closed(az, y) for gamma, y in poles if gamma]
+def _pole_integral(start: float, poles, w: float, flip: bool = False) -> tuple[float, float]:
+    """start + (1/2) sum gamma G(w, y), or start - (1/2) sum gamma G(w, -(1+y)) with flip.
 
-
-def _rate_from_poles(z: float, a: float, b: float, poles) -> float:
-    return sum(_rate_terms(z, a, b, poles))
+    Also returns |start| + sum |term|, the scale of its rounding error.
+    The terms are added in pole order after ``start``; zero weights are
+    skipped.
+    """
+    total, scale = start, abs(start)
+    for gamma, y in poles:
+        if gamma:
+            term = 0.5 * gamma * g_closed(w, -(1.0 + y) if flip else y)
+            total = total - term if flip else total + term
+            scale += abs(term)
+    return total, scale
 
 
 def _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0) -> float:
@@ -366,25 +379,12 @@ def _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0) -> float:
     rho = 1.0 / z
     e = 0.5 * k * (r - math.log1p(rho * x0))
     if n0:
-        ic = math.log(d)
-        for gamma, y in poles:
-            if gamma:
-                ic -= 0.5 * gamma * g_closed((1.0 - b) / d, -(1.0 + y))
+        ic = _pole_integral(math.log(d), poles, (1.0 - b) / d, flip=True)[0]
         e -= 0.5 * n0 * (ic + math.log1p(-x0))
     if beta > 1.0:
-        i0 = math.log(d)
-        for gamma, y in poles:
-            if gamma:
-                i0 += 0.5 * gamma * g_closed(a / d, y)
+        i0 = _pole_integral(math.log(d), poles, a / d)[0]
         e -= 0.5 * (beta - 1.0) * (i0 + math.log(x0))
-    lref = math.log(d)
-    for gamma, y in poles:
-        if gamma:
-            if x0 == b:
-                lref -= 0.5 * gamma * g_closed(0.0, -(1.0 + y))
-            else:
-                lref += 0.5 * gamma * g_closed(0.0, y)
-    return e - lref
+    return e - _pole_integral(math.log(d), poles, 0.0, flip=x0 == b)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +401,7 @@ def critical_thresholds(n0: float, beta: float, snr: SnrParam) -> list[tuple[flo
     _check_params(n0, beta, snr)
     z = snr.z
     ks = ([_kc4(beta, z)[0]] if n0 == 0 else []) + ([_kc3(n0, z)[0]] if beta == 1.0 else [])
-    out = []
-    for k in ks:
-        _, a, b = _support(n0, beta, z, k)
-        out.append((k, _rate_from_poles(z, a, b, _poles(n0, beta, z, k, a, b))))
-    return out
+    return [(k, solve_at_multiplier(n0, beta, snr, k).r) for k in ks]
 
 
 def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> RegimeSolution:
@@ -418,11 +414,14 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
     _check_params(n0, beta, snr)
     z = snr.z
     regime, a, b = _support(n0, beta, z, k)
+    d = b - a
     poles = _poles(n0, beta, z, k, a, b)
-    r = _rate_from_poles(z, a, b, poles)
+    r, scale = _pole_integral(math.log(d / z), poles, (a + z) / d)
     energy = _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0=a if b == 1.0 else b)
     e0 = _e0_value(n0, beta)
-    return RegimeSolution(regime, a, b, k, r, energy, energy - e0, n0, beta, snr.rho)
+    return RegimeSolution(
+        regime, a, b, k, r, energy, energy - e0, n0, beta, snr.rho, poles, 8.0 * _EPS * scale
+    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -442,11 +441,11 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     replaced by bisection, and one that goes more than twice as far from
     0 while the bracket is still open by doubling.  The iteration stops
     when the step falls below the multiplier tolerance, or when r(k) - r
-    reaches the rounding floor of the pole-sum rate (the terms' magnitudes
-    times 8 eps; about 1e-10 of r at rho <= 0.1, below which no k
-    resolves r).  It returns the iterate whose rate is closest to r; one
-    that misses r by more than _LD_TOL (near the ends of the window)
-    raises ArithmeticError.
+    reaches the iterate's ``r_floor``, the rounding floor of its pole-sum
+    rate (about 1e-10 of r at rho <= 0.1, below which no k resolves r).
+    It returns the iterate whose rate is closest to r; one that misses r
+    by more than _LD_TOL (near the ends of the window) raises
+    ArithmeticError.
     """
     _check_params(n0, beta, snr)
     rmax = math.log1p(snr.rho)
@@ -455,7 +454,6 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     best = sol = _zero_multiplier(n0, beta, snr.rho)
     if abs(r - sol.r) < 1e-14:
         return sol
-    z = snr.z
     lo, hi = (0.0, math.inf) if r > sol.r else (-math.inf, 0.0)
     k = (r - sol.r) / _rate_variance(snr.rho, *_ergodic_support(n0, beta))
     for _ in range(_K_ITER):
@@ -471,10 +469,7 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
             hi = k
         step = res / _rate_variance(snr.rho, sol.a, sol.b)
         tol = _K_TOL + 8.9e-16 * abs(k)
-        if abs(step) < tol or hi - lo < tol:
-            break
-        terms = _rate_terms(z, sol.a, sol.b, _poles(n0, beta, z, k, sol.a, sol.b))
-        if abs(res) <= 8.0 * _EPS * sum(map(abs, terms)):
+        if abs(step) < tol or hi - lo < tol or abs(res) <= sol.r_floor:
             break
         k_new = k - step
         if math.isinf(hi - lo):
@@ -499,8 +494,7 @@ def density_at(sol: RegimeSolution, x: float) -> float:
         return 0.0
     d = b - a
     u = x - a
-    poles = _poles(sol.n0, sol.beta, 1.0 / sol.rho, sol.k, a, b)
-    return math.sqrt(u * (b - x)) * sum(g / (u + y * d) for g, y in poles) / (_TWO_PI * d)
+    return math.sqrt(u * (b - x)) * sum(g / (u + y * d) for g, y in sol.poles) / (_TWO_PI * d)
 
 
 def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> ErgodicSummary:
@@ -557,7 +551,9 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
         + log_q(u)
         - 0.5 * math.log(v_erg / v)
     )
-    tail = math.exp(min(log_tail, 0.0))
+    if log_tail > 0.0:
+        raise ArithmeticError(f"log tail {log_tail!r} > 0 at r={r!r}: the outage formula left [0, 1]")
+    tail = math.exp(log_tail)
     p = tail if sol.k <= 0.0 else 1.0 - tail
     return OutageEstimate(p=p, ci_low=p, ci_high=p, method="ld", trials_or_tol=_LD_TOL)
 

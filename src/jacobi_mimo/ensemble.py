@@ -24,7 +24,7 @@ canonical per-transmit-channel units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = ["ChannelDims", "SnrParam", "normalize_dims"]
@@ -34,18 +34,16 @@ __all__ = ["ChannelDims", "SnrParam", "normalize_dims"]
 class ChannelDims:
     """Canonical channel dimensions (Nt <= Nr, N0 >= 0).
 
-    ``beta = Nr/Nt`` and ``n0 = N0/Nt`` are kept as exact rationals.
-    ``rate_offset`` is the coefficient of log(1 + rho) contributed by
-    eigenvalues pinned at 1 after the N0 < 0 reduction; it is zero for
-    channels that were already canonical.
+    ``N0 = N - Nt - Nr``, ``beta = Nr/Nt`` and ``n0 = N0/Nt`` follow from
+    the counts; the last two are exact rationals.  ``rate_offset`` is the
+    coefficient of log(1 + rho) contributed by eigenvalues pinned at 1
+    after the N0 < 0 reduction; it is zero for channels that were already
+    canonical.
     """
 
     N: int
     Nt: int
     Nr: int
-    N0: int
-    beta: Fraction = field(repr=False)
-    n0: Fraction = field(repr=False)
     rate_offset: Fraction = Fraction(0)
 
     def __post_init__(self):
@@ -53,10 +51,20 @@ class ChannelDims:
             raise ValueError("channel counts must be positive")
         if self.Nt > self.Nr:
             raise ValueError("canonical dims require Nt <= Nr")
-        if self.N0 != self.N - self.Nt - self.Nr or self.N0 < 0:
+        if self.N0 < 0:
             raise ValueError("canonical dims require N0 = N - Nt - Nr >= 0")
-        if self.beta != Fraction(self.Nr, self.Nt) or self.n0 != Fraction(self.N0, self.Nt):
-            raise ValueError("beta and n0 must equal Nr/Nt and N0/Nt exactly")
+
+    @property
+    def N0(self) -> int:
+        return self.N - self.Nt - self.Nr
+
+    @property
+    def beta(self) -> Fraction:
+        return Fraction(self.Nr, self.Nt)
+
+    @property
+    def n0(self) -> Fraction:
+        return Fraction(self.N0, self.Nt)
 
     def pinned_rate(self, rho: float) -> float:
         """Rate of the eigenvalues pinned at 1: rate_offset * log(1+rho) nats per channel."""
@@ -109,12 +117,4 @@ def normalize_dims(N: int, Nt: int, Nr: int) -> ChannelDims:
                 "ensemble remains after reduction"
             )
         offset = Fraction(N0, Nt)
-    return ChannelDims(
-        N=N,
-        Nt=Nt,
-        Nr=Nr,
-        N0=N0,
-        beta=Fraction(Nr, Nt),
-        n0=Fraction(N0, Nt),
-        rate_offset=offset,
-    )
+    return ChannelDims(N=N, Nt=Nt, Nr=Nr, rate_offset=offset)

@@ -522,6 +522,14 @@ def test_s01_quadratic_exponent_value():
     assert abs(sol.k - (-0.2) / math.log(9.0 / 8.0)) < 1e-9
 
 
+def test_outage_asymptotic_raises_on_positive_log_tail(monkeypatch):
+    # a log tail above 0 is a probability above 1: it raises, never clamps
+    monkeypatch.setattr(coulomb, "log_q", lambda u: 1.0)
+    r = 0.9 * ergodic_summary(0.0, 1.0, SNR3).r_erg
+    with pytest.raises(ArithmeticError, match="log tail"):
+        outage_asymptotic(0.0, 1.0, SNR3, 4, r)
+
+
 def test_gaussian_outage_values():
     summ = ergodic_summary(0.0, 1.0, SNR3)
     assert abs(gaussian_outage(summ, 4, summ.r_erg).p - 0.5) < 1e-14
@@ -574,6 +582,33 @@ def test_solve_regime_newton_solve_count(monkeypatch):
             solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
     assert len(ks) / (len(SOLVE_GRID) * len(SOLVE_FRACS)) <= 8.0
     assert ks.count(0.0) == len(SOLVE_GRID)  # k = 0 once per channel
+
+
+def test_each_multiplier_solve_builds_one_support_and_one_decomposition(monkeypatch):
+    # the outer solve's rounding floor, density_at and critical_thresholds
+    # reuse what solve_at_multiplier built instead of rebuilding it
+    calls = {"solve_at_multiplier": 0, "_support": 0, "_poles": 0}
+
+    def counting(name):
+        original = getattr(coulomb, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(coulomb, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    coulomb._zero_multiplier.cache_clear()
+    for n0, beta, rho in SOLVE_GRID:
+        snr = SnrParam(rho)
+        for f in SOLVE_FRACS:
+            sol = solve_regime(n0, beta, snr, f * math.log1p(rho))
+            assert density_at(sol, 0.5 * (sol.a + sol.b)) > 0.0
+        critical_thresholds(n0, beta, snr)
+    assert calls["solve_at_multiplier"] > len(SOLVE_GRID) * len(SOLVE_FRACS)
+    assert calls["_poles"] == calls["_support"] == calls["solve_at_multiplier"]
 
 
 # Nt = 4 outage at SOLVE_FRACS, from the bracketed brentq search on k that

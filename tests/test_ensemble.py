@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
-from jacobi_mimo.ensemble import SnrParam, normalize_dims
+from jacobi_mimo.ensemble import ChannelDims, SnrParam, normalize_dims
 from jacobi_mimo.montecarlo import _block_eigenvalues
 
 from _oracles import (
@@ -64,6 +64,15 @@ def test_normalize_dims_rejects_bad_counts():
         normalize_dims(2, 3, 1)
     with pytest.raises(ValueError):
         normalize_dims(2, 0, 1)
+
+
+def test_channel_dims_derives_n0_and_ratios_from_the_counts():
+    dims = ChannelDims(N=9, Nt=2, Nr=3)
+    assert (dims.N0, dims.beta, dims.n0) == (4, Fraction(3, 2), Fraction(2))
+    assert dims.rate_offset == 0
+    for n, nt, nr in [(4, 0, 2), (5, 3, 2), (4, 2, 3)]:
+        with pytest.raises(ValueError):
+            ChannelDims(N=n, Nt=nt, Nr=nr)
 
 
 def test_normalize_dims_rejects_deterministic_corner():
