@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     for warning in meta.get("warnings", ()):
         print(f"warning: {warning}", file=sys.stderr)
     if args.format == "json":
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+        text = json.dumps({"meta": meta, "rows": rows}) + "\n"
     else:
         buf = io.StringIO()
         buf.writelines(f"# {key}: {json.dumps(value)}\n" for key, value in meta.items())

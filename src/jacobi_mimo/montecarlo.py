@@ -4,12 +4,14 @@ This is the empirical ground truth the deterministic solvers are checked
 against.  Trials sample the beta = 2 Jacobi bidiagonal matrix model
 (Edelman & Sutton, FoCM 2008; Killip & Nenciu, IMRN 2004), whose squared
 singular values follow the Jacobi law of U^H U exactly, so no Haar matrix
-is drawn.  Reproducibility contract: trials run in fixed blocks of
-``_BLOCK``, each drawn from its own counter-based Philox substream keyed
-by (seed, block index) and reduced in block order, so results are
-bit-identical for a given (seed, trials) no matter how many workers run
-the blocks.  Each outage cell carries a 95% Clopper-Pearson interval,
-solved for a whole curve at once by ``specfun.clopper_pearson``.
+is drawn.  Rates and histograms come from LDL^T pivots of the tridiagonal
+B^T B, not from its eigenvalues: the pivots of 1 + rho B^T B give the
+rate, and the negative pivots of B^T B - x count the eigenvalues below a
+bin edge x (Sylvester's law of inertia), O(bins Nt) per trial against
+O(Nt^3) for a dense eigensolve.  Reproducibility contract: trials run in
+fixed blocks of ``_BLOCK``, each drawn from its own counter-based Philox
+substream keyed by (seed, block index) and reduced in block order, so
+results are bit-identical for a given (seed, trials) at any worker count.
 """
 
 from __future__ import annotations
@@ -109,14 +111,19 @@ def _block_rates(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
     return np.log1p(w).sum(axis=0) / cfg.dims.Nt + cfg.dims.pinned_rate(rho)
 
 
-def _block_eigenvalues(dims: ChannelDims, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Eigenvalues of B^T B for trials [lo, hi): array of shape (hi-lo, Nt), in [0, 1]."""
-    d2, e2 = _block_bidiagonal(dims, seed, lo, hi)
-    idx = np.arange(dims.Nt)
-    b = np.zeros((hi - lo, dims.Nt, dims.Nt))
-    b[:, idx, idx] = np.sqrt(d2).T
-    b[:, idx[:-1], idx[1:]] = np.sqrt(e2).T
-    return np.clip(np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b)), 0.0, 1.0)
+def _sturm_counts(d2: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of B^T B below each shift in the column x, summed over the trial columns.
+
+    They are the negative pivots q_i of B^T B - x from the stationary qd transform (Dhillon &
+    Parlett, SIMAX 2004): s_1 = -x, q_i = d_i^2 + s_i, s_{i+1} = e_i^2 s_i / q_i - x.
+    """
+    s, below, tiny = -x, 0, np.finfo(float).tiny
+    for i in range(len(d2)):
+        q = d2[i] + s
+        q[np.abs(q) < tiny] = tiny  # dstebz's pivmin, signed so that an eigenvalue at x counts above x
+        below += np.count_nonzero(q < 0.0, axis=1)
+        s = e2[i] * s / q - x if i < len(e2) else s
+    return below
 
 
 def _map_blocks(cfg: McConfig, fn):
@@ -132,8 +139,7 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
     """Outage estimates at several thresholds over one shared sample set.
 
     Sharing samples makes the curve exactly monotone in r and amortizes
-    the sampling cost over the whole rate grid.  Bit-identical for fixed
-    (seed, trials) regardless of cfg.workers.
+    the sampling cost over the whole rate grid.
     """
     thresholds = np.asarray(list(rs), dtype=float)
     if thresholds.size and thresholds.min() < 0:
@@ -153,10 +159,7 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
 
 
 def estimate_outage(cfg: McConfig, r: float) -> OutageEstimate:
-    """Fraction of trials with mutual information below r, with 95% CI.
-
-    Bit-identical for fixed (seed, trials) regardless of cfg.workers.
-    """
+    """Fraction of trials with mutual information below r, with 95% CI."""
     return outage_curve(cfg, [r])[0]
 
 
@@ -180,9 +183,6 @@ def eigen_histogram(cfg: McConfig, bins: int) -> EigenHistogram:
     if bins < 2:
         raise ValueError("bins must be >= 2")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    counts = _map_blocks(
-        cfg, lambda lo, hi: np.histogram(_block_eigenvalues(cfg.dims, cfg.seed, lo, hi), bins=edges)[0]
-    )
-    total = np.sum(counts, axis=0)
-    density = total / (cfg.trials * cfg.dims.Nt * np.diff(edges))
-    return EigenHistogram(edges=edges, density=density)
+    block = lambda lo, hi: _sturm_counts(*_block_bidiagonal(cfg.dims, cfg.seed, lo, hi), edges[1:-1, None])
+    total = np.diff(np.sum(_map_blocks(cfg, block), axis=0), prepend=0, append=cfg.trials * cfg.dims.Nt)
+    return EigenHistogram(edges=edges, density=total / (cfg.trials * cfg.dims.Nt * np.diff(edges)))

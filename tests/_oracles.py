@@ -6,9 +6,11 @@ its definition), the electrostatic energy functional by a cosine-series
 (DCT) expansion of the density, which turns the double logarithmic
 integral into a fast spectral sum, and the channel itself by drawing
 Haar unitaries (QR of a Ginibre matrix) in place of the Monte Carlo
-sampler's bidiagonal model.  The exact solver's residue sum is checked
-against its evaluation one divided-difference table per sorted s, all
-in mpmath, in place of the exact integer coefficients.
+sampler's bidiagonal model, whose pivot-count histograms are in turn
+checked against a dense eigensolve of the same draws.  The exact
+solver's residue sum is checked against its evaluation one
+divided-difference table per sorted s, all in mpmath, in place of the
+exact integer coefficients.
 """
 
 import itertools
@@ -23,6 +25,7 @@ from scipy.fft import dct
 from jacobi_mimo import exact
 from jacobi_mimo.coulomb import density_at
 from jacobi_mimo.ensemble import ChannelDims, SnrParam
+from jacobi_mimo.montecarlo import _block_bidiagonal
 from jacobi_mimo.specfun import elementary_symmetric_all, g_closed
 
 
@@ -290,6 +293,20 @@ def mutual_information(s: SpectrumSample, snr: SnrParam, dims: ChannelDims) -> f
     if dims.rate_offset:
         body += float(dims.rate_offset) * np.log1p(snr.rho)
     return body
+
+
+def block_eigenvalues(dims: ChannelDims, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Eigenvalues of B^T B for the sampler's trials [lo, hi): shape (hi-lo, Nt), in [0, 1].
+
+    A dense batched ``eigvalsh`` of B^T B, built from the same draws as the
+    sampler's block, in place of its pivot counts.
+    """
+    d2, e2 = _block_bidiagonal(dims, seed, lo, hi)
+    idx = np.arange(dims.Nt)
+    b = np.zeros((hi - lo, dims.Nt, dims.Nt))
+    b[:, idx, idx] = np.sqrt(d2).T
+    b[:, idx[:-1], idx[1:]] = np.sqrt(e2).T
+    return np.clip(np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b)), 0.0, 1.0)
 
 
 def log_joint_density_unnormalized(s: SpectrumSample, dims: ChannelDims) -> float:

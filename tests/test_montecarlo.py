@@ -10,15 +10,15 @@ from jacobi_mimo.montecarlo import (
     McConfig,
     OutageEstimate,
     _block_bidiagonal,
-    _block_eigenvalues,
     _block_rates,
+    _sturm_counts,
     eigen_histogram,
     estimate_outage,
     moments,
     outage_curve,
 )
 
-from _oracles import SpectrumSample, mutual_information, sample_truncation, spectrum
+from _oracles import SpectrumSample, block_eigenvalues, mutual_information, sample_truncation, spectrum
 
 FLAT = normalize_dims(2, 1, 1)
 SNR3 = SnrParam(3.0)
@@ -81,7 +81,7 @@ def test_bidiagonal_model_matches_haar_oracle(shape):
     cfg = McConfig(dims=dims, snr=SnrParam(10.0), trials=8 * _BLOCK, seed=41)
     spans = [(lo, lo + _BLOCK) for lo in range(0, cfg.trials, _BLOCK)]
     rates = np.concatenate([_block_rates(cfg, lo, hi) for lo, hi in spans])
-    lam = np.vstack([_block_eigenvalues(dims, cfg.seed, lo, hi) for lo, hi in spans])
+    lam = np.vstack([block_eigenvalues(dims, cfg.seed, lo, hi) for lo, hi in spans])
     rng = np.random.default_rng(43)
     ref_lam = np.array([spectrum(sample_truncation(dims, rng)).eigenvalues for _ in range(cfg.trials)])
     ref_rates = np.array([mutual_information(SpectrumSample(row), cfg.snr, dims) for row in ref_lam])
@@ -140,6 +140,35 @@ def test_eigen_histogram_flat_and_tilted_laws():
     expected_counts = expected / expected.sum() * tilted.trials
     observed = hist2.density * np.diff(hist2.edges) * tilted.trials
     assert chisquare(observed, expected_counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (4, 3, 2), (7, 2, 3), (200, 4, 4), (48, 16, 16)])
+def test_eigen_histogram_counts_equal_dense_oracle(shape):
+    # pivot counts against np.histogram of a dense eigensolve of the same
+    # draws; the last block is partial
+    dims = normalize_dims(*shape)
+    trials = 2 * _BLOCK + 452
+    lam = np.vstack([block_eigenvalues(dims, 23, lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)])
+    for bins in (2, 16, 64):
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        expected = np.histogram(lam, bins=edges)[0] / (trials * dims.Nt * np.diff(edges))
+        for workers in (1, 2):
+            cfg = McConfig(dims=dims, snr=SnrParam(1.0), trials=trials, seed=23, workers=workers)
+            assert eigen_histogram(cfg, bins).density.tolist() == expected.tolist()
+
+
+def test_sturm_counts_on_hand_built_bidiagonals():
+    # an eigenvalue exactly on a shift counts above it (left-closed bins),
+    # and an exactly zero pivot neither miscounts nor spreads inf or nan
+    x = np.array([[0.25], [0.5], [0.75]])
+    one = np.array([[0.5]])
+    assert _sturm_counts(one, np.empty((0, 1)), x).tolist() == [0, 0, 1]
+    # q_1 = d_1^2 - 0.5 = 0 at the middle shift
+    for d2, e2 in (([0.5, 0.25], [0.0]), ([0.5, 0.25, 0.3], [0.25, 0.2]), ([0.5, 0.5, 0.5], [0.0, 0.0])):
+        d2, e2 = np.array(d2)[:, None], np.array(e2)[:, None]
+        b = np.diag(np.sqrt(d2[:, 0])) + np.diag(np.sqrt(e2[:, 0]), 1)
+        lam = np.linalg.eigvalsh(b.T @ b)
+        assert _sturm_counts(d2, e2, x).tolist() == [int(np.sum(lam < xi)) for xi in x[:, 0]]
 
 
 def test_eigen_histogram_validation():
