@@ -37,15 +37,18 @@ On integer nodes the divided difference is a fixed rational combination
 of the Taylor coefficients h_t(v), and a second cached table holds those
 weights for each sorted s, scaled to integers by one common denominator.
 Since 1+rho is a dyadic rational, everything but the leaves h_{l,t}(v)
-is then exact integer arithmetic: each call sums, over the sorted s,
-weight * d_l * (divided-difference weights) into one integer coefficient
-per (l, v, t), and
+is then exact integer arithmetic: once per (dims, rho), a cached build
+sums, over the sorted s, weight * d_l * (divided-difference weights)
+into one integer coefficient per (l, v, t), and at each rate
 
     1 - P_out = A' sum_{l >= l(r)} (-1)^{l-1} sum_{v,t} C[l][v,t] h_{l,t}(v)
 
 is one mpmath dot product of at most Nt^2 * max(s) terms, with one exp
-per (l, v) for the leaves.  A (12,5,5) point at rho = 10 takes about
-15 ms (pure-Python mpmath, one core).
+per l for the leaves (e^{vz} is the v-th power of e^z).  A (12,5,5)
+point at rho = 10 takes about 19 ms when it builds the coefficients and
+3-4 ms after; at rho = 10^0.3, whose 1+rho needs a 52-bit numerator and
+whose coefficients run to 3500 bits, about 50 and 12 ms (pure-Python
+mpmath, one core).
 
 The sum is violently alternating, so the leaves and the dot product
 run in mpmath extended precision (from a 256-bit significand).  The
@@ -63,11 +66,11 @@ import functools
 import itertools
 import logging
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+import numpy as np
 from mpmath import mp, mpf
 
 from .ensemble import ChannelDims, SnrParam
@@ -108,8 +111,10 @@ class ExactConfig:
     count (|Nt-Nr|+N0+1)^Nt * Nt! (merged expansion indices m times
     permutations) at most ``_TERM_BUDGET``.  The count bounds the one-time
     build of the rho-free integer tables, cached per (Nt, |Nt-Nr|+N0+1);
-    a rate point costs one pass over their distinct sorted s.  Beyond a
-    few channels the asymptotic solver is the right tool anyway.
+    one pass over their distinct sorted s builds the coefficients of a
+    (dims, rho), also cached, and a rate point then costs only its leaves
+    and one dot product.  Beyond a few channels the asymptotic solver is
+    the right tool anyway.
     """
 
     dims: ChannelDims
@@ -133,6 +138,7 @@ class DensityEstimate(NamedTuple):
     error: float
 
 
+@functools.lru_cache(maxsize=64)
 def _selberg_z_fraction(dims: ChannelDims) -> Fraction:
     """Exact Selberg normalization of the joint eigenvalue density.
 
@@ -172,13 +178,14 @@ def c_coefficient(k: int, n: int, dims: ChannelDims, snr: SnrParam):
     return sign * math.comb(dn, k) * math.comb(dims.N0, n) * (1 + mpf(snr.rho)) ** n
 
 
-def _taylor_leaves(v, z, count: int) -> list:
+def _taylor_leaves(v, z, count: int, exp_vz=None) -> list:
     """Taylor coefficients h_0, ..., h_{count-1} of h(x) = (1 - e^{xz})/x at v.
 
     From x h(x) = 1 - e^{xz}: v h_t + h_{t-1} = [t = 0] - e^{vz} z^t / t!,
-    so one exp serves every order.
+    so one exp serves every order; ``exp_vz`` supplies e^{vz} when the
+    caller has it already.
     """
-    term = mp.exp(v * z)  # e^{vz} z^t / t!
+    term = mp.exp(v * z) if exp_vz is None else exp_vz  # e^{vz} z^t / t!
     coeffs = [(1 - term) / v]
     for t in range(1, count):
         term *= z / t
@@ -233,21 +240,35 @@ def _key_table(nt: int, width: int) -> tuple:
     sorted values and the coefficient part on m only through its sorted
     values.  Returns ((s, ((m, count), ...)), ...) without zero counts.
     Integers only, so the table is independent of rho and precision.
+
+    Each sigma sorts s for all m at once in numpy.  A pair (sorted s,
+    sorted m) is one integer key, the digits s_0, ..., s_{nt-1} (base
+    smax + 1) above m_0, ..., m_{nt-1} (base width), so the key order is
+    the tuples' order.  Inside the term budget the largest key,
+    ((smax + 1) width)^nt, is below 2^54, so int64 holds it.
     """
-    perms = []
+    smax = 2 * nt - 2 + width
+    mvecs = np.indices((width,) * nt).reshape(nt, -1).T
+    m_sorted = np.sort(mvecs, axis=1)
+    m_keys = m_sorted @ width ** np.arange(nt - 1, -1, -1)
+    m_of_key = dict(zip(m_keys.tolist(), map(tuple, m_sorted.tolist())))
+    s_base = (smax + 1) ** np.arange(nt - 1, -1, -1)
+    counts: dict[int, int] = {}
     for perm in itertools.permutations(range(1, nt + 1)):
         inv = sum(1 for i in range(nt) for j in range(i + 1, nt) if perm[i] > perm[j])
-        perms.append((perm, -1 if inv % 2 else 1))
-    counts: dict[tuple, Counter] = defaultdict(Counter)
-    for mvec in itertools.product(range(width), repeat=nt):
-        row_key = tuple(sorted(mvec))
-        for perm, sign in perms:
-            s = tuple(sorted(j + perm[j] + mvec[j] for j in range(nt)))
-            counts[s][row_key] += sign
+        sign = -1 if inv % 2 else 1
+        s_keys = np.sort(mvecs + np.arange(nt) + perm, axis=1) @ s_base
+        keys, reps = np.unique(s_keys * width**nt + m_keys, return_counts=True)
+        for key, rep in zip(keys.tolist(), reps.tolist()):
+            counts[key] = counts.get(key, 0) + sign * rep
+    rows: dict[int, list] = {}
+    for key, count in sorted(counts.items()):
+        if count:
+            s_key, m_key = divmod(key, width**nt)
+            rows.setdefault(s_key, []).append((m_of_key[m_key], count))
     return tuple(
-        (s, tuple((m, c) for m, c in sorted(row.items()) if c))
-        for s, row in sorted(counts.items())
-        if any(row.values())
+        (tuple(s_key // (smax + 1) ** i % (smax + 1) for i in reversed(range(nt))), tuple(row))
+        for s_key, row in rows.items()
     )
 
 
@@ -283,13 +304,17 @@ def _dd_weights(nt: int, width: int) -> tuple:
     return den, tuple(weights)
 
 
-def _coefficients(dims: ChannelDims, rho: float, ls: range) -> tuple[list, int]:
+@functools.lru_cache(maxsize=64)
+def _coefficients(dims: ChannelDims, rho: float) -> tuple[tuple, int]:
     """Integer coefficients of the residue sum and their common denominator.
 
-    Returns (C, den) with sum_{v,t} C[i][slot] h_{l,t}(v) / den
-    = (-1)^{l-1} sum_s w_s e_l((1+rho)^s) h_l[s] for l = ls[i], exactly:
+    Returns (C, den) with sum_{v,t} C[l-1][slot] h_{l,t}(v) / den
+    = (-1)^{l-1} sum_s w_s e_l((1+rho)^s) h_l[s] for l = 1, ..., Nt, exactly:
     1+rho is a binary64 value plus one, the dyadic rational a / 2^k, so
     every power of it is an integer power of a shifted by a multiple of k.
+    Nothing here depends on the rate or the working precision, so the
+    result is cached per (dims, rho), as tuples of ints that no caller
+    may change.
     """
     nt, dn, n0 = dims.Nt, dims.Nr - dims.Nt, dims.N0
     width = dn + n0 + 1
@@ -310,6 +335,7 @@ def _coefficients(dims: ChannelDims, rho: float, ls: range) -> tuple[list, int]:
     }
     # 2^(k smax) (1+rho)^v, so e_l of these is 2^(k smax l) e_l((1+rho)^s)
     powers = [a**v << k * (smax - v) for v in range(smax + 1)]
+    ls = range(1, nt + 1)
     coeffs = [[0] * (smax * nt) for _ in ls]
     for (s, row), alpha in zip(_key_table(nt, width), weights):
         w = sum(count * mprods[m] for m, count in row)
@@ -318,30 +344,39 @@ def _coefficients(dims: ChannelDims, rho: float, ls: range) -> tuple[list, int]:
             we = w * e[l] if l % 2 else -w * e[l]
             for slot, al in alpha:
                 acc[slot] += we * al
-    for acc, l in zip(coeffs, ls):
-        acc[:] = [c << k * smax * (nt - l) for c in acc]
+    coeffs = tuple(tuple(c << k * smax * (nt - l) for c in acc) for acc, l in zip(coeffs, ls))
     return coeffs, den << k * (n0 + smax) * nt
 
 
 def _leaf_scales(v: int, z: float, reach: float, count: int) -> list:
-    """Rounding-error scales of ``_taylor_leaves(v, z, count)``.
+    """Rounding-error scales of the leaves h_0, ..., h_{count-1} at v.
 
     Entry t bounds, up to a small factor of the working epsilon, the error
-    of h_t: the operands of its recurrence, (|e^{vz} z^t / t!| + scale_{t-1}) / v
-    (the first has 1 + e^{vz}), plus the effect of an error of reach * eps
-    in z, since dh_t/dz = -e^{vz} z^t / t!.  Each scale is at least |h_t|.
+    of h_t.  Three parts:
+    - the operands of its recurrence, (|e^{vz} z^t / t!| + scale_{t-1}) / v
+      (the first has 1 + e^{vz}); unrolled, 1/v^(t+1) plus the part
+      driven by e^{vz}, D_t = sum_{j<=t} |e^{vz} z^j / j!| / v^(t-j+1);
+    - an error of reach * eps in z, which moves h_t by reach * eps *
+      |e^{vz} z^t / t!|, since dh_t/dz = -e^{vz} z^t / t!;
+    - e^{vz} itself, taken as E^v with E = exp(z) and v - 1 products.
+      With exp within one ulp (relative eps) and each product rounded to
+      nearest (eps/2), E^v is within v eps + (v-1) eps/2 < 2v eps of
+      e^{vz}, relative, to first order.  h_t is 1/v^(t+1) times a sign
+      minus e^{vz} times a polynomial in z bounded by D_t / e^{vz}, so
+      this moves h_t by less than 2v eps D_t.
+    Each scale is at least |h_t|.
     """
     term = math.exp(v * z)
-    scale = (1 + term) / v
-    scales = [scale + reach * term]
+    driven = term / v
+    scales = [1 / v + (1 + 2 * v) * driven + reach * term]
     for t in range(1, count):
         term *= -z / t
-        scale = (term + scale) / v
-        scales.append(scale + reach * term)
+        driven = (term + driven) / v
+        scales.append(v ** -(t + 1) + (1 + 2 * v) * driven + reach * term)
     return scales
 
 
-def _slope_coefficients(coeffs: list, nt: int) -> tuple[list, int]:
+def _slope_coefficients(coeffs: Sequence, nt: int) -> tuple[list, int]:
     """Coefficients of the residue sum's derivative -d/dz, on the same leaves.
 
     From dh_t/dz = -e^{vz} z^t / t! = v h_t + h_{t-1} - [t = 0],
@@ -356,11 +391,12 @@ def _slope_coefficients(coeffs: list, nt: int) -> tuple[list, int]:
     return slopes, sum(c for acc in coeffs for c in acc[::nt])
 
 
-def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: list, den: int, unit: int):
+def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, den: int, unit: int):
     """A' (unit + sum C[l][v,t] h_{l,t}(v)) / den and its rounding error bound.
 
     The leaves h_{l,t}(v) are the only rounded quantities: one exp per
-    (l, v), then one dot product with the exact integer coefficients.
+    l, whose powers give every e^{vz}, then one dot product with the
+    exact integer coefficients.
     """
     dims, rho = cfg.dims, cfg.snr.rho
     nt = dims.Nt
@@ -377,8 +413,10 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: list, den: i
     for acc, l in zip(coeffs, ls):
         z = ntr - l * log_one_rho
         reach = float(ntr + l * log_one_rho)
+        exp_z, exp_vz = mp.exp(z), mpf(1)
         for v in range(1, len(acc) // nt + 1):
-            hs = _taylor_leaves(v, z, nt)
+            exp_vz *= exp_z
+            hs = _taylor_leaves(v, z, nt, exp_vz)
             for t, scale in enumerate(_leaf_scales(v, float(z), reach, nt)):
                 c = acc[(v - 1) * nt + t]
                 if c:
@@ -395,10 +433,10 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: list, den: i
 def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
     """P_out(r_eff), or with ``slope`` its density P'(r_eff), to a relative 2^-53.
 
-    The coefficients are built once; a precision retry redoes only the
-    leaves and the dot product.  A result is kept once its error bound is
-    2^-(53 + _GUARD_BITS) of its size (of the smallest normal double, for
-    a result below it).  A sum without one correct digit says little of
+    The coefficients are built once per (dims, rho); a precision retry
+    redoes only the leaves and the dot product.  A result is kept once its
+    error bound is 2^-(53 + _GUARD_BITS) of its size (of the smallest
+    normal double, for a result below it).  A sum without one correct digit says little of
     the precision it needs, so its retry at least doubles the precision.
     """
     nt, rho = cfg.dims.Nt, cfg.snr.rho
@@ -409,7 +447,8 @@ def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
     if l_min > nt:
         return 0.0 if slope else 1.0
     ls = range(l_min, nt + 1)
-    coeffs, den = _coefficients(cfg.dims, rho, ls)
+    coeffs, den = _coefficients(cfg.dims, rho)
+    coeffs = coeffs[l_min - 1:]
     unit = 0
     if slope:  # P' = Nt A' (-d/dz sum) / den
         coeffs, unit = _slope_coefficients(coeffs, nt)

@@ -173,20 +173,25 @@ def _perm_sign(perm):
 
 
 def test_key_table_matches_bruteforce():
-    for nt in (1, 2, 3):
-        for width in (1, 2, 3):
-            brute = Counter()
-            for mvec in itertools.product(range(width), repeat=nt):
-                for perm in itertools.permutations(range(nt)):
-                    s = tuple(sorted(j + perm[j] + 1 + mvec[j] for j in range(nt)))
-                    brute[s, tuple(sorted(mvec))] += _perm_sign(perm)
-            expected = {key: c for key, c in brute.items() if c}
-            got = {}
-            for s, row in exact._key_table(nt, width):
-                for m, count in row:
-                    assert isinstance(count, int) and count != 0
-                    got[s, m] = count
-            assert got == expected
+    sizes = [(nt, width) for nt in (1, 2, 3) for width in (1, 2, 3)] + [(4, 3), (5, 2), (5, 3)]
+    for nt, width in sizes:
+        brute = Counter()
+        for mvec in itertools.product(range(width), repeat=nt):
+            for perm in itertools.permutations(range(nt)):
+                s = tuple(sorted(j + perm[j] + 1 + mvec[j] for j in range(nt)))
+                brute[s, tuple(sorted(mvec))] += _perm_sign(perm)
+        expected = {key: c for key, c in brute.items() if c}
+        got = {}
+        table = exact._key_table(nt, width)
+        for s, row in table:
+            for m, count in row:
+                assert isinstance(count, int) and count != 0
+                assert all(type(x) is int for x in s + m)
+                got[s, m] = count
+        assert got == expected
+        # sorted by s, and each row by m
+        assert [s for s, _ in table] == sorted({s for s, _ in expected})
+        assert all([m for m, _ in row] == sorted(m for m, _ in row) for _, row in table)
 
 
 def test_dd_weights_match_f_residue():
@@ -220,6 +225,107 @@ def test_residue_sum_matches_per_s_oracle():
                 r = frac * math.log1p(rho)
                 ref = outage_sum_per_s(cfg, r, 512)
                 assert abs(outage_exact(cfg, r).p - ref) <= 1e-12 * ref
+
+
+def test_coefficients_built_once_per_channel():
+    # an 11-point grid at one (dims, rho) crosses every l_min from 1 to Nt
+    # and builds the integer coefficients once
+    cfg = ExactConfig(dims=normalize_dims(8, 4, 4), snr=SnrParam(1.0))
+    exact._coefficients.cache_clear()
+    l_mins = set()
+    for frac in np.linspace(0.03, 0.97, 11):
+        r = float(frac) * math.log(2.0)
+        l_mins.add(int(4 * r / math.log(2.0)) + 1)
+        outage_exact(cfg, r)
+    assert l_mins == {1, 2, 3, 4}
+    info = exact._coefficients.cache_info()
+    assert info.misses == 1 and info.hits == 10
+
+
+def test_one_exp_per_l(monkeypatch):
+    # e^{vz} is the v-th power of e^z: one exp per l of each rate point
+    cfg = ExactConfig(dims=normalize_dims(12, 5, 5), snr=SnrParam(10.0))
+    calls = []
+    exp, residue_sum = mp.exp, exact._residue_sum
+
+    def counted_exp(*args, **kw):
+        calls[-1][1] += 1
+        return exp(*args, **kw)
+
+    def counted_residue_sum(cfg, r_eff, ls, *args):
+        calls.append([len(ls), 0])
+        return residue_sum(cfg, r_eff, ls, *args)
+
+    monkeypatch.setattr(mp, "exp", counted_exp)
+    monkeypatch.setattr(exact, "_residue_sum", counted_residue_sum)
+    for frac in (0.07, 0.33, 0.63, 0.88):
+        outage_exact(cfg, frac * math.log1p(10.0))
+        outage_density_exact(cfg, frac * math.log1p(10.0))
+    assert len(calls) == 8
+    assert all(n_exp == n_l for n_l, n_exp in calls)
+
+
+# the golden points of the outage and density tests
+GOLDEN_POINTS = [
+    ((12, 5, 5), 10.0, 0.33 * math.log1p(10.0)),
+    ((8, 4, 4), 1.0, 0.12 * math.log(2.0)),
+    ((7, 2, 3), 10.0, 0.04 * math.log1p(10.0)),
+    ((9, 3, 3), 1e4, 0.2 * math.log1p(1e4)),
+    ((11, 4, 5), 0.01, 0.000995033),
+    ((12, 4, 6), 1e4, 0.1 * math.log1p(1e4)),
+]
+
+
+def test_cached_coefficients_give_cold_results():
+    # the second call at a point reads the coefficients that the first one
+    # cached; either way round, both match a cold build bit for bit, so
+    # no caller changes the cached tuples
+    def run(density_first):
+        results = {}
+        for shape, rho, r in GOLDEN_POINTS:
+            cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))
+            calls = [("p", lambda: outage_exact(cfg, r).p), ("d", lambda: outage_density_exact(cfg, r).value)]
+            exact._coefficients.cache_clear()
+            for i, (what, call) in enumerate(calls[::-1] if density_first else calls):
+                results[what, shape, "warm" if i else "cold"] = call().hex()
+        return results
+
+    outage_first, density_first = run(False), run(True)
+    for shape, _, _ in GOLDEN_POINTS:
+        assert outage_first["p", shape, "cold"] == density_first["p", shape, "warm"]
+        assert density_first["d", shape, "cold"] == outage_first["d", shape, "warm"]
+
+
+def test_leaf_bound_covers_powers_of_exp():
+    # the largest max(s) among the oracle test's shapes is (12,5,5)'s; the
+    # 256-bit sum, with e^{vz} as powers of e^z, stays within the bound it
+    # reports of the 1024-bit sum, for the outage and for the density
+    dims = normalize_dims(12, 5, 5)
+    nt = dims.Nt
+    for rho in (0.01, 10**0.3, 1e4):
+        cfg = ExactConfig(dims=dims, snr=SnrParam(rho))
+        coeffs, den = exact._coefficients(dims, rho)
+        for frac in (0.07, 0.23, 0.41, 0.63, 0.88):
+            r = frac * math.log1p(rho)
+            l_min = int(nt * r / math.log1p(rho)) + 1
+            ls = range(l_min, nt + 1)
+            for c, unit in ((coeffs[l_min - 1:], 0), exact._slope_coefficients(coeffs[l_min - 1:], nt)):
+                with mp.workprec(1024):
+                    ref, _ = exact._residue_sum(cfg, r, ls, c, den, unit)
+                with mp.workprec(256):
+                    total, err = exact._residue_sum(cfg, r, ls, c, den, unit)
+                    assert 0 < err and abs(total - ref) <= err
+            # and each power E^v of E = exp(z) is within 2v eps of e^{vz}
+            eps = mpf(2) ** -255  # mp.eps at 256 bits
+            for l in ls:
+                with mp.workprec(256):
+                    z = nt * mpf(r) - l * mp.log(1 + mpf(rho))
+                    e, ev = mp.exp(z), mpf(1)
+                for v in range(1, len(coeffs[0]) // nt + 1):
+                    with mp.workprec(256):
+                        ev *= e
+                    with mp.workprec(1024):
+                        assert abs(ev - mp.exp(v * z)) <= 2 * v * eps * mp.exp(v * z)
 
 
 # deep-tail and low-rho points where the 256-bit sum loses every digit
@@ -302,7 +408,7 @@ def test_precision_escalation_stability(monkeypatch):
 
     for r in (0.4, 1.0, 1.8):
         assert abs(at_bits(128, (8, 3, 4), 10.0, r) - at_bits(512, (8, 3, 4), 10.0, r)) < 1e-9
-    # only the rho-free integer key table may be cached across calls: the
+    # only precision-free integer state may be cached across calls: the
     # 512-bit results after 128-bit calls are bitwise those of a fresh
     # interpreter, where no 128-bit call ran before them; in the deep
     # (9,3,3) tail the two precisions round to different floats
