@@ -16,7 +16,7 @@ ways, which are validated against each other:
 from .ensemble import ChannelDims, SnrParam, normalize_dims
 from .results import OutageEstimate
 from .montecarlo import McConfig, eigen_histogram, estimate_outage, moments
-from .exact import ExactConfig, c_coefficient, f_residue, log_selberg_z, outage_density_exact, outage_exact
+from .exact import ExactConfig, outage_density_exact, outage_exact
 from .coulomb import (
     ErgodicSummary,
     RegimeSolution,
@@ -45,9 +45,6 @@ __all__ = [
     "moments",
     "eigen_histogram",
     "ExactConfig",
-    "log_selberg_z",
-    "c_coefficient",
-    "f_residue",
     "outage_exact",
     "outage_density_exact",
     "ErgodicSummary",

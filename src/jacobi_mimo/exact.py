@@ -30,16 +30,16 @@ law.  Both terms together are (-1)^{n-1} h[s_1, ..., s_n], the divided
 difference of h(x) = (1 - e^{xz})/x, so repeated (integer) s_j are its
 Hermite limit and one divided-difference table covers every s.
 
-The evaluation groups the terms by sorted s.  A cached integer table
-holds, for each sorted s and sorted m, the sum of sgn(sigma) over the
-(m, sigma) that produce them; it depends only on Nt and |Nt-Nr|+N0+1.
-On integer nodes the divided difference is a fixed rational combination
-of the Taylor coefficients h_t(v), and a second cached table holds those
-weights for each sorted s, scaled to integers by one common denominator.
-Since 1+rho is a dyadic rational, everything but the leaves h_{l,t}(v)
-is then exact integer arithmetic: once per (dims, rho), a cached build
-sums, over the sorted s, weight * d_l * (divided-difference weights)
-into one integer coefficient per (l, v, t), and at each rate
+The evaluation groups the terms by sorted s.  One cached rho-free
+integer table, built per (Nt, |Nt-Nr|+N0+1), holds for each sorted s
+the sum of sgn(sigma) over the (m, sigma) that produce it, per sorted m,
+and the divided-difference weights of s: on integer nodes the divided
+difference is a fixed rational combination of the Taylor coefficients
+h_t(v), scaled to integers by one common denominator.  Since 1+rho is
+a dyadic rational, everything but the leaves h_{l,t}(v) is then exact
+integer arithmetic: once per (dims, rho), a cached build sums, over the
+sorted s, weight * d_l * (divided-difference weights) into one integer
+coefficient per (l, v, t), and at each rate
 
     1 - P_out = A' sum_{l >= l(r)} (-1)^{l-1} sum_{v,t} C[l][v,t] h_{l,t}(v)
 
@@ -81,9 +81,6 @@ __all__ = [
     "ExactConfig",
     "TermBudgetError",
     "DensityEstimate",
-    "log_selberg_z",
-    "c_coefficient",
-    "f_residue",
     "outage_exact",
     "outage_density_exact",
 ]
@@ -110,8 +107,8 @@ class ExactConfig:
     The caps are module constants: Nt at most ``_MAX_NT``, and the term
     count (|Nt-Nr|+N0+1)^Nt * Nt! (merged expansion indices m times
     permutations) at most ``_TERM_BUDGET``.  The count bounds the one-time
-    build of the rho-free integer tables, cached per (Nt, |Nt-Nr|+N0+1);
-    one pass over their distinct sorted s builds the coefficients of a
+    build of the one cached rho-free table, per (Nt, |Nt-Nr|+N0+1); one
+    pass over its distinct sorted s builds the coefficients of a
     (dims, rho), also cached, and a rate point then costs only its leaves
     and one dot product.  Beyond a few channels the asymptotic solver is
     the right tool anyway.
@@ -157,35 +154,13 @@ def _selberg_z_fraction(dims: ChannelDims) -> Fraction:
     return Fraction(num, den)
 
 
-def log_selberg_z(dims: ChannelDims) -> float:
-    """log Z for the joint eigenvalue density, via exact integer factorials."""
-    z = _selberg_z_fraction(dims)
-    with mp.workprec(128):
-        return float(mp.log(mpf(z.numerator) / mpf(z.denominator)))
-
-
-def c_coefficient(k: int, n: int, dims: ChannelDims, snr: SnrParam):
-    """Binomial-expansion coefficient c_{k,n} (extended precision).
-
-    c_{k,n} = C(|Nt-Nr|, k) C(N0, n) (-1)^{|Nt-Nr|-k+N0-n} (1+rho)^n.
-    """
-    dn = dims.Nr - dims.Nt
-    if not (0 <= k <= dn):
-        raise ValueError(f"k must be in [0, {dn}], got {k}")
-    if not (0 <= n <= dims.N0):
-        raise ValueError(f"n must be in [0, {dims.N0}], got {n}")
-    sign = -1 if (dn - k + dims.N0 - n) % 2 else 1
-    return sign * math.comb(dn, k) * math.comb(dims.N0, n) * (1 + mpf(snr.rho)) ** n
-
-
-def _taylor_leaves(v, z, count: int, exp_vz=None) -> list:
+def _taylor_leaves(v, z, count: int, exp_vz) -> list:
     """Taylor coefficients h_0, ..., h_{count-1} of h(x) = (1 - e^{xz})/x at v.
 
     From x h(x) = 1 - e^{xz}: v h_t + h_{t-1} = [t = 0] - e^{vz} z^t / t!,
-    so one exp serves every order; ``exp_vz`` supplies e^{vz} when the
-    caller has it already.
+    so the one exp ``exp_vz`` = e^{vz} serves every order.
     """
-    term = mp.exp(v * z) if exp_vz is None else exp_vz  # e^{vz} z^t / t!
+    term = exp_vz  # e^{vz} z^t / t!
     coeffs = [(1 - term) / v]
     for t in range(1, count):
         term *= z / t
@@ -193,53 +168,24 @@ def _taylor_leaves(v, z, count: int, exp_vz=None) -> list:
     return coeffs
 
 
-def _divided_difference(x: Sequence, taylor: dict):
-    """Divided difference over the sorted points x (Newton/Hermite table).
-
-    ``taylor[v]`` lists the function's Taylor coefficients at v, as many as
-    v repeats in x; an entry that spans equal points is one of them.
-    """
-    table = [taylor[v][0] for v in x]
-    for d in range(1, len(x)):
-        table = [
-            taylor[x[i]][d]
-            if x[i + d] == x[i]
-            else (table[i + 1] - table[i]) / (x[i + d] - x[i])
-            for i in range(len(x) - d)
-        ]
-    return table[0]
-
-
-def f_residue(zneg: float, s: Sequence):
-    """The residue function F(z, s) for z < 0 (extended precision).
-
-    F(z, s) = (-1)^{n-1} h[s_1, ..., s_n], the divided difference of
-    h(x) = (1 - e^{xz})/x over the sorted s.  Repeated values take the
-    Hermite (confluent) limit: where a table entry spans equal points it
-    is the Taylor coefficient h_d of h there, from x h(x) = 1 - e^{xz},
-    i.e. v h_t + h_{t-1} = [t = 0] - e^{vz} z^t / t!.
-    """
-    if not zneg < 0:
-        raise ValueError(f"f_residue requires z < 0, got {zneg!r}")
-    if any(v <= 0 for v in s):
-        raise ValueError("all components of s must be positive")
-    z = mpf(zneg)
-    x = sorted(mpf(v) for v in s)
-    taylor = {v: _taylor_leaves(v, z, x.count(v)) for v in dict.fromkeys(x)}
-    dd = _divided_difference(x, taylor)
-    return dd if len(x) % 2 else -dd
-
-
 @functools.cache
 def _key_table(nt: int, width: int) -> tuple:
-    """Signed counts of the (m, sigma) sum, grouped by sorted s and sorted m.
+    """Signed counts of the (m, sigma) sum by sorted s and sorted m, and each s's weights.
 
     Over m in range(width)^nt and permutations sigma of 1..nt, the term
     s_j = j + sigma_j + m_j (j from 0) adds sgn(sigma) to the count of
     (sorted s, sorted m): the residue part depends on s only through its
     sorted values and the coefficient part on m only through its sorted
-    values.  Returns ((s, ((m, count), ...)), ...) without zero counts.
-    Integers only, so the table is independent of rho and precision.
+    values.  On integer nodes the divided difference is a fixed rational
+    combination of the Taylor coefficients, h[s] = sum alpha h_t(v).
+
+    Returns (D, rows), one row (s, ((m, count), ...), ((slot, D alpha), ...))
+    per sorted s in order, without zero counts or weights; slot =
+    (v-1) nt + t.  The common denominator is D = lcm(1, ..., smax-1)^(nt-1):
+    every path through the Newton/Hermite table divides by at most nt-1
+    differences of nodes in 1..smax, so with leaves equal to D each
+    division is exact.  Integers only, so the table is independent of rho
+    and precision.
 
     Each sigma sorts s for all m at once in numpy.  A pair (sorted s,
     sorted m) is one integer key, the digits s_0, ..., s_{nt-1} (base
@@ -266,42 +212,24 @@ def _key_table(nt: int, width: int) -> tuple:
         if count:
             s_key, m_key = divmod(key, width**nt)
             rows.setdefault(s_key, []).append((m_of_key[m_key], count))
-    return tuple(
-        (tuple(s_key // (smax + 1) ** i % (smax + 1) for i in reversed(range(nt))), tuple(row))
-        for s_key, row in rows.items()
-    )
-
-
-@functools.cache
-def _dd_weights(nt: int, width: int) -> tuple:
-    """Divided-difference weights of each sorted s of ``_key_table(nt, width)``.
-
-    On integer nodes the divided difference is a fixed rational
-    combination of the Taylor coefficients, h[s] = sum alpha h_t(v).
-    Returns (D, weights) with weights[i] the pairs (slot, D alpha),
-    slot = (v-1) nt + t, of the i-th sorted s.  The common denominator is
-    D = lcm(1, ..., smax-1)^(nt-1): every path through the table divides
-    by at most nt-1 differences of nodes in 1..smax, so with leaves equal
-    to D each division is exact.  Integers only, like the key table.
-    """
-    smax = 2 * nt - 2 + width
     den = math.lcm(*range(1, smax)) ** (nt - 1)
-    weights = []
-    for s, _ in _key_table(nt, width):
-        # the Newton/Hermite table of _divided_difference, one unit leaf per slot
-        table = [{(v - 1) * nt: den} for v in s]
+    table = []
+    for s_key, row in rows.items():
+        s = tuple(s_key // (smax + 1) ** i % (smax + 1) for i in reversed(range(nt)))
+        # the Newton/Hermite table of the divided difference, one unit leaf per slot
+        dd = [{(v - 1) * nt: den} for v in s]
         for d in range(1, nt):
-            table = [
+            dd = [
                 {(s[i] - 1) * nt + d: den}
                 if s[i + d] == s[i]
                 else {
-                    slot: (table[i + 1].get(slot, 0) - table[i].get(slot, 0)) // (s[i + d] - s[i])
-                    for slot in table[i].keys() | table[i + 1].keys()
+                    slot: (dd[i + 1].get(slot, 0) - dd[i].get(slot, 0)) // (s[i + d] - s[i])
+                    for slot in dd[i].keys() | dd[i + 1].keys()
                 }
                 for i in range(nt - d)
             ]
-        weights.append(tuple((slot, a) for slot, a in table[0].items() if a))
-    return den, tuple(weights)
+        table.append((s, tuple(row), tuple((slot, a) for slot, a in dd[0].items() if a)))
+    return den, tuple(table)
 
 
 @functools.lru_cache(maxsize=64)
@@ -321,8 +249,9 @@ def _coefficients(dims: ChannelDims, rho: float) -> tuple[tuple, int]:
     smax = 2 * nt - 2 + width
     a, b = (1 + Fraction(rho)).as_integer_ratio()
     k = b.bit_length() - 1
-    den, weights = _dd_weights(nt, width)
-    # 2^(k n0) times the merged binomial coefficients (see c_coefficient):
+    den, table = _key_table(nt, width)
+    # 2^(k n0) times the merged binomial coefficients, from
+    # c_{k,n} = C(|Nt-Nr|, k) C(N0, n) (-1)^{|Nt-Nr|-k+N0-n} (1+rho)^n:
     # s_j depends on (k_j, n_j) only through m_j = k_j + N0 - n_j
     coef = [0] * width
     for kk in range(dn + 1):
@@ -337,7 +266,7 @@ def _coefficients(dims: ChannelDims, rho: float) -> tuple[tuple, int]:
     powers = [a**v << k * (smax - v) for v in range(smax + 1)]
     ls = range(1, nt + 1)
     coeffs = [[0] * (smax * nt) for _ in ls]
-    for (s, row), alpha in zip(_key_table(nt, width), weights):
+    for s, row, alpha in table:
         w = sum(count * mprods[m] for m, count in row)
         e = elementary_symmetric_all([powers[v] for v in s])
         for acc, l in zip(coeffs, ls):
@@ -489,8 +418,8 @@ def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
     ``ArithmeticError`` means the bound could not be met within 4096
     bits, or the result left [0, 1] by more than it.
     """
-    if r < 0:
-        raise ValueError("rate threshold r must be >= 0")
+    if not r >= 0:
+        raise ValueError(f"rate threshold r must be >= 0, got {r!r}")
     cfg.check_caps()
     r_eff = r - cfg.dims.pinned_rate(cfg.snr.rho)
     if r_eff <= 0:
@@ -507,8 +436,10 @@ def outage_density_exact(cfg: ExactConfig, r: float) -> DensityEstimate:
 
     Same error bound and escalation as the outage, so ``error``, one unit
     in the last place of ``value``, is guaranteed.  The density is 0
-    outside the open rate window.
+    outside the open rate window; a NaN rate raises ``ValueError``.
     """
+    if math.isnan(r):
+        raise ValueError(f"rate r must be a number, got {r!r}")
     cfg.check_caps()
     r_eff = r - cfg.dims.pinned_rate(cfg.snr.rho)
     if not 0 < r_eff < math.log1p(cfg.snr.rho):

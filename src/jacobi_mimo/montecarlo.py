@@ -142,8 +142,9 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
     the sampling cost over the whole rate grid.
     """
     thresholds = np.asarray(list(rs), dtype=float)
-    if thresholds.size and thresholds.min() < 0:
-        raise ValueError("rate thresholds must be >= 0")
+    bad = thresholds[~(thresholds >= 0)]
+    if bad.size:
+        raise ValueError(f"rate thresholds must be >= 0, got {float(bad[0])!r}")
     counts = _map_blocks(
         cfg,
         lambda lo, hi: np.count_nonzero(_block_rates(cfg, lo, hi)[:, None] < thresholds[None, :], axis=0),

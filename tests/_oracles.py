@@ -10,13 +10,17 @@ sampler's bidiagonal model, whose pivot-count histograms are in turn
 checked against a dense eigensolve of the same draws.  The exact
 solver's residue sum is checked against its evaluation one
 divided-difference table per sorted s, all in mpmath, in place of the
-exact integer coefficients.
+exact integer coefficients.  The references behind that evaluation live
+here: the residue function ``f_residue`` (its Newton/Hermite table
+``_divided_difference`` on mpmath Taylor leaves, each with its own exp),
+the binomial-expansion coefficient ``c_coefficient`` and the Selberg
+normalization ``log_selberg_z``.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
@@ -332,6 +336,78 @@ def log_joint_density_unnormalized(s: SpectrumSample, dims: ChannelDims) -> floa
 # Exact solver: the residue sum evaluated per distinct sorted s
 # ---------------------------------------------------------------------------
 
+def log_selberg_z(dims: ChannelDims) -> float:
+    """log Z for the joint eigenvalue density, via exact integer factorials."""
+    z = exact._selberg_z_fraction(dims)
+    with mp.workprec(128):
+        return float(mp.log(mpf(z.numerator) / mpf(z.denominator)))
+
+
+def c_coefficient(k: int, n: int, dims: ChannelDims, snr: SnrParam):
+    """Binomial-expansion coefficient c_{k,n} (extended precision).
+
+    c_{k,n} = C(|Nt-Nr|, k) C(N0, n) (-1)^{|Nt-Nr|-k+N0-n} (1+rho)^n.
+    """
+    dn = dims.Nr - dims.Nt
+    if not (0 <= k <= dn):
+        raise ValueError(f"k must be in [0, {dn}], got {k}")
+    if not (0 <= n <= dims.N0):
+        raise ValueError(f"n must be in [0, {dims.N0}], got {n}")
+    sign = -1 if (dn - k + dims.N0 - n) % 2 else 1
+    return sign * math.comb(dn, k) * math.comb(dims.N0, n) * (1 + mpf(snr.rho)) ** n
+
+
+def taylor_leaves(v, z, count: int) -> list:
+    """Taylor coefficients h_0, ..., h_{count-1} of h(x) = (1 - e^{xz})/x at v.
+
+    From x h(x) = 1 - e^{xz}: v h_t + h_{t-1} = [t = 0] - e^{vz} z^t / t!,
+    with e^{vz} from its own exp (production takes it as a power of e^z).
+    """
+    term = mp.exp(v * z)  # e^{vz} z^t / t!
+    coeffs = [(1 - term) / v]
+    for t in range(1, count):
+        term *= z / t
+        coeffs.append((-term - coeffs[-1]) / v)
+    return coeffs
+
+
+def _divided_difference(x: Sequence, taylor: dict):
+    """Divided difference over the sorted points x (Newton/Hermite table).
+
+    ``taylor[v]`` lists the function's Taylor coefficients at v, as many as
+    v repeats in x; an entry that spans equal points is one of them.
+    """
+    table = [taylor[v][0] for v in x]
+    for d in range(1, len(x)):
+        table = [
+            taylor[x[i]][d]
+            if x[i + d] == x[i]
+            else (table[i + 1] - table[i]) / (x[i + d] - x[i])
+            for i in range(len(x) - d)
+        ]
+    return table[0]
+
+
+def f_residue(zneg: float, s: Sequence):
+    """The residue function F(z, s) for z < 0 (extended precision).
+
+    F(z, s) = (-1)^{n-1} h[s_1, ..., s_n], the divided difference of
+    h(x) = (1 - e^{xz})/x over the sorted s.  Repeated values take the
+    Hermite (confluent) limit: where a table entry spans equal points it
+    is the Taylor coefficient h_d of h there, from x h(x) = 1 - e^{xz},
+    i.e. v h_t + h_{t-1} = [t = 0] - e^{vz} z^t / t!.
+    """
+    if not zneg < 0:
+        raise ValueError(f"f_residue requires z < 0, got {zneg!r}")
+    if any(v <= 0 for v in s):
+        raise ValueError("all components of s must be positive")
+    z = mpf(zneg)
+    x = sorted(mpf(v) for v in s)
+    taylor = {v: taylor_leaves(v, z, x.count(v)) for v in dict.fromkeys(x)}
+    dd = _divided_difference(x, taylor)
+    return dd if len(x) % 2 else -dd
+
+
 def _sum_per_s(cfg, r_eff: float, bits: int, leaf_fn):
     """A' sum_s w_s (-1)^{n-1} H_s[s], one divided-difference table per sorted s.
 
@@ -357,7 +433,7 @@ def _sum_per_s(cfg, r_eff: float, bits: int, leaf_fn):
         coef = [mpf(0)] * (dn + n0 + 1)
         for k in range(dn + 1):
             for n in range(n0 + 1):
-                coef[k + n0 - n] += exact.c_coefficient(k, n, dims, cfg.snr)
+                coef[k + n0 - n] += c_coefficient(k, n, dims, cfg.snr)
         smax = 2 * nt - 1 + dn + n0
         opr_pow = [one_rho**e for e in range(smax + 1)]
         ls = range(l_min, nt + 1)
@@ -371,7 +447,7 @@ def _sum_per_s(cfg, r_eff: float, bits: int, leaf_fn):
             for m in itertools.combinations_with_replacement(range(dn + n0 + 1), nt)
         }
         total = mpf(0)
-        for s, row in exact._key_table(nt, dn + n0 + 1):
+        for s, row, _ in exact._key_table(nt, dn + n0 + 1)[1]:
             weight = sum(count * mprods[m] for m, count in row)
             e = elementary_symmetric_all([opr_pow[v] for v in s])
             signed = [e[l] if l % 2 else -e[l] for l in ls]
@@ -379,7 +455,7 @@ def _sum_per_s(cfg, r_eff: float, bits: int, leaf_fn):
                 v: [mp.fdot(signed, leaves[v][t]) for t in range(s.count(v))]
                 for v in dict.fromkeys(s)
             }
-            total += weight * exact._divided_difference(s, taylor)
+            total += weight * _divided_difference(s, taylor)
         return a_norm * total
 
 
@@ -393,7 +469,7 @@ def outage_sum_per_s(cfg, r_eff: float, bits: int) -> float:
     The production solver instead sums exact integer coefficients per
     (l, v, t) and takes one dot product with the leaves.
     """
-    total = _sum_per_s(cfg, r_eff, bits, exact._taylor_leaves)
+    total = _sum_per_s(cfg, r_eff, bits, taylor_leaves)
     if total is None:
         return 1.0
     with mp.workprec(bits):

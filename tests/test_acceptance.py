@@ -20,11 +20,11 @@ from jacobi_mimo.coulomb import (
     solve_regime,
 )
 from jacobi_mimo.ensemble import SnrParam, normalize_dims
-from jacobi_mimo.exact import ExactConfig, log_selberg_z, outage_exact
+from jacobi_mimo.exact import ExactConfig, outage_exact
 from jacobi_mimo.montecarlo import McConfig, eigen_histogram, moments, outage_curve
 from jacobi_mimo.specfun import g_closed
 
-from _oracles import g_defining_integral, g_fn, i3_fn, quadrature
+from _oracles import g_defining_integral, g_fn, i3_fn, log_selberg_z, quadrature
 
 CORNERS = [(0.0, 1.0), (1.0, 1.0), (0.0, 2.0), (1.0, 2.0)]
 

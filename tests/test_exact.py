@@ -13,18 +13,18 @@ from mpmath import mp, mpf
 
 from jacobi_mimo.ensemble import SnrParam, normalize_dims
 from jacobi_mimo import exact
-from jacobi_mimo.exact import (
-    ExactConfig,
-    TermBudgetError,
-    c_coefficient,
-    f_residue,
-    log_selberg_z,
-    outage_density_exact,
-    outage_exact,
-)
+from jacobi_mimo.exact import ExactConfig, TermBudgetError, outage_density_exact, outage_exact
 from jacobi_mimo.montecarlo import McConfig, outage_curve
 
-from _oracles import density_sum_per_s, outage_sum_per_s, quadrature
+from _oracles import (
+    c_coefficient,
+    density_sum_per_s,
+    f_residue,
+    log_selberg_z,
+    outage_sum_per_s,
+    quadrature,
+    taylor_leaves,
+)
 
 FLAT = normalize_dims(2, 1, 1)
 TILTED = normalize_dims(3, 1, 1)
@@ -124,6 +124,11 @@ def test_flat_law_outage_closed_form():
     assert outage_exact(cfg, 5.0).p == 1.0
 
 
+def test_nan_rate_raises():
+    with pytest.raises(ValueError, match="got nan"):
+        outage_exact(ExactConfig(dims=FLAT, snr=SNR3), math.nan)
+
+
 def test_tilted_law_golden():
     cfg = ExactConfig(dims=TILTED, snr=SNR3)
     assert abs(outage_exact(cfg, math.log(2.0)).p - 5.0 / 9.0) < 1e-9
@@ -182,37 +187,35 @@ def test_key_table_matches_bruteforce():
                 brute[s, tuple(sorted(mvec))] += _perm_sign(perm)
         expected = {key: c for key, c in brute.items() if c}
         got = {}
-        table = exact._key_table(nt, width)
-        for s, row in table:
+        table = exact._key_table(nt, width)[1]
+        for s, row, _ in table:
             for m, count in row:
                 assert isinstance(count, int) and count != 0
                 assert all(type(x) is int for x in s + m)
                 got[s, m] = count
         assert got == expected
         # sorted by s, and each row by m
-        assert [s for s, _ in table] == sorted({s for s, _ in expected})
-        assert all([m for m, _ in row] == sorted(m for m, _ in row) for _, row in table)
+        assert [s for s, _, _ in table] == sorted({s for s, _ in expected})
+        assert all([m for m, _ in row] == sorted(m for m, _ in row) for _, row, _ in table)
 
 
 def test_dd_weights_match_f_residue():
     # the integer weights alpha, over D, are the divided difference on the
     # sorted s as a combination of the Taylor leaves h_t(v)
     with mp.workprec(256):
-        for nt in (1, 2, 3):
-            for width in (1, 2, 3):
-                den, weights = exact._dd_weights(nt, width)
-                keys = exact._key_table(nt, width)
-                assert len(weights) == len(keys)
-                for (s, _), alpha in zip(keys, weights):
-                    for z in (-0.05, -0.7, -3.0):
-                        leaves = [
-                            h
-                            for v in range(1, 2 * nt - 1 + width)
-                            for h in exact._taylor_leaves(v, mpf(z), nt)
-                        ]
-                        combo = mp.fdot([a for _, a in alpha], [leaves[slot] for slot, _ in alpha]) / den
-                        ref = f_residue(z, s) * (-1) ** (len(s) - 1)
-                        assert abs(combo - ref) <= mpf(2) ** -240 * max(1, abs(ref))
+        sizes = [(nt, width) for nt in (1, 2, 3) for width in (1, 2, 3)] + [(4, 3), (5, 2)]
+        for nt, width in sizes:
+            den, table = exact._key_table(nt, width)
+            for s, _, alpha in table:
+                for z in (-0.05, -0.7, -3.0):
+                    leaves = [
+                        h
+                        for v in range(1, 2 * nt - 1 + width)
+                        for h in taylor_leaves(v, mpf(z), nt)
+                    ]
+                    combo = mp.fdot([a for _, a in alpha], [leaves[slot] for slot, _ in alpha]) / den
+                    ref = f_residue(z, s) * (-1) ** (len(s) - 1)
+                    assert abs(combo - ref) <= mpf(2) ** -240 * max(1, abs(ref))
 
 
 def test_residue_sum_matches_per_s_oracle():
@@ -527,6 +530,11 @@ def test_density_reduced_dims_and_window():
     flat = ExactConfig(dims=FLAT, snr=SNR3)
     for r in (-0.1, 0.0, math.log(4.0), 5.0):
         assert outage_density_exact(flat, r) == (0.0, 0.0)
+
+
+def test_density_nan_rate_raises():
+    with pytest.raises(ValueError, match="got nan"):
+        outage_density_exact(ExactConfig(dims=FLAT, snr=SNR3), math.nan)
 
 
 def test_density_integrates_to_one():

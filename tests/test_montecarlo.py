@@ -212,3 +212,11 @@ def test_rejects_negative_rate():
         estimate_outage(cfg, -0.1)
     with pytest.raises(ValueError):
         moments(McConfig(dims=FLAT, snr=SNR3, trials=1, seed=0))
+
+
+def test_rejects_nan_rate():
+    cfg = McConfig(dims=FLAT, snr=SNR3, trials=10, seed=0)
+    with pytest.raises(ValueError, match="got nan"):
+        estimate_outage(cfg, math.nan)
+    with pytest.raises(ValueError, match="got nan"):
+        outage_curve(cfg, [0.5, math.nan])
