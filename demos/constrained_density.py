@@ -23,7 +23,7 @@ print()
 for r in (0.25, 0.45, summ.r_erg, 0.95, 1.15):
     sol = solve_regime(n0, beta, snr, float(r))
     xs = np.linspace(sol.a, sol.b, 9)[1:-1]
-    profile = " ".join(f"{density_at(sol, float(x)):6.3f}" for x in xs)
+    profile = " ".join(f"{p:6.3f}" for p in density_at(sol, xs))
     print(
         f"r={r:5.3f}  {sol.regime:3s}  support=({sol.a:.4f}, {sol.b:.4f})  "
         f"k={sol.k:+7.3f}  dE={sol.exponent:.4f}"

@@ -78,6 +78,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ensemble import SnrParam
 from .results import OutageEstimate
 from .specfun import brentq, g_closed, log_q, q_fn
@@ -125,9 +127,11 @@ class RegimeSolution:
 
     ``energy`` is E(r); ``exponent`` is Delta E = E(r) - E0 >= 0, the decay
     rate of the outage (r < r_erg) or overshoot (r > r_erg) probability.
-    ``poles`` is the (gamma, y) decomposition the solution was built from,
-    and ``r_floor`` the rounding floor of ``r`` (8 eps times the
-    magnitudes of its terms).
+    Both are built from the stored fields on first read, so an outer
+    solve pays for the energy of the one iterate it returns.  ``poles``
+    is the (gamma, y) decomposition the solution was built from, and
+    ``r_floor`` the rounding floor of ``r`` (8 eps times the magnitudes
+    of its terms).
     """
 
     regime: str
@@ -135,13 +139,23 @@ class RegimeSolution:
     b: float
     k: float
     r: float
-    energy: float
-    exponent: float
     n0: float
     beta: float
     rho: float
     poles: tuple[tuple[float, float], ...] = field(repr=False)
     r_floor: float = field(repr=False)
+
+    @functools.cached_property
+    def energy(self) -> float:
+        a, b = self.a, self.b
+        return _energy_from_poles(
+            self.n0, self.beta, 1.0 / self.rho, self.k, a, b, self.r, self.poles,
+            x0=a if b == 1.0 else b,
+        )
+
+    @property
+    def exponent(self) -> float:
+        return self.energy - _e0_value(self.n0, self.beta)
 
 
 def _check_params(n0: float, beta: float, snr: SnrParam):
@@ -186,12 +200,25 @@ def _rate_variance(rho: float, a: float, b: float) -> float:
     return math.log1p(d * d / (4.0 * sa * sb))
 
 
-def ergodic_density(n0: float, beta: float, x: float) -> float:
-    """Unconstrained limiting eigenvalue density p0 at x (0 outside support)."""
+def _on_support(x, a: float, b: float, p):
+    """p at the points of x inside (a, b) and 0.0 elsewhere; a float for scalar x."""
+    x = np.asarray(x, dtype=float)
+    inside = (a < x) & (x < b)
+    out = np.zeros(x.shape)
+    out[inside] = p(x[inside])
+    return float(out) if out.ndim == 0 else out
+
+
+def ergodic_density(n0: float, beta: float, x):
+    """Unconstrained limiting eigenvalue density p0 at x (0 outside support).
+
+    x may be a float or an array; an array gives an array of the same shape.
+    """
     a0, b0 = _ergodic_support(n0, beta)
-    if not a0 < x < b0:
-        return 0.0
-    return (n0 + beta + 1.0) * math.sqrt((x - a0) * (b0 - x)) / (_TWO_PI * x * (1.0 - x))
+    return _on_support(
+        x, a0, b0,
+        lambda x: (n0 + beta + 1.0) * np.sqrt((x - a0) * (b0 - x)) / (_TWO_PI * x * (1.0 - x)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +444,7 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
     d = b - a
     poles = _poles(n0, beta, z, k, a, b)
     r, scale = _pole_integral(math.log(d / z), poles, (a + z) / d)
-    energy = _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0=a if b == 1.0 else b)
-    e0 = _e0_value(n0, beta)
-    return RegimeSolution(
-        regime, a, b, k, r, energy, energy - e0, n0, beta, snr.rho, poles, 8.0 * _EPS * scale
-    )
+    return RegimeSolution(regime, a, b, k, r, n0, beta, snr.rho, poles, 8.0 * _EPS * scale)
 
 
 @functools.lru_cache(maxsize=64)
@@ -483,18 +506,21 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     return best
 
 
-def density_at(sol: RegimeSolution, x: float) -> float:
+def density_at(sol: RegimeSolution, x):
     """Constrained eigenvalue density of ``sol`` at x (0 outside support).
 
     p = sqrt(t(1-t)) sum gamma/(t+y) / (2 pi d) with t = (x-a)/d, from the
-    pole decomposition of the solution.
+    pole decomposition of the solution.  x may be a float or an array; an
+    array gives an array of the same shape.
     """
     a, b = sol.a, sol.b
-    if not a < x < b:
-        return 0.0
     d = b - a
-    u = x - a
-    return math.sqrt(u * (b - x)) * sum(g / (u + y * d) for g, y in sol.poles) / (_TWO_PI * d)
+
+    def p(x):
+        u = x - a
+        return np.sqrt(u * (b - x)) * sum(g / (u + y * d) for g, y in sol.poles) / (_TWO_PI * d)
+
+    return _on_support(x, a, b, p)
 
 
 def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> ErgodicSummary:
@@ -566,5 +592,7 @@ def gaussian_outage(ergodic: ErgodicSummary, nt: int, r: float) -> OutageEstimat
     """
     if nt < 1:
         raise ValueError("nt must be >= 1")
+    if not 0 <= r:
+        raise ValueError(f"rate threshold r must be >= 0, got {r!r}")
     p = q_fn((ergodic.r_erg - r) * nt / math.sqrt(ergodic.v_erg))
     return OutageEstimate(p=p, ci_low=p, ci_high=p, method="gauss", trials_or_tol=_LD_TOL)

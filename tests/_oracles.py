@@ -172,7 +172,7 @@ def _angle_samples(sol):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     phi = math.pi * (2 * np.arange(_M) + 1) / (2 * _M)
     x = mid + half * np.cos(phi)
-    f = np.array([density_at(sol, xi) for xi in x]) * half * np.sin(phi)
+    f = density_at(sol, x) * half * np.sin(phi)
     return x, f, half
 
 

@@ -197,6 +197,52 @@ def test_density_constrained_matches_ergodic_at_peak():
         assert abs(e_row["p"] - c_row["p"]) < 1e-8
 
 
+DENSITY_CHANNEL = ["--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3"]
+
+
+# at 41 nodes libm's pow and (1+u)*(1+u) round one node's square apart
+@pytest.mark.parametrize("n", [512, 41])
+@pytest.mark.parametrize(
+    "extra", [[], ["--kind", "constrained", "--k", "1.5"], ["--kind", "constrained", "--r", "0.3"]]
+)
+def test_density_table_matches_per_point_scalar_reference(extra, n):
+    # the table was built one scalar density call per node before it moved
+    # to one array pass; both formats must keep every byte
+    from jacobi_mimo.coulomb import (
+        density_at, ergodic_density, ergodic_summary, solve_at_multiplier, solve_regime,
+    )
+    from jacobi_mimo.ensemble import SnrParam, normalize_dims
+
+    dims = normalize_dims(9, 3, 3)
+    n0, beta, snr = float(dims.n0), float(dims.beta), SnrParam(3.0)
+    if not extra:
+        summ = ergodic_summary(n0, beta, snr)
+        a, b = summ.a0, summ.b0
+        density = lambda x: ergodic_density(n0, beta, x)
+    else:
+        if extra[-2] == "--k":
+            sol = solve_at_multiplier(n0, beta, snr, 1.5)
+        else:
+            sol = solve_regime(n0, beta, snr, 0.3 - dims.pinned_rate(3.0))
+        a, b = sol.a, sol.b
+        density = lambda x: density_at(sol, x)
+    ref = []
+    for i in range(n):
+        u = (2.0 * i + 1.0) / n - 1.0
+        x = a + (b - a) * (1.0 + u) ** 2 / (2.0 * (1.0 + u * u))
+        ref.append((x, density(x)))
+    argv = ["density", *DENSITY_CHANNEL, *extra, "--grid-points", str(n), "--reproducible"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert header == ["x", "p"]
+    assert rows == [[repr(x), repr(p)] for x, p in ref]
+    code, out, _ = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert out == json.dumps({"meta": meta, "rows": [{"x": x, "p": p} for x, p in ref]}) + "\n"
+
+
 def test_density_constrained_needs_exactly_one_constraint():
     base = ["density", "--N", "4", "--Nt", "1", "--Nr", "1", "--rho", "3", "--kind", "constrained"]
     assert run_cli(base)[0] == 2

@@ -537,6 +537,13 @@ def test_gaussian_outage_values():
     assert gaussian_outage(summ, 4, math.log(4.0) - 1e-6).p > 1 - 1e-3
 
 
+@pytest.mark.parametrize("r", [math.nan, -0.5])
+def test_gaussian_outage_rejects_nan_and_negative_rate(r):
+    summ = ergodic_summary(1.0, 1.0, SnrParam(10.0))
+    with pytest.raises(ValueError, match=f"rate threshold r must be >= 0, got {r!r}"):
+        gaussian_outage(summ, 5, r)
+
+
 def test_gaussian_outage_near_peak_matches_mc():
     from jacobi_mimo.ensemble import normalize_dims
     from jacobi_mimo.montecarlo import McConfig, outage_curve
@@ -609,6 +616,88 @@ def test_each_multiplier_solve_builds_one_support_and_one_decomposition(monkeypa
         critical_thresholds(n0, beta, snr)
     assert calls["solve_at_multiplier"] > len(SOLVE_GRID) * len(SOLVE_FRACS)
     assert calls["_poles"] == calls["_support"] == calls["solve_at_multiplier"]
+
+
+def test_solve_regime_builds_the_energy_at_most_once(monkeypatch):
+    # the Newton iterates carry no energy; the returned solution builds it
+    # on first read and keeps it
+    calls = []
+    original = coulomb._energy_from_poles
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coulomb, "_energy_from_poles", counting)
+    coulomb._zero_multiplier.cache_clear()
+    for n0, beta, rho in SOLVE_GRID:
+        for f in SOLVE_FRACS:
+            calls.clear()
+            sol = solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
+            assert calls == []
+            sol.energy, sol.exponent, sol.energy, sol.exponent
+            assert len(calls) == 1
+
+
+def test_lazy_energy_is_the_direct_assembly_bit_for_bit():
+    regimes = set()
+    for n0, beta, rho in SOLVE_GRID:
+        snr = SnrParam(rho)
+        for f in SOLVE_FRACS:
+            sol = solve_regime(n0, beta, snr, f * math.log1p(rho))
+            x0 = sol.a if sol.b == 1.0 else sol.b
+            direct = coulomb._energy_from_poles(
+                n0, beta, snr.z, sol.k, sol.a, sol.b, sol.r, sol.poles, x0
+            )
+            assert sol.energy.hex() == direct.hex()
+            assert sol.exponent == direct - coulomb._e0_value(n0, beta)
+            regimes.add(sol.regime)
+    assert regimes == {"S01", "S0b", "Sa1", "Sab"}
+
+
+def _density_per_point(sol, x):
+    # the scalar formula density_at evaluates elementwise
+    a, b = sol.a, sol.b
+    if not a < x < b:
+        return 0.0
+    d, u = b - a, x - a
+    return math.sqrt(u * (b - x)) * sum(g / (u + y * d) for g, y in sol.poles) / (2.0 * math.pi * d)
+
+
+def _ergodic_per_point(n0, beta, a0, b0, x):
+    if not a0 < x < b0:
+        return 0.0
+    return (n0 + beta + 1.0) * math.sqrt((x - a0) * (b0 - x)) / (2.0 * math.pi * x * (1.0 - x))
+
+
+def test_array_densities_match_scalar_calls_bit_for_bit():
+    for n0, beta, rho in SOLVE_GRID:
+        snr = SnrParam(rho)
+        summ = ergodic_summary(n0, beta, snr)
+        for f in SOLVE_FRACS:
+            sol = solve_regime(n0, beta, snr, f * math.log1p(rho))
+            a, b = sol.a, sol.b
+            # the edges, points outside, NaN and a tanh-clustered interior
+            u = np.linspace(-1.0, 1.0, 257)[1:-1]
+            xs = np.concatenate([
+                [a, b, a - 0.1, b + 0.1, -1.0, 2.0, math.nan],
+                a + (b - a) * (1.0 + u) ** 2 / (2.0 * (1.0 + u * u)),
+            ])
+            got = density_at(sol, xs)
+            assert got.shape == xs.shape and got.dtype == np.float64
+            assert got[:7].tolist() == [0.0] * 7
+            for x, p in zip(xs.tolist(), got.tolist()):
+                scalar = density_at(sol, x)
+                assert type(scalar) is float
+                assert scalar.hex() == p.hex() == _density_per_point(sol, x).hex()
+            assert np.array_equal(density_at(sol, xs[7:].reshape(5, -1)), got[7:].reshape(5, -1))
+        xs = np.linspace(-0.25, 1.25, 301)
+        got = ergodic_density(n0, beta, xs)
+        for x, p in zip(xs.tolist(), got.tolist()):
+            scalar = ergodic_density(n0, beta, x)
+            assert type(scalar) is float
+            assert scalar.hex() == p.hex() == _ergodic_per_point(n0, beta, summ.a0, summ.b0, x).hex()
+        assert ergodic_density(n0, beta, summ.a0) == ergodic_density(n0, beta, summ.b0) == 0.0
 
 
 # Nt = 4 outage at SOLVE_FRACS, from the bracketed brentq search on k that
