@@ -13,8 +13,9 @@ suppressed under --reproducible.  Rates are nats by default, bits with
 --bits (inputs and outputs alike).
 
 Exit codes: 0 success, 2 usage error, 1 when a solver failure left no
-usable row.  Usage errors include a non-finite --rho, --r or --k, and
---r or --k given with ``density --kind ergodic``.
+usable row.  Usage errors include a non-finite --rho, --r or --k,
+--r or --k given with ``density --kind ergodic``, and an ``outage`` run
+under a JACOBI_OUTAGE_THREADS that is not an integer >= 1.
 """
 
 from __future__ import annotations
@@ -59,13 +60,13 @@ def _csv_cell(value) -> str:
 
 
 def _worker_cap(requested: int) -> int:
+    """--workers, capped by JACOBI_OUTAGE_THREADS when that is set and not empty."""
     cap = os.environ.get("JACOBI_OUTAGE_THREADS")
-    if cap:
-        try:
-            return max(1, min(requested, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
+    if not cap:
+        return requested
+    if not (cap.isdecimal() and int(cap) >= 1):
+        raise UsageError(f"JACOBI_OUTAGE_THREADS must be an integer >= 1, got {cap!r}")
+    return min(requested, int(cap))
 
 
 def _common_channel_args(sub):

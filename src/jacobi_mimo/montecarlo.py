@@ -4,11 +4,15 @@ This is the empirical ground truth the deterministic solvers are checked
 against.  Trials sample the beta = 2 Jacobi bidiagonal matrix model
 (Edelman & Sutton, FoCM 2008; Killip & Nenciu, IMRN 2004), whose squared
 singular values follow the Jacobi law of U^H U exactly, so no Haar matrix
-is drawn.  Rates and histograms come from LDL^T pivots of the tridiagonal
-B^T B, not from its eigenvalues: the pivots of 1 + rho B^T B give the
-rate, and the negative pivots of B^T B - x count the eigenvalues below a
-bin edge x (Sylvester's law of inertia), O(bins Nt) per trial against
-O(Nt^3) for a dense eigensolve.  Reproducibility contract: trials run in
+is drawn.  Its 2Nt-1 independent beta variables come from a chain of 3Nt-1
+gamma variates: by Lukacs' theorem the sum G + H behind one ratio
+G / (G + H) is a gamma variate independent of that ratio, so it serves as
+part of a later ratio's denominator (see ``_block_bidiagonal``).  Rates
+and histograms come from LDL^T pivots of the tridiagonal B^T B, not from
+its eigenvalues: the pivots of 1 + rho B^T B give the rate, and the
+negative pivots of B^T B - x count the eigenvalues below a bin edge x
+(Sylvester's law of inertia), O(bins Nt) per trial against O(Nt^3) for a
+dense eigensolve.  Reproducibility contract: trials run in
 fixed blocks of ``_BLOCK``, each drawn from its own counter-based Philox
 substream keyed by (seed, block index) and reduced in block order, so
 results are bit-identical for a given (seed, trials) at any worker count.
@@ -16,6 +20,7 @@ results are bit-identical for a given (seed, trials) at any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,18 +84,37 @@ def _block_bidiagonal(dims: ChannelDims, seed: int, lo: int, hi: int) -> tuple[n
 
     B is upper bidiagonal with diagonal (c_Nt, c_{Nt-1} s'_{Nt-1}, ..., c_1 s'_1)
     and superdiagonal (-s_Nt c'_{Nt-1}, ..., -s_2 c'_1), where with a = Nr - Nt,
-    b = N0: c_k^2 ~ Beta(a+k, b+k), c'_k^2 ~ Beta(k, a+b+1+k), s = sqrt(1 - c^2).
+    b = N0: c_k^2 ~ Beta(a+k, b+k), c'_j^2 ~ Beta(j, a+b+1+j), s = sqrt(1 - c^2).
     Signs drop out of B^T B's spectrum, so only squares are returned.
+
+    The 2Nt-1 betas come from 3Nt-1 gammas, not 4Nt-2.  With G_k ~ Gamma(a+k) and
+    H_k ~ Gamma(b+k), c_k^2 = G_k / S_k, and by Lukacs' theorem S_k = G_k + H_k ~
+    Gamma(a+b+2k) is independent of c_k^2.  So c'_j^2 = g_j / T_j needs only a fresh
+    g_j ~ Gamma(j): its denominator T_j = g_j + S_{(j+1)/2} for odd j, or g_j + T_{j/2}
+    for even j, both Gamma(a+b+1+j).  Each S and T feeds one later ratio, so the
+    ratios stay mutually independent.
     """
     nt, a, b, count = dims.Nt, dims.Nr - dims.Nt, dims.N0, hi - lo
     rng = np.random.Generator(np.random.Philox(key=seed, counter=(lo // _BLOCK) * _BLOCK_STRIDE))
-    c2 = [rng.beta(a + k, b + k, count) for k in range(nt, 0, -1)]
-    cp2 = [rng.beta(k, a + b + 1 + k, count) for k in range(nt - 1, 0, -1)]
-    c2, cp2 = np.split(np.array(c2 + cp2), [nt])  # one array even when Nt = 1
-    d2 = c2.copy()
-    d2[1:] *= 1.0 - cp2
-    e2 = (1.0 - c2[:-1]) * cp2
-    return d2, e2
+    x = np.empty((3 * nt - 1, count))
+    shapes = [a + k for k in range(nt, 0, -1)] + [b + k for k in range(nt, 0, -1)] + list(range(1, nt))
+    for shape, row in zip(shapes, x):
+        rng.standard_gamma(shape, out=row)
+    gk, sk, gj = x[:nt], x[nt : 2 * nt], x[2 * nt :]  # G_k, H_k for k = Nt..1; g_j for j = 1..Nt-1
+    sk += gk
+    c2 = gk / sk  # a new array, so that the returned d2 does not keep x alive
+    for j in range(1, nt):
+        # j = (2k-1) 2^i: S_k's row becomes T_{2k-1}, T_{2(2k-1)}, ... in turn, each used once
+        t = sk[nt - (j // (j & -j) + 1) // 2]
+        t += gj[j - 1]
+        gj[j - 1] /= t
+    cp2 = gj[::-1]  # rows j = Nt-1..1, as B's superdiagonal runs
+    # in place from here: each temporary would add a block-sized array to the peak memory
+    e2 = 1.0 - c2[:-1]
+    e2 *= cp2
+    np.subtract(1.0, cp2, out=cp2)
+    c2[1:] *= cp2  # c2 becomes d2
+    return c2, e2
 
 
 def _block_rates(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
@@ -127,11 +151,12 @@ def _sturm_counts(d2: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _map_blocks(cfg: McConfig, fn):
-    """Apply fn(lo, hi) to every block of trials, in block order."""
+    """Apply fn(lo, hi) to every block of trials, in block order, on at most one thread per core."""
     ranges = [(lo, min(lo + _BLOCK, cfg.trials)) for lo in range(0, cfg.trials, _BLOCK)]
-    if cfg.workers == 1 or len(ranges) == 1:
+    threads = min(cfg.workers, len(ranges), os.cpu_count() or 1)
+    if threads == 1:
         return [fn(*span) for span in ranges]
-    with ThreadPoolExecutor(max_workers=min(cfg.workers, len(ranges))) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda span: fn(*span), ranges))
 
 

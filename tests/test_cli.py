@@ -391,6 +391,16 @@ def test_worker_env_cap(monkeypatch):
     assert json.loads(out)["meta"]["workers"] == 2
 
 
+@pytest.mark.parametrize("cap", ["two", "1.5", "0", "-3"])
+def test_worker_env_cap_rejects_bad_value(cap, monkeypatch):
+    # a cap that cannot be read is a usage error, not a silently uncapped run
+    monkeypatch.setenv("JACOBI_OUTAGE_THREADS", cap)
+    code, out, err = run_cli(BASE + ["--points", "2", "--methods", "mc", "--trials", "4000", "--workers", "8"])
+    assert code == 2
+    assert out == ""
+    assert "JACOBI_OUTAGE_THREADS" in err and repr(cap) in err
+
+
 def test_offset_dims_rate_window():
     # (4,3,3) reduces with offset 2*log(1+rho): grid must live in the
     # shifted window, and the ld/gauss methods see reduced coordinates

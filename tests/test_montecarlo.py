@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, ks_2samp
+from scipy.stats import beta, chisquare, ks_2samp, kstest, rankdata
 
+from jacobi_mimo import montecarlo
 from jacobi_mimo.ensemble import SnrParam, normalize_dims
 from jacobi_mimo.montecarlo import (
     _BLOCK,
@@ -88,6 +89,92 @@ def test_bidiagonal_model_matches_haar_oracle(shape):
     assert ks_2samp(rates, ref_rates).pvalue > 1e-3
     assert ks_2samp(lam.max(axis=1), ref_lam.max(axis=1)).pvalue > 1e-3
     assert ks_2samp(lam.min(axis=1), ref_lam.min(axis=1)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 1, 1), (4, 2, 2), (4, 3, 2), (12, 4, 6), (18, 6, 6), (200, 4, 4), (48, 16, 16)],
+    ids=["nt1", "square", "reduced-offset", "rect-lossy", "readme", "wide-lossy", "nt16"],
+)
+def test_gamma_chain_gives_independent_betas(shape):
+    # recover the 2Nt-1 variables of each trial by inverting d_i^2 = c_i^2 (1 - c'_{i-1}^2),
+    # e_i^2 = (1 - c_i^2) c'_i^2 (B's order: c_Nt..c_1, c'_{Nt-1}..c'_1); each must follow
+    # its own beta law, and no two may be rank-correlated beyond 4 standard errors
+    dims = normalize_dims(*shape)
+    nt, a, b = dims.Nt, dims.Nr - dims.Nt, dims.N0
+    trials = 8 * _BLOCK
+    blocks = [_block_bidiagonal(dims, 31, lo, lo + _BLOCK) for lo in range(0, trials, _BLOCK)]
+    d2, e2 = (np.hstack(part) for part in zip(*blocks))
+    c2, cp2 = [d2[0]], []
+    for i in range(nt - 1):
+        cp2.append(e2[i] / (1.0 - c2[i]))
+        c2.append(d2[i + 1] / (1.0 - cp2[i]))
+    laws = [(a + nt - i, b + nt - i) for i in range(nt)] + [(nt - 1 - i, a + b + nt - i) for i in range(nt - 1)]
+    draws = np.array(c2 + cp2)
+    for x, (p, q) in zip(draws, laws):
+        assert kstest(x, beta(p, q).cdf).pvalue > 1e-3, (p, q)
+    spearman = np.atleast_2d(np.corrcoef(rankdata(draws, axis=1)))[np.triu_indices(len(draws), k=1)]
+    assert np.all(np.abs(spearman) < 4.0 / math.sqrt(trials))
+
+
+def test_block_draws_3nt_minus_1_gamma_rows(monkeypatch):
+    # one standard_gamma row per gamma and no other draw (no rng.beta)
+    real = np.random.Generator
+    calls = []
+
+    class Recording:
+        def __init__(self, bit_generator):
+            self._rng = real(bit_generator)
+
+        def standard_gamma(self, shape, out):
+            calls.append((shape, out.shape))
+            return self._rng.standard_gamma(shape, out=out)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    for shape in ((3, 1, 1), (4, 2, 2), (12, 4, 6), (48, 16, 16)):
+        dims = normalize_dims(*shape)
+        nt, a, b = dims.Nt, dims.Nr - dims.Nt, dims.N0
+        calls.clear()
+        _block_bidiagonal(dims, 3, _BLOCK, _BLOCK + 100)
+        assert len(calls) == 3 * nt - 1
+        assert all(size == (100,) for _, size in calls)
+        ks = range(1, nt + 1)
+        assert sorted(s for s, _ in calls) == sorted([a + k for k in ks] + [b + k for k in ks] + list(range(1, nt)))
+
+
+def test_sampler_threads_capped_at_core_count(monkeypatch):
+    # the pool never opens more threads than cores or blocks, whatever --workers asks for;
+    # the fake pool records max_workers and runs the blocks on this thread
+    opened = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    base = McConfig(dims=normalize_dims(4, 2, 2), snr=SnrParam(10.0), trials=10 * _BLOCK, seed=3)
+    serial = moments(base)
+    for workers, trials, threads in ((100_000, 10 * _BLOCK, 3), (2, 10 * _BLOCK, 2), (8, 2 * _BLOCK, 2)):
+        cfg = McConfig(dims=base.dims, snr=base.snr, trials=trials, seed=3, workers=workers)
+        opened.clear()
+        result = moments(cfg)
+        assert opened == [threads]
+        if trials == base.trials:
+            assert result == serial
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+    opened.clear()
+    assert moments(McConfig(dims=base.dims, snr=base.snr, trials=base.trials, seed=3, workers=4)) == serial
+    assert opened == []
 
 
 @pytest.mark.parametrize("rho", [1e-2, 1.0, 1e4])
