@@ -247,9 +247,8 @@ def cmd_outage(args, ch: Channel):
         columns["ci_hi"] = [e.ci_high for e in ests]
 
     if "exact" in methods:
-        ecfg = ExactConfig(dims=ch.dims, snr=ch.snr)
         try:
-            ecfg.check_caps()
+            ecfg = ExactConfig(dims=ch.dims, snr=ch.snr)
         except TermBudgetError as err:
             warnings.append(f"exact: disabled ({err})")
         else:
@@ -260,10 +259,8 @@ def cmd_outage(args, ch: Channel):
         columns["pout_ld"] = _column("ld", ld, rates, warnings)
 
     if "gauss" in methods:
-        # the summary is made inside the per-rate handling, so that its failure
-        # empties cells, not the run; once made, it is kept for the other rates
-        summary = functools.cache(lambda: ergodic_summary(ch.n0, ch.beta, ch.snr))
-        gauss = lambda r: gaussian_outage(summary(), ch.dims.Nt, r - ch.offset)
+        # the summary is read per rate, so that its failure empties cells, not the run
+        gauss = lambda r: gaussian_outage(ergodic_summary(ch.n0, ch.beta, ch.snr), ch.dims.Nt, r - ch.offset)
         columns["pout_gauss"] = _column("gauss", gauss, rates, warnings)
 
     blank = [None] * len(rates)

@@ -15,7 +15,8 @@ a Lagrange multiplier k with E'(r) = k: k = 0 at the ergodic rate r_erg
 (the distribution's peak), k < 0 below it, k > 0 above.  The outer solve
 matches r(k) = r by Newton on k with the closed-form slope dr/dk = V(a, b)
 below, from the Gaussian guess (r - r_erg)/v_erg; r(k) is increasing, so
-k = 0, solved once per (n0, beta, rho), bounds the root on one side.
+k = 0, the cached ergodic_summary on the closed-form support below,
+bounds the root on one side.
 
 At fixed k the minimizer is a one-cut density on (a, b) whose edges are
 either soft (p vanishes there) or pinned to the hard walls at 0 and 1.
@@ -64,7 +65,9 @@ the tests: the support endpoints are
 
     a0, b0 = (sqrt(1+n0) -/+ sqrt(beta(n0+beta)))^2 / (n0+1+beta)^2
 
-(the denominator is squared) and the ergodic density carries the
+(the denominator is squared; a0 is evaluated as
+(beta-1)^2 / (sqrt(1+n0) + sqrt(beta(n0+beta)))^2, the same value without
+the cancellation as beta -> 1) and the ergodic density carries the
 prefactor (n0+beta+1):
 
     p0(x) = (n0+beta+1) sqrt((x-a0)(b0-x)) / (2 pi x (1-x)).
@@ -182,10 +185,9 @@ def _e0_value(n0: float, beta: float) -> float:
 
 
 def _ergodic_support(n0: float, beta: float) -> tuple[float, float]:
-    t = n0 + 1.0 + beta
     lo = math.sqrt(1.0 + n0)
     hi = math.sqrt(beta * (n0 + beta))
-    return ((hi - lo) / t) ** 2, ((hi + lo) / t) ** 2
+    return ((beta - 1.0) / (hi + lo)) ** 2, ((hi + lo) / (n0 + 1.0 + beta)) ** 2
 
 
 def _rate_variance(rho: float, a: float, b: float) -> float:
@@ -268,8 +270,8 @@ def _endpoints(rho: float, y: float, x2: float, m: float) -> tuple[float, float]
     else:
         s = 1.0 + m - x2
     disc = s * s - 4.0 * m
-    if not disc >= 0.0:
-        raise ArithmeticError(f"support endpoints not real (s={s!r}, ab={m!r})")
+    if not (disc >= 0.0 and s > 0.0):
+        raise ArithmeticError(f"support endpoints not real and positive (s={s!r}, ab={m!r})")
     b = 0.5 * (s + math.sqrt(disc))
     a = m / b
     if not 0.0 <= a < b <= 1.0:
@@ -282,7 +284,8 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
 
     a sits on the wall at 0 for beta = 1 below k_c3, b on the wall at 1
     for n0 = 0 above k_c4; the regime names the pair of pins.  S01 keeps
-    its two end points, while S0b and Sa1 leave theirs to Sab.
+    its two end points, while S0b and Sa1 leave theirs to Sab.  k = 0 is
+    the closed-form ergodic support, with no edge root.
     """
     k_c3, e3 = _kc3(n0, z)
     k_c4, e4 = _kc4(beta, z)
@@ -290,6 +293,8 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
     pin_a = s01 or beta == 1.0 and k < k_c3
     pin_b = s01 or n0 == 0 and k > k_c4
     regime = _REGIMES[pin_a, pin_b]
+    if k == 0.0:
+        return regime, *_ergodic_support(n0, beta)
     if pin_a and pin_b:
         return regime, 0.0, 1.0
     rho = 1.0 / z
@@ -329,8 +334,13 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
         lo = max(lo, k * (1.0 + rho) / c - 1.0)
     elif c < 0 and not pin_b:
         hi = min(hi, k / c - 1.0)
-    y = brentq(tie, lo, hi, 1e-300, 8.9e-16)
+    try:
+        y = brentq(tie, lo, hi, 1e-300, 8.9e-16)
+    except ValueError as err:
+        raise ArithmeticError(f"no sign change of the edge equation on ({lo!r}, {hi!r})") from err
     ix, iw = inverses(y)
+    if not (pin_b or ix > 0.0) or not (pin_a or iw > 0.0):
+        raise ArithmeticError(f"soft edge 1/X = {ix!r} or 1/W = {iw!r} not positive at the root y = {y!r}")
     x2 = 0.0 if pin_b else 1.0 / (ix * ix)
     return regime, *_endpoints(rho, y, x2, 0.0 if pin_a else 1.0 / (iw * iw))
 
@@ -436,21 +446,18 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
 
     The regime follows from k against the critical thresholds; the rate
     comes out of the solution (use :func:`solve_regime` to prescribe the
-    rate instead).
+    rate instead).  A failed support raises ArithmeticError with its reason.
     """
     _check_params(n0, beta, snr)
     z = snr.z
-    regime, a, b = _support(n0, beta, z, k)
+    try:
+        regime, a, b = _support(n0, beta, z, k)
+    except ArithmeticError as err:
+        raise ArithmeticError(f"{err} at (n0, beta, rho, k) = {(n0, beta, snr.rho, k)!r}") from err
     d = b - a
     poles = _poles(n0, beta, z, k, a, b)
     r, scale = _pole_integral(math.log(d / z), poles, (a + z) / d)
     return RegimeSolution(regime, a, b, k, r, n0, beta, snr.rho, poles, 8.0 * _EPS * scale)
-
-
-@functools.lru_cache(maxsize=64)
-def _zero_multiplier(n0: float, beta: float, rho: float) -> RegimeSolution:
-    """The k = 0 solution, solved once per (n0, beta, rho)."""
-    return solve_at_multiplier(n0, beta, SnrParam(rho), 0.0)
 
 
 def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolution:
@@ -466,25 +473,23 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     when the step falls below the multiplier tolerance, or when r(k) - r
     reaches the iterate's ``r_floor``, the rounding floor of its pole-sum
     rate (about 1e-10 of r at rho <= 0.1, below which no k resolves r).
-    It returns the iterate whose rate is closest to r; one that misses r
-    by more than _LD_TOL (near the ends of the window) raises
-    ArithmeticError.
+    It returns the iterate whose rate is closest to r, r = r_erg
+    included; one that misses r by more than _LD_TOL (near the ends of
+    the window) raises ArithmeticError.
     """
-    _check_params(n0, beta, snr)
     rmax = math.log1p(snr.rho)
     if not 0.0 < r < rmax:
         raise ValueError(f"rate {r!r} outside the achievable interval (0, {rmax!r})")
-    best = sol = _zero_multiplier(n0, beta, snr.rho)
-    if abs(r - sol.r) < 1e-14:
-        return sol
-    lo, hi = (0.0, math.inf) if r > sol.r else (-math.inf, 0.0)
-    k = (r - sol.r) / _rate_variance(snr.rho, *_ergodic_support(n0, beta))
+    erg = ergodic_summary(n0, beta, snr)
+    lo, hi = (0.0, math.inf) if r > erg.r_erg else (-math.inf, 0.0)
+    k = (r - erg.r_erg) / erg.v_erg
+    best = None
     for _ in range(_K_ITER):
         if abs(k) > 2.0**60:
             raise ArithmeticError(f"failed to bracket k for rate {r!r}")
         sol = solve_at_multiplier(n0, beta, snr, k)
         res = sol.r - r
-        if abs(res) < abs(best.r - r):
+        if best is None or abs(res) < abs(best.r - r):
             best = sol
         if res < 0.0:
             lo = k
@@ -523,15 +528,14 @@ def density_at(sol: RegimeSolution, x):
     return _on_support(x, a, b, p)
 
 
+@functools.lru_cache(maxsize=64)
 def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> ErgodicSummary:
-    """Support, ergodic rate, peak variance, E0 and regime of the k = 0 solution."""
-    _check_params(n0, beta, snr)
-    a0, b0 = _ergodic_support(n0, beta)
-    sol0 = _zero_multiplier(n0, beta, snr.rho)
+    """Support, ergodic rate, peak variance, E0 and regime of the k = 0 solution (cached)."""
+    sol = solve_at_multiplier(n0, beta, snr, 0.0)
     return ErgodicSummary(
-        n0=n0, beta=beta, rho=snr.rho, a0=a0, b0=b0,
-        r_erg=sol0.r, v_erg=_rate_variance(snr.rho, a0, b0), e0=_e0_value(n0, beta),
-        regime=sol0.regime,
+        n0=n0, beta=beta, rho=snr.rho, a0=sol.a, b0=sol.b,
+        r_erg=sol.r, v_erg=_rate_variance(snr.rho, sol.a, sol.b), e0=_e0_value(n0, beta),
+        regime=sol.regime,
     )
 
 
@@ -545,8 +549,7 @@ def density_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float)
     if nt < 1:
         raise ValueError("nt must be >= 1")
     de = solve_regime(n0, beta, snr, r).exponent
-    v_erg = _rate_variance(snr.rho, *_ergodic_support(n0, beta))
-    return nt * math.exp(-nt * nt * de) / math.sqrt(_TWO_PI * v_erg)
+    return nt * math.exp(-nt * nt * de) / math.sqrt(_TWO_PI * ergodic_summary(n0, beta, snr).v_erg)
 
 
 def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) -> OutageEstimate:
@@ -570,12 +573,11 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
             f"non-positive slope dr/dk={v!r} at r={r!r}: the support ({sol.a!r}, "
             f"{sol.b!r}) has collapsed, which a convex rate function does not allow"
         )
-    v_erg = _rate_variance(snr.rho, *_ergodic_support(n0, beta))
     u = nt * abs(sol.k) * math.sqrt(v)
     log_tail = (
         -nt * nt * (sol.exponent - 0.5 * sol.k * sol.k * v)
         + log_q(u)
-        - 0.5 * math.log(v_erg / v)
+        - 0.5 * math.log(ergodic_summary(n0, beta, snr).v_erg / v)
     )
     if log_tail > 0.0:
         raise ArithmeticError(f"log tail {log_tail!r} > 0 at r={r!r}: the outage formula left [0, 1]")

@@ -104,14 +104,14 @@ class TermBudgetError(ValueError):
 class ExactConfig:
     """Channel and SNR of an exact-solver request.
 
-    The caps are module constants: Nt at most ``_MAX_NT``, and the term
-    count (|Nt-Nr|+N0+1)^Nt * Nt! (merged expansion indices m times
-    permutations) at most ``_TERM_BUDGET``.  The count bounds the one-time
-    build of the one cached rho-free table, per (Nt, |Nt-Nr|+N0+1); one
-    pass over its distinct sorted s builds the coefficients of a
-    (dims, rho), also cached, and a rate point then costs only its leaves
-    and one dot product.  Beyond a few channels the asymptotic solver is
-    the right tool anyway.
+    The caps, module constants checked when the config is made, are Nt at
+    most ``_MAX_NT`` and the term count (|Nt-Nr|+N0+1)^Nt * Nt! (merged
+    expansion indices m times permutations) at most ``_TERM_BUDGET``.  The
+    count bounds the one-time build of the one cached rho-free table, per
+    (Nt, |Nt-Nr|+N0+1); one pass over its distinct sorted s builds the
+    coefficients of a (dims, rho), also cached, and a rate point then costs
+    only its leaves and one dot product.  Beyond a few channels the
+    asymptotic solver is the right tool anyway.
     """
 
     dims: ChannelDims
@@ -122,7 +122,7 @@ class ExactConfig:
         dn = d.Nr - d.Nt
         return (dn + d.N0 + 1) ** d.Nt * math.factorial(d.Nt)
 
-    def check_caps(self):
+    def __post_init__(self):
         if self.dims.Nt > _MAX_NT:
             raise TermBudgetError(f"Nt={self.dims.Nt} exceeds the exact-solver cap of Nt <= {_MAX_NT}")
         count = self.term_count()
@@ -420,7 +420,6 @@ def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
     """
     if not r >= 0:
         raise ValueError(f"rate threshold r must be >= 0, got {r!r}")
-    cfg.check_caps()
     r_eff = r - cfg.dims.pinned_rate(cfg.snr.rho)
     if r_eff <= 0:
         p = 0.0
@@ -440,7 +439,6 @@ def outage_density_exact(cfg: ExactConfig, r: float) -> DensityEstimate:
     """
     if math.isnan(r):
         raise ValueError(f"rate r must be a number, got {r!r}")
-    cfg.check_caps()
     r_eff = r - cfg.dims.pinned_rate(cfg.snr.rho)
     if not 0 < r_eff < math.log1p(cfg.snr.rho):
         return DensityEstimate(value=0.0, error=0.0)

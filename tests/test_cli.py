@@ -110,6 +110,10 @@ def test_outage_usage_errors():
     assert run_cli(BASE + ["--trials", "0"])[0] == 2
     assert run_cli(BASE + ["--seed", "-1"])[0] == 2
     assert run_cli(BASE + ["--seed", str(2**128)])[0] == 2
+    assert run_cli(BASE + ["--points", "0"]) == (2, "", "error: --points must be >= 1\n")
+    for rho in ("0", "-1"):
+        argv = ["outage", "--N", "2", "--Nt", "1", "--Nr", "1", f"--rho={rho}"]
+        assert run_cli(argv) == (2, "", "error: --rho must be positive\n")
 
 
 def test_outage_exact_auto_disabled_over_caps(tmp_path):
@@ -258,6 +262,15 @@ def test_density_constrained_needs_exactly_one_constraint():
         assert run_cli(base[:-2] + extra)[0] == 2  # ergodic is the default kind
 
 
+def test_density_usage_errors():
+    base = ["density", "--N", "4", "--Nt", "1", "--Nr", "1", "--rho", "3"]
+    code, out, err = run_cli(base + ["--grid-points", "1"])
+    assert (code, out, err) == (2, "", "error: --grid-points must be >= 2\n")
+    for r in ("0.0", "1.4", "-0.1"):  # the open window is (0, log 4)
+        code, out, err = run_cli(base + ["--kind", "constrained", "--r", r])
+        assert (code, out, err) == (2, "", "error: --r outside the achievable open interval\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "command, flag",
@@ -371,7 +384,7 @@ def test_ergodic_solves_zero_multiplier_once(monkeypatch):
 
     monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
     monkeypatch.setattr(cli, "solve_at_multiplier", counting)
-    coulomb._zero_multiplier.cache_clear()
+    coulomb.ergodic_summary.cache_clear()
     argv = ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--reproducible"]
     code, out, _ = run_cli(argv)
     assert code == 0
@@ -379,6 +392,15 @@ def test_ergodic_solves_zero_multiplier_once(monkeypatch):
     assert parse_csv(out)[2][0][-1] == "Sab"
     assert run_cli(argv) == (code, out, "")
     assert solves == [0.0]  # the repeat reuses the cached k = 0 solution
+
+
+def test_solver_failure_exits_one(monkeypatch):
+    def fail(*args):
+        raise ArithmeticError("injected k = 0 failure")
+
+    monkeypatch.setattr(cli, "ergodic_summary", fail)
+    code, out, err = run_cli(["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3"])
+    assert (code, out, err) == (1, "", "solver failure: injected k = 0 failure\n")
 
 
 def test_worker_env_cap(monkeypatch):

@@ -54,6 +54,36 @@ def test_ergodic_rate_saturates_at_extreme_rho(n0):
         assert abs(gap - ref) <= 1e-12 * abs(ref)
 
 
+CHANNELS_16 = [(n0, beta) for n0 in (0.0, 0.25, 1.0, 3.0) for beta in (1.0, 1.1, 2.0, 4.0)]
+
+
+@pytest.mark.parametrize(
+    "rho", [1e-12, 1e-6, 0.01, 0.1, 1.0, 10.0, 100.0, 1e4, 1e16, 1e32, 1e60, 1e150, 1e300]
+)
+def test_ergodic_summary_is_the_k0_solution_at_every_rho(rho):
+    # one k = 0 route: the summary's support is the multiplier solve's, bit
+    # for bit, and needs no edge root, so huge rho solves for beta > 1 too
+    snr = SnrParam(rho)
+    for n0, beta in CHANNELS_16:
+        summ = ergodic_summary(n0, beta, snr)
+        sol = solve_at_multiplier(n0, beta, snr, 0.0)
+        assert (summ.a0, summ.b0, summ.r_erg, summ.regime) == (sol.a, sol.b, sol.r, sol.regime)
+        assert (summ.a0 == 0.0) == (beta == 1.0) and (summ.b0 == 1.0) == (n0 == 0.0)
+
+
+@pytest.mark.parametrize("n0, beta", [(0.25, 1.0 + 1e-9), (1.0, 1.0 + 1e-6)] + CHANNELS_16)
+def test_ergodic_support_matches_200bit_reference(n0, beta):
+    # a0 as (beta-1)^2/(hi+lo)^2: (hi-lo)^2 lost 3.7e-8 and 1.3e-11 relative
+    # at the first two channels
+    summ = ergodic_summary(n0, beta, SNR3)
+    with mpmath.workprec(200):
+        n, b = mpmath.mpf(n0), mpmath.mpf(beta)
+        lo, hi = mpmath.sqrt(1 + n), mpmath.sqrt(b * (n + b))
+        refs = [((hi - lo) / (n + 1 + b)) ** 2, ((hi + lo) / (n + 1 + b)) ** 2]
+        for got, ref in zip((summ.a0, summ.b0), refs):
+            assert abs(got - ref) <= 4 * math.ulp(float(ref))
+
+
 def test_ergodic_density_unit_mass_random_params():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -414,6 +444,44 @@ def test_solve_regime_raises_when_root_misses_rate(n0, beta, rho, frac):
         solve_regime(n0, beta, SnrParam(rho), r)
 
 
+@pytest.mark.parametrize(
+    "n0, beta, rho, frac, reason",
+    [
+        # the Newton start used to return P = 1/2 from the k = 0 solution,
+        # whose rate misses r, unchecked
+        (1.0, 1.0, 1e-14, 0.05, "soft edge 1/X = 0.0"),
+        # 1/X underflowed at the edge root: a bare ZeroDivisionError
+        (3.0, 4.0, 1e-14, 0.05, "soft edge 1/X = 0.0"),
+        (3.0, 4.0, 1e-12, 0.95, "support endpoints not real"),
+    ],
+)
+def test_tiny_rho_failures_name_their_cause(n0, beta, rho, frac, reason):
+    with pytest.raises(ArithmeticError, match=reason) as info:
+        outage_asymptotic(n0, beta, SnrParam(rho), 6, frac * math.log1p(rho))
+    assert f"(n0, beta, rho, k) = ({n0!r}, {beta!r}, {rho!r}, " in str(info.value)
+
+
+def test_edge_root_without_sign_change_names_its_bracket():
+    # the multiplier at which (n0, beta, rho) = (1, 1.1, 1e-14), f = 0.7
+    # raised brentq's bare ValueError
+    k = 2109448634060513.8
+    with pytest.raises(ArithmeticError, match="no sign change of the edge equation on") as info:
+        solve_at_multiplier(1.0, 1.1, SnrParam(1e-14), k)
+    assert f"(n0, beta, rho, k) = (1.0, 1.1, 1e-14, {k!r})" in str(info.value)
+    assert isinstance(info.value.__cause__.__cause__, ValueError)  # brentq's own error
+
+
+def test_asymptotic_routes_reject_nt_below_one():
+    summ = ergodic_summary(1.0, 1.0, SNR3)
+    for call in (
+        lambda: outage_asymptotic(1.0, 1.0, SNR3, 0, 0.5),
+        lambda: density_asymptotic(1.0, 1.0, SNR3, 0, 0.5),
+        lambda: gaussian_outage(summ, 0, 0.5),
+    ):
+        with pytest.raises(ValueError, match="nt must be >= 1"):
+            call()
+
+
 def test_density_asymptotic_peak_and_normalization():
     snr = SnrParam(10.0)
     nt = 8
@@ -583,7 +651,7 @@ def test_solve_regime_newton_solve_count(monkeypatch):
         return original(n0, beta, snr, k)
 
     monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
-    coulomb._zero_multiplier.cache_clear()
+    coulomb.ergodic_summary.cache_clear()
     for n0, beta, rho in SOLVE_GRID:
         for f in SOLVE_FRACS:
             solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
@@ -607,7 +675,7 @@ def test_each_multiplier_solve_builds_one_support_and_one_decomposition(monkeypa
 
     for name in calls:
         counting(name)
-    coulomb._zero_multiplier.cache_clear()
+    coulomb.ergodic_summary.cache_clear()
     for n0, beta, rho in SOLVE_GRID:
         snr = SnrParam(rho)
         for f in SOLVE_FRACS:
@@ -629,7 +697,7 @@ def test_solve_regime_builds_the_energy_at_most_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(coulomb, "_energy_from_poles", counting)
-    coulomb._zero_multiplier.cache_clear()
+    coulomb.ergodic_summary.cache_clear()
     for n0, beta, rho in SOLVE_GRID:
         for f in SOLVE_FRACS:
             calls.clear()
@@ -735,10 +803,10 @@ def test_zero_multiplier_cache_cold_and_warm_agree():
     for n0, beta, rho in CORNERS:
         snr = SnrParam(rho)
         r = 0.3 * math.log1p(rho)
-        coulomb._zero_multiplier.cache_clear()
+        coulomb.ergodic_summary.cache_clear()
         cold_sol = solve_regime(n0, beta, snr, r)
-        coulomb._zero_multiplier.cache_clear()
+        coulomb.ergodic_summary.cache_clear()
         cold_summ = ergodic_summary(n0, beta, snr)
         assert solve_regime(n0, beta, snr, r) == cold_sol
         assert ergodic_summary(n0, beta, snr) == cold_summ
-        assert coulomb._zero_multiplier.cache_info().misses == 1
+        assert coulomb.ergodic_summary.cache_info().misses == 1

@@ -87,6 +87,14 @@ def test_g_fn_domain_errors():
         g_fn(-1.0, 1.0)
 
 
+def test_g_closed_domain_errors():
+    with pytest.raises(ValueError, match="requires x >= 0"):
+        g_closed(-1e-300, 1.0)
+    for y in (-0.5, -1e-300, -1.0 + 1e-16):
+        with pytest.raises(ValueError, match="requires y > 0, y = 0, or y <= -1"):
+            g_closed(1.0, y)
+
+
 def test_g_closed_edge_arguments_match_integral():
     # y = 0 and x = 0 closures used by the rate/energy formulas
     assert abs(g_closed(1.0, 0.0) - g_defining_integral(1.0, 0.0, target=1e-12)) < 1e-10
