@@ -16,7 +16,9 @@ a Lagrange multiplier k with E'(r) = k: k = 0 at the ergodic rate r_erg
 matches r(k) = r by Newton on k with the closed-form slope dr/dk = V(a, b)
 below, from the Gaussian guess (r - r_erg)/v_erg; r(k) is increasing, so
 k = 0, the cached ergodic_summary on the closed-form support below,
-bounds the root on one side.
+bounds the root on one side.  It stops at the first iterate no closer to
+r than the best so far once that best meets the 1e-8 tolerance: r(k)
+has then reached its rounding noise.
 
 At fixed k the minimizer is a one-cut density on (a, b) whose edges are
 either soft (p vanishes there) or pinned to the hard walls at 0 and 1.
@@ -39,7 +41,11 @@ does (z = 1/rho).  The two flags name the four regimes:
 
 A soft edge without charge (beta = 1 at a, n0 = 0 at b) makes Y explicit
 in k, so those supports are closed forms; otherwise X and W are explicit
-in Y and one bracketed scalar root in y = Y-1 in (0, rho) remains.
+in Y and one bracketed scalar root in y = Y-1 in (0, rho) remains.  y
+increases with k, so the outer solve narrows that bracket to the y of the
+supports it has solved at the two ends of its k bracket (the k = 0 one
+first), and the root falls back to the full bracket only when the narrow
+one shows no sign change.
 
 The density is one pole decomposition in t = (x-a)/d, d = b-a:
 
@@ -77,7 +83,9 @@ At n0=0, beta=1 these reduce to the arcsine law on (0, 1).
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -107,11 +115,20 @@ _K_TOL = 1e-12          # root tolerance on the Lagrange multiplier
 _K_ITER = 200           # cap on the outer multiplier iterations
 _EPS = 2.0**-52         # binary64 unit roundoff, for the rate rounding floor
 _LD_TOL = 1e-8          # advertised tolerance of the deterministic estimates
+_FULL_BRACKET = (0.0, math.inf)  # no bound on the edge root y from solved neighbours
+
+_log = logging.getLogger("jacobi_mimo")
+_SOLVE_RECORD = "solve_regime%r: %d solves, %d bracket fallbacks, stop: %s"
 
 
 @dataclass(frozen=True)
 class ErgodicSummary:
-    """Unconstrained (k = 0) solution: support, rate, peak variance, E0, regime."""
+    """Unconstrained (k = 0) solution: support, rate, peak variance, E0, regime.
+
+    ``solution`` is the k = 0 :class:`RegimeSolution` these are read from;
+    :func:`solve_regime` returns it at r = r_erg and bounds its first edge
+    root with its support.
+    """
 
     n0: float
     beta: float
@@ -122,6 +139,7 @@ class ErgodicSummary:
     v_erg: float
     e0: float
     regime: str
+    solution: RegimeSolution = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -132,9 +150,10 @@ class RegimeSolution:
     rate of the outage (r < r_erg) or overshoot (r > r_erg) probability.
     Both are built from the stored fields on first read, so an outer
     solve pays for the energy of the one iterate it returns.  ``poles``
-    is the (gamma, y) decomposition the solution was built from, and
+    is the (gamma, y) decomposition the solution was built from,
     ``r_floor`` the rounding floor of ``r`` (8 eps times the magnitudes
-    of its terms).
+    of its terms), and ``bracket_fallback`` whether the edge root had to
+    leave the bracket it was given for the full one.
     """
 
     regime: str
@@ -147,6 +166,7 @@ class RegimeSolution:
     rho: float
     poles: tuple[tuple[float, float], ...] = field(repr=False)
     r_floor: float = field(repr=False)
+    bracket_fallback: bool = field(default=False, repr=False)
 
     @functools.cached_property
     def energy(self) -> float:
@@ -200,6 +220,18 @@ def _rate_variance(rho: float, a: float, b: float) -> float:
     sb = math.sqrt(1.0 + rho * b)
     d = rho * (b - a) / (sa + sb)
     return math.log1p(d * d / (4.0 * sa * sb))
+
+
+def _edge_y(rho: float, a: float, b: float) -> float:
+    """y = Y - 1, Y = sqrt((1+rho a)(1+rho b)): the edge-root variable of a support.
+
+    Evaluated as (s_a - 1) s_b + (s_b - 1), s = sqrt(1+rho x), with
+    s - 1 = rho x/(s + 1): positive terms, so nothing cancels at small
+    rho and nothing overflows at huge rho.
+    """
+    sa = math.sqrt(1.0 + rho * a)
+    sb = math.sqrt(1.0 + rho * b)
+    return rho * a / (sa + 1.0) * sb + rho * b / (sb + 1.0)
 
 
 def _on_support(x, a: float, b: float, p):
@@ -257,35 +289,45 @@ def _endpoints(rho: float, y: float, x2: float, m: float) -> tuple[float, float]
     A support off the wall at 1 is the root pair of t^2 - st + m, with
     s = a+b from Y^2 = 1 + rho s + rho^2 m or from X^2 = 1 - s + m,
     whichever carries the smaller rounding error (the first while
-    a << 1/rho, the second near the wall at 1); a on the wall at 0 is
-    m = 0.  With b on the wall at 1 (X = 0), a = W^2, or near the wall its
-    gap 1 - a = ((1+rho)^2 - Y^2)/(rho(1+rho)), which keeps its digits.
+    a << 1/rho, the second near the wall at 1), both divided by rho so
+    that no rho^2 overflows at huge rho; a on the wall at 0 is m = 0.
+    With b on the wall at 1 (X = 0), a = W^2, or near the wall its gap
+    1 - a = ((1+rho)^2 - Y^2)/(rho(1+rho)), which keeps its digits.
     """
     if x2 == 0.0:
         a = m if m < 0.5 else 1.0 - (rho - y) * (2.0 + rho + y) / (rho * (1.0 + rho))
         return a, 1.0
     yy = y * (2.0 + y)
-    if yy + rho * rho * m < rho * (m + x2):
-        s = (yy - rho * rho * m) / rho
+    if yy / rho + rho * m < m + x2:
+        s = yy / rho - rho * m
     else:
         s = 1.0 + m - x2
-    disc = s * s - 4.0 * m
-    if not (disc >= 0.0 and s > 0.0):
+    # the discriminant over s^2: s^2 - 4m underflows once s ~ 1/rho at huge rho
+    disc = 1.0 - 4.0 * (m / s) / s if s > 0.0 else -1.0
+    if not disc >= 0.0:
         raise ArithmeticError(f"support endpoints not real and positive (s={s!r}, ab={m!r})")
-    b = 0.5 * (s + math.sqrt(disc))
+    b = 0.5 * s * (1.0 + math.sqrt(disc))
     a = m / b
     if not 0.0 <= a < b <= 1.0:
         raise ArithmeticError(f"support endpoints ({a!r}, {b!r}) outside [0, 1]")
     return a, b
 
 
-def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, float]:
-    """Regime and support (a, b) at multiplier k.
+def _support(
+    n0: float, beta: float, z: float, k: float, *, y_bracket: tuple[float, float] = _FULL_BRACKET
+) -> tuple[str, float, float, bool]:
+    """Regime, support (a, b) at multiplier k, and whether the edge root fell back.
 
     a sits on the wall at 0 for beta = 1 below k_c3, b on the wall at 1
     for n0 = 0 above k_c4; the regime names the pair of pins.  S01 keeps
     its two end points, while S0b and Sa1 leave theirs to Sab.  k = 0 is
     the closed-form ergodic support, with no edge root.
+
+    y = Y - 1 increases with k, so the y of supports already solved at
+    multipliers on either side of k bound the edge root; ``y_bracket``
+    passes them in.  The root runs on that bracket cut to the full one,
+    and falls back to the full one (the flag) only when it shows no sign
+    change, as when two neighbours sit within rounding of each other.
     """
     k_c3, e3 = _kc3(n0, z)
     k_c4, e4 = _kc4(beta, z)
@@ -294,21 +336,21 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
     pin_b = s01 or n0 == 0 and k > k_c4
     regime = _REGIMES[pin_a, pin_b]
     if k == 0.0:
-        return regime, *_ergodic_support(n0, beta)
+        return regime, *_ergodic_support(n0, beta), False
     if pin_a and pin_b:
-        return regime, 0.0, 1.0
+        return regime, 0.0, 1.0, False
     rho = 1.0 / z
     c = n0 + beta + 1.0 + k
     if beta == 1.0 and not pin_a:  # uncharged soft a: Y = k(1+rho)/c, X = n0(1+z)/c
         return regime, *_endpoints(
             rho, (k - (n0 + 2.0) * z) / (z * c), (n0 * (1.0 + z) / c) ** 2,
             (k - k_c3) * (k - k_c3 + 2.0 * e3) / (c * c),
-        )
+        ), False
     if n0 == 0 and not pin_b:  # uncharged soft b: Y = k/c, W = (beta-1)z/|c|
         return regime, *_endpoints(
             rho, -(beta + 1.0) / c, (k - k_c4) * (k - k_c4 - 2.0 * e4) / (c * c),
             ((beta - 1.0) * z / c) ** 2,
-        )
+        ), False
 
     def inverses(y):  # 1/X and 1/W from the soft-edge conditions
         t = k / (1.0 + y)
@@ -334,15 +376,21 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
         lo = max(lo, k * (1.0 + rho) / c - 1.0)
     elif c < 0 and not pin_b:
         hi = min(hi, k / c - 1.0)
-    try:
-        y = brentq(tie, lo, hi, 1e-300, 8.9e-16)
-    except ValueError as err:
-        raise ArithmeticError(f"no sign change of the edge equation on ({lo!r}, {hi!r})") from err
+    y_lo, y_hi = max(lo, y_bracket[0]), min(hi, y_bracket[1])
+    fallback, y = (y_lo, y_hi) != (lo, hi), None
+    if fallback and y_lo < y_hi:
+        with contextlib.suppress(ValueError):  # no sign change: fall back
+            y, fallback = brentq(tie, y_lo, y_hi, 1e-300, 8.9e-16), False
+    if y is None:
+        try:
+            y = brentq(tie, lo, hi, 1e-300, 8.9e-16)
+        except ValueError as err:
+            raise ArithmeticError(f"no sign change of the edge equation on ({lo!r}, {hi!r})") from err
     ix, iw = inverses(y)
     if not (pin_b or ix > 0.0) or not (pin_a or iw > 0.0):
         raise ArithmeticError(f"soft edge 1/X = {ix!r} or 1/W = {iw!r} not positive at the root y = {y!r}")
     x2 = 0.0 if pin_b else 1.0 / (ix * ix)
-    return regime, *_endpoints(rho, y, x2, 0.0 if pin_a else 1.0 / (iw * iw))
+    return regime, *_endpoints(rho, y, x2, 0.0 if pin_a else 1.0 / (iw * iw)), fallback
 
 
 def _poles(
@@ -358,7 +406,7 @@ def _poles(
     -d(c - k/Y).
     """
     d = b - a
-    gz = d * k / math.sqrt((z + a) * (z + b))  # z gz / d = k/Y
+    gz = d * k / (math.sqrt(z + a) * math.sqrt(z + b))  # z gz / d = k/Y
     g0 = (beta - 1.0) * d / math.sqrt(a * b) if a > 0.0 else None
     if b < 1.0:
         g1 = -n0 * d / math.sqrt((1.0 - a) * (1.0 - b))
@@ -441,23 +489,32 @@ def critical_thresholds(n0: float, beta: float, snr: SnrParam) -> list[tuple[flo
     return [(k, solve_at_multiplier(n0, beta, snr, k).r) for k in ks]
 
 
-def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> RegimeSolution:
+def solve_at_multiplier(
+    n0: float, beta: float, snr: SnrParam, k: float, *, y_bracket: tuple[float, float] = _FULL_BRACKET
+) -> RegimeSolution:
     """Constrained-density solution for a given Lagrange multiplier k.
 
     The regime follows from k against the critical thresholds; the rate
     comes out of the solution (use :func:`solve_regime` to prescribe the
-    rate instead).  A failed support raises ArithmeticError with its reason.
+    rate instead).  ``y_bracket`` bounds the edge root y = Y - 1 (see
+    :func:`solve_regime`); the default is the full bracket.  A failed
+    support, or a rate that is not finite, raises ArithmeticError with
+    its reason.
     """
     _check_params(n0, beta, snr)
     z = snr.z
     try:
-        regime, a, b = _support(n0, beta, z, k)
+        regime, a, b, fallback = _support(n0, beta, z, k, y_bracket=y_bracket)
+        if a == 0.0 and beta > 1.0:  # a charged soft a has ab > 0; it underflowed (rho ~ 1e300)
+            raise ArithmeticError(f"soft edge a underflowed to 0 (b = {b!r})")
+        d = b - a
+        poles = _poles(n0, beta, z, k, a, b)
+        r, scale = _pole_integral(math.log(d / z), poles, (a + z) / d)
+        if not math.isfinite(r):
+            raise ArithmeticError(f"rate {r!r} of the support ({a!r}, {b!r}) not finite")
     except ArithmeticError as err:
         raise ArithmeticError(f"{err} at (n0, beta, rho, k) = {(n0, beta, snr.rho, k)!r}") from err
-    d = b - a
-    poles = _poles(n0, beta, z, k, a, b)
-    r, scale = _pole_integral(math.log(d / z), poles, (a + z) / d)
-    return RegimeSolution(regime, a, b, k, r, n0, beta, snr.rho, poles, 8.0 * _EPS * scale)
+    return RegimeSolution(regime, a, b, k, r, n0, beta, snr.rho, poles, 8.0 * _EPS * scale, fallback)
 
 
 def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolution:
@@ -469,35 +526,60 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     convexity), so k = 0 bounds one side of the root and every iterate
     moves a side of the bracket: a step that leaves a finite bracket is
     replaced by bisection, and one that goes more than twice as far from
-    0 while the bracket is still open by doubling.  The iteration stops
-    when the step falls below the multiplier tolerance, or when r(k) - r
+    0 while the bracket is still open by doubling.  At r = r_erg the
+    cached k = 0 solution of :func:`ergodic_summary` is returned as is.
+
+    y = Y - 1 of the support increases with k too, so the supports
+    solved at the two ends of the k bracket (the cached k = 0 one at the
+    start) bound the edge root of the next iterate, which each solve
+    passes on as ``y_bracket``.
+
+    The iteration stops on the first of: the step falls below the
+    multiplier tolerance ("step"); the bracket does ("bracket"); r(k) - r
     reaches the iterate's ``r_floor``, the rounding floor of its pole-sum
-    rate (about 1e-10 of r at rho <= 0.1, below which no k resolves r).
-    It returns the iterate whose rate is closest to r, r = r_erg
-    included; one that misses r by more than _LD_TOL (near the ends of
-    the window) raises ArithmeticError.
+    rate ("floor"); or an iterate is no closer to r than the best so far
+    while that best already meets _LD_TOL ("stall": r(k) has reached its
+    noise, which at rho <= 0.1 is about 1e-10 of r, above the floor).
+    It returns the iterate whose rate is closest to r; one that misses r
+    by more than _LD_TOL (near the ends of the window) raises
+    ArithmeticError.  One DEBUG record on the ``jacobi_mimo`` logger
+    gives the solves, the edge-bracket fallbacks and the stop reason.
     """
     rmax = math.log1p(snr.rho)
     if not 0.0 < r < rmax:
         raise ValueError(f"rate {r!r} outside the achievable interval (0, {rmax!r})")
     erg = ergodic_summary(n0, beta, snr)
-    lo, hi = (0.0, math.inf) if r > erg.r_erg else (-math.inf, 0.0)
+    if r == erg.r_erg:
+        _log.debug(_SOLVE_RECORD, (n0, beta, snr.rho, r), 0, 0, "floor")
+        return erg.solution
+    y0 = _edge_y(snr.rho, erg.a0, erg.b0)
+    if r > erg.r_erg:
+        lo, hi, y_lo, y_hi = 0.0, math.inf, y0, math.inf
+    else:
+        lo, hi, y_lo, y_hi = -math.inf, 0.0, 0.0, y0
     k = (r - erg.r_erg) / erg.v_erg
     best = None
-    for _ in range(_K_ITER):
+    fallbacks = 0
+    for solves in range(1, _K_ITER + 1):
         if abs(k) > 2.0**60:
             raise ArithmeticError(f"failed to bracket k for rate {r!r}")
-        sol = solve_at_multiplier(n0, beta, snr, k)
+        sol = solve_at_multiplier(n0, beta, snr, k, y_bracket=(y_lo, y_hi))
+        fallbacks += sol.bracket_fallback
         res = sol.r - r
         if best is None or abs(res) < abs(best.r - r):
             best = sol
+        elif abs(best.r - r) <= _LD_TOL * r:  # no better than a best that is good enough
+            stop = "stall"
+            break
         if res < 0.0:
-            lo = k
+            lo, y_lo = k, _edge_y(snr.rho, sol.a, sol.b)
         else:
-            hi = k
+            hi, y_hi = k, _edge_y(snr.rho, sol.a, sol.b)
         step = res / _rate_variance(snr.rho, sol.a, sol.b)
         tol = _K_TOL + 8.9e-16 * abs(k)
-        if abs(step) < tol or hi - lo < tol or abs(res) <= sol.r_floor:
+        stop = ("step" if abs(step) < tol else "bracket" if hi - lo < tol
+                else "floor" if abs(res) <= sol.r_floor else None)
+        if stop:
             break
         k_new = k - step
         if math.isinf(hi - lo):
@@ -506,6 +588,7 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
             k = k_new if lo < k_new < hi else 0.5 * (lo + hi)
     else:
         raise ArithmeticError(f"multiplier iteration for rate {r!r} did not converge")
+    _log.debug(_SOLVE_RECORD, (n0, beta, snr.rho, r), solves, fallbacks, stop)
     if abs(best.r - r) > _LD_TOL * r:
         raise ArithmeticError(f"multiplier root k={best.k!r} reaches rate {best.r!r}, not {r!r}")
     return best
@@ -535,7 +618,7 @@ def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> ErgodicSummary:
     return ErgodicSummary(
         n0=n0, beta=beta, rho=snr.rho, a0=sol.a, b0=sol.b,
         r_erg=sol.r, v_erg=_rate_variance(snr.rho, sol.a, sol.b), e0=_e0_value(n0, beta),
-        regime=sol.regime,
+        regime=sol.regime, solution=sol,
     )
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import mpmath
@@ -646,9 +647,9 @@ def test_solve_regime_newton_solve_count(monkeypatch):
     ks = []
     original = coulomb.solve_at_multiplier
 
-    def counting(n0, beta, snr, k):
+    def counting(n0, beta, snr, k, **kwargs):
         ks.append(k)
-        return original(n0, beta, snr, k)
+        return original(n0, beta, snr, k, **kwargs)
 
     monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
     coulomb.ergodic_summary.cache_clear()
@@ -810,3 +811,168 @@ def test_zero_multiplier_cache_cold_and_warm_agree():
         assert solve_regime(n0, beta, snr, r) == cold_sol
         assert ergodic_summary(n0, beta, snr) == cold_summ
         assert coulomb.ergodic_summary.cache_info().misses == 1
+
+
+def _k_grid_across_boundaries(n0, beta, snr):
+    # k in (-L, L) on a uniform grid, plus points just either side of
+    # every regime boundary of the channel
+    k_cs = [k for k, _ in critical_thresholds(n0, beta, snr)]
+    span = 2.0 * max([abs(k) for k in k_cs] + [5.0])
+    ks = set(np.linspace(-span, span, 81).tolist())
+    for k_c in k_cs:
+        ks.update(k_c + t * max(1.0, abs(k_c)) for t in (-1e-3, -1e-6, 1e-6, 1e-3))
+    return sorted(ks)
+
+
+def test_edge_y_increases_with_k_across_regime_boundaries():
+    # solve_regime bounds each edge root by the y = Y - 1 of the supports
+    # solved on either side of k; that rests on y(k) increasing.  y is
+    # constant only inside S01, where both edges sit on the walls.
+    regimes = set()
+    for n0, beta, rho in SOLVE_GRID:
+        snr = SnrParam(rho)
+        prev = None
+        for k in _k_grid_across_boundaries(n0, beta, snr):
+            sol = solve_at_multiplier(n0, beta, snr, k)
+            y = coulomb._edge_y(rho, sol.a, sol.b)
+            regimes.add(sol.regime)
+            if prev is not None:
+                if prev.regime == sol.regime == "S01":
+                    assert y == prev_y
+                else:
+                    assert y > prev_y, (n0, beta, rho, prev.k, k)
+            prev, prev_y = sol, y
+    assert regimes == {"S01", "S0b", "Sa1", "Sab"}
+
+
+def test_bracketed_edge_root_is_the_full_bracket_root(monkeypatch):
+    # every edge root solve_regime bounds by its neighbours lands where the
+    # root on the full bracket does, to the two roots' brentq tolerance
+    roots = []
+    brentq = coulomb.brentq
+    support = coulomb._support
+
+    def recording(f, lo, hi, *args):
+        roots.append(brentq(f, lo, hi, *args))
+        return roots[-1]
+
+    checked = []
+
+    def checking(n0, beta, z, k, *, y_bracket=coulomb._FULL_BRACKET):
+        roots.clear()
+        out = support(n0, beta, z, k, y_bracket=y_bracket)
+        if roots and y_bracket != coulomb._FULL_BRACKET:
+            bracketed = roots[-1]
+            roots.clear()
+            support(n0, beta, z, k)
+            full = roots[-1]
+            assert abs(bracketed - full) <= 2 * 8.9e-16 * abs(full), (n0, beta, 1.0 / z, k)
+            checked.append(out[3])
+        return out
+
+    monkeypatch.setattr(coulomb, "brentq", recording)
+    monkeypatch.setattr(coulomb, "_support", checking)
+    for n0, beta, rho in SOLVE_GRID:
+        for f in SOLVE_FRACS:
+            solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
+    assert len(checked) > 100
+    assert checked.count(True) <= len(checked) // 20  # fallbacks are rare
+
+
+@pytest.mark.parametrize(
+    "n0, beta, rho, r",
+    [
+        # without the stall stop these took 19, 25 and 26 solves after k = 0
+        (0.5, 1.5, 0.1, 0.9 * math.log1p(0.1)),
+        (0.0, 1.0, 0.01, 0.09 * math.log1p(0.01)),
+        (0.0, 1.0, 0.01, 0.0009774805986716773),  # an ld_sweep point, f = 0.098
+    ],
+)
+def test_multiplier_newton_stops_at_its_noise_floor(monkeypatch, n0, beta, rho, r):
+    # r(k) jitters by ~1e-11 of r at rho <= 0.1, far above r_floor; the
+    # iteration stops at the first iterate no better than the best
+    snr = SnrParam(rho)
+    ergodic_summary(n0, beta, snr)
+    ks = []
+    original = coulomb.solve_at_multiplier
+
+    def counting(*args, **kwargs):
+        ks.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
+    sol = solve_regime(n0, beta, snr, r)
+    assert len(ks) <= 10
+    assert abs(sol.r - r) <= coulomb._LD_TOL * r
+
+
+def test_solve_regime_at_r_erg_returns_the_cached_k0_solution(monkeypatch):
+    for n0, beta, rho in SOLVE_GRID:
+        snr = SnrParam(rho)
+        summ = ergodic_summary(n0, beta, snr)
+        calls = []
+        monkeypatch.setattr(coulomb, "solve_at_multiplier", lambda *a, **kw: calls.append(a))
+        sol = solve_regime(n0, beta, snr, summ.r_erg)
+        monkeypatch.undo()
+        assert calls == []
+        assert sol is summ.solution
+        assert (sol.k, sol.r, sol.a, sol.b) == (0.0, summ.r_erg, summ.a0, summ.b0)
+
+
+def test_solve_regime_logs_one_debug_record(monkeypatch, caplog):
+    calls = []
+    original = coulomb.solve_at_multiplier
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
+    snr = SnrParam(10.0)
+    summ = ergodic_summary(1.0, 2.0, snr)
+    for r in (0.3 * summ.r_erg, summ.r_erg, 1.2 * summ.r_erg):
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
+            solve_regime(1.0, 2.0, snr, r)
+        (rec,) = [rec for rec in caplog.records if rec.name == "jacobi_mimo"]
+        params, solves, fallbacks, stop = rec.args
+        assert params == (1.0, 2.0, 10.0, r)
+        assert solves == len(calls) and fallbacks == 0
+        assert stop in ("step", "bracket", "floor", "stall")
+        assert f"{solves} solves" in rec.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="jacobi_mimo"):
+        solve_regime(1.0, 2.0, snr, 0.5 * summ.r_erg)
+    assert not caplog.records
+
+
+def test_support_and_poles_at_huge_rho():
+    # (rho, y, X^2, W^2) of a first Newton step at n0 = 0, beta = 2,
+    # rho = 1e300: rho^2 W^2 was inf * 0, and s^2 - 4 W^2 underflows
+    y = 0.0025
+    assert coulomb._endpoints(1e300, y, 1.0, 0.0) == (0.0, y * (2.0 + y) / 1e300)
+    # there W^2 = ((beta-1) z/c)^2 underflows, so a soft a would sit on the wall
+    with pytest.raises(ArithmeticError, match="soft edge a underflowed to 0"):
+        solve_at_multiplier(0.0, 2.0, SnrParam(1e300), -50.0)
+    # (z+a)(z+b) ~ 1e-602 underflowed to a division by zero in the pole
+    # weights; the poles now form, and the rate they give is refused
+    with pytest.raises(ArithmeticError, match="rate -inf of the support .* not finite"):
+        solve_at_multiplier(1.0, 1.0, SnrParam(1e300), -100.0)
+
+
+@pytest.mark.parametrize("beta", [1.1, 2.0, 4.0])
+@pytest.mark.parametrize("f", [0.1, 0.5, 0.9])
+def test_huge_rho_points_solve_or_name_their_cause(beta, f):
+    # rho^2 W^2 in _endpoints overflowed and (z+a)(z+b) in _poles
+    # underflowed here; neither may surface as a bare ZeroDivisionError
+    rho = 1e300
+    r = f * math.log1p(rho)
+    try:
+        outage_asymptotic(0.0, beta, SnrParam(rho), 8, r)
+    except ArithmeticError as err:
+        assert type(err) is ArithmeticError and "division by zero" not in str(err)
+        assert "at (n0, beta, rho, k) = (0.0, " in str(err)
+    else:
+        sol = solve_regime(0.0, beta, SnrParam(rho), r)
+        assert abs(sol.r - r) <= coulomb._LD_TOL * r
