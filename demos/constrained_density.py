@@ -14,13 +14,13 @@ from jacobi_mimo import SnrParam, critical_thresholds, density_at, ergodic_summa
 n0, beta = 1.0, 1.0
 snr = SnrParam(3.0)
 
-summ = ergodic_summary(n0, beta, snr)
-print(f"n0={n0}, beta={beta}, rho={snr.rho}: r_erg = {summ.r_erg:.4f}")
+erg = ergodic_summary(n0, beta, snr)
+print(f"n0={n0}, beta={beta}, rho={snr.rho}: r_erg = {erg.r:.4f}")
 for k_c, r_c in critical_thresholds(n0, beta, snr):
     print(f"regime boundary at r_c = {r_c:.4f} (k_c = {k_c:.4f})")
 print()
 
-for r in (0.25, 0.45, summ.r_erg, 0.95, 1.15):
+for r in (0.25, 0.45, erg.r, 0.95, 1.15):
     sol = solve_regime(n0, beta, snr, float(r))
     xs = np.linspace(sol.a, sol.b, 9)[1:-1]
     profile = " ".join(f"{p:6.3f}" for p in density_at(sol, xs))

@@ -15,11 +15,11 @@ print(f"channel: N=24, Nt=Nr=8 (n0={n0}, beta={beta})")
 print(f"{'rho':>6} {'r_erg':>8} {'mc mean':>9} {'v_erg':>8} {'Nt^2 var':>9} {'support':>20}")
 for rho in (1.0, 3.0, 10.0, 30.0):
     snr = SnrParam(rho)
-    summ = ergodic_summary(n0, beta, snr)
+    erg = ergodic_summary(n0, beta, snr)
     mean, var = moments(McConfig(dims=dims, snr=snr, trials=40_000, seed=7))
     print(
-        f"{rho:6.1f} {summ.r_erg:8.4f} {mean:9.4f} {summ.v_erg:8.4f} "
-        f"{dims.Nt**2 * var:9.4f} ({summ.a0:.4f}, {summ.b0:.4f})"
+        f"{rho:6.1f} {erg.r:8.4f} {mean:9.4f} {erg.v:8.4f} "
+        f"{dims.Nt**2 * var:9.4f} ({erg.a:.4f}, {erg.b:.4f})"
     )
 
 print("\nfor scale: the 1/Nt correction to the mean is O(0.01) nats here,")

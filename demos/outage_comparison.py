@@ -25,11 +25,11 @@ dims = normalize_dims(6, 2, 2)
 snr = SnrParam(10.0)
 n0, beta = float(dims.n0), float(dims.beta)
 
-summ = ergodic_summary(n0, beta, snr)
+erg = ergodic_summary(n0, beta, snr)
 print(f"channel: N=6, Nt=Nr=2 (n0={n0}, beta={beta}), rho={snr.rho}")
-print(f"ergodic rate {summ.r_erg:.4f} nats, peak std {math.sqrt(summ.v_erg)/dims.Nt:.4f}\n")
+print(f"ergodic rate {erg.r:.4f} nats, peak std {math.sqrt(erg.v)/dims.Nt:.4f}\n")
 
-grid = [float(r) for r in np.linspace(0.25, 0.95, 15) * summ.r_erg]
+grid = [float(r) for r in np.linspace(0.25, 0.95, 15) * erg.r]
 mc = outage_curve(McConfig(dims=dims, snr=snr, trials=400_000, seed=2), grid)
 ecfg = ExactConfig(dims=dims, snr=snr)
 
@@ -37,7 +37,7 @@ print(f"{'r':>7} {'P_mc':>10} {'P_exact':>10} {'P_ld':>10} {'P_gauss':>10}")
 for r, est in zip(grid, mc):
     pe = outage_exact(ecfg, r).p
     pl = outage_asymptotic(n0, beta, snr, dims.Nt, r).p
-    pg = gaussian_outage(summ, dims.Nt, r).p
+    pg = gaussian_outage(n0, beta, snr, dims.Nt, r).p
     print(f"{r:7.3f} {est.p:10.3e} {pe:10.3e} {pl:10.3e} {pg:10.3e}")
 
 print(

@@ -18,7 +18,6 @@ from .results import OutageEstimate
 from .montecarlo import McConfig, eigen_histogram, estimate_outage, moments
 from .exact import ExactConfig, outage_density_exact, outage_exact
 from .coulomb import (
-    ErgodicSummary,
     RegimeSolution,
     critical_thresholds,
     density_asymptotic,
@@ -47,7 +46,6 @@ __all__ = [
     "ExactConfig",
     "outage_exact",
     "outage_density_exact",
-    "ErgodicSummary",
     "RegimeSolution",
     "ergodic_summary",
     "ergodic_density",

@@ -259,8 +259,7 @@ def cmd_outage(args, ch: Channel):
         columns["pout_ld"] = _column("ld", ld, rates, warnings)
 
     if "gauss" in methods:
-        # the summary is read per rate, so that its failure empties cells, not the run
-        gauss = lambda r: gaussian_outage(ergodic_summary(ch.n0, ch.beta, ch.snr), ch.dims.Nt, r - ch.offset)
+        gauss = lambda r: gaussian_outage(ch.n0, ch.beta, ch.snr, ch.dims.Nt, r - ch.offset)
         columns["pout_gauss"] = _column("gauss", gauss, rates, warnings)
 
     blank = [None] * len(rates)
@@ -303,15 +302,15 @@ def cmd_density(args, ch: Channel):
     else:
         if args.r is not None or args.k is not None:
             raise UsageError("--r and --k apply only to --kind constrained")
-        summ = ergodic_summary(ch.n0, ch.beta, ch.snr)
-        a, b = summ.a0, summ.b0
+        erg = ergodic_summary(ch.n0, ch.beta, ch.snr)
+        a, b = erg.a, erg.b
         density = lambda x: ergodic_density(ch.n0, ch.beta, x)
         fields = {
             "kind": "ergodic",
             "support": [a, b],
-            "r_erg": (summ.r_erg + ch.offset) / ch.unit,
-            "v_erg": summ.v_erg,
-            "e0": summ.e0,
+            "r_erg": (erg.r + ch.offset) / ch.unit,
+            "v_erg": erg.v,
+            "e0": erg.e0,
         }
 
     n = args.grid_points
@@ -328,14 +327,14 @@ def cmd_density(args, ch: Channel):
 
 
 def cmd_ergodic(args, ch: Channel):
-    summ = ergodic_summary(ch.n0, ch.beta, ch.snr)
+    erg = ergodic_summary(ch.n0, ch.beta, ch.snr)
     row = {
-        "a0": summ.a0,
-        "b0": summ.b0,
-        "r_erg": (summ.r_erg + ch.offset) / ch.unit,
-        "v_erg": summ.v_erg,
-        "e0": summ.e0,
-        "regime": summ.regime,
+        "a0": erg.a,
+        "b0": erg.b,
+        "r_erg": (erg.r + ch.offset) / ch.unit,
+        "v_erg": erg.v,
+        "e0": erg.e0,
+        "regime": erg.regime,
     }
     return {}, list(row), [row], True
 

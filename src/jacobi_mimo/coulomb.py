@@ -96,7 +96,6 @@ from .results import OutageEstimate
 from .specfun import brentq, g_closed, log_q, q_fn
 
 __all__ = [
-    "ErgodicSummary",
     "RegimeSolution",
     "ergodic_summary",
     "ergodic_density",
@@ -122,38 +121,20 @@ _SOLVE_RECORD = "solve_regime%r: %d solves, %d bracket fallbacks, stop: %s"
 
 
 @dataclass(frozen=True)
-class ErgodicSummary:
-    """Unconstrained (k = 0) solution: support, rate, peak variance, E0, regime.
-
-    ``solution`` is the k = 0 :class:`RegimeSolution` these are read from;
-    :func:`solve_regime` returns it at r = r_erg and bounds its first edge
-    root with its support.
-    """
-
-    n0: float
-    beta: float
-    rho: float
-    a0: float
-    b0: float
-    r_erg: float
-    v_erg: float
-    e0: float
-    regime: str
-    solution: RegimeSolution = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class RegimeSolution:
-    """One solved constrained-density instance.
+    """One solved constrained-density instance; at k = 0 the ergodic record.
 
     ``energy`` is E(r); ``exponent`` is Delta E = E(r) - E0 >= 0, the decay
-    rate of the outage (r < r_erg) or overshoot (r > r_erg) probability.
-    Both are built from the stored fields on first read, so an outer
-    solve pays for the energy of the one iterate it returns.  ``poles``
-    is the (gamma, y) decomposition the solution was built from,
-    ``r_floor`` the rounding floor of ``r`` (8 eps times the magnitudes
-    of its terms), and ``bracket_fallback`` whether the edge root had to
-    leave the bracket it was given for the full one.
+    rate of the outage (r < r_erg) or overshoot (r > r_erg) probability,
+    and ``e0`` is E0.  They are computed when read, ``energy`` once, so an
+    outer solve pays for the energy of the one iterate it returns.  ``v``
+    is dr/dk = V(a, b), the rate variance of the support (v_erg at k = 0),
+    and ``y`` = Y - 1 its edge-root variable, both of which the outer
+    solve reads from every iterate.  ``poles`` is the (gamma, y)
+    decomposition the solution was built from, ``r_floor`` the rounding
+    floor of ``r`` (8 eps times the magnitudes of its terms), and
+    ``bracket_fallback`` whether the edge root had to leave the bracket it
+    was given for the full one.
     """
 
     regime: str
@@ -166,6 +147,8 @@ class RegimeSolution:
     rho: float
     poles: tuple[tuple[float, float], ...] = field(repr=False)
     r_floor: float = field(repr=False)
+    v: float = field(repr=False)
+    y: float = field(repr=False)
     bracket_fallback: bool = field(default=False, repr=False)
 
     @functools.cached_property
@@ -177,8 +160,12 @@ class RegimeSolution:
         )
 
     @property
+    def e0(self) -> float:
+        return _e0_value(self.n0, self.beta)
+
+    @property
     def exponent(self) -> float:
-        return self.energy - _e0_value(self.n0, self.beta)
+        return self.energy - self.e0
 
 
 def _check_params(n0: float, beta: float, snr: SnrParam):
@@ -514,7 +501,10 @@ def solve_at_multiplier(
             raise ArithmeticError(f"rate {r!r} of the support ({a!r}, {b!r}) not finite")
     except ArithmeticError as err:
         raise ArithmeticError(f"{err} at (n0, beta, rho, k) = {(n0, beta, snr.rho, k)!r}") from err
-    return RegimeSolution(regime, a, b, k, r, n0, beta, snr.rho, poles, 8.0 * _EPS * scale, fallback)
+    return RegimeSolution(
+        regime, a, b, k, r, n0, beta, snr.rho, poles, 8.0 * _EPS * scale,
+        _rate_variance(snr.rho, a, b), _edge_y(snr.rho, a, b), fallback,
+    )
 
 
 def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolution:
@@ -549,15 +539,14 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     if not 0.0 < r < rmax:
         raise ValueError(f"rate {r!r} outside the achievable interval (0, {rmax!r})")
     erg = ergodic_summary(n0, beta, snr)
-    if r == erg.r_erg:
+    if r == erg.r:
         _log.debug(_SOLVE_RECORD, (n0, beta, snr.rho, r), 0, 0, "floor")
-        return erg.solution
-    y0 = _edge_y(snr.rho, erg.a0, erg.b0)
-    if r > erg.r_erg:
-        lo, hi, y_lo, y_hi = 0.0, math.inf, y0, math.inf
+        return erg
+    if r > erg.r:
+        lo, hi, y_lo, y_hi = 0.0, math.inf, erg.y, math.inf
     else:
-        lo, hi, y_lo, y_hi = -math.inf, 0.0, 0.0, y0
-    k = (r - erg.r_erg) / erg.v_erg
+        lo, hi, y_lo, y_hi = -math.inf, 0.0, 0.0, erg.y
+    k = (r - erg.r) / erg.v
     best = None
     fallbacks = 0
     for solves in range(1, _K_ITER + 1):
@@ -572,10 +561,10 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
             stop = "stall"
             break
         if res < 0.0:
-            lo, y_lo = k, _edge_y(snr.rho, sol.a, sol.b)
+            lo, y_lo = k, sol.y
         else:
-            hi, y_hi = k, _edge_y(snr.rho, sol.a, sol.b)
-        step = res / _rate_variance(snr.rho, sol.a, sol.b)
+            hi, y_hi = k, sol.y
+        step = res / sol.v
         tol = _K_TOL + 8.9e-16 * abs(k)
         stop = ("step" if abs(step) < tol else "bracket" if hi - lo < tol
                 else "floor" if abs(res) <= sol.r_floor else None)
@@ -612,14 +601,14 @@ def density_at(sol: RegimeSolution, x):
 
 
 @functools.lru_cache(maxsize=64)
-def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> ErgodicSummary:
-    """Support, ergodic rate, peak variance, E0 and regime of the k = 0 solution (cached)."""
-    sol = solve_at_multiplier(n0, beta, snr, 0.0)
-    return ErgodicSummary(
-        n0=n0, beta=beta, rho=snr.rho, a0=sol.a, b0=sol.b,
-        r_erg=sol.r, v_erg=_rate_variance(snr.rho, sol.a, sol.b), e0=_e0_value(n0, beta),
-        regime=sol.regime, solution=sol,
-    )
+def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> RegimeSolution:
+    """The k = 0 solution (cached): support (a0, b0), r_erg, v_erg, E0 and regime.
+
+    They are its ``a``, ``b``, ``r``, ``v``, ``e0`` and ``regime``;
+    :func:`solve_regime` returns it at r = r_erg and bounds its first edge
+    root with its ``y``.
+    """
+    return solve_at_multiplier(n0, beta, snr, 0.0)
 
 
 def rate_exponent(n0: float, beta: float, snr: SnrParam, r: float) -> float:
@@ -632,7 +621,7 @@ def density_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float)
     if nt < 1:
         raise ValueError("nt must be >= 1")
     de = solve_regime(n0, beta, snr, r).exponent
-    return nt * math.exp(-nt * nt * de) / math.sqrt(_TWO_PI * ergodic_summary(n0, beta, snr).v_erg)
+    return nt * math.exp(-nt * nt * de) / math.sqrt(_TWO_PI * ergodic_summary(n0, beta, snr).v)
 
 
 def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) -> OutageEstimate:
@@ -650,7 +639,7 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
     if nt < 1:
         raise ValueError("nt must be >= 1")
     sol = solve_regime(n0, beta, snr, r)
-    v = _rate_variance(snr.rho, sol.a, sol.b)
+    v = sol.v
     if not v > 0:
         raise ArithmeticError(
             f"non-positive slope dr/dk={v!r} at r={r!r}: the support ({sol.a!r}, "
@@ -660,7 +649,7 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
     log_tail = (
         -nt * nt * (sol.exponent - 0.5 * sol.k * sol.k * v)
         + log_q(u)
-        - 0.5 * math.log(ergodic_summary(n0, beta, snr).v_erg / v)
+        - 0.5 * math.log(ergodic_summary(n0, beta, snr).v / v)
     )
     if log_tail > 0.0:
         raise ArithmeticError(f"log tail {log_tail!r} > 0 at r={r!r}: the outage formula left [0, 1]")
@@ -669,15 +658,17 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
     return OutageEstimate(p=p, ci_low=p, ci_high=p, method="ld", trials_or_tol=_LD_TOL)
 
 
-def gaussian_outage(ergodic: ErgodicSummary, nt: int, r: float) -> OutageEstimate:
+def gaussian_outage(n0: float, beta: float, snr: SnrParam, nt: int, r: float) -> OutageEstimate:
     """Gaussian comparator: the rate treated as N(r_erg, v_erg / Nt^2).
 
-    P_out = Q((r_erg - r) * Nt / sqrt(v_erg)); the baseline the rate
-    function is meant to beat away from the peak.
+    P_out = Q((r_erg - r) * Nt / sqrt(v_erg)), read from the cached k = 0
+    solution of :func:`ergodic_summary`; the baseline the rate function is
+    meant to beat away from the peak.
     """
     if nt < 1:
         raise ValueError("nt must be >= 1")
     if not 0 <= r:
         raise ValueError(f"rate threshold r must be >= 0, got {r!r}")
-    p = q_fn((ergodic.r_erg - r) * nt / math.sqrt(ergodic.v_erg))
+    erg = ergodic_summary(n0, beta, snr)
+    p = q_fn((erg.r - r) * nt / math.sqrt(erg.v))
     return OutageEstimate(p=p, ci_low=p, ci_high=p, method="gauss", trials_or_tol=_LD_TOL)

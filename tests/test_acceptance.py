@@ -99,9 +99,9 @@ def test_c04_ergodic_consistency():
     dims = normalize_dims(24, 8, 8)
     snr = SnrParam(10.0)
     mean, var = moments(McConfig(dims=dims, snr=snr, trials=100_000, seed=104))
-    summ = ergodic_summary(1.0, 1.0, snr)
-    mean_err = abs(summ.r_erg - mean)
-    var_ratio = dims.Nt**2 * var / summ.v_erg
+    erg = ergodic_summary(1.0, 1.0, snr)
+    mean_err = abs(erg.r - mean)
+    var_ratio = dims.Nt**2 * var / erg.v
     assert mean_err <= 0.02
     assert abs(var_ratio - 1.0) <= 0.15
     _report("C4", f"|r_erg - mean| = {mean_err:.4f}, Nt^2 var / v_erg = {var_ratio:.3f}")
@@ -115,8 +115,8 @@ def test_c05_rate_function_calculus():
         rho = 10.0 if (n0, beta) == (1.0, 2.0) else 3.0
         snr = SnrParam(rho)
         rmax = math.log1p(rho)
-        summ = ergodic_summary(n0, beta, snr)
-        worst_peak = max(worst_peak, solve_regime(n0, beta, snr, summ.r_erg).exponent)
+        erg = ergodic_summary(n0, beta, snr)
+        worst_peak = max(worst_peak, solve_regime(n0, beta, snr, erg.r).exponent)
         h = 1e-5 * rmax
         for r in np.linspace(0.06 * rmax, 0.94 * rmax, 30):
             sol = solve_regime(n0, beta, snr, float(r))
@@ -179,7 +179,7 @@ def test_c08_gaussian_vs_ld_ordering():
     # locate the rate where the asymptotic solver predicts P ~ 1e-3, put a
     # small grid there, and compare at the point where the MC estimate is
     # closest to 1e-3
-    lo, hi = 0.05 * math.log1p(20.0), ergodic_summary(1.0, 1.0, snr).r_erg
+    lo, hi = 0.05 * math.log1p(20.0), ergodic_summary(1.0, 1.0, snr).r
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         if outage_asymptotic(1.0, 1.0, snr, dims.Nt, mid).p < 1e-3:
@@ -192,9 +192,8 @@ def test_c08_gaussian_vs_ld_ordering():
     pick = min(range(len(grid)), key=lambda i: abs(ests[i].p - 1e-3))
     r, p_mc = grid[pick], ests[pick].p
     assert p_mc > 0
-    summ = ergodic_summary(1.0, 1.0, snr)
     p_ld = outage_asymptotic(1.0, 1.0, snr, dims.Nt, r).p
-    p_gauss = gaussian_outage(summ, dims.Nt, r).p
+    p_gauss = gaussian_outage(1.0, 1.0, snr, dims.Nt, r).p
     d_ld = abs(math.log10(p_ld) - math.log10(p_mc))
     d_gauss = abs(math.log10(p_gauss) - math.log10(p_mc))
     elapsed = time.time() - started
@@ -210,7 +209,7 @@ def test_c08_gaussian_vs_ld_ordering():
 def test_c09_spectral_density_law():
     dims = normalize_dims(48, 16, 16)
     snr = SnrParam(1.0)
-    summ = ergodic_summary(1.0, 1.0, snr)
+    erg = ergodic_summary(1.0, 1.0, snr)
     # bins wider than one eigenvalue spacing, so the histogram sees the
     # smooth limit rather than the finite-size oscillations around it
     bins = 16
@@ -220,7 +219,7 @@ def test_c09_spectral_density_law():
     interior = 0
     for i in range(bins):
         lo_edge, hi_edge = hist.edges[i], hist.edges[i + 1]
-        if lo_edge < summ.a0 + width or hi_edge > summ.b0 - width:
+        if lo_edge < erg.a + width or hi_edge > erg.b - width:
             continue
         avg = quadrature(
             lambda x: ergodic_density(1.0, 1.0, x), lo_edge, hi_edge, target=1e-10

@@ -220,8 +220,8 @@ def test_density_table_matches_per_point_scalar_reference(extra, n):
     dims = normalize_dims(9, 3, 3)
     n0, beta, snr = float(dims.n0), float(dims.beta), SnrParam(3.0)
     if not extra:
-        summ = ergodic_summary(n0, beta, snr)
-        a, b = summ.a0, summ.b0
+        erg = ergodic_summary(n0, beta, snr)
+        a, b = erg.a, erg.b
         density = lambda x: ergodic_density(n0, beta, x)
     else:
         if extra[-2] == "--k":
@@ -497,7 +497,9 @@ def test_gauss_failure_empties_its_cells_and_keeps_the_run(monkeypatch):
     def fail(*args):
         raise ArithmeticError("injected k = 0 failure")
 
-    monkeypatch.setattr(cli, "ergodic_summary", fail)
+    from jacobi_mimo import coulomb
+
+    monkeypatch.setattr(coulomb, "ergodic_summary", fail)
     code, out, err = run_cli(
         ["outage", "--N", "18", "--Nt", "6", "--Nr", "6", "--rho", "1e300", "--points", "3",
          "--methods", "mc,gauss", "--trials", "2000", "--reproducible"]

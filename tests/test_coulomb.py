@@ -28,11 +28,11 @@ CORNERS = [(0.0, 1.0, 3.0), (1.0, 1.0, 3.0), (0.0, 2.0, 3.0), (1.0, 2.0, 10.0)]
 
 
 def test_ergodic_summary_golden_corner():
-    summ = ergodic_summary(0.0, 1.0, SNR3)
-    assert (summ.a0, summ.b0) == (0.0, 1.0)
-    assert abs(summ.r_erg - math.log(9.0 / 4.0)) < 1e-12
-    assert abs(summ.v_erg - math.log(9.0 / 8.0)) < 1e-12
-    assert abs(summ.e0 - 2.0 * math.log(2.0)) < 1e-12
+    erg = ergodic_summary(0.0, 1.0, SNR3)
+    assert (erg.a, erg.b) == (0.0, 1.0)
+    assert abs(erg.r - math.log(9.0 / 4.0)) < 1e-12
+    assert abs(erg.v - math.log(9.0 / 8.0)) < 1e-12
+    assert abs(erg.e0 - 2.0 * math.log(2.0)) < 1e-12
 
 
 def test_ergodic_support_within_unit_interval():
@@ -40,18 +40,18 @@ def test_ergodic_support_within_unit_interval():
     for _ in range(20):
         n0 = float(rng.uniform(0.0, 3.0))
         beta = float(rng.uniform(1.0, 4.0))
-        summ = ergodic_summary(n0, beta, SNR3)
-        assert 0.0 <= summ.a0 < summ.b0 <= 1.0
-        assert summ.v_erg > 0.0
+        erg = ergodic_summary(n0, beta, SNR3)
+        assert 0.0 <= erg.a < erg.b <= 1.0
+        assert erg.v > 0.0
 
 
 @pytest.mark.parametrize("n0", [0.25, 1.0 / 3.0, 1.0, 2.0])
 def test_ergodic_rate_saturates_at_extreme_rho(n0):
     # S0b at beta = 1: r_erg - log(rho) has converged by rho = 1e30, and the
     # edge root must keep solving far beyond it
-    ref = ergodic_summary(n0, 1.0, SnrParam(1e30)).r_erg - math.log(1e30)
+    ref = ergodic_summary(n0, 1.0, SnrParam(1e30)).r - math.log(1e30)
     for rho in (1e32, 1e60, 1e150):
-        gap = ergodic_summary(n0, 1.0, SnrParam(rho)).r_erg - math.log(rho)
+        gap = ergodic_summary(n0, 1.0, SnrParam(rho)).r - math.log(rho)
         assert abs(gap - ref) <= 1e-12 * abs(ref)
 
 
@@ -66,22 +66,22 @@ def test_ergodic_summary_is_the_k0_solution_at_every_rho(rho):
     # for bit, and needs no edge root, so huge rho solves for beta > 1 too
     snr = SnrParam(rho)
     for n0, beta in CHANNELS_16:
-        summ = ergodic_summary(n0, beta, snr)
+        erg = ergodic_summary(n0, beta, snr)
         sol = solve_at_multiplier(n0, beta, snr, 0.0)
-        assert (summ.a0, summ.b0, summ.r_erg, summ.regime) == (sol.a, sol.b, sol.r, sol.regime)
-        assert (summ.a0 == 0.0) == (beta == 1.0) and (summ.b0 == 1.0) == (n0 == 0.0)
+        assert (erg.a, erg.b, erg.r, erg.regime) == (sol.a, sol.b, sol.r, sol.regime)
+        assert (erg.a == 0.0) == (beta == 1.0) and (erg.b == 1.0) == (n0 == 0.0)
 
 
 @pytest.mark.parametrize("n0, beta", [(0.25, 1.0 + 1e-9), (1.0, 1.0 + 1e-6)] + CHANNELS_16)
 def test_ergodic_support_matches_200bit_reference(n0, beta):
     # a0 as (beta-1)^2/(hi+lo)^2: (hi-lo)^2 lost 3.7e-8 and 1.3e-11 relative
     # at the first two channels
-    summ = ergodic_summary(n0, beta, SNR3)
+    erg = ergodic_summary(n0, beta, SNR3)
     with mpmath.workprec(200):
         n, b = mpmath.mpf(n0), mpmath.mpf(beta)
         lo, hi = mpmath.sqrt(1 + n), mpmath.sqrt(b * (n + b))
         refs = [((hi - lo) / (n + 1 + b)) ** 2, ((hi + lo) / (n + 1 + b)) ** 2]
-        for got, ref in zip((summ.a0, summ.b0), refs):
+        for got, ref in zip((erg.a, erg.b), refs):
             assert abs(got - ref) <= 4 * math.ulp(float(ref))
 
 
@@ -90,9 +90,9 @@ def test_ergodic_density_unit_mass_random_params():
     for _ in range(20):
         n0 = float(rng.uniform(0.0, 3.0))
         beta = float(rng.uniform(1.0, 4.0))
-        summ = ergodic_summary(n0, beta, SNR3)
+        erg = ergodic_summary(n0, beta, SNR3)
         val, _ = quadrature(
-            lambda x: ergodic_density(n0, beta, x), summ.a0, summ.b0, target=1e-10
+            lambda x: ergodic_density(n0, beta, x), erg.a, erg.b, target=1e-10
         )
         assert abs(val - 1.0) < 1e-8
 
@@ -118,8 +118,8 @@ def test_critical_thresholds_golden_corner():
 
 
 def test_solve_regime_at_ergodic_rate_is_arcsine():
-    summ = ergodic_summary(0.0, 1.0, SNR3)
-    sol = solve_regime(0.0, 1.0, SNR3, summ.r_erg)
+    erg = ergodic_summary(0.0, 1.0, SNR3)
+    sol = solve_regime(0.0, 1.0, SNR3, erg.r)
     assert sol.regime == "S01"
     assert abs(sol.k) < 1e-10
     assert abs(density_at(sol, 0.5) - 2.0 / math.pi) < 1e-10
@@ -380,9 +380,9 @@ def test_energy_at_zero_multiplier_equals_e0():
 def test_multiplier_sign_convention():
     for n0, beta, rho in CORNERS:
         snr = SnrParam(rho)
-        summ = ergodic_summary(n0, beta, snr)
-        below = solve_regime(n0, beta, snr, 0.7 * summ.r_erg)
-        above = solve_regime(n0, beta, snr, summ.r_erg + 0.5 * (math.log1p(rho) - summ.r_erg))
+        erg = ergodic_summary(n0, beta, snr)
+        below = solve_regime(n0, beta, snr, 0.7 * erg.r)
+        above = solve_regime(n0, beta, snr, erg.r + 0.5 * (math.log1p(rho) - erg.r))
         assert below.k < 0.0 < above.k
 
 
@@ -473,11 +473,10 @@ def test_edge_root_without_sign_change_names_its_bracket():
 
 
 def test_asymptotic_routes_reject_nt_below_one():
-    summ = ergodic_summary(1.0, 1.0, SNR3)
     for call in (
         lambda: outage_asymptotic(1.0, 1.0, SNR3, 0, 0.5),
         lambda: density_asymptotic(1.0, 1.0, SNR3, 0, 0.5),
-        lambda: gaussian_outage(summ, 0, 0.5),
+        lambda: gaussian_outage(1.0, 1.0, SNR3, 0, 0.5),
     ):
         with pytest.raises(ValueError, match="nt must be >= 1"):
             call()
@@ -486,17 +485,17 @@ def test_asymptotic_routes_reject_nt_below_one():
 def test_density_asymptotic_peak_and_normalization():
     snr = SnrParam(10.0)
     nt = 8
-    summ = ergodic_summary(1.0, 1.0, snr)
-    peak = density_asymptotic(1.0, 1.0, snr, nt, summ.r_erg)
-    assert abs(peak - nt / math.sqrt(2.0 * math.pi * summ.v_erg)) < 1e-9
-    lo = density_asymptotic(1.0, 1.0, snr, nt, summ.r_erg - 0.05)
-    hi = density_asymptotic(1.0, 1.0, snr, nt, summ.r_erg + 0.05)
+    erg = ergodic_summary(1.0, 1.0, snr)
+    peak = density_asymptotic(1.0, 1.0, snr, nt, erg.r)
+    assert abs(peak - nt / math.sqrt(2.0 * math.pi * erg.v)) < 1e-9
+    lo = density_asymptotic(1.0, 1.0, snr, nt, erg.r - 0.05)
+    hi = density_asymptotic(1.0, 1.0, snr, nt, erg.r + 0.05)
     assert lo < peak and hi < peak
-    sigma = math.sqrt(summ.v_erg) / nt
+    sigma = math.sqrt(erg.v) / nt
     val, _ = quadrature(
         lambda r: density_asymptotic(1.0, 1.0, snr, nt, r),
-        summ.r_erg - 8 * sigma,
-        summ.r_erg + 8 * sigma,
+        erg.r - 8 * sigma,
+        erg.r + 8 * sigma,
         target=1e-6,
         max_depth=12,
     )
@@ -506,10 +505,10 @@ def test_density_asymptotic_peak_and_normalization():
 def test_outage_asymptotic_crossover_and_tail():
     snr = SnrParam(10.0)
     nt = 8
-    summ = ergodic_summary(1.0, 1.0, snr)
-    at_peak = outage_asymptotic(1.0, 1.0, snr, nt, summ.r_erg)
-    just_lo = outage_asymptotic(1.0, 1.0, snr, nt, summ.r_erg - 1e-6)
-    just_hi = outage_asymptotic(1.0, 1.0, snr, nt, summ.r_erg + 1e-6)
+    erg = ergodic_summary(1.0, 1.0, snr)
+    at_peak = outage_asymptotic(1.0, 1.0, snr, nt, erg.r)
+    just_lo = outage_asymptotic(1.0, 1.0, snr, nt, erg.r - 1e-6)
+    just_hi = outage_asymptotic(1.0, 1.0, snr, nt, erg.r + 1e-6)
     assert abs(at_peak.p - 0.5) < 1e-6
     assert abs(just_hi.p - just_lo.p) < 1e-4
     probes = [0.2, 0.4, 0.7, 1.0]
@@ -532,11 +531,11 @@ def test_multiplier_slope_closed_form(regime, n0, beta):
         k_c = [k for k, _ in critical_thresholds(n0, beta, snr)]
         lo = 0.5 * k_c[0] if regime in ("S01", "Sa1") else -5.0
         hi = 0.5 * k_c[-1] if regime in ("S01", "S0b") else 5.0
-        summ = ergodic_summary(n0, beta, snr)
+        erg = ergodic_summary(n0, beta, snr)
         for k in (0.0, lo, hi):
             sol = solve_at_multiplier(n0, beta, snr, k)
             assert sol.regime == regime
-            v = _rate_variance(rho, sol.a, sol.b)
+            v = sol.v
             h = 1e-5 * max(1.0, abs(k))
             fd = (
                 solve_at_multiplier(n0, beta, snr, k + h).r
@@ -544,9 +543,9 @@ def test_multiplier_slope_closed_form(regime, n0, beta):
             ) / (2.0 * h)
             assert abs(fd - v) <= 1e-7 * v
             if k == 0.0:
-                assert abs(v - summ.v_erg) <= 1e-12 * summ.v_erg
+                assert abs(v - erg.v) <= 1e-12 * erg.v
             elif regime == "S01":  # r = r_erg + k v exactly
-                assert abs(v - (sol.r - summ.r_erg) / k) <= 1e-12 * v
+                assert abs(v - (sol.r - erg.r) / k) <= 1e-12 * v
 
 
 def test_rate_variance_matches_200bit_reference():
@@ -594,23 +593,22 @@ def test_s01_quadratic_exponent_value():
 def test_outage_asymptotic_raises_on_positive_log_tail(monkeypatch):
     # a log tail above 0 is a probability above 1: it raises, never clamps
     monkeypatch.setattr(coulomb, "log_q", lambda u: 1.0)
-    r = 0.9 * ergodic_summary(0.0, 1.0, SNR3).r_erg
+    r = 0.9 * ergodic_summary(0.0, 1.0, SNR3).r
     with pytest.raises(ArithmeticError, match="log tail"):
         outage_asymptotic(0.0, 1.0, SNR3, 4, r)
 
 
 def test_gaussian_outage_values():
-    summ = ergodic_summary(0.0, 1.0, SNR3)
-    assert abs(gaussian_outage(summ, 4, summ.r_erg).p - 0.5) < 1e-14
-    assert gaussian_outage(summ, 4, 1e-6).p < 1e-10
-    assert gaussian_outage(summ, 4, math.log(4.0) - 1e-6).p > 1 - 1e-3
+    erg = ergodic_summary(0.0, 1.0, SNR3)
+    assert abs(gaussian_outage(0.0, 1.0, SNR3, 4, erg.r).p - 0.5) < 1e-14
+    assert gaussian_outage(0.0, 1.0, SNR3, 4, 1e-6).p < 1e-10
+    assert gaussian_outage(0.0, 1.0, SNR3, 4, math.log(4.0) - 1e-6).p > 1 - 1e-3
 
 
 @pytest.mark.parametrize("r", [math.nan, -0.5])
 def test_gaussian_outage_rejects_nan_and_negative_rate(r):
-    summ = ergodic_summary(1.0, 1.0, SnrParam(10.0))
     with pytest.raises(ValueError, match=f"rate threshold r must be >= 0, got {r!r}"):
-        gaussian_outage(summ, 5, r)
+        gaussian_outage(1.0, 1.0, SnrParam(10.0), 5, r)
 
 
 def test_gaussian_outage_near_peak_matches_mc():
@@ -619,12 +617,12 @@ def test_gaussian_outage_near_peak_matches_mc():
 
     dims = normalize_dims(24, 8, 8)
     snr = SnrParam(10.0)
-    summ = ergodic_summary(1.0, 1.0, snr)
-    sigma = math.sqrt(summ.v_erg) / dims.Nt
-    grid = [summ.r_erg - 0.5 * sigma, summ.r_erg + 0.5 * sigma]
+    erg = ergodic_summary(1.0, 1.0, snr)
+    sigma = math.sqrt(erg.v) / dims.Nt
+    grid = [erg.r - 0.5 * sigma, erg.r + 0.5 * sigma]
     ests = outage_curve(McConfig(dims=dims, snr=snr, trials=100_000, seed=55), grid)
     for r, est in zip(grid, ests):
-        pg = gaussian_outage(summ, dims.Nt, r).p
+        pg = gaussian_outage(1.0, 1.0, snr, dims.Nt, r).p
         assert abs(pg - est.p) / est.p < 0.10
 
 
@@ -742,7 +740,7 @@ def _ergodic_per_point(n0, beta, a0, b0, x):
 def test_array_densities_match_scalar_calls_bit_for_bit():
     for n0, beta, rho in SOLVE_GRID:
         snr = SnrParam(rho)
-        summ = ergodic_summary(n0, beta, snr)
+        erg = ergodic_summary(n0, beta, snr)
         for f in SOLVE_FRACS:
             sol = solve_regime(n0, beta, snr, f * math.log1p(rho))
             a, b = sol.a, sol.b
@@ -765,8 +763,8 @@ def test_array_densities_match_scalar_calls_bit_for_bit():
         for x, p in zip(xs.tolist(), got.tolist()):
             scalar = ergodic_density(n0, beta, x)
             assert type(scalar) is float
-            assert scalar.hex() == p.hex() == _ergodic_per_point(n0, beta, summ.a0, summ.b0, x).hex()
-        assert ergodic_density(n0, beta, summ.a0) == ergodic_density(n0, beta, summ.b0) == 0.0
+            assert scalar.hex() == p.hex() == _ergodic_per_point(n0, beta, erg.a, erg.b, x).hex()
+        assert ergodic_density(n0, beta, erg.a) == ergodic_density(n0, beta, erg.b) == 0.0
 
 
 # Nt = 4 outage at SOLVE_FRACS, from the bracketed brentq search on k that
@@ -807,9 +805,9 @@ def test_zero_multiplier_cache_cold_and_warm_agree():
         coulomb.ergodic_summary.cache_clear()
         cold_sol = solve_regime(n0, beta, snr, r)
         coulomb.ergodic_summary.cache_clear()
-        cold_summ = ergodic_summary(n0, beta, snr)
+        cold_erg = ergodic_summary(n0, beta, snr)
         assert solve_regime(n0, beta, snr, r) == cold_sol
-        assert ergodic_summary(n0, beta, snr) == cold_summ
+        assert ergodic_summary(n0, beta, snr) == cold_erg
         assert coulomb.ergodic_summary.cache_info().misses == 1
 
 
@@ -834,7 +832,7 @@ def test_edge_y_increases_with_k_across_regime_boundaries():
         prev = None
         for k in _k_grid_across_boundaries(n0, beta, snr):
             sol = solve_at_multiplier(n0, beta, snr, k)
-            y = coulomb._edge_y(rho, sol.a, sol.b)
+            y = sol.y
             regimes.add(sol.regime)
             if prev is not None:
                 if prev.regime == sol.regime == "S01":
@@ -909,14 +907,13 @@ def test_multiplier_newton_stops_at_its_noise_floor(monkeypatch, n0, beta, rho, 
 def test_solve_regime_at_r_erg_returns_the_cached_k0_solution(monkeypatch):
     for n0, beta, rho in SOLVE_GRID:
         snr = SnrParam(rho)
-        summ = ergodic_summary(n0, beta, snr)
+        erg = ergodic_summary(n0, beta, snr)
         calls = []
         monkeypatch.setattr(coulomb, "solve_at_multiplier", lambda *a, **kw: calls.append(a))
-        sol = solve_regime(n0, beta, snr, summ.r_erg)
+        sol = solve_regime(n0, beta, snr, erg.r)
         monkeypatch.undo()
         assert calls == []
-        assert sol is summ.solution
-        assert (sol.k, sol.r, sol.a, sol.b) == (0.0, summ.r_erg, summ.a0, summ.b0)
+        assert sol is erg and sol.k == 0.0
 
 
 def test_solve_regime_logs_one_debug_record(monkeypatch, caplog):
@@ -929,8 +926,8 @@ def test_solve_regime_logs_one_debug_record(monkeypatch, caplog):
 
     monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
     snr = SnrParam(10.0)
-    summ = ergodic_summary(1.0, 2.0, snr)
-    for r in (0.3 * summ.r_erg, summ.r_erg, 1.2 * summ.r_erg):
+    erg = ergodic_summary(1.0, 2.0, snr)
+    for r in (0.3 * erg.r, erg.r, 1.2 * erg.r):
         calls.clear()
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
@@ -943,7 +940,7 @@ def test_solve_regime_logs_one_debug_record(monkeypatch, caplog):
         assert f"{solves} solves" in rec.getMessage()
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="jacobi_mimo"):
-        solve_regime(1.0, 2.0, snr, 0.5 * summ.r_erg)
+        solve_regime(1.0, 2.0, snr, 0.5 * erg.r)
     assert not caplog.records
 
 
