@@ -15,10 +15,12 @@ a Lagrange multiplier k with E'(r) = k: k = 0 at the ergodic rate r_erg
 (the distribution's peak), k < 0 below it, k > 0 above.  The outer solve
 matches r(k) = r by Newton on k with the closed-form slope dr/dk = V(a, b)
 below, from the Gaussian guess (r - r_erg)/v_erg; r(k) is increasing, so
-k = 0, the cached ergodic_summary on the closed-form support below,
-bounds the root on one side.  It stops at the first iterate no closer to
-r than the best so far once that best meets the 1e-8 tolerance: r(k)
-has then reached its rounding noise.
+k = 0 bounds the root on one side.  The k = 0 solution, on the
+closed-form support below, is the ergodic record: ergodic_summary
+caches it, and its r, v and e0 are r_erg, v_erg and E0.  The Newton
+stops at the first iterate no closer to r than the best so far once
+that best meets the 1e-8 tolerance: r(k) has then reached its rounding
+noise.
 
 At fixed k the minimizer is a one-cut density on (a, b) whose edges are
 either soft (p vanishes there) or pinned to the hard walls at 0 and 1.
@@ -54,8 +56,9 @@ The density is one pole decomposition in t = (x-a)/d, d = b-a:
 with poles y = (a+z)/d, -(1-a)/d and a/d and weights d k rho/Y,
 -n0 d/X (soft b) and (beta-1) d/W (soft a); a pinned edge takes the
 weight that makes them sum to zero, and in S01 the wall at 1 carries
--d(c - k/Y).  All the rate and energy integrals then reduce to closed
-forms in the kernel function G(x, y) from :mod:`.specfun`.
+-d(c - k/Y); each pole also carries its 1 + y (see _poles).  All the rate
+and energy integrals then reduce to closed forms in the kernel function
+G(x, y) from :mod:`.specfun`.
 
 The rate function's curvature needs no differencing.  At fixed k the
 density is the equilibrium measure on one interval (a, b) in a field
@@ -130,7 +133,7 @@ class RegimeSolution:
     outer solve pays for the energy of the one iterate it returns.  ``v``
     is dr/dk = V(a, b), the rate variance of the support (v_erg at k = 0),
     and ``y`` = Y - 1 its edge-root variable, both of which the outer
-    solve reads from every iterate.  ``poles`` is the (gamma, y)
+    solve reads from every iterate.  ``poles`` is the (gamma, y, 1+y)
     decomposition the solution was built from, ``r_floor`` the rounding
     floor of ``r`` (8 eps times the magnitudes of its terms), and
     ``bracket_fallback`` whether the edge root had to leave the bracket it
@@ -145,7 +148,7 @@ class RegimeSolution:
     n0: float
     beta: float
     rho: float
-    poles: tuple[tuple[float, float], ...] = field(repr=False)
+    poles: tuple[tuple[float, float, float], ...] = field(repr=False)
     r_floor: float = field(repr=False)
     v: float = field(repr=False)
     y: float = field(repr=False)
@@ -282,7 +285,7 @@ def _endpoints(rho: float, y: float, x2: float, m: float) -> tuple[float, float]
     1 - a = ((1+rho)^2 - Y^2)/(rho(1+rho)), which keeps its digits.
     """
     if x2 == 0.0:
-        a = m if m < 0.5 else 1.0 - (rho - y) * (2.0 + rho + y) / (rho * (1.0 + rho))
+        a = m if m < 0.5 else 1.0 - (rho - y) / rho * ((2.0 + rho + y) / (1.0 + rho))
         return a, 1.0
     yy = y * (2.0 + y)
     if yy / rho + rho * m < m + x2:
@@ -382,15 +385,17 @@ def _support(
 
 def _poles(
     n0: float, beta: float, z: float, k: float, a: float, b: float
-) -> tuple[tuple[float, float], ...]:
+) -> tuple[tuple[float, float, float], ...]:
     """Pole decomposition of the density in t = (x-a)/(b-a).
 
-    Terms are (gamma, y) for gamma/(t+y), with poles at the SNR point
+    Terms are (gamma, y, 1+y) for gamma/(t+y), with poles at the SNR point
     y = (a+z)/d, the wall at 1, y = -(1-a)/d, and the wall at 0, y = a/d
-    (d = b-a).  The weights are d k rho/Y, -n0 d/X at a soft b and
-    (beta-1) d/W at a soft a; a pinned edge takes the weight that makes
-    them sum to zero, and with both edges pinned the wall at 1 carries
-    -d(c - k/Y).
+    (d = b-a).  Each 1 + y is formed without cancellation, as (b+z)/d,
+    -(1-b)/d and b/d: at huge rho the SNR pole's y ~ z/d is below the
+    rounding of 1 + y, and the flipped integrals read 1 + y.  The weights
+    are d k rho/Y, -n0 d/X at a soft b and (beta-1) d/W at a soft a; a
+    pinned edge takes the weight that makes them sum to zero, and with
+    both edges pinned the wall at 1 carries -d(c - k/Y).
     """
     d = b - a
     gz = d * k / (math.sqrt(z + a) * math.sqrt(z + b))  # z gz / d = k/Y
@@ -401,7 +406,7 @@ def _poles(
         g1 = -(gz + g0) if g0 is not None else z * gz - d * (n0 + beta + 1.0 + k)
     if g0 is None:
         g0 = -(gz + g1)
-    return (gz, (a + z) / d), (g1, -(1.0 - a) / d), (g0, a / d)
+    return (gz, (a + z) / d, (b + z) / d), (g1, -(1.0 - a) / d, -(1.0 - b) / d), (g0, a / d, b / d)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +422,10 @@ def _poles(
 #   L(a):= Int p log(x-a)   = log d + (1/2) sum gamma G(0, y)
 #
 # (the flipped arguments come from t -> 1-t, which negates gamma and maps
-# the pole y to -(1+y)).  One routine, _pole_integral, sums every one of
-# them over the decomposition a solve builds once and stores.  Multiplying
-# the stationarity condition by p and integrating eliminates the double
-# logarithmic integral, leaving
+# the pole pair (y, 1+y) to (-(1+y), -y), exactly).  One routine,
+# _pole_integral, sums every one of them over the decomposition a solve
+# builds once and stores.  Multiplying the stationarity condition by p and
+# integrating eliminates the double logarithmic integral, leaving
 #
 #   E(r) = (k/2)(r - log(1+rho x0)) - (n0/2)(Ic + log(1-x0))
 #          - ((beta-1)/2)(I0 + log x0) - L(x0)
@@ -438,9 +443,9 @@ def _pole_integral(start: float, poles, w: float, flip: bool = False) -> tuple[f
     skipped.
     """
     total, scale = start, abs(start)
-    for gamma, y in poles:
+    for gamma, y, y1 in poles:
         if gamma:
-            term = 0.5 * gamma * g_closed(w, -(1.0 + y) if flip else y)
+            term = 0.5 * gamma * (g_closed(w, -y1, -y) if flip else g_closed(w, y, y1))
             total = total - term if flip else total + term
             scale += abs(term)
     return total, scale
@@ -485,8 +490,10 @@ def solve_at_multiplier(
     comes out of the solution (use :func:`solve_regime` to prescribe the
     rate instead).  ``y_bracket`` bounds the edge root y = Y - 1 (see
     :func:`solve_regime`); the default is the full bracket.  A failed
-    support, or a rate that is not finite, raises ArithmeticError with
-    its reason.
+    support, or a rate that is not finite or outside the window
+    (0, log(1+rho)), raises ArithmeticError with its reason.  At k > 0
+    only r <= 0 is refused: near the top of the window the Newton on k
+    passes through iterates whose rate rounds above log(1+rho).
     """
     _check_params(n0, beta, snr)
     z = snr.z
@@ -499,6 +506,9 @@ def solve_at_multiplier(
         r, scale = _pole_integral(math.log(d / z), poles, (a + z) / d)
         if not math.isfinite(r):
             raise ArithmeticError(f"rate {r!r} of the support ({a!r}, {b!r}) not finite")
+        rmax = math.log1p(snr.rho)
+        if not 0.0 < r or k <= 0.0 and not r < rmax:
+            raise ArithmeticError(f"rate {r!r} of the support ({a!r}, {b!r}) outside the window (0, {rmax!r})")
     except ArithmeticError as err:
         raise ArithmeticError(f"{err} at (n0, beta, rho, k) = {(n0, beta, snr.rho, k)!r}") from err
     return RegimeSolution(
@@ -587,26 +597,27 @@ def density_at(sol: RegimeSolution, x):
     """Constrained eigenvalue density of ``sol`` at x (0 outside support).
 
     p = sqrt(t(1-t)) sum gamma/(t+y) / (2 pi d) with t = (x-a)/d, from the
-    pole decomposition of the solution.  x may be a float or an array; an
-    array gives an array of the same shape.
+    pole decomposition of the solution.  d(t+y) is taken as (x-a) + yd for
+    the poles with y >= 0 and as (1+y)d - (b-x) for the wall at 1: sums of
+    like signs, so the wall pole keeps its digits next to the wall.  x may
+    be a float or an array; an array gives an array of the same shape.
     """
     a, b = sol.a, sol.b
     d = b - a
 
     def p(x):
-        u = x - a
-        return np.sqrt(u * (b - x)) * sum(g / (u + y * d) for g, y in sol.poles) / (_TWO_PI * d)
+        u, v = x - a, b - x
+        terms = (g / (u + y * d if y >= 0.0 else y1 * d - v) for g, y, y1 in sol.poles)
+        return np.sqrt(u * v) * sum(terms) / (_TWO_PI * d)
 
     return _on_support(x, a, b, p)
 
 
 @functools.lru_cache(maxsize=64)
 def ergodic_summary(n0: float, beta: float, snr: SnrParam) -> RegimeSolution:
-    """The k = 0 solution (cached): support (a0, b0), r_erg, v_erg, E0 and regime.
+    """The k = 0 solution, cached: the ergodic record.
 
-    They are its ``a``, ``b``, ``r``, ``v``, ``e0`` and ``regime``;
-    :func:`solve_regime` returns it at r = r_erg and bounds its first edge
-    root with its ``y``.
+    Its ``a``, ``b``, ``r``, ``v`` and ``e0`` are a0, b0, r_erg, v_erg and E0.
     """
     return solve_at_multiplier(n0, beta, snr, 0.0)
 

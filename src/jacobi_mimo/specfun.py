@@ -40,11 +40,13 @@ __all__ = [
 # G(x, y)
 # ---------------------------------------------------------------------------
 
-def g_closed(x: float, y: float) -> float:
-    """Closed form of G(x, y) on the closure of its domain.
+def g_closed(x: float, y: float, y1: float) -> float:
+    """Closed form of G(x, y) on the closure of its domain, given y1 = 1 + y.
 
-    Accepts x >= 0 and y > 0, y = 0, or y <= -1.  The y = 0 and y = -1
-    points are removable singularities of the closed form (the
+    Accepts x >= 0 and y > 0, y = 0, or y <= -1.  y1 is passed in, not
+    formed, so that the digits of a 1 + y the caller holds without
+    cancellation are kept (1 + 2y is taken as y + y1).  The y = 0 and
+    y1 = 0 points are removable singularities of the closed form (the
     sgn(y)*sqrt|y(1+y)| prefactor vanishes there) and are evaluated with
     that term dropped; x = 0 is the plain x -> 0+ limit, at which every
     term is already finite.
@@ -59,10 +61,10 @@ def g_closed(x: float, y: float) -> float:
 
     sx = math.sqrt(x)
     sx1 = math.sqrt(1.0 + x)
-    val = (1.0 + 2.0 * y) * math.log(0.5 * (sx1 + sx)) - 0.5 * (sx1 - sx) ** 2
-    if y != 0.0 and y != -1.0:
+    val = (y + y1) * math.log(0.5 * (sx1 + sx)) - 0.5 * (sx1 - sx) ** 2
+    if y != 0.0 and y1 != 0.0:
         ay = abs(y)
-        ay1 = abs(1.0 + y)
+        ay1 = abs(y1)
         num = math.sqrt(x * ay1) + math.sqrt(ay * (1.0 + x))
         den = math.sqrt(ay1) + math.sqrt(ay)
         val -= 2.0 * math.copysign(1.0, y) * math.sqrt(ay * ay1) * math.log(num / den)

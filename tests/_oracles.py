@@ -145,7 +145,7 @@ def g_fn(x: float, y: float) -> float:
     if x <= 0:
         raise ValueError(f"g_fn requires x > 0, got x={x!r}")
     if y > 0 or y <= -1.0:
-        return g_closed(x, y)
+        return g_closed(x, y, 1.0 + y)
     raise ValueError(f"g_fn domain excludes y in (-1, 0], got y={y!r}")
 
 
@@ -153,7 +153,7 @@ def i3_fn(x: float) -> float:
     """I3(x) = -G(x, -1), the y -> -1 limit of the kernel integral."""
     if x <= 0:
         raise ValueError(f"i3_fn requires x > 0, got x={x!r}")
-    return -g_closed(x, -1.0)
+    return -g_closed(x, -1.0, 0.0)
 
 
 
@@ -162,6 +162,68 @@ def g_defining_integral(x: float, y: float, target: float = 1e-13) -> float:
     """(1/pi) * int_0^1 sqrt(t(1-t)) log(t+x)/(t+y) dt by adaptive quadrature."""
     val, _ = quadrature(lambda t: math.log(t + x) / (t + y), weight="sqrt", target=target)
     return val / math.pi
+
+
+def _g_mp(x, y):
+    # the closed form of G(x, y) in mpmath, with 1 + y formed exactly
+    sx, sx1 = mp.sqrt(x), mp.sqrt(1 + x)
+    val = (1 + 2 * y) * mp.log((sx1 + sx) / 2) - (sx1 - sx) ** 2 / 2
+    if y != 0 and y != -1:
+        ay, ay1 = abs(y), abs(1 + y)
+        num = mp.sqrt(x * ay1) + mp.sqrt(ay * (1 + x))
+        den = mp.sqrt(ay1) + mp.sqrt(ay)
+        val -= 2 * mp.sign(y) * mp.sqrt(ay * ay1) * mp.log(num / den)
+    return val
+
+
+def _poles_mp(n0, beta, z, k, a, b):
+    # coulomb._poles in mpmath: (gamma, y) pairs, each 1 + y formed exactly
+    d = b - a
+    gz = d * k / mp.sqrt((z + a) * (z + b))
+    g0 = (beta - 1) * d / mp.sqrt(a * b) if a > 0 else None
+    if b < 1:
+        g1 = -n0 * d / mp.sqrt((1 - a) * (1 - b))
+    else:
+        g1 = -(gz + g0) if g0 is not None else z * gz - d * (n0 + beta + 1 + k)
+    if g0 is None:
+        g0 = -(gz + g1)
+    return [(gz, (a + z) / d), (g1, -(1 - a) / d), (g0, a / d)]
+
+
+def energy_pole_sums_mp(n0, beta, z, k, a, b, r) -> float:
+    """E(r) from the pole sums of the support (a, b) at multiplier k, in 300-bit mpmath.
+
+    The same decomposition and assembly as ``coulomb._poles`` and
+    ``coulomb._energy_from_poles`` (see the comment block above them),
+    evaluated exactly from the float inputs, so that only the float
+    code's rounding separates the two.
+    """
+    with mp.workprec(300):
+        n0, beta, z, k, a, b, r = map(mpf, (n0, beta, z, k, a, b, r))
+        d = b - a
+        poles = _poles_mp(n0, beta, z, k, a, b)
+
+        def integral(w, flip=False):  # log d + (1/2) sum gamma G, or its t -> 1-t mirror
+            if flip:
+                return mp.log(d) - sum(g * _g_mp(w, -(1 + y)) for g, y in poles) / 2
+            return mp.log(d) + sum(g * _g_mp(w, y) for g, y in poles) / 2
+
+        x0 = a if b == 1 else b
+        e = k / 2 * (r - mp.log(1 + x0 / z))
+        if n0:
+            e -= n0 / 2 * (integral((1 - b) / d, flip=True) + mp.log(1 - x0))
+        if beta > 1:
+            e -= (beta - 1) / 2 * (integral(a / d) + mp.log(x0))
+        return float(e - integral(0, flip=x0 == b))
+
+
+def density_pole_sum_mp(sol, x: float) -> float:
+    """``density_at(sol, x)`` for a < x < b, evaluated exactly from the solution's floats."""
+    with mp.workprec(300):
+        a, b, x = mpf(sol.a), mpf(sol.b), mpf(x)
+        d, t = b - a, (x - a) / (b - a)
+        poles = _poles_mp(*map(mpf, (sol.n0, sol.beta, 1.0 / sol.rho, sol.k)), a, b)
+        return float(mp.sqrt(t * (1 - t)) * sum(g / (t + y) for g, y in poles) / (2 * mp.pi * d))
 
 
 _M = 1 << 15

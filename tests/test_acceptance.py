@@ -247,7 +247,7 @@ def test_c10_specfun_integrity():
     for x in np.logspace(-2, 2, 9):
         direct = -g_defining_integral(float(x), -1.0, target=1e-12)
         worst_i3 = max(worst_i3, abs(i3_fn(float(x)) - direct))
-        assert i3_fn(float(x)) == -g_closed(float(x), -1.0)
+        assert i3_fn(float(x)) == -g_closed(float(x), -1.0, 0.0)
     assert worst_i3 <= 1e-9
 
     def inner(l1):

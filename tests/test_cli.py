@@ -403,6 +403,23 @@ def test_solver_failure_exits_one(monkeypatch):
     assert (code, out, err) == (1, "", "solver failure: injected k = 0 failure\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ergodic", "--N", "47", "--Nt", "20", "--Nr", "22", "--rho", "1e-14"],
+        ["density", "--N", "12", "--Nt", "6", "--Nr", "6", "--rho", "1e300", "--kind", "constrained", "--k", "-1"],
+    ],
+    ids=["ergodic-rho1e-14", "density-rho1e300"],
+)
+def test_rate_outside_the_window_exits_one(argv):
+    # the k = 0 rate rounds below 0 at rho = 1e-14, and the pole-sum rate
+    # of the wall-to-wall support cancels to 0 at rho = 1e300; both used to
+    # be printed (r_erg = -3.6e-14; r = 0.0 with exponent -1.39), exit 0
+    code, out, err = run_cli(argv + ["--reproducible"])
+    assert (code, out) == (1, "")
+    assert err.startswith("solver failure: rate ") and " outside the window (0, " in err
+
+
 def test_worker_env_cap(monkeypatch):
     monkeypatch.setenv("JACOBI_OUTAGE_THREADS", "2")
     code, out, _ = run_cli(

@@ -21,7 +21,9 @@ from jacobi_mimo.coulomb import (
 )
 from jacobi_mimo.ensemble import SnrParam
 
-from _oracles import density_mass_and_rate, energy_functional, quadrature
+from _oracles import (
+    density_mass_and_rate, density_pole_sum_mp, energy_functional, energy_pole_sums_mp, quadrature,
+)
 
 SNR3 = SnrParam(3.0)
 CORNERS = [(0.0, 1.0, 3.0), (1.0, 1.0, 3.0), (0.0, 2.0, 3.0), (1.0, 2.0, 10.0)]
@@ -434,12 +436,13 @@ def test_solve_regime_validates_rate_window():
 
 @pytest.mark.parametrize(
     "n0, beta, rho, frac",
-    [(0.25, 1.1, 0.01, 0.999), (1.0, 1.0, 1.0, 0.9999)],
+    [(0.25, 1.1, 0.01, 0.999), (1.0, 1.0, 1.0, 0.99999)],
     ids=["generic-rho0.01", "beta1-rho1"],
 )
 def test_solve_regime_raises_when_root_misses_rate(n0, beta, rho, frac):
     # near the top of the window the support shrinks toward 1 and the
-    # multiplier root reaches a rate 9e-5 / 1.3e-7 relative off target
+    # multiplier root reaches a rate 9e-5 / 4e-6 relative off target (the
+    # beta = 1 point at f = 0.9999 solves since the wall pole carries 1 + y)
     r = frac * math.log1p(rho)
     with pytest.raises(ArithmeticError, match="reaches rate"):
         solve_regime(n0, beta, SnrParam(rho), r)
@@ -449,12 +452,16 @@ def test_solve_regime_raises_when_root_misses_rate(n0, beta, rho, frac):
     "n0, beta, rho, frac, reason",
     [
         # the Newton start used to return P = 1/2 from the k = 0 solution,
-        # whose rate misses r, unchecked
-        (1.0, 1.0, 1e-14, 0.05, "soft edge 1/X = 0.0"),
-        # 1/X underflowed at the edge root: a bare ZeroDivisionError
-        (3.0, 4.0, 1e-14, 0.05, "soft edge 1/X = 0.0"),
-        (3.0, 4.0, 1e-12, 0.95, "support endpoints not real"),
+        # whose rate misses r, unchecked; that rate (4.6e-14 > rho) is refused
+        (1.0, 1.0, 1e-14, 0.05, r"outside the window .*, 0\.0\)$"),
+        # 1/X underflowed at the edge root: a bare ZeroDivisionError; the
+        # k = 0 rate (2.5e-14 > rho) is now refused first
+        (3.0, 4.0, 1e-14, 0.05, r"outside the window .*, 0\.0\)$"),
+        # formerly "support endpoints not real"; an iterate's rate (-0.097)
+        # is now refused first
+        (3.0, 4.0, 1e-12, 0.95, "rate -.* outside the window"),
     ],
+    ids=["1.0-1.0-1e-14-0.05-k0-rate", "3.0-4.0-1e-14-0.05-k0-rate", "3.0-4.0-1e-12-0.95-iterate-rate"],
 )
 def test_tiny_rho_failures_name_their_cause(n0, beta, rho, frac, reason):
     with pytest.raises(ArithmeticError, match=reason) as info:
@@ -722,13 +729,60 @@ def test_lazy_energy_is_the_direct_assembly_bit_for_bit():
     assert regimes == {"S01", "S0b", "Sa1", "Sab"}
 
 
+@pytest.mark.parametrize("n0, beta", [(1.0, 1.0), (3.0, 1.0), (0.25, 1.25)], ids=["S0b-1", "S0b-3", "Sab"])
+def test_exponent_steps_settle_as_rho_grows(n0, beta):
+    # At fixed k = -1 Delta E grows like a constant times log(rho) (S0b
+    # with n0 > 0, Sab).  Its steps per half decade of rho approach their
+    # limit geometrically, so from 1e4 to 1e18 no step may change by more
+    # than the one before plus a rounding floor of 1e-6.  Before the poles
+    # carried 1 + y, the flipped pole sums lost the digits of the SNR pole
+    # and the steps jumped by 5e-6 to 0.6 from rho ~ 3e11 on.
+    floor = 1e-6
+    es = [solve_at_multiplier(n0, beta, SnrParam(10.0 ** (j / 2)), -1.0).exponent for j in range(8, 37)]
+    steps = [e1 - e0 for e0, e1 in zip(es, es[1:])]
+    changes = [abs(s1 - s0) for s0, s1 in zip(steps, steps[1:])]
+    for j, (c0, c1) in enumerate(zip(changes, changes[1:])):
+        assert c1 <= c0 + floor, (10.0 ** ((j + 11) / 2), c0, c1)
+
+
+@pytest.mark.parametrize("rho", [1e8, 1e12, 1e16])
+@pytest.mark.parametrize("n0", [1.0, 3.0])
+def test_energy_from_poles_matches_mpmath_pole_sums(n0, rho):
+    # The SNR pole weight is of size sqrt(rho), so its terms in the pole
+    # sums are too and cancel to O(1): the float sums carry a rounding
+    # floor of about eps sqrt(rho), which is the bound.  With 1 + y formed
+    # as 1.0 + y the error was 7e-11 at 1e8 and 2e-2 at 1e16.
+    snr = SnrParam(rho)
+    for k in (-1.0, -0.1):
+        sol = solve_at_multiplier(n0, 1.0, snr, k)
+        assert sol.regime == "S0b"
+        got = coulomb._energy_from_poles(
+            n0, 1.0, snr.z, k, sol.a, sol.b, sol.r, coulomb._poles(n0, 1.0, snr.z, k, sol.a, sol.b), sol.b
+        )
+        ref = energy_pole_sums_mp(n0, 1.0, snr.z, k, sol.a, sol.b, sol.r)
+        assert abs(got - ref) <= 2.0**-52 * math.sqrt(rho), (k, got, ref)
+
+
+def test_density_next_to_a_soft_edge_near_the_wall():
+    # b soft at 1 - 1.6e-13: the wall pole's t + y, formed from y, cancels
+    # to 1 - x next to b and lost 1.2e-10 relative at the last table node;
+    # from 1 + y it is a sum of like signs.  The bound is 8 ulp.
+    sol = solve_at_multiplier(1e-6, 2.0, SnrParam(10.0), -0.5)
+    assert sol.regime == "Sab" and 1.0 - sol.b < 1e-12
+    d = sol.b - sol.a
+    for gap in (1e-3, 1e-6, 4.5e-7 * d):
+        x = sol.b - gap
+        assert abs(density_at(sol, x) - density_pole_sum_mp(sol, x)) <= 8 * math.ulp(density_at(sol, x)), gap
+
+
 def _density_per_point(sol, x):
     # the scalar formula density_at evaluates elementwise
     a, b = sol.a, sol.b
     if not a < x < b:
         return 0.0
-    d, u = b - a, x - a
-    return math.sqrt(u * (b - x)) * sum(g / (u + y * d) for g, y in sol.poles) / (2.0 * math.pi * d)
+    d, u, v = b - a, x - a, b - x
+    terms = (g / (u + y * d if y >= 0.0 else y1 * d - v) for g, y, y1 in sol.poles)
+    return math.sqrt(u * v) * sum(terms) / (2.0 * math.pi * d)
 
 
 def _ergodic_per_point(n0, beta, a0, b0, x):
@@ -956,6 +1010,18 @@ def test_support_and_poles_at_huge_rho():
     # weights; the poles now form, and the rate they give is refused
     with pytest.raises(ArithmeticError, match="rate -inf of the support .* not finite"):
         solve_at_multiplier(1.0, 1.0, SnrParam(1e300), -100.0)
+
+
+def test_pinned_b_support_keeps_its_gap_past_rho_1e154():
+    # b on the wall at 1 with W^2 >= 1/2: 1 - a was formed as
+    # (rho - y)(2 + rho + y)/(rho(1 + rho)), inf/inf from rho ~ 1.3e154 on,
+    # so a was nan; a converges in rho, to 25/49 at k = 5
+    ref = solve_at_multiplier(0.0, 1.0, SnrParam(1e150), 5.0).a
+    assert abs(ref - 25.0 / 49.0) <= 4 * math.ulp(ref)
+    for rho in (1e160, 1e300):
+        sol = solve_at_multiplier(0.0, 1.0, SnrParam(rho), 5.0)
+        assert sol.regime == "Sa1" and sol.b == 1.0
+        assert abs(sol.a - ref) <= 4 * math.ulp(ref), rho
 
 
 @pytest.mark.parametrize("beta", [1.1, 2.0, 4.0])

@@ -1,4 +1,4 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/, and the README quick start, runs to completion against src/."""
 
 import os
 import subprocess
@@ -21,3 +21,13 @@ def test_demo_runs(script):
     done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    # the "Library quick start" block, executed as written, so that a
+    # renamed function or field cannot go stale in the README
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("S0b (0.0, ")

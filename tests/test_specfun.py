@@ -89,25 +89,25 @@ def test_g_fn_domain_errors():
 
 def test_g_closed_domain_errors():
     with pytest.raises(ValueError, match="requires x >= 0"):
-        g_closed(-1e-300, 1.0)
+        g_closed(-1e-300, 1.0, 2.0)
     for y in (-0.5, -1e-300, -1.0 + 1e-16):
         with pytest.raises(ValueError, match="requires y > 0, y = 0, or y <= -1"):
-            g_closed(1.0, y)
+            g_closed(1.0, y, 1.0 + y)
 
 
 def test_g_closed_edge_arguments_match_integral():
     # y = 0 and x = 0 closures used by the rate/energy formulas
-    assert abs(g_closed(1.0, 0.0) - g_defining_integral(1.0, 0.0, target=1e-12)) < 1e-10
-    assert abs(g_closed(0.3, 0.0) - g_defining_integral(0.3, 0.0, target=1e-12)) < 1e-10
-    assert abs(g_closed(0.0, 2.0) - g_defining_integral(1e-13, 2.0)) < 1e-6
-    assert abs(g_closed(0.0, -3.0) - g_defining_integral(1e-13, -3.0)) < 1e-6
+    assert abs(g_closed(1.0, 0.0, 1.0) - g_defining_integral(1.0, 0.0, target=1e-12)) < 1e-10
+    assert abs(g_closed(0.3, 0.0, 1.0) - g_defining_integral(0.3, 0.0, target=1e-12)) < 1e-10
+    assert abs(g_closed(0.0, 2.0, 3.0) - g_defining_integral(1e-13, 2.0)) < 1e-6
+    assert abs(g_closed(0.0, -3.0, -2.0) - g_defining_integral(1e-13, -3.0)) < 1e-6
 
 
 def test_i3_golden_and_identity():
     assert abs(i3_fn(1.0) - I3_1) < 1e-9
     assert abs(i3_fn(0.25) - I3_QUARTER) < 1e-9
     for x in np.logspace(-3, 3, 25):
-        assert i3_fn(float(x)) == -g_closed(float(x), -1.0)
+        assert i3_fn(float(x)) == -g_closed(float(x), -1.0, 0.0)
     with pytest.raises(ValueError):
         i3_fn(0.0)
 
