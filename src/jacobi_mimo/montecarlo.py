@@ -13,9 +13,10 @@ its eigenvalues: the pivots of 1 + rho B^T B give the rate, and the
 negative pivots of B^T B - x count the eigenvalues below a bin edge x
 (Sylvester's law of inertia), O(bins Nt) per trial against O(Nt^3) for a
 dense eigensolve.  Reproducibility contract: trials run in
-fixed blocks of ``_BLOCK``, each drawn from its own counter-based Philox
-substream keyed by (seed, block index) and reduced in block order, so
-results are bit-identical for a given (seed, trials) at any worker count.
+fixed blocks of ``_BLOCK``, each drawn from its own SFC64 stream seeded by
+``SeedSequence(seed, spawn_key=(block index,))`` and reduced in block
+order, so results are bit-identical for a given (seed, trials) at any
+worker count.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ __all__ = [
 # never depends on the worker count.
 _BLOCK = 1024
 
-# Each block owns a 2^128-wide counter slab in the Philox stream; draws can
-# never run into a neighboring block's slab.
-_BLOCK_STRIDE = 1 << 128
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -64,7 +61,8 @@ class McConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not 0 <= self.seed < 1 << 128:  # the seed is a 128-bit Philox key
+        # SeedSequence takes any non-negative int; the bound is the CLI's seed contract
+        if not 0 <= self.seed < 1 << 128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
 
 
@@ -95,7 +93,7 @@ def _block_bidiagonal(dims: ChannelDims, seed: int, lo: int, hi: int) -> tuple[n
     ratios stay mutually independent.
     """
     nt, a, b, count = dims.Nt, dims.Nr - dims.Nt, dims.N0, hi - lo
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=(lo // _BLOCK) * _BLOCK_STRIDE))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK,))))
     x = np.empty((3 * nt - 1, count))
     shapes = [a + k for k in range(nt, 0, -1)] + [b + k for k in range(nt, 0, -1)] + list(range(1, nt))
     for shape, row in zip(shapes, x):

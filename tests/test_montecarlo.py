@@ -142,6 +142,30 @@ def test_block_draws_3nt_minus_1_gamma_rows(monkeypatch):
         assert sorted(s for s, _ in calls) == sorted([a + k for k in ks] + [b + k for k in ks] + list(range(1, nt)))
 
 
+def test_block_streams_keyed_by_seed_and_block():
+    # a block's stream is keyed by the pair (seed, block), not by their sum, and the
+    # rates of adjacent seeds and of adjacent blocks are not rank-correlated beyond
+    # 4 standard errors; both ends of the seed range draw
+    dims = normalize_dims(4, 2, 2)
+    d2, e2 = _block_bidiagonal(dims, 3, _BLOCK, 2 * _BLOCK)
+    for seed in (4, 3):
+        other_d2, other_e2 = _block_bidiagonal(dims, seed, 0, _BLOCK)
+        assert not np.any(d2 == other_d2) and not np.any(e2 == other_e2)
+    blocks = 9
+
+    def rates(seed):
+        cfg = McConfig(dims=dims, snr=SnrParam(10.0), trials=blocks * _BLOCK, seed=seed)
+        return np.concatenate([_block_rates(cfg, lo, lo + _BLOCK) for lo in range(0, cfg.trials, _BLOCK)])
+
+    n = (blocks - 1) * _BLOCK
+    for seed in (0, 3, 2**128 - 2):
+        here, there = rates(seed), rates(seed + 1)
+        assert np.all(np.isfinite(here)) and np.all(np.isfinite(there))
+        for x, y in ((here[:n], there[:n]), (here[:n], here[_BLOCK:])):
+            spearman = np.corrcoef(rankdata(x), rankdata(y))[0, 1]
+            assert abs(spearman) < 4.0 / math.sqrt(n)
+
+
 def test_sampler_threads_capped_at_core_count(monkeypatch):
     # the pool never opens more threads than cores or blocks, whatever --workers asks for;
     # the fake pool records max_workers and runs the blocks on this thread
