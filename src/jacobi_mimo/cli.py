@@ -13,9 +13,8 @@ suppressed under --reproducible.  Rates are nats by default, bits with
 --bits (inputs and outputs alike).
 
 Exit codes: 0 success, 2 usage error, 1 when a solver failure left no
-usable row.  Usage errors include a non-finite --rho, --r or --k,
---r or --k given with ``density --kind ergodic``, and an ``outage`` run
-under a JACOBI_OUTAGE_THREADS that is not an integer >= 1.
+usable row.  Usage errors include a non-finite --rho, --r or --k, and
+--r or --k given with ``density --kind ergodic``.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,16 +55,6 @@ def _csv_cell(value) -> str:
     if value is None:
         return ""
     return value if isinstance(value, str) else repr(value)
-
-
-def _worker_cap(requested: int) -> int:
-    """--workers, capped by JACOBI_OUTAGE_THREADS when that is set and not empty."""
-    cap = os.environ.get("JACOBI_OUTAGE_THREADS")
-    if not cap:
-        return requested
-    if not (cap.isdecimal() and int(cap) >= 1):
-        raise UsageError(f"JACOBI_OUTAGE_THREADS must be an integer >= 1, got {cap!r}")
-    return min(requested, int(cap))
 
 
 def _common_channel_args(sub):
@@ -230,7 +218,6 @@ def cmd_outage(args, ch: Channel):
         )
     except ValueError as err:
         raise UsageError(str(err)) from err
-    mc = replace(mc, workers=_worker_cap(args.workers))
     warnings: list[str] = []
     columns = {"r": [r / ch.unit for r in rates]}
 

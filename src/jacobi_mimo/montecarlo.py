@@ -149,9 +149,15 @@ def _sturm_counts(d2: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _map_blocks(cfg: McConfig, fn):
-    """Apply fn(lo, hi) to every block of trials, in block order, on at most one thread per core."""
+    """Apply fn(lo, hi) to every block of trials, in block order, on up to cfg.workers threads.
+
+    No more threads open than there are blocks or CPUs this process may run on: its
+    affinity mask where the platform has one, so taskset and cpusets lower the count,
+    and ``os.cpu_count()`` elsewhere.
+    """
     ranges = [(lo, min(lo + _BLOCK, cfg.trials)) for lo in range(0, cfg.trials, _BLOCK)]
-    threads = min(cfg.workers, len(ranges), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(cfg.workers, len(ranges), cpus)
     if threads == 1:
         return [fn(*span) for span in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -320,8 +320,7 @@ META_REQUESTS = {
 
 
 @pytest.mark.parametrize("kind", list(META_REQUESTS))
-def test_metadata_block_order_and_line_format(kind, monkeypatch):
-    monkeypatch.delenv("JACOBI_OUTAGE_THREADS", raising=False)
+def test_metadata_block_order_and_line_format(kind):
     argv = META_REQUESTS[kind]
     head = [
         '# tool: "jacobi-mimo"\n',
@@ -420,26 +419,6 @@ def test_rate_outside_the_window_exits_one(argv):
     assert err.startswith("solver failure: rate ") and " outside the window (0, " in err
 
 
-def test_worker_env_cap(monkeypatch):
-    monkeypatch.setenv("JACOBI_OUTAGE_THREADS", "2")
-    code, out, _ = run_cli(
-        BASE + ["--points", "2", "--methods", "mc", "--trials", "4000",
-                "--workers", "8", "--format", "json", "--reproducible"]
-    )
-    assert code == 0
-    assert json.loads(out)["meta"]["workers"] == 2
-
-
-@pytest.mark.parametrize("cap", ["two", "1.5", "0", "-3"])
-def test_worker_env_cap_rejects_bad_value(cap, monkeypatch):
-    # a cap that cannot be read is a usage error, not a silently uncapped run
-    monkeypatch.setenv("JACOBI_OUTAGE_THREADS", cap)
-    code, out, err = run_cli(BASE + ["--points", "2", "--methods", "mc", "--trials", "4000", "--workers", "8"])
-    assert code == 2
-    assert out == ""
-    assert "JACOBI_OUTAGE_THREADS" in err and repr(cap) in err
-
-
 def test_offset_dims_rate_window():
     # (4,3,3) reduces with offset 2*log(1+rho): grid must live in the
     # shifted window, and the ld/gauss methods see reduced coordinates
@@ -456,6 +435,28 @@ def test_offset_dims_rate_window():
         assert 0.0 <= row["pout_ld"] <= 1.0
     bad = run_cli(args[:9] + ["--r-min", "0.1", "--r-max", "0.5"] + args[9:])
     assert bad[0] == 2
+
+
+@pytest.mark.parametrize("reduced, twin", [((5, 3, 3), (5, 2, 2)), ((7, 4, 5), (7, 2, 3))])
+@pytest.mark.parametrize("rho", [1e-2, 1.0, 1e4])
+def test_reduced_dims_equal_their_canonical_twin(reduced, twin, rho):
+    # (5,3,3) reduces to Nt = Nr = 2, N0 = 1 with offset log(1+rho)/2, and (7,4,5) to
+    # (2, 3, 2) with offset log(1+rho): every route must give the twin's numbers at the
+    # twin's rate, Monte Carlo included, since both draw the same reduced ensemble
+    offset = jacobi_mimo.normalize_dims(*reduced).pinned_rate(rho)
+    rates = [offset + f * math.log1p(rho) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    columns = ["pout_mc", "pout_exact", "pout_ld", "pout_gauss"]
+    tables = []
+    for (n, nt, nr), rs in ((reduced, rates), (twin, [r - offset for r in rates])):
+        code, out, err = run_cli(
+            ["outage", "--N", str(n), "--Nt", str(nt), "--Nr", str(nr), "--rho", repr(rho),
+             "--rates", ",".join(map(repr, rs)), "--methods", "mc,exact,ld,gauss",
+             "--trials", "100000", "--seed", "41", "--format", "json", "--reproducible"]
+        )
+        assert code == 0, err
+        tables.append([[row[col] for col in columns] for row in json.loads(out)["rows"]])
+    assert all(v is not None for row in tables[0] for v in row)
+    assert tables[0] == tables[1]
 
 
 def _fresh_python(code: str) -> str:

@@ -452,6 +452,34 @@ def test_exact_matches_monte_carlo_small_configs():
             assert abs(pe - est.p) <= 3.0 * se + 1e-9
 
 
+def _bernstein_halfwidth(n: int, p: float, alpha: float) -> float:
+    """t with P(|K - n p| >= t) <= alpha for K ~ Binomial(n, p), by Bernstein's inequality.
+
+    2 exp(-t^2 / (2 (n p (1-p) + t/3))) = alpha, solved for t; unlike a normal 3 sigma rule
+    it holds for every n and p, near p = 0 and 1 included.
+    """
+    log_term = math.log(2.0 / alpha)
+    return log_term / 3.0 + math.sqrt(log_term * log_term / 9.0 + 2.0 * log_term * n * p * (1.0 - p))
+
+
+@pytest.mark.parametrize("shape", [(6, 1, 3), (9, 2, 4), (5, 3, 3), (7, 4, 5)])
+def test_monte_carlo_matches_exact_across_snr_corners(shape):
+    # Nt = 1 with Nr > 1, and |Nt - Nr| > 0 with N0 > 0 (directly, or after reduction
+    # with a rate offset), at rho from 1e-2 to 1e4 and window fractions 0.1..0.9.
+    # Bound: the outage count of 100,000 trials lies within Bernstein's halfwidth of
+    # n * P_exact at false-alarm probability 1e-6 per point (60 points in all).
+    dims = normalize_dims(*shape)
+    trials, alpha = 100_000, 1e-6
+    for rho in (1e-2, 1.0, 1e4):
+        snr = SnrParam(rho)
+        rates = [dims.pinned_rate(rho) + f * math.log1p(rho) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        ests = outage_curve(McConfig(dims=dims, snr=snr, trials=trials, seed=41), rates)
+        ecfg = ExactConfig(dims=dims, snr=snr)
+        for r, est in zip(rates, ests):
+            pe = outage_exact(ecfg, r).p
+            assert abs(est.p - pe) * trials <= _bernstein_halfwidth(trials, pe, alpha), (rho, r, est.p, pe)
+
+
 def test_caps_are_enforced(monkeypatch):
     snr = SnrParam(1.0)
     with pytest.raises(TermBudgetError):

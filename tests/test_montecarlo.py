@@ -167,8 +167,9 @@ def test_block_streams_keyed_by_seed_and_block():
 
 
 def test_sampler_threads_capped_at_core_count(monkeypatch):
-    # the pool never opens more threads than cores or blocks, whatever --workers asks for;
-    # the fake pool records max_workers and runs the blocks on this thread
+    # the pool never opens more threads than the CPUs this process may run on, or blocks,
+    # whatever --workers asks for; the fake pool records max_workers and runs the blocks
+    # on this thread
     opened = []
 
     class FakePool:
@@ -185,7 +186,7 @@ def test_sampler_threads_capped_at_core_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     base = McConfig(dims=normalize_dims(4, 2, 2), snr=SnrParam(10.0), trials=10 * _BLOCK, seed=3)
     serial = moments(base)
     for workers, trials, threads in ((100_000, 10 * _BLOCK, 3), (2, 10 * _BLOCK, 2), (8, 2 * _BLOCK, 2)):
@@ -195,10 +196,17 @@ def test_sampler_threads_capped_at_core_count(monkeypatch):
         assert opened == [threads]
         if trials == base.trials:
             assert result == serial
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
     opened.clear()
     assert moments(McConfig(dims=base.dims, snr=base.snr, trials=base.trials, seed=3, workers=4)) == serial
     assert opened == []
+    # without an affinity mask the host's CPU count caps the pool
+    monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+    for cpus, threads in ((3, [3]), (1, []), (None, [])):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        opened.clear()
+        assert moments(McConfig(dims=base.dims, snr=base.snr, trials=base.trials, seed=3, workers=4)) == serial
+        assert opened == threads
 
 
 @pytest.mark.parametrize("rho", [1e-2, 1.0, 1e4])
