@@ -13,8 +13,9 @@ suppressed under --reproducible.  Rates are nats by default, bits with
 --bits (inputs and outputs alike).
 
 Exit codes: 0 success, 2 usage error, 1 when a solver failure left no
-usable row.  Usage errors include a non-finite --rho, --r or --k, and
---r or --k given with ``density --kind ergodic``.
+usable row.  Usage errors include a non-finite --rho, --r or --k, a
+--rho whose reciprocal overflows, and --r or --k given with
+``density --kind ergodic``.
 """
 
 from __future__ import annotations
@@ -123,19 +124,20 @@ class Channel:
 
 def _channel(args) -> Channel:
     """Parse the channel flags every subcommand shares; bad values are usage errors."""
-    try:
-        dims = normalize_dims(args.N, args.Nt, args.Nr)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
     for name in ("rho", "r", "k"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise UsageError(f"--{name} must be finite, got {value!r}")
     if args.rho <= 0:
         raise UsageError("--rho must be positive")
+    try:
+        dims = normalize_dims(args.N, args.Nt, args.Nr)
+        snr = SnrParam(args.rho)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
     return Channel(
         dims=dims,
-        snr=SnrParam(args.rho),
+        snr=snr,
         n0=float(dims.n0),
         beta=float(dims.beta),
         offset=dims.pinned_rate(args.rho),

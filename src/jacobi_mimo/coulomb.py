@@ -12,15 +12,16 @@ where E(r) minimizes the electrostatic energy functional
 over unit-mass densities with rate Int p(x) log(1+rho*x) dx pinned to r,
 and E0 is the unconstrained minimum.  The rate constraint enters through
 a Lagrange multiplier k with E'(r) = k: k = 0 at the ergodic rate r_erg
-(the distribution's peak), k < 0 below it, k > 0 above.  The outer solve
-matches r(k) = r by Newton on k with the closed-form slope dr/dk = V(a, b)
-below, from the Gaussian guess (r - r_erg)/v_erg; r(k) is increasing, so
-k = 0 bounds the root on one side.  The k = 0 solution, on the
-closed-form support below, is the ergodic record: ergodic_summary
-caches it, and its r, v and e0 are r_erg, v_erg and E0.  The Newton
-stops at the first iterate no closer to r than the best so far once
-that best meets the 1e-8 tolerance: r(k) has then reached its rounding
-noise.
+(the distribution's peak), k < 0 below it, k > 0 above.  The k = 0
+solution, on the closed-form support below, is the ergodic record:
+ergodic_summary caches it, and its r, v and e0 are r_erg, v_erg and E0.
+The outer solve matches r(k) = r by Newton on k with the closed-form
+slope dr/dk = V(a, b) below, starting from that record, so its first
+step is the Gaussian guess (r - r_erg)/v_erg; r(k) is increasing, so
+k = 0 bounds the root on one side.  The Newton stops only on what it
+observes: a step or bracket below the multiplier tolerance, or an
+iterate no closer to r than the best so far once that best meets the
+1e-8 tolerance (r(k) has then reached its rounding noise).
 
 At fixed k the minimizer is a one-cut density on (a, b) whose edges are
 either soft (p vanishes there) or pinned to the hard walls at 0 and 1.
@@ -115,7 +116,6 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _K_TOL = 1e-12          # root tolerance on the Lagrange multiplier
 _K_ITER = 200           # cap on the outer multiplier iterations
-_EPS = 2.0**-52         # binary64 unit roundoff, for the rate rounding floor
 _LD_TOL = 1e-8          # advertised tolerance of the deterministic estimates
 _FULL_BRACKET = (0.0, math.inf)  # no bound on the edge root y from solved neighbours
 
@@ -134,10 +134,9 @@ class RegimeSolution:
     is dr/dk = V(a, b), the rate variance of the support (v_erg at k = 0),
     and ``y`` = Y - 1 its edge-root variable, both of which the outer
     solve reads from every iterate.  ``poles`` is the (gamma, y, 1+y)
-    decomposition the solution was built from, ``r_floor`` the rounding
-    floor of ``r`` (8 eps times the magnitudes of its terms), and
-    ``bracket_fallback`` whether the edge root had to leave the bracket it
-    was given for the full one.
+    decomposition the solution was built from, and ``bracket_fallback``
+    whether the edge root had to leave the bracket it was given for the
+    full one.
     """
 
     regime: str
@@ -149,7 +148,6 @@ class RegimeSolution:
     beta: float
     rho: float
     poles: tuple[tuple[float, float, float], ...] = field(repr=False)
-    r_floor: float = field(repr=False)
     v: float = field(repr=False)
     y: float = field(repr=False)
     bracket_fallback: bool = field(default=False, repr=False)
@@ -286,20 +284,21 @@ def _endpoints(rho: float, y: float, x2: float, m: float) -> tuple[float, float]
     """
     if x2 == 0.0:
         a = m if m < 0.5 else 1.0 - (rho - y) / rho * ((2.0 + rho + y) / (1.0 + rho))
-        return a, 1.0
-    yy = y * (2.0 + y)
-    if yy / rho + rho * m < m + x2:
-        s = yy / rho - rho * m
+        b = 1.0
     else:
-        s = 1.0 + m - x2
-    # the discriminant over s^2: s^2 - 4m underflows once s ~ 1/rho at huge rho
-    disc = 1.0 - 4.0 * (m / s) / s if s > 0.0 else -1.0
-    if not disc >= 0.0:
-        raise ArithmeticError(f"support endpoints not real and positive (s={s!r}, ab={m!r})")
-    b = 0.5 * s * (1.0 + math.sqrt(disc))
-    a = m / b
+        yy = y * (2.0 + y)
+        if yy / rho + rho * m < m + x2:
+            s = yy / rho - rho * m
+        else:
+            s = 1.0 + m - x2
+        # the discriminant over s^2: s^2 - 4m underflows once s ~ 1/rho at huge rho
+        disc = 1.0 - 4.0 * (m / s) / s if s > 0.0 else -1.0
+        if not disc >= 0.0:
+            raise ArithmeticError(f"support endpoints not real and positive (s={s!r}, ab={m!r})")
+        b = 0.5 * s * (1.0 + math.sqrt(disc))
+        a = m / b
     if not 0.0 <= a < b <= 1.0:
-        raise ArithmeticError(f"support endpoints ({a!r}, {b!r}) outside [0, 1]")
+        raise ArithmeticError(f"support endpoints ({a!r}, {b!r}) collapsed or outside [0, 1]")
     return a, b
 
 
@@ -435,20 +434,18 @@ def _poles(
 # quadrature of the energy functional in the tests.
 # ---------------------------------------------------------------------------
 
-def _pole_integral(start: float, poles, w: float, flip: bool = False) -> tuple[float, float]:
+def _pole_integral(start: float, poles, w: float, flip: bool = False) -> float:
     """start + (1/2) sum gamma G(w, y), or start - (1/2) sum gamma G(w, -(1+y)) with flip.
 
-    Also returns |start| + sum |term|, the scale of its rounding error.
     The terms are added in pole order after ``start``; zero weights are
     skipped.
     """
-    total, scale = start, abs(start)
+    total = start
     for gamma, y, y1 in poles:
         if gamma:
             term = 0.5 * gamma * (g_closed(w, -y1, -y) if flip else g_closed(w, y, y1))
             total = total - term if flip else total + term
-            scale += abs(term)
-    return total, scale
+    return total
 
 
 def _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0) -> float:
@@ -456,12 +453,12 @@ def _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0) -> float:
     rho = 1.0 / z
     e = 0.5 * k * (r - math.log1p(rho * x0))
     if n0:
-        ic = _pole_integral(math.log(d), poles, (1.0 - b) / d, flip=True)[0]
+        ic = _pole_integral(math.log(d), poles, (1.0 - b) / d, flip=True)
         e -= 0.5 * n0 * (ic + math.log1p(-x0))
     if beta > 1.0:
-        i0 = _pole_integral(math.log(d), poles, a / d)[0]
+        i0 = _pole_integral(math.log(d), poles, a / d)
         e -= 0.5 * (beta - 1.0) * (i0 + math.log(x0))
-    return e - _pole_integral(math.log(d), poles, 0.0, flip=x0 == b)[0]
+    return e - _pole_integral(math.log(d), poles, 0.0, flip=x0 == b)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +500,7 @@ def solve_at_multiplier(
             raise ArithmeticError(f"soft edge a underflowed to 0 (b = {b!r})")
         d = b - a
         poles = _poles(n0, beta, z, k, a, b)
-        r, scale = _pole_integral(math.log(d / z), poles, (a + z) / d)
+        r = _pole_integral(math.log(d / z), poles, (a + z) / d)
         if not math.isfinite(r):
             raise ArithmeticError(f"rate {r!r} of the support ({a!r}, {b!r}) not finite")
         rmax = math.log1p(snr.rho)
@@ -512,7 +509,7 @@ def solve_at_multiplier(
     except ArithmeticError as err:
         raise ArithmeticError(f"{err} at (n0, beta, rho, k) = {(n0, beta, snr.rho, k)!r}") from err
     return RegimeSolution(
-        regime, a, b, k, r, n0, beta, snr.rho, poles, 8.0 * _EPS * scale,
+        regime, a, b, k, r, n0, beta, snr.rho, poles,
         _rate_variance(snr.rho, a, b), _edge_y(snr.rho, a, b), fallback,
     )
 
@@ -521,25 +518,25 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     """Constrained-density solution at prescribed rate r in (0, log(1+rho)).
 
     Newton on the multiplier k with the closed-form slope dr/dk = V(a, b)
-    of each iterate's support, started from the Gaussian guess
-    (r - r_erg)/v_erg.  r(k) is strictly increasing (dr/dk = 1/E'' > 0 by
-    convexity), so k = 0 bounds one side of the root and every iterate
-    moves a side of the bracket: a step that leaves a finite bracket is
-    replaced by bisection, and one that goes more than twice as far from
-    0 while the bracket is still open by doubling.  At r = r_erg the
-    cached k = 0 solution of :func:`ergodic_summary` is returned as is.
+    of each iterate's support.  Iterate 0 is the cached k = 0 record of
+    :func:`ergodic_summary`, so the first step is the Gaussian guess
+    (r - r_erg)/v_erg, and at r = r_erg the record is returned with no
+    solve.  r(k) is strictly increasing (dr/dk = 1/E'' > 0 by convexity),
+    so k = 0 bounds one side of the root and every iterate moves a side
+    of the bracket: a step that leaves a finite bracket is replaced by
+    bisection, and one that goes more than twice as far from 0 while the
+    bracket is still open by doubling (save the step from k = 0).
 
     y = Y - 1 of the support increases with k too, so the supports
-    solved at the two ends of the k bracket (the cached k = 0 one at the
+    solved at the two ends of the k bracket (the k = 0 record at the
     start) bound the edge root of the next iterate, which each solve
     passes on as ``y_bracket``.
 
     The iteration stops on the first of: the step falls below the
-    multiplier tolerance ("step"); the bracket does ("bracket"); r(k) - r
-    reaches the iterate's ``r_floor``, the rounding floor of its pole-sum
-    rate ("floor"); or an iterate is no closer to r than the best so far
-    while that best already meets _LD_TOL ("stall": r(k) has reached its
-    noise, which at rho <= 0.1 is about 1e-10 of r, above the floor).
+    multiplier tolerance ("step"); the bracket does ("bracket"); or an
+    iterate is no closer to r than the best so far while that best
+    already meets _LD_TOL ("stall": r(k) has reached its rounding noise,
+    which at rho <= 0.1 is about 1e-11 of r).
     It returns the iterate whose rate is closest to r; one that misses r
     by more than _LD_TOL (near the ends of the window) raises
     ArithmeticError.  One DEBUG record on the ``jacobi_mimo`` logger
@@ -548,22 +545,14 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     rmax = math.log1p(snr.rho)
     if not 0.0 < r < rmax:
         raise ValueError(f"rate {r!r} outside the achievable interval (0, {rmax!r})")
-    erg = ergodic_summary(n0, beta, snr)
-    if r == erg.r:
-        _log.debug(_SOLVE_RECORD, (n0, beta, snr.rho, r), 0, 0, "floor")
-        return erg
-    if r > erg.r:
-        lo, hi, y_lo, y_hi = 0.0, math.inf, erg.y, math.inf
-    else:
-        lo, hi, y_lo, y_hi = -math.inf, 0.0, 0.0, erg.y
-    k = (r - erg.r) / erg.v
-    best = None
-    fallbacks = 0
-    for solves in range(1, _K_ITER + 1):
-        if abs(k) > 2.0**60:
-            raise ArithmeticError(f"failed to bracket k for rate {r!r}")
-        sol = solve_at_multiplier(n0, beta, snr, k, y_bracket=(y_lo, y_hi))
-        fallbacks += sol.bracket_fallback
+    k, sol, best, fallbacks = 0.0, ergodic_summary(n0, beta, snr), None, 0
+    lo, hi, y_lo, y_hi = -math.inf, math.inf, 0.0, math.inf
+    for solves in range(_K_ITER + 1):
+        if solves:
+            if abs(k) > 2.0**60:
+                raise ArithmeticError(f"failed to bracket k for rate {r!r}")
+            sol = solve_at_multiplier(n0, beta, snr, k, y_bracket=(y_lo, y_hi))
+            fallbacks += sol.bracket_fallback
         res = sol.r - r
         if best is None or abs(res) < abs(best.r - r):
             best = sol
@@ -576,13 +565,12 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
             hi, y_hi = k, sol.y
         step = res / sol.v
         tol = _K_TOL + 8.9e-16 * abs(k)
-        stop = ("step" if abs(step) < tol else "bracket" if hi - lo < tol
-                else "floor" if abs(res) <= sol.r_floor else None)
+        stop = "step" if abs(step) < tol else "bracket" if hi - lo < tol else None
         if stop:
             break
         k_new = k - step
-        if math.isinf(hi - lo):
-            k = k_new if lo < k_new < hi and abs(k_new) <= 2.0 * abs(k) else 2.0 * k
+        if math.isinf(hi - lo):  # the step from k = 0 is the Gaussian guess, not doubled
+            k = k_new if lo < k_new < hi and (k == 0.0 or abs(k_new) <= 2.0 * abs(k)) else 2.0 * k
         else:
             k = k_new if lo < k_new < hi else 0.5 * (lo + hi)
     else:

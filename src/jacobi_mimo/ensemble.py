@@ -73,13 +73,13 @@ class ChannelDims:
 
 @dataclass(frozen=True)
 class SnrParam:
-    """Total signal-to-noise ratio 0 < rho < inf (linear scale)."""
+    """Total signal-to-noise ratio 0 < rho < inf (linear scale), with z = 1/rho finite."""
 
     rho: float
 
     def __post_init__(self):
-        if not 0 < self.rho < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho!r}")
+        if not (0 < self.rho < math.inf and 1.0 / self.rho < math.inf):
+            raise ValueError(f"rho must be positive and finite, with 1/rho finite, got {self.rho!r}")
 
     @property
     def z(self) -> float:

@@ -286,6 +286,15 @@ def test_non_finite_input_is_a_usage_error(command, flag, value):
     assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
 
 
+@pytest.mark.parametrize("command", ["outage", "density", "ergodic"])
+def test_rho_too_small_to_invert_is_a_usage_error(command):
+    # z = 1/rho overflows below rho ~ 5.6e-309; it used to surface as the
+    # solver failure "math domain error"
+    code, out, err = run_cli([command, "--N", "3", "--Nt", "1", "--Nr", "1", "--rho", "1e-320"])
+    assert (code, out) == (2, "")
+    assert err == "error: rho must be positive and finite, with 1/rho finite, got 1e-320\n"
+
+
 def test_density_integrates_across_regimes():
     for extra in (["--r", "0.30"], ["--r", "1.10"], ["--k", "5.0"]):
         code, out, _ = run_cli(

@@ -666,8 +666,8 @@ def test_solve_regime_newton_solve_count(monkeypatch):
 
 
 def test_each_multiplier_solve_builds_one_support_and_one_decomposition(monkeypatch):
-    # the outer solve's rounding floor, density_at and critical_thresholds
-    # reuse what solve_at_multiplier built instead of rebuilding it
+    # solve_regime, density_at and critical_thresholds reuse what
+    # solve_at_multiplier built instead of rebuilding it
     calls = {"solve_at_multiplier": 0, "_support": 0, "_poles": 0}
 
     def counting(name):
@@ -941,8 +941,9 @@ def test_bracketed_edge_root_is_the_full_bracket_root(monkeypatch):
     ],
 )
 def test_multiplier_newton_stops_at_its_noise_floor(monkeypatch, n0, beta, rho, r):
-    # r(k) jitters by ~1e-11 of r at rho <= 0.1, far above r_floor; the
-    # iteration stops at the first iterate no better than the best
+    # r(k) jitters by ~1e-11 of r at rho <= 0.1, so the Newton step on k
+    # need not fall below its tolerance; the iteration stops at the first
+    # iterate no better than the best
     snr = SnrParam(rho)
     ergodic_summary(n0, beta, snr)
     ks = []
@@ -990,12 +991,52 @@ def test_solve_regime_logs_one_debug_record(monkeypatch, caplog):
         params, solves, fallbacks, stop = rec.args
         assert params == (1.0, 2.0, 10.0, r)
         assert solves == len(calls) and fallbacks == 0
-        assert stop in ("step", "bracket", "floor", "stall")
+        assert stop in ("step", "bracket", "stall")
         assert f"{solves} solves" in rec.getMessage()
+        if r == erg.r:  # the cached k = 0 record: a zero Newton step, no solve
+            assert (solves, stop) == (0, "step")
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="jacobi_mimo"):
         solve_regime(1.0, 2.0, snr, 0.5 * erg.r)
     assert not caplog.records
+
+
+@pytest.mark.parametrize(
+    "n0, beta, rho, f",
+    [(0.0, 2.0, 1e-6, 0.5), (1.0, 2.0, 1e-6, 0.5), (0.0, 1.1, 1e16, 0.1), (0.25, 4.0, 1e16, 0.5)],
+)
+def test_solve_regime_reaches_rates_an_a_priori_rounding_floor_stopped_short_of(n0, beta, rho, f):
+    # an a-priori floor of 8 eps times the rate's term magnitudes stopped
+    # the Newton here at 3e-8 to 1.1e-7 of r, which then failed _LD_TOL
+    r = f * math.log1p(rho)
+    sol = solve_regime(n0, beta, SnrParam(rho), r)
+    assert abs(sol.r - r) <= coulomb._LD_TOL * r
+
+
+@pytest.mark.parametrize("frac", [0.3, 1.2])
+def test_first_multiplier_solve_is_the_gaussian_guess(monkeypatch, frac):
+    # Newton's step from the cached k = 0 record is (r - r_erg)/v_erg, bit for bit
+    snr = SnrParam(10.0)
+    erg = ergodic_summary(1.0, 2.0, snr)
+    r = frac * erg.r
+    ks = []
+    original = coulomb.solve_at_multiplier
+
+    def recording(*args, **kwargs):
+        ks.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coulomb, "solve_at_multiplier", recording)
+    solve_regime(1.0, 2.0, snr, r)
+    assert ks[0] == (r - erg.r) / erg.v
+
+
+@pytest.mark.parametrize("k", [1e100, 1e200, 1e300])
+def test_huge_multiplier_names_the_collapsed_support(k):
+    # b on the wall at 1 and a rounded onto it: a = b = 1 surfaced as a bare
+    # "math domain error" or "float division by zero"
+    with pytest.raises(ArithmeticError, match=r"support endpoints \(1\.0.*, 1\.0\) collapsed"):
+        solve_at_multiplier(0.0, 1.0, SnrParam(3.0), k)
 
 
 def test_support_and_poles_at_huge_rho():

@@ -47,10 +47,12 @@ def test_pinned_rate():
     assert normalize_dims(4, 3, 2).pinned_rate(0.2) == math.log1p(0.2)
 
 
-@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e-320, 5e-324])
 def test_snr_rejects_non_positive_and_non_finite(rho):
+    # 1e-320 and 5e-324 are positive, but z = 1/rho overflows to inf
     with pytest.raises(ValueError, match="rho must be positive and finite"):
         SnrParam(rho)
+    assert SnrParam(1e-300).z < math.inf
 
 
 def test_normalize_dims_idempotent():
