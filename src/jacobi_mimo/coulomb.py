@@ -166,7 +166,20 @@ class RegimeSolution:
 
     @property
     def exponent(self) -> float:
-        return self.energy - self.e0
+        """Delta E; one below 0 by more than _LD_TOL (|E| + |E0|) raises ArithmeticError.
+
+        That allowance is far above the energy's rounding, which leaves
+        the k = 0 records about 1e-14 of |E| + |E0| below 0, and far
+        below the energy of a support that has lost its digits.
+        """
+        e, e0 = self.energy, self.e0
+        if e - e0 < -_LD_TOL * (abs(e) + abs(e0)):
+            raise ArithmeticError(
+                f"exponent {e - e0!r} below 0 beyond rounding: the energy {e!r} of the support "
+                f"({self.a!r}, {self.b!r}) at (n0, beta, rho, k) = "
+                f"{(self.n0, self.beta, self.rho, self.k)!r} is under E0 = {e0!r}"
+            )
+        return e - e0
 
 
 def _check_params(n0: float, beta: float, snr: SnrParam):

@@ -43,21 +43,24 @@ coefficient per (l, v, t), and at each rate
 
     1 - P_out = A' sum_{l >= l(r)} (-1)^{l-1} sum_{v,t} C[l][v,t] h_{l,t}(v)
 
-is one mpmath dot product of at most Nt^2 * max(s) terms, with one exp
-per l for the leaves (e^{vz} is the v-th power of e^z).  A (12,5,5)
-point at rho = 10 takes about 19 ms when it builds the coefficients and
-3-4 ms after; at rho = 10^0.3, whose 1+rho needs a 52-bit numerator and
-whose coefficients run to 3500 bits, about 50 and 12 ms (pure-Python
-mpmath, one core).
+is one dot product of at most Nt^2 * max(s) terms.  mpmath gives only
+z_l, one exp per l, log(1+rho) and A'; the leaves (e^{vz} is the v-th
+power of e^z) and the dot product run in integer fixed point at the
+working precision, so the sum of the products is exact.  A (12,5,5)
+point at rho = 10 takes about 10-16 ms when it builds the coefficients
+and 0.5-0.8 ms after; at rho = 10^0.3, whose 1+rho needs a 52-bit
+numerator and whose coefficients run to 3500 bits, about 30-50 and
+0.7-1 ms (pure-Python mpmath, one core).
 
-The sum is violently alternating, so the leaves and the dot product
-run in mpmath extended precision (from a 256-bit significand).  The
-exact coefficients make the rounding error bound
-sum |C| * (scale of each leaf's recurrence) free, and the working
-precision escalates until that bound is 2^-(53+16) of |P_out|; the
-result is rounded to binary64 only at the end.  The rate density P'(r)
-is the same dot product: dh_t/dz = v h_t + h_{t-1} - [t = 0] turns the
-coefficients exactly into those of the derivative.
+The sum is violently alternating, so the fixed point starts from a
+256-bit fraction.  Each floor in the leaf recurrence errs by less than
+one unit, a binary64 recurrence beside it carries each leaf's error,
+and the exact coefficients make the bound sum |C| * (leaf error) free;
+the working precision escalates until that bound is 2^-(53+16) of
+|P_out|, and the result is rounded to binary64 only at the end.  The
+rate density P'(r) is the same dot product: the leaf identity
+dh_t/dz = v h_t + h_{t-1} - [t = 0] turns the coefficients exactly into
+those of the derivative.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from .ensemble import ChannelDims, SnrParam
 from .results import OutageEstimate
@@ -152,20 +156,6 @@ def _selberg_z_fraction(dims: ChannelDims) -> Fraction:
         )
         den *= math.factorial(dims.Nr + dims.N0 + k)
     return Fraction(num, den)
-
-
-def _taylor_leaves(v, z, count: int, exp_vz) -> list:
-    """Taylor coefficients h_0, ..., h_{count-1} of h(x) = (1 - e^{xz})/x at v.
-
-    From x h(x) = 1 - e^{xz}: v h_t + h_{t-1} = [t = 0] - e^{vz} z^t / t!,
-    so the one exp ``exp_vz`` = e^{vz} serves every order.
-    """
-    term = exp_vz  # e^{vz} z^t / t!
-    coeffs = [(1 - term) / v]
-    for t in range(1, count):
-        term *= z / t
-        coeffs.append((-term - coeffs[-1]) / v)
-    return coeffs
 
 
 @functools.cache
@@ -277,34 +267,6 @@ def _coefficients(dims: ChannelDims, rho: float) -> tuple[tuple, int]:
     return coeffs, den << k * (n0 + smax) * nt
 
 
-def _leaf_scales(v: int, z: float, reach: float, count: int) -> list:
-    """Rounding-error scales of the leaves h_0, ..., h_{count-1} at v.
-
-    Entry t bounds, up to a small factor of the working epsilon, the error
-    of h_t.  Three parts:
-    - the operands of its recurrence, (|e^{vz} z^t / t!| + scale_{t-1}) / v
-      (the first has 1 + e^{vz}); unrolled, 1/v^(t+1) plus the part
-      driven by e^{vz}, D_t = sum_{j<=t} |e^{vz} z^j / j!| / v^(t-j+1);
-    - an error of reach * eps in z, which moves h_t by reach * eps *
-      |e^{vz} z^t / t!|, since dh_t/dz = -e^{vz} z^t / t!;
-    - e^{vz} itself, taken as E^v with E = exp(z) and v - 1 products.
-      With exp within one ulp (relative eps) and each product rounded to
-      nearest (eps/2), E^v is within v eps + (v-1) eps/2 < 2v eps of
-      e^{vz}, relative, to first order.  h_t is 1/v^(t+1) times a sign
-      minus e^{vz} times a polynomial in z bounded by D_t / e^{vz}, so
-      this moves h_t by less than 2v eps D_t.
-    Each scale is at least |h_t|.
-    """
-    term = math.exp(v * z)
-    driven = term / v
-    scales = [1 / v + (1 + 2 * v) * driven + reach * term]
-    for t in range(1, count):
-        term *= -z / t
-        driven = (term + driven) / v
-        scales.append(v ** -(t + 1) + (1 + 2 * v) * driven + reach * term)
-    return scales
-
-
 def _slope_coefficients(coeffs: Sequence, nt: int) -> tuple[list, int]:
     """Coefficients of the residue sum's derivative -d/dz, on the same leaves.
 
@@ -323,12 +285,27 @@ def _slope_coefficients(coeffs: Sequence, nt: int) -> tuple[list, int]:
 def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, den: int, unit: int):
     """A' (unit + sum C[l][v,t] h_{l,t}(v)) / den and its rounding error bound.
 
-    The leaves h_{l,t}(v) are the only rounded quantities: one exp per
-    l, whose powers give every e^{vz}, then one dot product with the
-    exact integer coefficients.
+    mpmath gives z = z_l and one exp per l; the rest is integer fixed
+    point at scale 2^P, P = mp.prec, so the dot product with the exact
+    coefficients is exact.  From x h(x) = 1 - e^{xz}, v h_t + h_{t-1} =
+    [t = 0] - e^{vz} z^t / t!, so with Z = floor(z 2^P), E = floor(e^z 2^P):
+
+        E^v = E^(v-1) E >> P
+        T_0 = E^v,               T_t = (T_{t-1} Z >> P) // t   (e^{vz} z^t / t!)
+        h_0 = (2^P - T_0) // v,  h_t = (-T_t - h_{t-1}) // v
+
+    Each floor errs by less than one unit u = 2^-P, and a binary64
+    recurrence beside each integer carries its error d in units u.  z is
+    within reach * eps of Nt r - l log(1+rho) (eps = 2u, reach = Nt r +
+    l log(1+rho)) and exp within eps, so d_Z = 2 reach + 1 and d_E =
+    2 e^z (1 + reach) + 1; a product adds each error times the other
+    factor, their product times u (0 in binary64 beyond 1074 bits, where
+    it is negligible) and 1.  The bound is A' sum |C| d_h u / den, plus
+    8 eps of the result for the roundings of A' and of the final
+    conversion and product.
     """
     dims, rho = cfg.dims, cfg.snr.rho
-    nt = dims.Nt
+    nt, prec = dims.Nt, mp.prec
     log_one_rho = mp.log(1 + mpf(rho))
     ntr = nt * mpf(r_eff)
     zfrac = _selberg_z_fraction(dims)
@@ -338,25 +315,36 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, de
         * mpf(rho) ** (nt * nt + (dims.Nr - dims.Nt + dims.N0) * nt)
         * den
     )
-    coefs, leaves, scales = [unit], [mpf(1)], [0.0]
+    one, u = 1 << prec, math.ldexp(1.0, -prec)
+    # sum |C| d_h in binary64, the coefficients cut to their top 64 bits
+    shift = max(0, max(max(map(abs, acc)) for acc in coeffs).bit_length() - 64)
+    total, bound = unit << prec, 0.0
     for acc, l in zip(coeffs, ls):
         z = ntr - l * log_one_rho
-        reach = float(ntr + l * log_one_rho)
-        exp_z, exp_vz = mp.exp(z), mpf(1)
+        exp_z = mp.exp(z)
+        az, ez = abs(float(z)), float(exp_z)
+        reach = nt * r_eff + l * math.log1p(rho)
+        big_z, big_e = to_fixed(z._mpf_, prec), to_fixed(exp_z._mpf_, prec)
+        dz, de = 2 * reach + 1, 2 * ez * (1 + reach) + 1
+        power, d_power, e_prev = one, 0.0, 1.0  # E^(v-1), its error and e^{(v-1)z}
         for v in range(1, len(acc) // nt + 1):
-            exp_vz *= exp_z
-            hs = _taylor_leaves(v, z, nt, exp_vz)
-            for t, scale in enumerate(_leaf_scales(v, float(z), reach, nt)):
+            power = power * big_e >> prec
+            d_power = d_power * (ez + de * u) + e_prev * de + 1
+            e_prev *= ez
+            term, d_term, size = power, d_power, e_prev  # size = |e^{vz} z^t / t!|
+            h, d_h = (one - term) // v, d_term / v + 1
+            for t in range(nt):
+                if t:
+                    d_term = (d_term * (az + dz * u) + size * dz + 1) / t + 1
+                    term = (term * big_z >> prec) // t
+                    size *= az / t
+                    h, d_h = (-term - h) // v, (d_term + d_h) / v + 1
                 c = acc[(v - 1) * nt + t]
                 if c:
-                    coefs.append(c)
-                    leaves.append(hs[t])
-                    scales.append(scale)
-    total = a_norm * mp.fdot(coefs, leaves)
-    # sum |C| scale in binary64, the coefficients cut to their top 64 bits
-    shift = max(0, max(c.bit_length() for c in coefs) - 64)
-    bound = math.fsum(float(abs(c) >> shift) * scale for c, scale in zip(coefs, scales))
-    return total, a_norm * mp.ldexp(bound, shift) * mp.eps
+                    total += c * h
+                    bound += float(abs(c) >> shift) * d_h
+    total = a_norm * mpf((total, -prec))
+    return total, a_norm * mp.ldexp(bound, shift - prec) + mp.ldexp(abs(total), 4 - prec)  # 8 eps
 
 
 def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
@@ -399,7 +387,8 @@ def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
         new = max(needed, min(2 * prec, _MAX_BITS)) if err >= abs(p) else needed
         _log.debug("exact solver: %d-bit sum needs %d bits; retrying at %d", prec, needed, new)
         prec = new
-    if not -err <= p <= top + err:
+    # at 53 bits, top + err would round to top; p - top keeps its sign
+    if not -err <= p or p - top > err:
         raise ArithmeticError(
             f"exact {what} {float(p)!r} outside [0, {top}] "
             f"beyond its rounding bound {float(err):.3g}"

@@ -428,6 +428,16 @@ def test_rate_outside_the_window_exits_one(argv):
     assert err.startswith("solver failure: rate ") and " outside the window (0, " in err
 
 
+def test_negative_exponent_beyond_rounding_exits_one():
+    # b pinned at the wall and a within 1e-9 of it: this printed support
+    # (1 - 5e-14, 1), r = 1.1118 and exponent -1.37e13, and exited 0
+    argv = ["density", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "3", "--kind", "constrained",
+            "--k", "1e14", "--reproducible"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("solver failure: exponent -13722") and "below 0 beyond rounding" in err
+
+
 def test_offset_dims_rate_window():
     # (4,3,3) reduces with offset 2*log(1+rho): grid must live in the
     # shifted window, and the ld/gauss methods see reduced coordinates

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -374,9 +375,19 @@ def test_energy_matches_functional_quadrature():
 
 
 def test_energy_at_zero_multiplier_equals_e0():
+    # on the grid, the k = 0 records and the k = 1e-9 solves read Delta E
+    # down to -7.2e-14, rounding of a true value of about 0: none may
+    # exceed the allowance for a negative exponent and raise
+    grid = itertools.product(
+        (0.0, 0.25, 0.5, 1.0, 3.0), (1.0, 1.1, 1.5, 2.0, 4.0), (1e-4, 1e-2, 1.0, 1e2, 1e4, 1e8, 1e16)
+    )
     for n0, beta, rho in CORNERS:
         sol = solve_at_multiplier(n0, beta, SnrParam(rho), 0.0)
         assert abs(sol.exponent) < 1e-12
+    for n0, beta, rho in grid:
+        snr = SnrParam(rho)
+        for sol in (ergodic_summary(n0, beta, snr), solve_at_multiplier(n0, beta, snr, 1e-9)):
+            assert abs(sol.exponent) < 1e-12, (n0, beta, rho, sol.k)
 
 
 def test_multiplier_sign_convention():
@@ -1080,3 +1091,14 @@ def test_huge_rho_points_solve_or_name_their_cause(beta, f):
     else:
         sol = solve_regime(0.0, beta, SnrParam(rho), r)
         assert abs(sol.r - r) <= coulomb._LD_TOL * r
+
+
+def test_negative_exponent_beyond_rounding_raises():
+    # (0, 1, 3): from k = 1e10 on, b is pinned, a sits within 1e-9 of the
+    # wall and the energy is rounding noise; it read Delta E = -1.37e13 at
+    # k = 1e14.  The allowance is _LD_TOL (|E| + |E0|).
+    for k in (1e10, 1e12, 1e14):
+        sol = solve_at_multiplier(0.0, 1.0, SnrParam(3.0), k)
+        with pytest.raises(ArithmeticError, match=r"exponent -.* below 0 beyond rounding"):
+            sol.exponent
+

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_fixed
 
 from jacobi_mimo.ensemble import SnrParam, normalize_dims
 from jacobi_mimo import exact
@@ -299,16 +300,27 @@ def test_cached_coefficients_give_cold_results():
         assert density_first["d", shape, "cold"] == outage_first["d", shape, "warm"]
 
 
+# the benchmark's exact_tail shapes, at its rho and window fractions
+EXACT_TAIL = [
+    ((2, 1, 1), 3.0, (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05)),
+    ((7, 2, 3), 10.0, (0.62, 0.55, 0.45, 0.38, 0.3, 0.22, 0.15, 0.12, 0.08, 0.04)),
+    ((8, 4, 4), 1.0, (0.65, 0.6, 0.55, 0.45, 0.4, 0.35, 0.28, 0.2, 0.15, 0.12)),
+    ((10, 4, 5), 10.0, (0.55, 0.4, 0.3)),
+    ((12, 5, 5), 10.0, (0.33,)),
+]
+
+
 def test_leaf_bound_covers_powers_of_exp():
-    # the largest max(s) among the oracle test's shapes is (12,5,5)'s; the
-    # 256-bit sum, with e^{vz} as powers of e^z, stays within the bound it
-    # reports of the 1024-bit sum, for the outage and for the density
-    dims = normalize_dims(12, 5, 5)
-    nt = dims.Nt
-    for rho in (0.01, 10**0.3, 1e4):
+    # at the exact_tail shapes, the 256-bit fixed-point sum stays within
+    # the bound it reports of the 1024-bit sum, for the outage and for the
+    # density; and each integer power E^v of E = e^z 2^256 stays within
+    # its stated error d_v of e^{vz} 2^256, with z and e^{vz} at 1024 bits
+    for (shape, _, _), rho in itertools.product(EXACT_TAIL, (0.01, 1.0, 10**0.3, 10.0, 1e4)):
+        dims = normalize_dims(*shape)
+        nt = dims.Nt
         cfg = ExactConfig(dims=dims, snr=SnrParam(rho))
         coeffs, den = exact._coefficients(dims, rho)
-        for frac in (0.07, 0.23, 0.41, 0.63, 0.88):
+        for frac in (0.03, 0.07, 0.23, 0.41, 0.63, 0.88, 0.95, 0.99):
             r = frac * math.log1p(rho)
             l_min = int(nt * r / math.log1p(rho)) + 1
             ls = range(l_min, nt + 1)
@@ -317,18 +329,85 @@ def test_leaf_bound_covers_powers_of_exp():
                     ref, _ = exact._residue_sum(cfg, r, ls, c, den, unit)
                 with mp.workprec(256):
                     total, err = exact._residue_sum(cfg, r, ls, c, den, unit)
-                    assert 0 < err and abs(total - ref) <= err
-            # and each power E^v of E = exp(z) is within 2v eps of e^{vz}
-            eps = mpf(2) ** -255  # mp.eps at 256 bits
+                    assert 0 < err and abs(total - ref) <= err, (shape, rho, frac)
             for l in ls:
                 with mp.workprec(256):
                     z = nt * mpf(r) - l * mp.log(1 + mpf(rho))
-                    e, ev = mp.exp(z), mpf(1)
+                    big_e = to_fixed(mp.exp(z)._mpf_, 256)
+                ez, reach = math.exp(float(z)), nt * r + l * math.log1p(rho)
+                de = 2 * ez * (1 + reach) + 1
+                power, d_power, e_prev = 1 << 256, 0.0, 1.0
                 for v in range(1, len(coeffs[0]) // nt + 1):
-                    with mp.workprec(256):
-                        ev *= e
+                    power = power * big_e >> 256
+                    d_power = d_power * (ez + de * 2.0**-256) + e_prev * de + 1
+                    e_prev *= ez
                     with mp.workprec(1024):
-                        assert abs(ev - mp.exp(v * z)) <= 2 * v * eps * mp.exp(v * z)
+                        exact_z = nt * mpf(r) - l * mp.log(1 + mpf(rho))
+                        assert abs(power - mp.ldexp(mp.exp(v * exact_z), 256)) <= d_power
+
+
+def test_exact_tail_points_bit_for_bit_at_256_bits(caplog):
+    # outage and density hex values from the mpf leaf loop that the integer
+    # fixed point replaced; no point escalates above the 256-bit start
+    golden = iter(EXACT_TAIL_GOLDEN.split())
+    with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
+        for shape, rho, fracs in EXACT_TAIL:
+            cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))
+            for frac in fracs:
+                r = frac * math.log1p(rho)
+                assert outage_exact(cfg, r).p.hex() == next(golden), (shape, frac)
+                assert outage_density_exact(cfg, r).value.hex() == next(golden), (shape, frac)
+    assert next(golden, None) is None
+    assert not [rec for rec in caplog.records if rec.name == "jacobi_mimo"]
+
+
+EXACT_TAIL_GOLDEN = """
+0x1.a7a1123cfd6d5p-1 0x1.2925de73d40c0p+0
+0x1.5ab2aaf98e87ap-1 0x1.02aeaad21c993p+0
+0x1.17b9b1a4c6f3ap-1 0x1.c2645c4f719e5p-1
+0x1.bad8411f2668cp-2 0x1.8816cb3a3ddf1p-1
+0x1.5555555555555p-2 0x1.5555555555555p-1
+0x1.f9eccf24a5855p-3 0x1.2925de73d40c0p-1
+0x1.6010009dc7ba1p-3 0x1.02aeaad21c993p-1
+0x1.b43c1be871241p-4 0x1.c2645c4f719e6p-2
+0x1.960baf27444dbp-5 0x1.8816cb3a3ddf1p-2
+0x1.87fa92dc08858p-6 0x1.6dd4fe8315ddbp-2
+0x1.bd175ee2fc95cp-2 0x1.6b030cd871080p+0
+0x1.c6e14f37ad0b4p-3 0x1.11ba668af720ap+0
+0x1.94b0056449d2bp-5 0x1.8916cfa75d3d9p-2
+0x1.7610e09085c37p-7 0x1.c395fe88a5f5cp-4
+0x1.7c23f44dfd63bp-10 0x1.1b7d5af12e8fep-6
+0x1.ce45206ddf122p-14 0x1.b79da9e549ad2p-10
+0x1.823e750d088e4p-18 0x1.f1cb9cd8d7bb1p-14
+0x1.30d45ad6ecd62p-20 0x1.d8ad22aa6083cp-16
+0x1.24c032c6c6b5dp-24 0x1.426f35b9d9859p-19
+0x1.9044bcad34a41p-31 0x1.a000f99db5e1bp-25
+0x1.e8b46b768fd95p-1 0x1.18f24d96a0e09p+1
+0x1.a0df765faf699p-1 0x1.89129313b8e53p+2
+0x1.144fce9cf4646p-1 0x1.23011c3fd9914p+3
+0x1.151bedb5f4136p-4 0x1.7ffb86c47b861p+1
+0x1.6aeac372f70cep-7 0x1.56308568d1df1p-1
+0x1.0ae266af3fb93p-10 0x1.42b907ff07b49p-4
+0x1.dcd3a775659f0p-17 0x1.6d3977e05a9f8p-10
+0x1.d9c55f6a34913p-26 0x1.e463998eaa5c3p-19
+0x1.645eb2490c892p-33 0x1.d7321debe29a8p-26
+0x1.d2c8142ee5b2fp-39 0x1.7aa1e8c1bbfe8p-31
+0x1.56c6e1568dc0bp-6 0x1.670a0efd7eb67p-2
+0x1.7b26f81db97d7p-19 0x1.86d45a5a4e98bp-14
+0x1.21a402e7ff3aap-32 0x1.91bcd26bad0fbp-27
+0x1.7755a7ce4e521p-24 0x1.1605b81ec5c43p-18
+"""
+
+
+@pytest.mark.parametrize(
+    "shape, rho, r",
+    [((10, 4, 5), 0.01, 0.009850827544636403), ((12, 5, 5), 1.0, 0.99 * math.log(2.0))],
+)
+def test_outage_just_below_one_is_one(shape, rho, r):
+    # P exceeds 1 by less than its error bound (by 3.7e-24 against 1.2e-21
+    # at the first point with the mpf leaves); a range check that adds the
+    # bound to 1 at 53 bits gets 1, and raised here
+    assert outage_exact(ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho)), r).p == 1.0
 
 
 # deep-tail and low-rho points where the 256-bit sum loses every digit
