@@ -14,21 +14,21 @@ suppressed under --reproducible.  Rates are nats by default, bits with
 
 Exit codes: 0 success, 2 usage error, 1 when a solver failure left no
 usable row.  Usage errors include a non-finite --rho, --r or --k, a
---rho whose reciprocal overflows, and --r or --k given with
-``density --kind ergodic``.
+--rho whose reciprocal overflows, --r or --k given with
+``density --kind ergodic``, and an --output path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -46,8 +46,6 @@ from .ensemble import ChannelDims, SnrParam, normalize_dims
 from .exact import ExactConfig, TermBudgetError, outage_exact
 from .montecarlo import McConfig, outage_curve
 
-_METHODS = ("mc", "exact", "ld", "gauss")
-_CSV_HEADER = ["r", "pout_mc", "ci_lo", "ci_hi", "pout_exact", "pout_ld", "pout_gauss"]
 _LN2 = math.log(2.0)
 
 
@@ -71,7 +69,7 @@ def _common_channel_args(sub):
     )
 
 
-@functools.cache
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
@@ -87,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_out.add_argument("--points", type=int, default=11)
     p_out.add_argument("--rates", default=None, help="explicit comma-separated rate list")
     p_out.add_argument(
-        "--methods", default="mc,ld,gauss", help=f"comma-separated subset of {_METHODS}"
+        "--methods", default="mc,ld,gauss", help=f"comma-separated subset of {tuple(_ROUTES)}"
     )
     p_out.add_argument("--trials", type=int, default=100_000)
     p_out.add_argument("--seed", type=int, default=0)
@@ -170,8 +168,13 @@ def _meta(args, ch: Channel, fields: dict, started: float) -> dict:
     return meta
 
 
-def _column(name: str, estimate, rates: list[float], warnings: list[str]) -> list:
-    """``estimate(r).p`` at each rate: None, and a warning, where the solver fails."""
+def _column(make, name: str, ch: Channel, mc: McConfig, rates: list[float], warnings: list[str]):
+    """The per-rate route: ``make(ch)`` once, then its estimate's ``p`` at each rate.
+
+    ``make`` may refuse the channel (``TermBudgetError``) before any rate is
+    tried.  A failed rate leaves None and a warning; the rest of the column stands.
+    """
+    estimate = make(ch)
     values = []
     for r in rates:
         try:
@@ -179,7 +182,35 @@ def _column(name: str, estimate, rates: list[float], warnings: list[str]) -> lis
         except (ArithmeticError, ValueError) as err:
             warnings.append(f"{name}: r={r!r} failed: {err}")
             values.append(None)
-    return values
+    return [values]
+
+
+def _reduced(solver, ch: Channel, r: float):
+    """A Coulomb-gas solver at rate r: reduced channel, rate less the pinned offset."""
+    return solver(ch.n0, ch.beta, ch.snr, ch.dims.Nt, r - ch.offset)
+
+
+def _mc_curve(name: str, ch: Channel, mc: McConfig, rates: list[float], warnings: list[str]):
+    """The one curve route: a single Monte Carlo pass gives p and its interval at every rate."""
+    ests = outage_curve(mc, rates)
+    low = sum(e.p * mc.trials < 10 for e in ests)
+    if low:
+        warnings.append(f"{name}: fewer than 10 expected outages at {low} grid point(s); "
+                        "the tail there belongs to the ld solver")
+    return [[e.p for e in ests], [e.ci_low for e in ests], [e.ci_high for e in ests]]
+
+
+# The outage routes in column and warning order: name -> (CSV columns, route).
+# A route returns one list per column.  Each looks its solver up by name when
+# it runs, so a wrapper patched onto this module's solver names sees the call.
+_ROUTES = {
+    "mc": (("pout_mc", "ci_lo", "ci_hi"), _mc_curve),
+    "exact": (("pout_exact",),
+              partial(_column, lambda ch: partial(outage_exact, ExactConfig(dims=ch.dims, snr=ch.snr)))),
+    "ld": (("pout_ld",), partial(_column, lambda ch: partial(_reduced, outage_asymptotic, ch))),
+    "gauss": (("pout_gauss",), partial(_column, lambda ch: partial(_reduced, gaussian_outage, ch))),
+}
+_CSV_HEADER = ["r", *(col for cols, _ in _ROUTES.values() for col in cols)]
 
 
 def _rate_grid(args, ch: Channel) -> list[float]:
@@ -211,8 +242,8 @@ def cmd_outage(args, ch: Channel):
     if not methods:
         raise UsageError("empty method set")
     for m in methods:
-        if m not in _METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {_METHODS}")
+        if m not in _ROUTES:
+            raise UsageError(f"unknown method {m!r}; choose from {tuple(_ROUTES)}")
     rates = _rate_grid(args, ch)
     try:
         mc = McConfig(
@@ -221,39 +252,15 @@ def cmd_outage(args, ch: Channel):
     except ValueError as err:
         raise UsageError(str(err)) from err
     warnings: list[str] = []
-    columns = {"r": [r / ch.unit for r in rates]}
-
-    if "mc" in methods:
-        ests = outage_curve(mc, rates)
-        low = sum(e.p * args.trials < 10 for e in ests)
-        if low:
-            warnings.append(
-                f"mc: fewer than 10 expected outages at {low} grid point(s); "
-                "the tail there belongs to the ld solver"
-            )
-        columns["pout_mc"] = [e.p for e in ests]
-        columns["ci_lo"] = [e.ci_low for e in ests]
-        columns["ci_hi"] = [e.ci_high for e in ests]
-
-    if "exact" in methods:
-        try:
-            ecfg = ExactConfig(dims=ch.dims, snr=ch.snr)
-        except TermBudgetError as err:
-            warnings.append(f"exact: disabled ({err})")
-        else:
-            columns["pout_exact"] = _column("exact", functools.partial(outage_exact, ecfg), rates, warnings)
-
-    if "ld" in methods:
-        ld = lambda r: outage_asymptotic(ch.n0, ch.beta, ch.snr, ch.dims.Nt, r - ch.offset)
-        columns["pout_ld"] = _column("ld", ld, rates, warnings)
-
-    if "gauss" in methods:
-        gauss = lambda r: gaussian_outage(ch.n0, ch.beta, ch.snr, ch.dims.Nt, r - ch.offset)
-        columns["pout_gauss"] = _column("gauss", gauss, rates, warnings)
-
-    blank = [None] * len(rates)
-    cells = zip(*(columns.get(col, blank) for col in _CSV_HEADER))
-    rows = [dict(zip(_CSV_HEADER, row)) for row in cells]
+    columns = dict.fromkeys(_CSV_HEADER, [None] * len(rates))  # header order; blank until a route fills it
+    columns["r"] = [r / ch.unit for r in rates]
+    for name, (cols, route) in _ROUTES.items():
+        if name in methods:
+            try:
+                columns.update(zip(cols, route(name, ch, mc, rates, warnings)))
+            except TermBudgetError as err:
+                warnings.append(f"{name}: disabled ({err})")
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     usable = any(v is not None for col, vals in columns.items() if col != "r" for v in vals)
     fields = {
         "methods": methods,
@@ -358,8 +365,12 @@ def main(argv=None) -> int:
         writer.writerows([_csv_cell(row[col]) for col in header] for row in rows)
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: cannot write --output {args.output}: {err.strerror or err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if usable else 1

@@ -65,7 +65,7 @@ The rate function's curvature needs no differencing.  At fixed k the
 density is the equilibrium measure on one interval (a, b) in a field
 tilted by k log(1+rho x), so dr/dk = V(a, b), the variance of that linear
 statistic: a closed form in the endpoints alone (Beenakker, PRL 1993;
-see _rate_variance).  Edge motion does not enter, since pinned edges
+see _variance_and_y).  Edge motion does not enter, since pinned edges
 stay fixed and soft edges move where the density is zero.  So V holds in
 all four regimes, v_erg = V(a0, b0), and k' = dk/dr = E''(r) = 1/V.
 
@@ -211,28 +211,23 @@ def _ergodic_support(n0: float, beta: float) -> tuple[float, float]:
     return ((beta - 1.0) / (hi + lo)) ** 2, ((hi + lo) / (n0 + 1.0 + beta)) ** 2
 
 
-def _rate_variance(rho: float, a: float, b: float) -> float:
-    """dr/dk = V(a, b) = log((s_a+s_b)^2/(4 s_a s_b)), s = sqrt(1+rho x).
+def _variance_and_y(rho: float, a: float, b: float) -> tuple[float, float]:
+    """(v, y) of a support (a, b), with s = sqrt(1+rho x) at either edge.
 
-    Evaluated as log1p(d^2/(4 s_a s_b)), d = s_b - s_a = rho(b-a)/(s_a+s_b),
-    which does not cancel on narrow supports or at small rho.
+    v = dr/dk = V(a, b) = log((s_a+s_b)^2/(4 s_a s_b)), evaluated as
+    log1p(d^2/(4 s_a s_b)), d = s_b - s_a = rho(b-a)/(s_a+s_b), which does
+    not cancel on narrow supports or at small rho.
+
+    y = Y - 1, Y = sqrt((1+rho a)(1+rho b)), is the edge-root variable,
+    evaluated as (s_a - 1) s_b + (s_b - 1) with s - 1 = rho x/(s + 1):
+    positive terms, so nothing cancels at small rho and nothing overflows
+    at huge rho.
     """
     sa = math.sqrt(1.0 + rho * a)
     sb = math.sqrt(1.0 + rho * b)
     d = rho * (b - a) / (sa + sb)
-    return math.log1p(d * d / (4.0 * sa * sb))
-
-
-def _edge_y(rho: float, a: float, b: float) -> float:
-    """y = Y - 1, Y = sqrt((1+rho a)(1+rho b)): the edge-root variable of a support.
-
-    Evaluated as (s_a - 1) s_b + (s_b - 1), s = sqrt(1+rho x), with
-    s - 1 = rho x/(s + 1): positive terms, so nothing cancels at small
-    rho and nothing overflows at huge rho.
-    """
-    sa = math.sqrt(1.0 + rho * a)
-    sb = math.sqrt(1.0 + rho * b)
-    return rho * a / (sa + 1.0) * sb + rho * b / (sb + 1.0)
+    v = math.log1p(d * d / (4.0 * sa * sb))
+    return v, rho * a / (sa + 1.0) * sb + rho * b / (sb + 1.0)
 
 
 def _on_support(x, a: float, b: float, p):
@@ -522,8 +517,7 @@ def solve_at_multiplier(
     except ArithmeticError as err:
         raise ArithmeticError(f"{err} at (n0, beta, rho, k) = {(n0, beta, snr.rho, k)!r}") from err
     return RegimeSolution(
-        regime, a, b, k, r, n0, beta, snr.rho, poles,
-        _rate_variance(snr.rho, a, b), _edge_y(snr.rho, a, b), fallback,
+        regime, a, b, k, r, n0, beta, snr.rho, poles, *_variance_and_y(snr.rho, a, b), fallback,
     )
 
 

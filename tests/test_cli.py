@@ -132,6 +132,35 @@ def test_outage_exact_auto_disabled_over_caps(tmp_path):
     assert all(row[6] != "" for row in rows)  # gauss column filled
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_output_is_a_usage_error(tmp_path, where):
+    # the request runs, then its table cannot be written: one error line, exit 2
+    path = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
+    argv = ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--output", str(path)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --output {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_routes_look_their_solvers_up_when_they_run(monkeypatch):
+    # a wrapper patched onto the solver names of the cli module, as a tracer
+    # patches them, must see every call: the one Monte Carlo curve once per
+    # request, each per-rate route once per rate
+    calls = dict.fromkeys(("outage_curve", "outage_exact", "outage_asymptotic", "gaussian_outage"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    code, _, err = run_cli(
+        BASE + ["--points", "4", "--methods", "mc,exact,ld,gauss", "--trials", "2048", "--reproducible"]
+    )
+    assert code == 0, err
+    assert calls == {"outage_curve": 1, "outage_exact": 4, "outage_asymptotic": 4, "gaussian_outage": 4}
+
+
 def test_outage_exit_one_when_no_usable_rows():
     # exact disabled over caps and no other method requested: every data
     # cell is empty, so the run reports solver failure
@@ -461,15 +490,16 @@ def test_offset_dims_rate_window():
 def test_reduced_dims_equal_their_canonical_twin(reduced, twin, rho):
     # (5,3,3) reduces to Nt = Nr = 2, N0 = 1 with offset log(1+rho)/2, and (7,4,5) to
     # (2, 3, 2) with offset log(1+rho): every route must give the twin's numbers at the
-    # twin's rate, Monte Carlo included, since both draw the same reduced ensemble
+    # twin's rate, Monte Carlo included, since both draw the same reduced ensemble.  The
+    # routes and their estimate columns come from the route table, so a new route joins the check
     offset = jacobi_mimo.normalize_dims(*reduced).pinned_rate(rho)
     rates = [offset + f * math.log1p(rho) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    columns = ["pout_mc", "pout_exact", "pout_ld", "pout_gauss"]
+    columns = [col for col in cli._CSV_HEADER if col.startswith("pout_")]
     tables = []
     for (n, nt, nr), rs in ((reduced, rates), (twin, [r - offset for r in rates])):
         code, out, err = run_cli(
             ["outage", "--N", str(n), "--Nt", str(nt), "--Nr", str(nr), "--rho", repr(rho),
-             "--rates", ",".join(map(repr, rs)), "--methods", "mc,exact,ld,gauss",
+             "--rates", ",".join(map(repr, rs)), "--methods", ",".join(cli._ROUTES),
              "--trials", "100000", "--seed", "41", "--format", "json", "--reproducible"]
         )
         assert code == 0, err

@@ -8,7 +8,7 @@ import pytest
 
 from jacobi_mimo import coulomb
 from jacobi_mimo.coulomb import (
-    _rate_variance,
+    _variance_and_y,
     critical_thresholds,
     density_asymptotic,
     density_at,
@@ -576,7 +576,7 @@ def test_rate_variance_matches_200bit_reference():
             sa = mpmath.sqrt(1 + mpmath.mpf(rho) * mpmath.mpf(a))
             sb = mpmath.sqrt(1 + mpmath.mpf(rho) * mpmath.mpf(b))
             ref = float(mpmath.log((sa + sb) ** 2 / (4 * sa * sb)))
-        assert abs(_rate_variance(rho, a, b) - ref) <= 1e-14 * ref
+        assert abs(_variance_and_y(rho, a, b)[0] - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize(
