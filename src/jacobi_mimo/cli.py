@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -141,6 +143,18 @@ def _channel(args) -> Channel:
         offset=dims.pinned_rate(args.rho),
         unit=_LN2 if args.bits else 1.0,
     )
+
+
+def _check_output(path: str):
+    """Refuse an --output that is a directory or whose directory is missing, before any solve.
+
+    Other failures to write, such as permissions or a full disk, are
+    reported when the table is written.
+    """
+    missing = not os.path.exists(os.path.dirname(path) or ".")
+    if missing or os.path.isdir(path):
+        code = errno.ENOENT if missing else errno.EISDIR
+        raise UsageError(f"cannot write --output {path}: {os.strerror(code)}")
 
 
 def _meta(args, ch: Channel, fields: dict, started: float) -> dict:
@@ -345,6 +359,8 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         ch = _channel(args)
+        if args.output:
+            _check_output(args.output)
         fields, header, rows, usable = _COMMANDS[args.command](args, ch)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

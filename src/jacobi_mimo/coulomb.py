@@ -45,10 +45,10 @@ does (z = 1/rho).  The two flags name the four regimes:
 A soft edge without charge (beta = 1 at a, n0 = 0 at b) makes Y explicit
 in k, so those supports are closed forms; otherwise X and W are explicit
 in Y and one bracketed scalar root in y = Y-1 in (0, rho) remains.  y
-increases with k, so the outer solve narrows that bracket to the y of the
-supports it has solved at the two ends of its k bracket (the k = 0 one
-first), and the root falls back to the full bracket only when the narrow
-one shows no sign change.
+increases with k, so the y of the supports the outer solve has solved at
+the two ends of its k bracket (the k = 0 one first) cut that bracket in
+three; the signs of the edge equation at the cut pick the piece that
+holds the root, and one root call solves it.
 
 The density is one pole decomposition in t = (x-a)/d, d = b-a:
 
@@ -87,7 +87,6 @@ At n0=0, beta=1 these reduce to the arcsine law on (0, 1).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
 import math
@@ -97,7 +96,7 @@ import numpy as np
 
 from .ensemble import SnrParam
 from .results import OutageEstimate
-from .specfun import brentq, g_closed, log_q, q_fn
+from .specfun import bracketed_root, g_closed, log_q, q_fn
 
 __all__ = [
     "RegimeSolution",
@@ -120,7 +119,7 @@ _LD_TOL = 1e-8          # advertised tolerance of the deterministic estimates
 _FULL_BRACKET = (0.0, math.inf)  # no bound on the edge root y from solved neighbours
 
 _log = logging.getLogger("jacobi_mimo")
-_SOLVE_RECORD = "solve_regime%r: %d solves, %d bracket fallbacks, stop: %s"
+_SOLVE_RECORD = "solve_regime%r: %d solves, stop: %s"
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,7 @@ class RegimeSolution:
     is dr/dk = V(a, b), the rate variance of the support (v_erg at k = 0),
     and ``y`` = Y - 1 its edge-root variable, both of which the outer
     solve reads from every iterate.  ``poles`` is the (gamma, y, 1+y)
-    decomposition the solution was built from, and ``bracket_fallback``
-    whether the edge root had to leave the bracket it was given for the
-    full one.
+    decomposition the solution was built from.
     """
 
     regime: str
@@ -150,7 +147,6 @@ class RegimeSolution:
     poles: tuple[tuple[float, float, float], ...] = field(repr=False)
     v: float = field(repr=False)
     y: float = field(repr=False)
-    bracket_fallback: bool = field(default=False, repr=False)
 
     @functools.cached_property
     def energy(self) -> float:
@@ -312,8 +308,8 @@ def _endpoints(rho: float, y: float, x2: float, m: float) -> tuple[float, float]
 
 def _support(
     n0: float, beta: float, z: float, k: float, *, y_bracket: tuple[float, float] = _FULL_BRACKET
-) -> tuple[str, float, float, bool]:
-    """Regime, support (a, b) at multiplier k, and whether the edge root fell back.
+) -> tuple[str, float, float]:
+    """Regime and support (a, b) at multiplier k.
 
     a sits on the wall at 0 for beta = 1 below k_c3, b on the wall at 1
     for n0 = 0 above k_c4; the regime names the pair of pins.  S01 keeps
@@ -322,9 +318,12 @@ def _support(
 
     y = Y - 1 increases with k, so the y of supports already solved at
     multipliers on either side of k bound the edge root; ``y_bracket``
-    passes them in.  The root runs on that bracket cut to the full one,
-    and falls back to the full one (the flag) only when it shows no sign
-    change, as when two neighbours sit within rounding of each other.
+    passes them in.  The edge equation is evaluated at the ends of that
+    bracket cut to the full one (lo, hi), the full one when the cut is
+    empty, and one root call runs on the cut when its ends change sign,
+    else on the piece of (lo, hi) below it or above it that the signs
+    point to, as when two neighbours sit within rounding of each other.
+    The root checks the sign at that piece's outer end.
     """
     k_c3, e3 = _kc3(n0, z)
     k_c4, e4 = _kc4(beta, z)
@@ -333,21 +332,21 @@ def _support(
     pin_b = s01 or n0 == 0 and k > k_c4
     regime = _REGIMES[pin_a, pin_b]
     if k == 0.0:
-        return regime, *_ergodic_support(n0, beta), False
+        return regime, *_ergodic_support(n0, beta)
     if pin_a and pin_b:
-        return regime, 0.0, 1.0, False
+        return regime, 0.0, 1.0
     rho = 1.0 / z
     c = n0 + beta + 1.0 + k
     if beta == 1.0 and not pin_a:  # uncharged soft a: Y = k(1+rho)/c, X = n0(1+z)/c
         return regime, *_endpoints(
             rho, (k - (n0 + 2.0) * z) / (z * c), (n0 * (1.0 + z) / c) ** 2,
             (k - k_c3) * (k - k_c3 + 2.0 * e3) / (c * c),
-        ), False
+        )
     if n0 == 0 and not pin_b:  # uncharged soft b: Y = k/c, W = (beta-1)z/|c|
         return regime, *_endpoints(
             rho, -(beta + 1.0) / c, (k - k_c4) * (k - k_c4 - 2.0 * e4) / (c * c),
             ((beta - 1.0) * z / c) ** 2,
-        ), False
+        )
 
     def inverses(y):  # 1/X and 1/W from the soft-edge conditions
         t = k / (1.0 + y)
@@ -374,20 +373,22 @@ def _support(
     elif c < 0 and not pin_b:
         hi = min(hi, k / c - 1.0)
     y_lo, y_hi = max(lo, y_bracket[0]), min(hi, y_bracket[1])
-    fallback, y = (y_lo, y_hi) != (lo, hi), None
-    if fallback and y_lo < y_hi:
-        with contextlib.suppress(ValueError):  # no sign change: fall back
-            y, fallback = brentq(tie, y_lo, y_hi, 1e-300, 8.9e-16), False
-    if y is None:
-        try:
-            y = brentq(tie, lo, hi, 1e-300, 8.9e-16)
-        except ValueError as err:
-            raise ArithmeticError(f"no sign change of the edge equation on ({lo!r}, {hi!r})") from err
+    if not y_lo < y_hi:
+        y_lo, y_hi = lo, hi
+    f_lo, f_hi = tie(y_lo), tie(y_hi)
+    if f_lo > 0.0 and f_hi > 0.0:  # the root lies below the cut
+        y_lo, y_hi, f_lo, f_hi = lo, y_lo, tie(lo), f_lo
+    elif f_lo < 0.0 and f_hi < 0.0:  # above it
+        y_lo, y_hi, f_lo, f_hi = y_hi, hi, f_hi, tie(hi)
+    try:
+        y = bracketed_root(tie, y_lo, y_hi, f_lo, f_hi, 1e-300, 8.9e-16)
+    except ValueError as err:
+        raise ArithmeticError(f"no sign change of the edge equation on ({lo!r}, {hi!r})") from err
     ix, iw = inverses(y)
     if not (pin_b or ix > 0.0) or not (pin_a or iw > 0.0):
         raise ArithmeticError(f"soft edge 1/X = {ix!r} or 1/W = {iw!r} not positive at the root y = {y!r}")
     x2 = 0.0 if pin_b else 1.0 / (ix * ix)
-    return regime, *_endpoints(rho, y, x2, 0.0 if pin_a else 1.0 / (iw * iw)), fallback
+    return regime, *_endpoints(rho, y, x2, 0.0 if pin_a else 1.0 / (iw * iw))
 
 
 def _poles(
@@ -493,17 +494,18 @@ def solve_at_multiplier(
 
     The regime follows from k against the critical thresholds; the rate
     comes out of the solution (use :func:`solve_regime` to prescribe the
-    rate instead).  ``y_bracket`` bounds the edge root y = Y - 1 (see
-    :func:`solve_regime`); the default is the full bracket.  A failed
-    support, or a rate that is not finite or outside the window
-    (0, log(1+rho)), raises ArithmeticError with its reason.  At k > 0
-    only r <= 0 is refused: near the top of the window the Newton on k
-    passes through iterates whose rate rounds above log(1+rho).
+    rate instead).  ``y_bracket`` is the y = Y - 1 of solved neighbours
+    that cut the edge root's bracket (see :func:`solve_regime`); the
+    default cuts nothing.  A failed support, or a rate that is not finite
+    or outside the window (0, log(1+rho)), raises ArithmeticError with its
+    reason.  At k > 0 only r <= 0 is refused: near the top of the window
+    the Newton on k passes through iterates whose rate rounds above
+    log(1+rho).
     """
     _check_params(n0, beta, snr)
     z = snr.z
     try:
-        regime, a, b, fallback = _support(n0, beta, z, k, y_bracket=y_bracket)
+        regime, a, b = _support(n0, beta, z, k, y_bracket=y_bracket)
         if a == 0.0 and beta > 1.0:  # a charged soft a has ab > 0; it underflowed (rho ~ 1e300)
             raise ArithmeticError(f"soft edge a underflowed to 0 (b = {b!r})")
         d = b - a
@@ -517,7 +519,7 @@ def solve_at_multiplier(
     except ArithmeticError as err:
         raise ArithmeticError(f"{err} at (n0, beta, rho, k) = {(n0, beta, snr.rho, k)!r}") from err
     return RegimeSolution(
-        regime, a, b, k, r, n0, beta, snr.rho, poles, *_variance_and_y(snr.rho, a, b), fallback,
+        regime, a, b, k, r, n0, beta, snr.rho, poles, *_variance_and_y(snr.rho, a, b),
     )
 
 
@@ -536,8 +538,9 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
 
     y = Y - 1 of the support increases with k too, so the supports
     solved at the two ends of the k bracket (the k = 0 record at the
-    start) bound the edge root of the next iterate, which each solve
-    passes on as ``y_bracket``.
+    start) cut the edge root's bracket for the next iterate, which each
+    solve passes on as ``y_bracket``; each support still takes one root
+    call, on the piece of the bracket whose ends change sign.
 
     The iteration stops on the first of: the step falls below the
     multiplier tolerance ("step"); the bracket does ("bracket"); or an
@@ -547,19 +550,18 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     It returns the iterate whose rate is closest to r; one that misses r
     by more than _LD_TOL (near the ends of the window) raises
     ArithmeticError.  One DEBUG record on the ``jacobi_mimo`` logger
-    gives the solves, the edge-bracket fallbacks and the stop reason.
+    gives the solves and the stop reason.
     """
     rmax = math.log1p(snr.rho)
     if not 0.0 < r < rmax:
         raise ValueError(f"rate {r!r} outside the achievable interval (0, {rmax!r})")
-    k, sol, best, fallbacks = 0.0, ergodic_summary(n0, beta, snr), None, 0
+    k, sol, best = 0.0, ergodic_summary(n0, beta, snr), None
     lo, hi, y_lo, y_hi = -math.inf, math.inf, 0.0, math.inf
     for solves in range(_K_ITER + 1):
         if solves:
             if abs(k) > 2.0**60:
                 raise ArithmeticError(f"failed to bracket k for rate {r!r}")
             sol = solve_at_multiplier(n0, beta, snr, k, y_bracket=(y_lo, y_hi))
-            fallbacks += sol.bracket_fallback
         res = sol.r - r
         if best is None or abs(res) < abs(best.r - r):
             best = sol
@@ -582,7 +584,7 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
             k = k_new if lo < k_new < hi else 0.5 * (lo + hi)
     else:
         raise ArithmeticError(f"multiplier iteration for rate {r!r} did not converge")
-    _log.debug(_SOLVE_RECORD, (n0, beta, snr.rho, r), solves, fallbacks, stop)
+    _log.debug(_SOLVE_RECORD, (n0, beta, snr.rho, r), solves, stop)
     if abs(best.r - r) > _LD_TOL * r:
         raise ArithmeticError(f"multiplier root k={best.k!r} reaches rate {best.r!r}, not {r!r}")
     return best

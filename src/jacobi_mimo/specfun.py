@@ -12,22 +12,23 @@ continuity limits.
 
 Also here: the Gaussian upper tail Q and its logarithm ``log_q`` (finite
 where Q underflows), exact Clopper-Pearson binomial intervals
-(``clopper_pearson``), stable elementary symmetric polynomials and Brent's
-bracketed scalar root.  These keep scipy off the runtime path: the
-package needs only numpy and mpmath, and scipy serves the tests as an
-oracle.  The adaptive quadrature that checks the closed forms lives with
-the tests (``tests/_oracles.py``).
+(``clopper_pearson``), stable elementary symmetric polynomials and a
+bracketed scalar root by Chandrupatla's method.  These keep scipy off the
+runtime path: the package needs only numpy and mpmath, and scipy serves
+the tests as an oracle.  The adaptive quadrature that checks the closed
+forms lives with the tests (``tests/_oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "brentq",
+    "bracketed_root",
     "clopper_pearson",
     "g_closed",
     "log_q",
@@ -105,61 +106,46 @@ def log_q(u: float) -> float:
     return -0.5 * u * u - math.log(u) - _HALF_LOG_2PI + math.log(total)
 
 
-def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f in the bracket [xa, xb] by Brent's method.
+def bracketed_root(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float,
+                   maxiter: int = 100) -> float:
+    """Root of f in the bracket [a, b], given fa = f(a) and fb = f(b), by Chandrupatla's method.
 
-    A line-for-line transcription of scipy's ``Zeros/brentq.c`` (the
-    routine behind ``scipy.optimize.brentq``), so it returns the same
-    root bit for bit; the stop is |step| < (xtol + rtol |x|)/2.  Raises
-    ValueError when f(xa), f(xb) share a sign or f returns NaN, and
-    ArithmeticError after ``maxiter`` iterations.
+    Each step interpolates the last three points by an inverse quadratic
+    where that stays inside the bracket and bisects otherwise, and lands at
+    least half the tolerance inside the bracket (T. R. Chandrupatla, Adv.
+    Eng. Softw. 28:145, 1997; the method of scipy's elementwise
+    ``find_root``).  It stops, as ``scipy.optimize.brentq`` does, on a zero
+    or on a bracket narrower than xtol + rtol |x|, and returns the end x
+    with the smaller |f|.  Raises ValueError when fa and fb share a sign or
+    f is NaN at an end or a step, and ArithmeticError after ``maxiter``
+    steps.
     """
-    def call(x):
+    if fa != fa or fb != fb:
+        raise ValueError(f"the function value at an end of [{a!r}, {b!r}] is NaN")
+    if min(fa, fb) > 0 or max(fa, fb) < 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    x1, f1, x2, f2, t = a, fa, b, fb, 0.5  # x1 the newest point; f1, f2 of opposite signs
+    for _ in range(maxiter):
+        xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        tol, dx = xtol + rtol * abs(xm), abs(x2 - x1)
+        if fm == 0 or dx < tol:
+            return xm
+        tl = 0.5 * tol / dx
+        x = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
         fx = f(x)
         if fx != fx:
             raise ValueError(f"the function value at x={x!r} is NaN")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
+        if (fx < 0) == (f1 < 0):
+            x3, f3 = x1, f1
         else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise ArithmeticError(f"brentq failed to converge after {maxiter} iterations, value is {xcur!r}")
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:  # inverse quadratic interpolation
+            t = f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3)
+        else:
+            t = 0.5
+    raise ArithmeticError(f"bracketed root failed to converge after {maxiter} steps, value is {x1!r}")
 
 
 def elementary_symmetric_all(values: Sequence) -> list:
@@ -202,7 +188,7 @@ def _stirlerr(k: int) -> float:
 # Q(z) = alpha/2 that the iteration's start needs.
 _CP_HALF_ALPHA = (1.0 - 0.95) / 2.0
 _CP_LOG_HALF_ALPHA = math.log(_CP_HALF_ALPHA)
-_CP_Z = brentq(lambda z: q_fn(z) - _CP_HALF_ALPHA, 0.0, 40.0, 1e-12, 1e-12)
+_CP_Z = statistics.NormalDist().inv_cdf(1.0 - _CP_HALF_ALPHA)
 
 
 def clopper_pearson(counts, n: int) -> list[tuple[float, float]]:

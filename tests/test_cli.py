@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -133,14 +134,17 @@ def test_outage_exact_auto_disabled_over_caps(tmp_path):
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
-def test_unwritable_output_is_a_usage_error(tmp_path, where):
-    # the request runs, then its table cannot be written: one error line, exit 2
+def test_unwritable_output_is_a_usage_error(monkeypatch, tmp_path, where):
+    # refused before the request runs: one error line, exit 2, no solve, no file
+    calls = []
+    monkeypatch.setattr(cli, "ergodic_summary", lambda *args: calls.append(args))
     path = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
     argv = ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--output", str(path)]
     code, out, err = run_cli(argv)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot write --output {path}: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert (code, out, calls) == (2, "", [])
+    reason = os.strerror(errno.ENOENT if where == "missing-dir" else errno.EISDIR)  # as the write reports it
+    assert err == f"error: cannot write --output {path}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_routes_look_their_solvers_up_when_they_run(monkeypatch):

@@ -482,12 +482,12 @@ def test_tiny_rho_failures_name_their_cause(n0, beta, rho, frac, reason):
 
 def test_edge_root_without_sign_change_names_its_bracket():
     # the multiplier at which (n0, beta, rho) = (1, 1.1, 1e-14), f = 0.7
-    # raised brentq's bare ValueError
+    # raised the root's bare ValueError
     k = 2109448634060513.8
     with pytest.raises(ArithmeticError, match="no sign change of the edge equation on") as info:
         solve_at_multiplier(1.0, 1.1, SnrParam(1e-14), k)
     assert f"(n0, beta, rho, k) = (1.0, 1.1, 1e-14, {k!r})" in str(info.value)
-    assert isinstance(info.value.__cause__.__cause__, ValueError)  # brentq's own error
+    assert isinstance(info.value.__cause__.__cause__, ValueError)  # the root's own error
 
 
 def test_asymptotic_routes_reject_nt_below_one():
@@ -910,36 +910,60 @@ def test_edge_y_increases_with_k_across_regime_boundaries():
 
 def test_bracketed_edge_root_is_the_full_bracket_root(monkeypatch):
     # every edge root solve_regime bounds by its neighbours lands where the
-    # root on the full bracket does, to the two roots' brentq tolerance
+    # root on the full bracket does, to the two roots' tolerance
     roots = []
-    brentq = coulomb.brentq
+    root = coulomb.bracketed_root
     support = coulomb._support
 
-    def recording(f, lo, hi, *args):
-        roots.append(brentq(f, lo, hi, *args))
+    def recording(*args):
+        roots.append(root(*args))
         return roots[-1]
 
-    checked = []
+    outside = []
 
     def checking(n0, beta, z, k, *, y_bracket=coulomb._FULL_BRACKET):
         roots.clear()
         out = support(n0, beta, z, k, y_bracket=y_bracket)
         if roots and y_bracket != coulomb._FULL_BRACKET:
-            bracketed = roots[-1]
+            (bracketed,) = roots
             roots.clear()
             support(n0, beta, z, k)
-            full = roots[-1]
+            (full,) = roots
             assert abs(bracketed - full) <= 2 * 8.9e-16 * abs(full), (n0, beta, 1.0 / z, k)
-            checked.append(out[3])
+            outside.append(not y_bracket[0] <= bracketed <= y_bracket[1])
         return out
 
-    monkeypatch.setattr(coulomb, "brentq", recording)
+    monkeypatch.setattr(coulomb, "bracketed_root", recording)
     monkeypatch.setattr(coulomb, "_support", checking)
     for n0, beta, rho in SOLVE_GRID:
         for f in SOLVE_FRACS:
             solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
-    assert len(checked) > 100
-    assert checked.count(True) <= len(checked) // 20  # fallbacks are rare
+    assert len(outside) > 100
+    assert outside.count(True) <= len(outside) // 20  # roots outside the neighbours' cut are rare
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.5])
+def test_support_root_outside_the_neighbours_cut(monkeypatch, k):
+    # a y_bracket wholly above or wholly below the root still gives the
+    # full-bracket root, from one root call on the piece the signs point to
+    roots = []
+    root = coulomb.bracketed_root
+
+    def recording(*args):
+        roots.append(root(*args))
+        return roots[-1]
+
+    monkeypatch.setattr(coulomb, "bracketed_root", recording)
+    z = 1.0 / 10.0
+    full = coulomb._support(1.0, 2.0, z, k)
+    (y,) = roots
+    assert full[0] == "Sab"
+    for cut in ((1.001 * y, 1.002 * y), (0.998 * y, 0.999 * y)):
+        roots.clear()
+        regime, a, b = coulomb._support(1.0, 2.0, z, k, y_bracket=cut)
+        (y_cut,) = roots
+        assert regime == "Sab" and abs(y_cut - y) <= 2 * 8.9e-16 * y, cut
+        assert abs(a - full[1]) <= 2 * 8.9e-16 * full[1] and abs(b - full[2]) <= 2 * 8.9e-16 * full[2]
 
 
 @pytest.mark.parametrize(
@@ -999,9 +1023,9 @@ def test_solve_regime_logs_one_debug_record(monkeypatch, caplog):
         with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
             solve_regime(1.0, 2.0, snr, r)
         (rec,) = [rec for rec in caplog.records if rec.name == "jacobi_mimo"]
-        params, solves, fallbacks, stop = rec.args
+        params, solves, stop = rec.args
         assert params == (1.0, 2.0, 10.0, r)
-        assert solves == len(calls) and fallbacks == 0
+        assert solves == len(calls)
         assert stop in ("step", "bracket", "stall")
         assert f"{solves} solves" in rec.getMessage()
         if r == erg.r:  # the cached k = 0 record: a zero Newton step, no solve

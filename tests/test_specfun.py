@@ -8,7 +8,7 @@ import scipy.optimize
 from scipy.special import betaincinv, log_ndtr
 
 from jacobi_mimo import specfun
-from jacobi_mimo.specfun import brentq, clopper_pearson, elementary_symmetric_all, g_closed, log_q, q_fn
+from jacobi_mimo.specfun import bracketed_root, clopper_pearson, elementary_symmetric_all, g_closed, log_q, q_fn
 
 from _oracles import QuadratureError, g_defining_integral, g_fn, i3_fn, quadrature
 
@@ -239,7 +239,8 @@ def test_elementary_symmetric_matches_bruteforce():
 
 
 @pytest.mark.parametrize("xtol, rtol", [(1e-300, 8.9e-16), (1e-12, 8.9e-16), (2e-12, 1e-9)])
-def test_brentq_matches_scipy_bit_for_bit(xtol, rtol):
+def test_bracketed_root_matches_scipy_brentq(xtol, rtol):
+    # both stop on a bracket narrower than xtol + rtol |x| around the sign change
     rng = random.Random(17)
     shapes = [
         lambda x, c, s: s * (x - c),
@@ -255,14 +256,18 @@ def test_brentq_matches_scipy_bit_for_bit(xtol, rtol):
         f = lambda x: shape(x, c, s)
         lo = c - 10.0 ** rng.uniform(-4.0, 1.0)
         hi = c + 10.0 ** rng.uniform(-4.0, 1.0)
-        assert brentq(f, lo, hi, xtol, rtol) == scipy.optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+        ref = scipy.optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+        assert abs(bracketed_root(f, lo, hi, f(lo), f(hi), xtol, rtol) - ref) <= xtol + rtol * abs(ref), i
 
 
-def test_brentq_errors():
+def test_bracketed_root_errors():
     with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
-    with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan, -1.0, 1.0, 1e-12, 8.9e-16)
+        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0, 1e-12, 8.9e-16)
+    with pytest.raises(ValueError, match="NaN"):  # at a step
+        bracketed_root(lambda x: math.nan, -1.0, 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+    with pytest.raises(ValueError, match="NaN"):  # at an end
+        bracketed_root(lambda x: x, -1.0, 1.0, -1.0, math.nan, 1e-12, 8.9e-16)
     with pytest.raises(ArithmeticError, match="converge"):
-        brentq(lambda x: math.copysign(1.0, x - 0.3), -1.0, 1.0, 1e-300, 8.9e-16, maxiter=20)
-    assert brentq(lambda x: x, 0.0, 1.0, 1e-12, 8.9e-16) == 0.0
+        f = lambda x: math.copysign(1.0, x - 0.3)
+        bracketed_root(f, -1.0, 1.0, -1.0, 1.0, 1e-300, 8.9e-16, maxiter=20)
+    assert bracketed_root(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-12, 8.9e-16) == 0.0
