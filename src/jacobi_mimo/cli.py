@@ -146,15 +146,19 @@ def _channel(args) -> Channel:
 
 
 def _check_output(path: str):
-    """Refuse an --output that is a directory or whose directory is missing, before any solve.
+    """Refuse an --output that is a directory or whose parent is not a directory, before any solve.
 
     Other failures to write, such as permissions or a full disk, are
     reported when the table is written.
     """
-    missing = not os.path.exists(os.path.dirname(path) or ".")
-    if missing or os.path.isdir(path):
-        code = errno.ENOENT if missing else errno.EISDIR
-        raise UsageError(f"cannot write --output {path}: {os.strerror(code)}")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        return
+    raise UsageError(f"cannot write --output {path}: {os.strerror(code)}")
 
 
 def _meta(args, ch: Channel, fields: dict, started: float) -> dict:

@@ -44,11 +44,9 @@ does (z = 1/rho).  The two flags name the four regimes:
 
 A soft edge without charge (beta = 1 at a, n0 = 0 at b) makes Y explicit
 in k, so those supports are closed forms; otherwise X and W are explicit
-in Y and one bracketed scalar root in y = Y-1 in (0, rho) remains.  y
-increases with k, so the y of the supports the outer solve has solved at
-the two ends of its k bracket (the k = 0 one first) cut that bracket in
-three; the signs of the edge equation at the cut pick the piece that
-holds the root, and one root call solves it.
+in Y and one bracketed scalar root in y = Y-1 in (0, rho) remains: one
+root call on the bracket that the soft edges' positivity bounds, so a
+support depends on (n0, beta, rho, k) alone.
 
 The density is one pole decomposition in t = (x-a)/d, d = b-a:
 
@@ -65,7 +63,7 @@ The rate function's curvature needs no differencing.  At fixed k the
 density is the equilibrium measure on one interval (a, b) in a field
 tilted by k log(1+rho x), so dr/dk = V(a, b), the variance of that linear
 statistic: a closed form in the endpoints alone (Beenakker, PRL 1993;
-see _variance_and_y).  Edge motion does not enter, since pinned edges
+see _variance).  Edge motion does not enter, since pinned edges
 stay fixed and soft edges move where the density is zero.  So V holds in
 all four regimes, v_erg = V(a0, b0), and k' = dk/dr = E''(r) = 1/V.
 
@@ -116,7 +114,6 @@ _TWO_PI = 2.0 * math.pi
 _K_TOL = 1e-12          # root tolerance on the Lagrange multiplier
 _K_ITER = 200           # cap on the outer multiplier iterations
 _LD_TOL = 1e-8          # advertised tolerance of the deterministic estimates
-_FULL_BRACKET = (0.0, math.inf)  # no bound on the edge root y from solved neighbours
 
 _log = logging.getLogger("jacobi_mimo")
 _SOLVE_RECORD = "solve_regime%r: %d solves, stop: %s"
@@ -131,9 +128,8 @@ class RegimeSolution:
     and ``e0`` is E0.  They are computed when read, ``energy`` once, so an
     outer solve pays for the energy of the one iterate it returns.  ``v``
     is dr/dk = V(a, b), the rate variance of the support (v_erg at k = 0),
-    and ``y`` = Y - 1 its edge-root variable, both of which the outer
-    solve reads from every iterate.  ``poles`` is the (gamma, y, 1+y)
-    decomposition the solution was built from.
+    which the outer solve reads from every iterate.  ``poles`` is the
+    (gamma, y, 1+y) decomposition the solution was built from.
     """
 
     regime: str
@@ -146,7 +142,6 @@ class RegimeSolution:
     rho: float
     poles: tuple[tuple[float, float, float], ...] = field(repr=False)
     v: float = field(repr=False)
-    y: float = field(repr=False)
 
     @functools.cached_property
     def energy(self) -> float:
@@ -207,23 +202,16 @@ def _ergodic_support(n0: float, beta: float) -> tuple[float, float]:
     return ((beta - 1.0) / (hi + lo)) ** 2, ((hi + lo) / (n0 + 1.0 + beta)) ** 2
 
 
-def _variance_and_y(rho: float, a: float, b: float) -> tuple[float, float]:
-    """(v, y) of a support (a, b), with s = sqrt(1+rho x) at either edge.
+def _variance(rho: float, a: float, b: float) -> float:
+    """v = dr/dk = V(a, b) = log((s_a+s_b)^2/(4 s_a s_b)) of a support (a, b), s = sqrt(1+rho x).
 
-    v = dr/dk = V(a, b) = log((s_a+s_b)^2/(4 s_a s_b)), evaluated as
-    log1p(d^2/(4 s_a s_b)), d = s_b - s_a = rho(b-a)/(s_a+s_b), which does
-    not cancel on narrow supports or at small rho.
-
-    y = Y - 1, Y = sqrt((1+rho a)(1+rho b)), is the edge-root variable,
-    evaluated as (s_a - 1) s_b + (s_b - 1) with s - 1 = rho x/(s + 1):
-    positive terms, so nothing cancels at small rho and nothing overflows
-    at huge rho.
+    Evaluated as log1p(d^2/(4 s_a s_b)), d = s_b - s_a = rho(b-a)/(s_a+s_b),
+    which does not cancel on narrow supports or at small rho.
     """
     sa = math.sqrt(1.0 + rho * a)
     sb = math.sqrt(1.0 + rho * b)
     d = rho * (b - a) / (sa + sb)
-    v = math.log1p(d * d / (4.0 * sa * sb))
-    return v, rho * a / (sa + 1.0) * sb + rho * b / (sb + 1.0)
+    return math.log1p(d * d / (4.0 * sa * sb))
 
 
 def _on_support(x, a: float, b: float, p):
@@ -306,24 +294,18 @@ def _endpoints(rho: float, y: float, x2: float, m: float) -> tuple[float, float]
     return a, b
 
 
-def _support(
-    n0: float, beta: float, z: float, k: float, *, y_bracket: tuple[float, float] = _FULL_BRACKET
-) -> tuple[str, float, float]:
+def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, float]:
     """Regime and support (a, b) at multiplier k.
 
     a sits on the wall at 0 for beta = 1 below k_c3, b on the wall at 1
     for n0 = 0 above k_c4; the regime names the pair of pins.  S01 keeps
     its two end points, while S0b and Sa1 leave theirs to Sab.  k = 0 is
-    the closed-form ergodic support, with no edge root.
-
-    y = Y - 1 increases with k, so the y of supports already solved at
-    multipliers on either side of k bound the edge root; ``y_bracket``
-    passes them in.  The edge equation is evaluated at the ends of that
-    bracket cut to the full one (lo, hi), the full one when the cut is
-    empty, and one root call runs on the cut when its ends change sign,
-    else on the piece of (lo, hi) below it or above it that the signs
-    point to, as when two neighbours sit within rounding of each other.
-    The root checks the sign at that piece's outer end.
+    the closed-form ergodic support, with no edge root.  Otherwise a soft
+    edge without charge makes the support a closed form, and the rest
+    take one root call of the edge equation in y = Y - 1 on (lo, hi):
+    y in (0, rho), narrowed to where the soft edges' 1/X and 1/W are
+    positive.  The edge equation changes sign there, and the root checks
+    that it does.
     """
     k_c3, e3 = _kc3(n0, z)
     k_c4, e4 = _kc4(beta, z)
@@ -372,16 +354,8 @@ def _support(
         lo = max(lo, k * (1.0 + rho) / c - 1.0)
     elif c < 0 and not pin_b:
         hi = min(hi, k / c - 1.0)
-    y_lo, y_hi = max(lo, y_bracket[0]), min(hi, y_bracket[1])
-    if not y_lo < y_hi:
-        y_lo, y_hi = lo, hi
-    f_lo, f_hi = tie(y_lo), tie(y_hi)
-    if f_lo > 0.0 and f_hi > 0.0:  # the root lies below the cut
-        y_lo, y_hi, f_lo, f_hi = lo, y_lo, tie(lo), f_lo
-    elif f_lo < 0.0 and f_hi < 0.0:  # above it
-        y_lo, y_hi, f_lo, f_hi = y_hi, hi, f_hi, tie(hi)
     try:
-        y = bracketed_root(tie, y_lo, y_hi, f_lo, f_hi, 1e-300, 8.9e-16)
+        y = bracketed_root(tie, lo, hi, tie(lo), tie(hi), 1e-300, 8.9e-16)
     except ValueError as err:
         raise ArithmeticError(f"no sign change of the edge equation on ({lo!r}, {hi!r})") from err
     ix, iw = inverses(y)
@@ -487,25 +461,21 @@ def critical_thresholds(n0: float, beta: float, snr: SnrParam) -> list[tuple[flo
     return [(k, solve_at_multiplier(n0, beta, snr, k).r) for k in ks]
 
 
-def solve_at_multiplier(
-    n0: float, beta: float, snr: SnrParam, k: float, *, y_bracket: tuple[float, float] = _FULL_BRACKET
-) -> RegimeSolution:
+def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> RegimeSolution:
     """Constrained-density solution for a given Lagrange multiplier k.
 
     The regime follows from k against the critical thresholds; the rate
     comes out of the solution (use :func:`solve_regime` to prescribe the
-    rate instead).  ``y_bracket`` is the y = Y - 1 of solved neighbours
-    that cut the edge root's bracket (see :func:`solve_regime`); the
-    default cuts nothing.  A failed support, or a rate that is not finite
-    or outside the window (0, log(1+rho)), raises ArithmeticError with its
-    reason.  At k > 0 only r <= 0 is refused: near the top of the window
-    the Newton on k passes through iterates whose rate rounds above
-    log(1+rho).
+    rate instead), and the solution depends on (n0, beta, rho, k) alone.
+    A failed support, or a rate that is not finite or outside the window
+    (0, log(1+rho)), raises ArithmeticError with its reason.  At k > 0
+    only r <= 0 is refused: near the top of the window the Newton on k
+    passes through iterates whose rate rounds above log(1+rho).
     """
     _check_params(n0, beta, snr)
     z = snr.z
     try:
-        regime, a, b = _support(n0, beta, z, k, y_bracket=y_bracket)
+        regime, a, b = _support(n0, beta, z, k)
         if a == 0.0 and beta > 1.0:  # a charged soft a has ab > 0; it underflowed (rho ~ 1e300)
             raise ArithmeticError(f"soft edge a underflowed to 0 (b = {b!r})")
         d = b - a
@@ -518,9 +488,7 @@ def solve_at_multiplier(
             raise ArithmeticError(f"rate {r!r} of the support ({a!r}, {b!r}) outside the window (0, {rmax!r})")
     except ArithmeticError as err:
         raise ArithmeticError(f"{err} at (n0, beta, rho, k) = {(n0, beta, snr.rho, k)!r}") from err
-    return RegimeSolution(
-        regime, a, b, k, r, n0, beta, snr.rho, poles, *_variance_and_y(snr.rho, a, b),
-    )
+    return RegimeSolution(regime, a, b, k, r, n0, beta, snr.rho, poles, _variance(snr.rho, a, b))
 
 
 def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolution:
@@ -536,12 +504,6 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     bisection, and one that goes more than twice as far from 0 while the
     bracket is still open by doubling (save the step from k = 0).
 
-    y = Y - 1 of the support increases with k too, so the supports
-    solved at the two ends of the k bracket (the k = 0 record at the
-    start) cut the edge root's bracket for the next iterate, which each
-    solve passes on as ``y_bracket``; each support still takes one root
-    call, on the piece of the bracket whose ends change sign.
-
     The iteration stops on the first of: the step falls below the
     multiplier tolerance ("step"); the bracket does ("bracket"); or an
     iterate is no closer to r than the best so far while that best
@@ -556,12 +518,12 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     if not 0.0 < r < rmax:
         raise ValueError(f"rate {r!r} outside the achievable interval (0, {rmax!r})")
     k, sol, best = 0.0, ergodic_summary(n0, beta, snr), None
-    lo, hi, y_lo, y_hi = -math.inf, math.inf, 0.0, math.inf
+    lo, hi = -math.inf, math.inf
     for solves in range(_K_ITER + 1):
         if solves:
             if abs(k) > 2.0**60:
                 raise ArithmeticError(f"failed to bracket k for rate {r!r}")
-            sol = solve_at_multiplier(n0, beta, snr, k, y_bracket=(y_lo, y_hi))
+            sol = solve_at_multiplier(n0, beta, snr, k)
         res = sol.r - r
         if best is None or abs(res) < abs(best.r - r):
             best = sol
@@ -569,9 +531,9 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
             stop = "stall"
             break
         if res < 0.0:
-            lo, y_lo = k, sol.y
+            lo = k
         else:
-            hi, y_hi = k, sol.y
+            hi = k
         step = res / sol.v
         tol = _K_TOL + 8.9e-16 * abs(k)
         stop = "step" if abs(step) < tol else "bracket" if hi - lo < tol else None

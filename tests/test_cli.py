@@ -133,18 +133,24 @@ def test_outage_exact_auto_disabled_over_caps(tmp_path):
     assert all(row[6] != "" for row in rows)  # gauss column filled
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file"])
 def test_unwritable_output_is_a_usage_error(monkeypatch, tmp_path, where):
     # refused before the request runs: one error line, exit 2, no solve, no file
     calls = []
     monkeypatch.setattr(cli, "ergodic_summary", lambda *args: calls.append(args))
-    path = tmp_path / "no" / "such" / "x.csv" if where == "missing-dir" else tmp_path
+    path, reason = {  # the reason as the write reports it
+        "missing-dir": (tmp_path / "no" / "such" / "x.csv", errno.ENOENT),
+        "a-dir": (tmp_path, errno.EISDIR),
+        "under-a-file": (tmp_path / "afile" / "x.csv", errno.ENOTDIR),
+    }[where]
+    made = ["afile"] if where == "under-a-file" else []
+    for name in made:
+        (tmp_path / name).write_text("")
     argv = ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--output", str(path)]
     code, out, err = run_cli(argv)
     assert (code, out, calls) == (2, "", [])
-    reason = os.strerror(errno.ENOENT if where == "missing-dir" else errno.EISDIR)  # as the write reports it
-    assert err == f"error: cannot write --output {path}: {reason}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert err == f"error: cannot write --output {path}: {os.strerror(reason)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == made
 
 
 def test_routes_look_their_solvers_up_when_they_run(monkeypatch):

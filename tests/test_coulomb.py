@@ -8,7 +8,7 @@ import pytest
 
 from jacobi_mimo import coulomb
 from jacobi_mimo.coulomb import (
-    _variance_and_y,
+    _variance,
     critical_thresholds,
     density_asymptotic,
     density_at,
@@ -576,7 +576,7 @@ def test_rate_variance_matches_200bit_reference():
             sa = mpmath.sqrt(1 + mpmath.mpf(rho) * mpmath.mpf(a))
             sb = mpmath.sqrt(1 + mpmath.mpf(rho) * mpmath.mpf(b))
             ref = float(mpmath.log((sa + sb) ** 2 / (4 * sa * sb)))
-        assert abs(_variance_and_y(rho, a, b)[0] - ref) <= 1e-14 * ref
+        assert abs(_variance(rho, a, b) - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize(
@@ -888,16 +888,19 @@ def _k_grid_across_boundaries(n0, beta, snr):
 
 
 def test_edge_y_increases_with_k_across_regime_boundaries():
-    # solve_regime bounds each edge root by the y = Y - 1 of the supports
-    # solved on either side of k; that rests on y(k) increasing.  y is
-    # constant only inside S01, where both edges sit on the walls.
+    # the edge-root variable y = Y - 1, Y = sqrt((1+rho a)(1+rho b)), of
+    # the support increases with k in every regime and across their
+    # boundaries; it is constant only inside S01, where both edges sit on
+    # the walls.  y = (s_a - 1) s_b + (s_b - 1), s = sqrt(1+rho x), with
+    # s - 1 = rho x/(s + 1): positive terms, so nothing cancels at small rho
     regimes = set()
     for n0, beta, rho in SOLVE_GRID:
         snr = SnrParam(rho)
         prev = None
         for k in _k_grid_across_boundaries(n0, beta, snr):
             sol = solve_at_multiplier(n0, beta, snr, k)
-            y = sol.y
+            sa, sb = math.sqrt(1.0 + rho * sol.a), math.sqrt(1.0 + rho * sol.b)
+            y = rho * sol.a / (sa + 1.0) * sb + rho * sol.b / (sb + 1.0)
             regimes.add(sol.regime)
             if prev is not None:
                 if prev.regime == sol.regime == "S01":
@@ -908,62 +911,54 @@ def test_edge_y_increases_with_k_across_regime_boundaries():
     assert regimes == {"S01", "S0b", "Sa1", "Sab"}
 
 
-def test_bracketed_edge_root_is_the_full_bracket_root(monkeypatch):
-    # every edge root solve_regime bounds by its neighbours lands where the
-    # root on the full bracket does, to the two roots' tolerance
-    roots = []
-    root = coulomb.bracketed_root
-    support = coulomb._support
+def _edge_root_bracket(n0, beta, rho, k, regime):
+    # (lo, hi) of the edge root y = Y - 1 at multiplier k, None for the
+    # closed forms: y in (0, rho), with a pinned Y^2 <= 1 + rho, cut where
+    # the soft a's 1/W (k > 0) or the soft b's 1/X (c < 0) turns negative
+    pin_a, pin_b = regime in ("S01", "S0b"), regime in ("S01", "Sa1")
+    if k == 0.0 or regime == "S01" or not (pin_a or beta > 1.0) or not (pin_b or n0 > 0.0):
+        return None
+    c = n0 + beta + 1.0 + k
+    lo, hi = 0.0, rho / (math.sqrt(1.0 + rho) + 1.0) if pin_a else rho
+    if k > 0 and not pin_a:
+        lo = max(lo, k * (1.0 + rho) / c - 1.0)
+    elif c < 0 and not pin_b:
+        hi = min(hi, k / c - 1.0)
+    return lo, hi
 
-    def recording(*args):
-        roots.append(root(*args))
-        return roots[-1]
 
-    outside = []
+def test_solve_regime_iterates_are_the_direct_supports(monkeypatch):
+    # a support depends on (n0, beta, rho, k) alone: every support a
+    # solve_regime iterate builds is the one a direct solve_at_multiplier
+    # call at its k builds, bit for bit, and each edge root is one root
+    # call on the full bracket (lo, hi)
+    root, solve = coulomb.bracketed_root, coulomb.solve_at_multiplier
+    ends, iterates = [], []
 
-    def checking(n0, beta, z, k, *, y_bracket=coulomb._FULL_BRACKET):
-        roots.clear()
-        out = support(n0, beta, z, k, y_bracket=y_bracket)
-        if roots and y_bracket != coulomb._FULL_BRACKET:
-            (bracketed,) = roots
-            roots.clear()
-            support(n0, beta, z, k)
-            (full,) = roots
-            assert abs(bracketed - full) <= 2 * 8.9e-16 * abs(full), (n0, beta, 1.0 / z, k)
-            outside.append(not y_bracket[0] <= bracketed <= y_bracket[1])
-        return out
+    def recording_root(f, lo, hi, *args):
+        ends.append((lo, hi))
+        return root(f, lo, hi, *args)
 
-    monkeypatch.setattr(coulomb, "bracketed_root", recording)
-    monkeypatch.setattr(coulomb, "_support", checking)
+    def recording_solve(n0, beta, snr, k):
+        ends.clear()
+        iterates.append((solve(n0, beta, snr, k), list(ends)))
+        return iterates[-1][0]
+
+    monkeypatch.setattr(coulomb, "bracketed_root", recording_root)
+    monkeypatch.setattr(coulomb, "solve_at_multiplier", recording_solve)
+    coulomb.ergodic_summary.cache_clear()
     for n0, beta, rho in SOLVE_GRID:
         for f in SOLVE_FRACS:
             solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
-    assert len(outside) > 100
-    assert outside.count(True) <= len(outside) // 20  # roots outside the neighbours' cut are rare
-
-
-@pytest.mark.parametrize("k", [-1.0, 0.5])
-def test_support_root_outside_the_neighbours_cut(monkeypatch, k):
-    # a y_bracket wholly above or wholly below the root still gives the
-    # full-bracket root, from one root call on the piece the signs point to
-    roots = []
-    root = coulomb.bracketed_root
-
-    def recording(*args):
-        roots.append(root(*args))
-        return roots[-1]
-
-    monkeypatch.setattr(coulomb, "bracketed_root", recording)
-    z = 1.0 / 10.0
-    full = coulomb._support(1.0, 2.0, z, k)
-    (y,) = roots
-    assert full[0] == "Sab"
-    for cut in ((1.001 * y, 1.002 * y), (0.998 * y, 0.999 * y)):
-        roots.clear()
-        regime, a, b = coulomb._support(1.0, 2.0, z, k, y_bracket=cut)
-        (y_cut,) = roots
-        assert regime == "Sab" and abs(y_cut - y) <= 2 * 8.9e-16 * y, cut
-        assert abs(a - full[1]) <= 2 * 8.9e-16 * full[1] and abs(b - full[2]) <= 2 * 8.9e-16 * full[2]
+    roots = 0
+    for sol, calls in iterates:
+        key = (sol.n0, sol.beta, sol.rho, sol.k)
+        direct = solve(sol.n0, sol.beta, SnrParam(sol.rho), sol.k)
+        assert (sol.regime, sol.a, sol.b) == (direct.regime, direct.a, direct.b), key
+        bracket = _edge_root_bracket(*key, sol.regime)
+        assert calls == ([] if bracket is None else [bracket]), key
+        roots += bracket is not None
+    assert len(iterates) > 300 and roots > 100
 
 
 @pytest.mark.parametrize(
