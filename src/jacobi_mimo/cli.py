@@ -27,6 +27,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -148,17 +149,21 @@ def _channel(args) -> Channel:
 def _check_output(path: str):
     """Refuse an --output that is a directory or whose parent is not a directory, before any solve.
 
-    Other failures to write, such as permissions or a full disk, are
-    reported when the table is written.
+    The reason is the one the write itself would give: the parent's own
+    from ``os.stat`` ("Not a directory" also when a file lies further up
+    the path), ENOTDIR when the parent is a file, EISDIR when the path is a
+    directory.  Other failures to write, such as permissions or a full
+    disk, are reported when the table is written.
     """
     parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    elif os.path.isdir(path):
+    try:
+        code = 0 if stat.S_ISDIR(os.stat(parent).st_mode) else errno.ENOTDIR
+    except OSError as err:  # the parent is missing, or a file lies further up its path
+        code = err.errno
+    if not code and os.path.isdir(path):
         code = errno.EISDIR
-    else:
-        return
-    raise UsageError(f"cannot write --output {path}: {os.strerror(code)}")
+    if code:
+        raise UsageError(f"cannot write --output {path}: {os.strerror(code)}")
 
 
 def _meta(args, ch: Channel, fields: dict, started: float) -> dict:

@@ -179,13 +179,10 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
         lambda lo, hi: np.count_nonzero(_block_rates(cfg, lo, hi)[:, None] < thresholds[None, :], axis=0),
     )
     totals = np.sum(counts, axis=0).tolist()
-    out = []
-    for k, (lo, hi) in zip(totals, clopper_pearson(totals, cfg.trials)):
-        p = k / cfg.trials
-        out.append(
-            OutageEstimate(p=p, ci_low=min(lo, p), ci_high=max(hi, p), method="mc", trials_or_tol=cfg.trials)
-        )
-    return out
+    return [
+        OutageEstimate(p=k / cfg.trials, ci_low=lo, ci_high=hi, method="mc", trials_or_tol=cfg.trials)
+        for k, (lo, hi) in zip(totals, clopper_pearson(totals, cfg.trials))
+    ]
 
 
 def estimate_outage(cfg: McConfig, r: float) -> OutageEstimate:
@@ -194,7 +191,11 @@ def estimate_outage(cfg: McConfig, r: float) -> OutageEstimate:
 
 
 def moments(cfg: McConfig) -> tuple[float, float]:
-    """Sample mean and unbiased sample variance of the mutual information."""
+    """Sample mean and unbiased sample variance of the mutual information.
+
+    The variance is the one-pass (s2 - n mean^2) / (n - 1); it raises
+    ArithmeticError rather than clamp a value that cancelled below 0.
+    """
     if cfg.trials < 2:
         raise ValueError("moments needs at least 2 trials")
     partials = _map_blocks(
@@ -204,7 +205,9 @@ def moments(cfg: McConfig) -> tuple[float, float]:
     s2 = sum(p[1] for p in partials)
     n = cfg.trials
     mean = s1 / n
-    var = max(0.0, (s2 - n * mean * mean) / (n - 1))
+    var = (s2 - n * mean * mean) / (n - 1)
+    if not var >= 0.0:  # cancellation, or a NaN rate
+        raise ArithmeticError(f"the one-pass variance of {n} rates about the mean {mean!r} came out {var!r}")
     return mean, var
 
 

@@ -133,7 +133,7 @@ def test_outage_exact_auto_disabled_over_caps(tmp_path):
     assert all(row[6] != "" for row in rows)  # gauss column filled
 
 
-@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file", "below-a-file"])
 def test_unwritable_output_is_a_usage_error(monkeypatch, tmp_path, where):
     # refused before the request runs: one error line, exit 2, no solve, no file
     calls = []
@@ -142,8 +142,9 @@ def test_unwritable_output_is_a_usage_error(monkeypatch, tmp_path, where):
         "missing-dir": (tmp_path / "no" / "such" / "x.csv", errno.ENOENT),
         "a-dir": (tmp_path, errno.EISDIR),
         "under-a-file": (tmp_path / "afile" / "x.csv", errno.ENOTDIR),
+        "below-a-file": (tmp_path / "afile" / "sub" / "x.csv", errno.ENOTDIR),
     }[where]
-    made = ["afile"] if where == "under-a-file" else []
+    made = ["afile"] if where.endswith("-a-file") else []
     for name in made:
         (tmp_path / name).write_text("")
     argv = ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--output", str(path)]
@@ -151,6 +152,9 @@ def test_unwritable_output_is_a_usage_error(monkeypatch, tmp_path, where):
     assert (code, out, calls) == (2, "", [])
     assert err == f"error: cannot write --output {path}: {os.strerror(reason)}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == made
+    with pytest.raises(OSError) as write:
+        open(path, "w")
+    assert write.value.errno == reason
 
 
 def test_routes_look_their_solvers_up_when_they_run(monkeypatch):

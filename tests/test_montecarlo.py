@@ -244,6 +244,14 @@ def test_moments_flat_law():
     assert mean_tiny < 1e-9
 
 
+def test_moments_raise_on_a_cancelled_variance(monkeypatch):
+    # five equal rates of 2.3: the one-pass variance rounds to -8.9e-16, which
+    # is reported, not clamped to 0
+    monkeypatch.setattr(montecarlo, "_block_rates", lambda cfg, lo, hi: np.full(hi - lo, 2.3))
+    with pytest.raises(ArithmeticError, match=r"variance of 5 rates about the mean 2\.3.* came out -8\.8"):
+        moments(McConfig(dims=FLAT, snr=SNR3, trials=5, seed=0))
+
+
 def test_eigen_histogram_flat_and_tilted_laws():
     cfg = McConfig(dims=FLAT, snr=SNR3, trials=40_000, seed=13)
     hist = eigen_histogram(cfg, bins=20)

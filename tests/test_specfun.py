@@ -131,7 +131,7 @@ def test_log_q_matches_scipy_log_ndtr():
     assert log_q(math.inf) == -math.inf
 
 
-CP_SIZES = [1, 2, 5, 37, 2048, 12288, 10**5, 10**7]
+CP_SIZES = [1, 2, 5, 37, 2048, 8192, 10240, 12288, 10**5, 10**7]
 LOG_HALF_ALPHA = math.log((1.0 - 0.95) / 2.0)  # the rounding of conf = 0.95 included
 
 
@@ -196,6 +196,18 @@ def test_clopper_pearson_bounds_do_not_depend_on_the_batch():
         for k, pair in zip(batch, together):
             assert clopper_pearson([k], n) == [pair]  # bit for bit
         assert clopper_pearson(batch[::-1], n) == together[::-1]
+
+
+def test_clopper_pearson_newton_converges_in_five_steps(monkeypatch):
+    # Newton on a concave f climbs to the root after its first step: from the
+    # A&S start at most four steps reach |f| <= 1e-8, so a cap of five holds
+    # at every count (in batches of 2048 counts, to keep the arrays small)
+    monkeypatch.setattr(specfun, "_CP_MAXITER", 5)
+    for n in (2, 5, 37, 2048, 12288):
+        for lo in range(0, n + 1, 2048):
+            clopper_pearson(range(lo, min(lo + 2048, n + 1)), n)
+    for n in (10**5, 10**7):
+        clopper_pearson(np.random.default_rng(n).integers(0, n + 1, 500).tolist() + [1, 2, n - 2, n - 1], n)
 
 
 def test_clopper_pearson_errors(monkeypatch):
