@@ -17,9 +17,9 @@ from jacobi_mimo import (
     gaussian_outage,
     normalize_dims,
     outage_asymptotic,
+    outage_curve,
     outage_exact,
 )
-from jacobi_mimo.montecarlo import outage_curve
 
 dims = normalize_dims(6, 2, 2)
 snr = SnrParam(10.0)

@@ -15,7 +15,7 @@ ways, which are validated against each other:
 
 from .ensemble import ChannelDims, SnrParam, normalize_dims
 from .results import OutageEstimate
-from .montecarlo import McConfig, eigen_histogram, estimate_outage, moments
+from .montecarlo import McConfig, eigen_histogram, moments, outage_curve
 from .exact import ExactConfig, outage_density_exact, outage_exact
 from .coulomb import (
     RegimeSolution,
@@ -40,7 +40,7 @@ __all__ = [
     "normalize_dims",
     "McConfig",
     "OutageEstimate",
-    "estimate_outage",
+    "outage_curve",
     "moments",
     "eigen_histogram",
     "ExactConfig",

@@ -13,9 +13,10 @@ suppressed under --reproducible.  Rates are nats by default, bits with
 --bits (inputs and outputs alike).
 
 Exit codes: 0 success, 2 usage error, 1 when a solver failure left no
-usable row.  Usage errors include a non-finite --rho, --r or --k, a
---rho whose reciprocal overflows, --r or --k given with
-``density --kind ergodic``, and an --output path that cannot be written.
+usable row, such as a ``density --k`` whose rate lies outside the window.
+Usage errors include a non-finite --rho, --r or --k, a --rho whose
+reciprocal overflows, --r or --k given with ``density --kind ergodic``,
+and an --output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -301,13 +302,16 @@ def cmd_density(args, ch: Channel):
     if args.kind == "constrained":
         if (args.r is None) == (args.k is None):
             raise UsageError("constrained density needs exactly one of --r or --k")
+        rmax = math.log1p(ch.snr.rho)
         if args.r is not None:
             r_nat = args.r * ch.unit - ch.offset
-            if not 0.0 < r_nat < math.log1p(ch.snr.rho):
+            if not 0.0 < r_nat < rmax:
                 raise UsageError("--r outside the achievable open interval")
             sol = solve_regime(ch.n0, ch.beta, ch.snr, r_nat)
         else:
             sol = solve_at_multiplier(ch.n0, ch.beta, ch.snr, args.k)
+            if not sol.r < rmax:  # solve_at_multiplier lets a k > 0 rate round past the window
+                raise ArithmeticError(f"rate {sol.r!r} at k = {sol.k!r} outside the window (0, {rmax!r})")
         a, b = sol.a, sol.b
         density = lambda x: density_at(sol, x)
         fields = {

@@ -113,7 +113,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _K_TOL = 1e-12          # root tolerance on the Lagrange multiplier
 _K_ITER = 200           # cap on the outer multiplier iterations
-_LD_TOL = 1e-8          # advertised tolerance of the deterministic estimates
+_LD_TOL = 1e-8          # relative rate tolerance of the multiplier solve, and the exponent's allowance
 
 _log = logging.getLogger("jacobi_mimo")
 _SOLVE_RECORD = "solve_regime%r: %d solves, stop: %s"
@@ -625,7 +625,7 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
         raise ArithmeticError(f"log tail {log_tail!r} > 0 at r={r!r}: the outage formula left [0, 1]")
     tail = math.exp(log_tail)
     p = tail if sol.k <= 0.0 else 1.0 - tail
-    return OutageEstimate(p=p, ci_low=p, ci_high=p, method="ld", trials_or_tol=_LD_TOL)
+    return OutageEstimate(p=p, method="ld")
 
 
 def gaussian_outage(n0: float, beta: float, snr: SnrParam, nt: int, r: float) -> OutageEstimate:
@@ -641,4 +641,4 @@ def gaussian_outage(n0: float, beta: float, snr: SnrParam, nt: int, r: float) ->
         raise ValueError(f"rate threshold r must be >= 0, got {r!r}")
     erg = ergodic_summary(n0, beta, snr)
     p = q_fn((erg.r - r) * nt / math.sqrt(erg.v))
-    return OutageEstimate(p=p, ci_low=p, ci_high=p, method="gauss", trials_or_tol=_LD_TOL)
+    return OutageEstimate(p=p, method="gauss")

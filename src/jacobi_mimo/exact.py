@@ -89,7 +89,6 @@ __all__ = [
     "outage_density_exact",
 ]
 
-_EXACT_TOL = 1e-9  # guaranteed accuracy of the rounded result
 _GUARD_BITS = 16  # margin of the error bound over the small factors it omits
 _START_BITS = 256  # working precision the escalation starts from
 _MAX_BITS = 4096  # precision ceiling of the escalation
@@ -416,7 +415,7 @@ def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
         p = 1.0
     else:
         p = _series(cfg, r_eff, slope=False)
-    return OutageEstimate(p=p, ci_low=p, ci_high=p, method="exact", trials_or_tol=_EXACT_TOL)
+    return OutageEstimate(p=p, method="exact")
 
 
 def outage_density_exact(cfg: ExactConfig, r: float) -> DensityEstimate:

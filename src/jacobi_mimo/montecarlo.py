@@ -34,7 +34,6 @@ from .specfun import clopper_pearson
 __all__ = [
     "McConfig",
     "EigenHistogram",
-    "estimate_outage",
     "outage_curve",
     "moments",
     "eigen_histogram",
@@ -180,14 +179,9 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
     )
     totals = np.sum(counts, axis=0).tolist()
     return [
-        OutageEstimate(p=k / cfg.trials, ci_low=lo, ci_high=hi, method="mc", trials_or_tol=cfg.trials)
+        OutageEstimate(p=k / cfg.trials, method="mc", ci_low=lo, ci_high=hi)
         for k, (lo, hi) in zip(totals, clopper_pearson(totals, cfg.trials))
     ]
-
-
-def estimate_outage(cfg: McConfig, r: float) -> OutageEstimate:
-    """Fraction of trials with mutual information below r, with 95% CI."""
-    return outage_curve(cfg, [r])[0]
 
 
 def moments(cfg: McConfig) -> tuple[float, float]:

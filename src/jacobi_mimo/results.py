@@ -9,19 +9,21 @@ __all__ = ["OutageEstimate"]
 
 @dataclass(frozen=True)
 class OutageEstimate:
-    """An outage probability with provenance and uncertainty.
+    """An outage probability, the method that produced it, and its interval if it has one.
 
-    For Monte Carlo the bounds are a Clopper-Pearson 95% interval; the
-    deterministic methods report their numerical tolerance through
-    ``trials_or_tol`` and collapse the interval onto the value.
+    Only Monte Carlo (``method="mc"``) sets ``ci_low`` and ``ci_high``, its
+    Clopper-Pearson 95% interval.  The deterministic methods leave both
+    None: ``outage_exact`` states its accuracy in its docstring, and ld and
+    gauss are approximations with no error bound, so none claims an
+    interval.  One bound without the other is refused.
     """
 
     p: float
-    ci_low: float
-    ci_high: float
     method: str
-    trials_or_tol: float
+    ci_low: float | None = None
+    ci_high: float | None = None
 
     def __post_init__(self):
-        if not self.ci_low <= self.p <= self.ci_high:
-            raise ValueError("require ci_low <= p <= ci_high")
+        lo, hi = self.ci_low, self.ci_high
+        if (lo is None) != (hi is None) or lo is not None and not lo <= self.p <= hi:
+            raise ValueError(f"require ci_low <= p <= ci_high or no bounds, got {lo!r}, {self.p!r}, {hi!r}")

@@ -14,7 +14,9 @@ exact integer coefficients.  The references behind that evaluation live
 here: the residue function ``f_residue`` (its Newton/Hermite table
 ``_divided_difference`` on mpmath Taylor leaves, each with its own exp),
 the binomial-expansion coefficient ``c_coefficient`` and the Selberg
-normalization ``log_selberg_z``.
+normalization ``log_selberg_z``.  Clopper-Pearson bounds are checked
+against 40-digit roots of the binomial tails themselves, summed term by
+term (``clopper_pearson_mp``), not against an incomplete beta inverse.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 from mpmath import mp, mpf
 from scipy.fft import dct
+from scipy.special import betaincinv
 
 from jacobi_mimo import exact
 from jacobi_mimo.coulomb import density_at
@@ -557,3 +560,68 @@ def density_sum_per_s(cfg, r_eff: float, bits: int) -> float:
     """
     total = _sum_per_s(cfg, r_eff, bits, _exp_leaves)
     return 0.0 if total is None else float(cfg.dims.Nt * total)
+
+
+# ---------------------------------------------------------------------------
+# Clopper-Pearson bounds as 40-digit roots of the binomial tails
+# ---------------------------------------------------------------------------
+
+CP_HALF_ALPHA = (1.0 - 0.95) / 2.0  # alpha/2 of a 95% interval, the rounding of 0.95 included
+
+
+def _binomial_tail_mp(n: int, k: int, x, upper: bool):
+    """(tail, pmf(k)) with tail = P(Bin(n, x) >= k) summed upward from k, or P(X <= k) downward.
+
+    On the side of k where each bound's root lies the term ratios fall
+    below 1 and keep falling, so the sum stops once the geometric bound
+    term q / (1 - q) on everything after the current term is below 1e-50
+    of the tail.
+    """
+    pmf = mp.exp(
+        mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1) + k * mp.log(x) + (n - k) * mp.log1p(-x)
+    )
+    odds = x / (1 - x) if upper else (1 - x) / x
+    tail, term, j = pmf, pmf, k
+    while j < n if upper else j > 0:
+        q = odds * ((n - j) / mpf(j + 1) if upper else j / mpf(n - j + 1))
+        if q < 1 and term * q / (1 - q) < tail * mpf("1e-50"):
+            break
+        term *= q
+        tail += term
+        j += 1 if upper else -1
+    return tail, pmf
+
+
+def clopper_pearson_mp(k: int, n: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((lo, residual), (hi, residual)) of the 95% Clopper-Pearson interval of k in [1, n-1] of n.
+
+    lo solves P(Bin(n, x) >= k) = alpha/2 and hi solves P(Bin(n, x) <= k) =
+    alpha/2, each tail summed directly at 40 digits (no incomplete beta
+    function: mpmath's ``betainc`` does not converge at n = 12288, k = 6000).
+    Newton's method on log tail - log(alpha/2) in t = logit x starts from
+    scipy's ``betaincinv`` and runs until its step is below 1e-36; the
+    residual at the returned root is given so that a caller can check that
+    the root converged rather than trust it.  hi is a root of its own lower
+    tail, not 1 minus a root near 1.
+    """
+    if not 0 < k < n:
+        raise ValueError(f"count must lie in [1, n-1], got k={k!r}, n={n!r}")
+    out = []
+    with mp.workdps(40):
+        target = mp.log(mpf(CP_HALF_ALPHA))
+        for upper, start in ((True, betaincinv(k, n - k + 1, CP_HALF_ALPHA)),
+                             (False, betaincinv(k + 1, n - k, 1.0 - CP_HALF_ALPHA))):
+            t = mp.log(mpf(start) / (1 - mpf(start)))
+            for _ in range(50):
+                x = 1 / (1 + mp.exp(-t))
+                tail, pmf = _binomial_tail_mp(n, k, x, upper)
+                g = mp.log(tail) - target
+                slope = k * pmf * (1 - x) / tail if upper else -(n - k) * pmf * x / tail
+                step = g / slope
+                t -= step
+                if abs(step) < mpf("1e-36") * max(1, abs(t)):
+                    break
+            x = 1 / (1 + mp.exp(-t))
+            tail, _ = _binomial_tail_mp(n, k, x, upper)
+            out.append((float(x), float(mp.log(tail) - target)))
+    return out[0], out[1]

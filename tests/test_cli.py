@@ -40,6 +40,7 @@ def parse_csv(text):
 
 
 BASE = ["outage", "--N", "2", "--Nt", "1", "--Nr", "1", "--rho", "3"]
+K_CHANNEL = ["density", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "3", "--kind", "constrained"]
 
 
 def test_outage_flat_law_exact_column_and_mc_ci():
@@ -459,16 +460,30 @@ def test_solver_failure_exits_one(monkeypatch):
     [
         ["ergodic", "--N", "47", "--Nt", "20", "--Nr", "22", "--rho", "1e-14"],
         ["density", "--N", "12", "--Nt", "6", "--Nr", "6", "--rho", "1e300", "--kind", "constrained", "--k", "-1"],
+        K_CHANNEL + ["--k", "1e8"],
+        K_CHANNEL + ["--k", "1e11"],
     ],
-    ids=["ergodic-rho1e-14", "density-rho1e300"],
+    ids=["ergodic-rho1e-14", "density-rho1e300", "density-k1e8", "density-k1e11"],
 )
 def test_rate_outside_the_window_exits_one(argv):
     # the k = 0 rate rounds below 0 at rho = 1e-14, and the pole-sum rate
     # of the wall-to-wall support cancels to 0 at rho = 1e300; both used to
-    # be printed (r_erg = -3.6e-14; r = 0.0 with exponent -1.39), exit 0
+    # be printed (r_erg = -3.6e-14; r = 0.0 with exponent -1.39), exit 0.
+    # At (4,2,2), rho = 3, k = 1e8 and 1e11 gave rates 1.0e-7 and 2.0e-6
+    # above log 4 (exponents 22.7 and 99097), also printed with exit 0
     code, out, err = run_cli(argv + ["--reproducible"])
     assert (code, out) == (1, "")
     assert err.startswith("solver failure: rate ") and " outside the window (0, " in err
+
+
+def test_rate_just_inside_the_window_still_prints():
+    # k = 1e7 on the same channel keeps its rate below log 4 and its table
+    code, out, err = run_cli(K_CHANNEL + ["--k", "1e7", "--format", "json", "--reproducible"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["meta"]["r"] == pytest.approx(1.386294258931958, rel=1e-13) and doc["meta"]["r"] < math.log(4.0)
+    assert doc["meta"]["exponent"] == pytest.approx(14.93, rel=1e-3)
+    assert len(doc["rows"]) == 512 and all(row["p"] >= 0.0 for row in doc["rows"])
 
 
 def test_negative_exponent_beyond_rounding_exits_one():

@@ -14,7 +14,6 @@ from jacobi_mimo.montecarlo import (
     _block_rates,
     _sturm_counts,
     eigen_histogram,
-    estimate_outage,
     moments,
     outage_curve,
 )
@@ -35,21 +34,21 @@ def test_config_validation():
             McConfig(dims=FLAT, snr=SNR3, trials=10, seed=seed)
     McConfig(dims=FLAT, snr=SNR3, trials=10, seed=2**128 - 1)
     with pytest.raises(ValueError):
-        OutageEstimate(p=0.5, ci_low=0.6, ci_high=0.7, method="mc", trials_or_tol=1)
+        OutageEstimate(p=0.5, method="mc", ci_low=0.6, ci_high=0.7)
 
 
 def test_outage_trivial_bounds():
     cfg = McConfig(dims=FLAT, snr=SNR3, trials=2000, seed=1)
-    assert estimate_outage(cfg, 0.0).p == 0.0
-    assert estimate_outage(cfg, math.log1p(3.0) + 0.01).p == 1.0
+    assert outage_curve(cfg, [0.0])[0].p == 0.0
+    assert outage_curve(cfg, [math.log1p(3.0) + 0.01])[0].p == 1.0
     offs = McConfig(dims=normalize_dims(4, 3, 3), snr=SNR3, trials=500, seed=1)
     hi = (1.0 + 2.0) * math.log1p(3.0) + 0.01
-    assert estimate_outage(offs, hi).p == 1.0
+    assert outage_curve(offs, [hi])[0].p == 1.0
 
 
 def test_flat_law_outage_within_ci():
     cfg = McConfig(dims=FLAT, snr=SNR3, trials=200_000, seed=7)
-    est = estimate_outage(cfg, math.log(2.0))
+    est = outage_curve(cfg, [math.log(2.0)])[0]
     assert est.method == "mc"
     assert est.ci_low <= 1.0 / 3.0 <= est.ci_high
     assert abs(est.p - 1.0 / 3.0) < 0.01
@@ -61,7 +60,7 @@ def test_worker_partitioning_is_invisible():
     for shape, trials in (((4, 2, 2), 30_000), ((7, 2, 3), 2 * _BLOCK + 452)):
         for workers in (1, 2, 4):
             cfg = McConfig(dims=normalize_dims(*shape), snr=SnrParam(10.0), trials=trials, seed=3, workers=workers)
-            est = estimate_outage(cfg, 1.0)
+            est = outage_curve(cfg, [1.0])[0]
             mean, var = moments(cfg)
             density = eigen_histogram(cfg, bins=16).density.tolist()
             if workers == 1:
@@ -305,9 +304,9 @@ def test_eigen_histogram_validation():
 
 def test_clopper_pearson_edges():
     cfg = McConfig(dims=FLAT, snr=SNR3, trials=1000, seed=19)
-    zero = estimate_outage(cfg, 1e-12)
+    zero = outage_curve(cfg, [1e-12])[0]
     assert zero.p == 0.0 and zero.ci_low == 0.0 and zero.ci_high > 0.0
-    one = estimate_outage(cfg, math.log1p(3.0) - 1e-12)
+    one = outage_curve(cfg, [math.log1p(3.0) - 1e-12])[0]
     assert one.p == 1.0 and one.ci_high == 1.0 and one.ci_low < 1.0
 
 
@@ -328,7 +327,7 @@ def test_ci_coverage_on_analytic_case():
     hits = 0
     for run in range(100):
         cfg = McConfig(dims=FLAT, snr=SNR3, trials=10_000, seed=1000 + run)
-        est = estimate_outage(cfg, math.log(2.0))
+        est = outage_curve(cfg, [math.log(2.0)])[0]
         hits += est.ci_low <= 1.0 / 3.0 <= est.ci_high
     assert hits >= 88
 
@@ -336,7 +335,7 @@ def test_ci_coverage_on_analytic_case():
 def test_rejects_negative_rate():
     cfg = McConfig(dims=FLAT, snr=SNR3, trials=10, seed=0)
     with pytest.raises(ValueError):
-        estimate_outage(cfg, -0.1)
+        outage_curve(cfg, [-0.1])
     with pytest.raises(ValueError):
         moments(McConfig(dims=FLAT, snr=SNR3, trials=1, seed=0))
 
@@ -344,6 +343,6 @@ def test_rejects_negative_rate():
 def test_rejects_nan_rate():
     cfg = McConfig(dims=FLAT, snr=SNR3, trials=10, seed=0)
     with pytest.raises(ValueError, match="got nan"):
-        estimate_outage(cfg, math.nan)
+        outage_curve(cfg, [math.nan])
     with pytest.raises(ValueError, match="got nan"):
         outage_curve(cfg, [0.5, math.nan])

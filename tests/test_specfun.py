@@ -10,7 +10,7 @@ from scipy.special import betaincinv, log_ndtr
 from jacobi_mimo import specfun
 from jacobi_mimo.specfun import bracketed_root, clopper_pearson, elementary_symmetric_all, g_closed, log_q, q_fn
 
-from _oracles import QuadratureError, g_defining_integral, g_fn, i3_fn, quadrature
+from _oracles import QuadratureError, clopper_pearson_mp, g_defining_integral, g_fn, i3_fn, quadrature
 
 # frozen from the quadrature oracle (target 1e-13)
 G_1_1 = 0.031019311907168664
@@ -153,6 +153,21 @@ def test_clopper_pearson_matches_betaincinv(n):
         want_lo, want_hi = _cp_oracle(k, n)
         assert abs(lo - want_lo) <= tol * want_lo, (k, n)
         assert abs(hi - want_hi) <= tol * want_hi, (k, n)
+
+
+@pytest.mark.parametrize("n", [2, 5, 37, 2048, 12288])
+def test_clopper_pearson_matches_40_digit_roots(n):
+    # relative 4e-15 is about 30 ulp: the worst bound measured was 2.2e-15
+    # (lo of k = 1 of 5).  betaincinv, 7e-14 off at n = 2048, cannot pin
+    # this.  Roots stopped at |f| <= 1e-5 instead of 1e-8 still take a last
+    # Newton step, which lands within rounding at k = 1, 3, n/2 and n - 1
+    # but leaves k = 9 and 12 1e-13 to 1e-12 off at n = 37, 2048 and 12288
+    counts = sorted({1, 3, 9, 12, n // 3, n // 2, n - 1} & set(range(1, n)))
+    for k, (lo, hi) in zip(counts, clopper_pearson(counts, n)):
+        (want_lo, res_lo), (want_hi, res_hi) = clopper_pearson_mp(k, n)
+        assert abs(res_lo) <= 1e-30 and abs(res_hi) <= 1e-30, (k, n, res_lo, res_hi)
+        assert abs(lo - want_lo) <= 4e-15 * want_lo, (k, n, lo, want_lo)
+        assert abs(hi - want_hi) <= 4e-15 * want_hi, (k, n, hi, want_hi)
 
 
 def test_clopper_pearson_small_counts_at_large_n():
