@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_out.add_argument("--trials", type=int, default=100_000)
     p_out.add_argument("--seed", type=int, default=0)
-    p_out.add_argument("--workers", type=int, default=1)
+    p_out.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p_den = sub.add_parser("density", help="eigenvalue density table")
     _common_channel_args(p_den)
@@ -270,11 +270,11 @@ def cmd_outage(args, ch: Channel):
             raise UsageError(f"unknown method {m!r}; choose from {tuple(_ROUTES)}")
     rates = _rate_grid(args, ch)
     try:
-        mc = McConfig(
-            dims=ch.dims, snr=ch.snr, trials=args.trials, seed=args.seed, workers=args.workers
-        )
+        mc = McConfig(dims=ch.dims, snr=ch.snr, trials=args.trials, seed=args.seed)
     except ValueError as err:
         raise UsageError(str(err)) from err
+    if args.workers < 1:
+        raise UsageError("workers must be >= 1")
     warnings: list[str] = []
     columns = dict.fromkeys(_CSV_HEADER, [None] * len(rates))  # header order; blank until a route fills it
     columns["r"] = [r / ch.unit for r in rates]
@@ -290,7 +290,7 @@ def cmd_outage(args, ch: Channel):
         "methods": methods,
         "trials": mc.trials,
         "seed": mc.seed,
-        "workers": mc.workers,
+        "workers": args.workers,
         "warnings": warnings,
     }
     return fields, _CSV_HEADER, rows, usable

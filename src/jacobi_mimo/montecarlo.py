@@ -15,14 +15,12 @@ negative pivots of B^T B - x count the eigenvalues below a bin edge x
 dense eigensolve.  Reproducibility contract: trials run in
 fixed blocks of ``_BLOCK``, each drawn from its own SFC64 stream seeded by
 ``SeedSequence(seed, spawn_key=(block index,))`` and reduced in block
-order, so results are bit-identical for a given (seed, trials) at any
-worker count.
+order on the calling thread, so results are bit-identical for a given
+(seed, trials).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,25 +39,22 @@ __all__ = [
 
 # Trials per block.  Fixed (not configurable) so the partitioning, and
 # therefore the random stream and the floating-point reduction order,
-# never depends on the worker count.
+# depends on (seed, trials) alone.
 _BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """One Monte Carlo run: channel, SNR, trial count, seed, parallelism."""
+    """One Monte Carlo run: channel, SNR, trial count, seed."""
 
     dims: ChannelDims
     snr: SnrParam
     trials: int
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         # SeedSequence takes any non-negative int; the bound is the CLI's seed contract
         if not 0 <= self.seed < 1 << 128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed!r}")
@@ -148,19 +143,8 @@ def _sturm_counts(d2: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _map_blocks(cfg: McConfig, fn):
-    """Apply fn(lo, hi) to every block of trials, in block order, on up to cfg.workers threads.
-
-    No more threads open than there are blocks or CPUs this process may run on: its
-    affinity mask where the platform has one, so taskset and cpusets lower the count,
-    and ``os.cpu_count()`` elsewhere.
-    """
-    ranges = [(lo, min(lo + _BLOCK, cfg.trials)) for lo in range(0, cfg.trials, _BLOCK)]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = min(cfg.workers, len(ranges), cpus)
-    if threads == 1:
-        return [fn(*span) for span in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda span: fn(*span), ranges))
+    """Apply fn(lo, hi) to every block of trials, in block order, on the calling thread."""
+    return [fn(lo, min(lo + _BLOCK, cfg.trials)) for lo in range(0, cfg.trials, _BLOCK)]
 
 
 def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:

@@ -187,7 +187,7 @@ def test_c08_gaussian_vs_ld_ordering():
         else:
             hi = mid
     grid = [0.5 * (lo + hi) + d for d in np.linspace(-0.03, 0.03, 5)]
-    mc = McConfig(dims=dims, snr=snr, trials=10_000_000, seed=108, workers=2)
+    mc = McConfig(dims=dims, snr=snr, trials=10_000_000, seed=108)
     ests = outage_curve(mc, grid)
     pick = min(range(len(grid)), key=lambda i: abs(ests[i].p - 1e-3))
     r, p_mc = grid[pick], ests[pick].p

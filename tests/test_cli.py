@@ -112,6 +112,7 @@ def test_outage_usage_errors():
     assert run_cli(BASE + ["--trials", "0"])[0] == 2
     assert run_cli(BASE + ["--seed", "-1"])[0] == 2
     assert run_cli(BASE + ["--seed", str(2**128)])[0] == 2
+    assert run_cli(BASE + ["--workers", "0"]) == (2, "", "error: workers must be >= 1\n")
     assert run_cli(BASE + ["--points", "0"]) == (2, "", "error: --points must be >= 1\n")
     for rho in ("0", "-1"):
         argv = ["outage", "--N", "2", "--Nt", "1", "--Nr", "1", f"--rho={rho}"]
@@ -156,6 +157,36 @@ def test_unwritable_output_is_a_usage_error(monkeypatch, tmp_path, where):
     with pytest.raises(OSError) as write:
         open(path, "w")
     assert write.value.errno == reason
+
+
+def test_worker_count_is_invisible():
+    # --workers is accepted and echoed but changes nothing else; neither trial
+    # count is a multiple of the block size, so the last block is partial
+    for shape, trials in (((4, 2, 2), 30_000), ((7, 2, 3), 2 * 1024 + 452)):
+        n, nt, nr = map(str, shape)
+        argv = ["outage", "--N", n, "--Nt", nt, "--Nr", nr, "--rho", "10", "--points", "5",
+                "--methods", "mc", "--trials", str(trials), "--seed", "3", "--reproducible"]
+        csv_out, json_out = {}, {}
+        for workers in (1, 2, 4):
+            code, out, _ = run_cli(argv + ["--workers", str(workers)])
+            assert code == 0
+            assert f"# workers: {workers}\n" in out
+            csv_out[workers] = out.replace(f"# workers: {workers}\n", "", 1)
+            code, out, _ = run_cli(argv + ["--workers", str(workers), "--format", "json"])
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["meta"].pop("workers") == workers
+            json_out[workers] = doc
+        assert csv_out[1] == csv_out[2] == csv_out[4]
+        assert json_out[1] == json_out[2] == json_out[4]
+
+
+def test_output_write_failure_is_a_usage_error():
+    # /dev/full opens for writing and then refuses the write itself
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    argv = ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--output", "/dev/full"]
+    assert run_cli(argv) == (2, "", "error: cannot write --output /dev/full: No space left on device\n")
 
 
 def test_routes_look_their_solvers_up_when_they_run(monkeypatch):
@@ -568,10 +599,11 @@ def test_requests_back_to_back_match_fresh_processes():
 
 
 def test_no_scipy_module_loads_at_runtime():
-    # one request per layer: the argvs of perfbench.workloads.warmup_argvs()
+    # one request per layer: the argvs of perfbench.workloads.warmup_argvs(), the
+    # Monte Carlo one with two workers asked for, which open no thread pool
     requests = [
         ["outage", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "10", "--points", "3",
-         "--methods", "mc,exact,ld,gauss", "--trials", "2048", "--seed", "1"],
+         "--methods", "mc,exact,ld,gauss", "--trials", "2048", "--seed", "1", "--workers", "2"],
         ["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--kind", "constrained",
          "--r", "0.5", "--format", "json"],
         ["ergodic", "--N", "24", "--Nt", "8", "--Nr", "8", "--rho", "10"],
@@ -582,7 +614,7 @@ def test_no_scipy_module_loads_at_runtime():
         f"for argv in {requests!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
     )
     assert loaded.strip() == "[]"
 

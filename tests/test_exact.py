@@ -410,6 +410,23 @@ def test_outage_just_below_one_is_one(shape, rho, r):
     assert outage_exact(ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho)), r).p == 1.0
 
 
+def test_rate_a_hair_below_the_window_top(monkeypatch):
+    # Nt*r/log(1+rho) rounds up to Nt one ulp below the top, so l_min = Nt + 1
+    # and no term is left: the guard answers without building coefficients.
+    # One ulp lower l_min is Nt, and the one-term sum gives the same answer.
+    built = []
+    real = exact._coefficients
+    monkeypatch.setattr(exact, "_coefficients", lambda *args: built.append(args) or real(*args))
+    cfg = ExactConfig(dims=normalize_dims(10, 5, 5), snr=SnrParam(0.1))
+    top = math.nextafter(math.log1p(0.1), 0.0)
+    for r, l_min in ((top, 6), (math.nextafter(top, 0.0), 5)):
+        assert int(5 * r / math.log1p(0.1)) + 1 == l_min
+        built.clear()
+        assert outage_exact(cfg, r).p == 1.0
+        assert outage_density_exact(cfg, r).value == 0.0
+        assert len(built) == (0 if l_min > 5 else 2)
+
+
 # deep-tail and low-rho points where the 256-bit sum loses every digit
 # and once landed inside [0, 1] anyway
 CANCELLING = [

@@ -27,8 +27,6 @@ SNR3 = SnrParam(3.0)
 def test_config_validation():
     with pytest.raises(ValueError):
         McConfig(dims=FLAT, snr=SNR3, trials=0)
-    with pytest.raises(ValueError):
-        McConfig(dims=FLAT, snr=SNR3, trials=10, workers=0)
     for seed in (-1, 2**128):
         with pytest.raises(ValueError):
             McConfig(dims=FLAT, snr=SNR3, trials=10, seed=seed)
@@ -52,21 +50,6 @@ def test_flat_law_outage_within_ci():
     assert est.method == "mc"
     assert est.ci_low <= 1.0 / 3.0 <= est.ci_high
     assert abs(est.p - 1.0 / 3.0) < 0.01
-
-
-def test_worker_partitioning_is_invisible():
-    # neither trial count is a multiple of the block size, so the last
-    # block is partial
-    for shape, trials in (((4, 2, 2), 30_000), ((7, 2, 3), 2 * _BLOCK + 452)):
-        for workers in (1, 2, 4):
-            cfg = McConfig(dims=normalize_dims(*shape), snr=SnrParam(10.0), trials=trials, seed=3, workers=workers)
-            est = outage_curve(cfg, [1.0])[0]
-            mean, var = moments(cfg)
-            density = eigen_histogram(cfg, bins=16).density.tolist()
-            if workers == 1:
-                base = (est.p, mean, var, density)
-            else:
-                assert (est.p, mean, var, density) == base
 
 
 @pytest.mark.parametrize(
@@ -165,49 +148,6 @@ def test_block_streams_keyed_by_seed_and_block():
             assert abs(spearman) < 4.0 / math.sqrt(n)
 
 
-def test_sampler_threads_capped_at_core_count(monkeypatch):
-    # the pool never opens more threads than the CPUs this process may run on, or blocks,
-    # whatever --workers asks for; the fake pool records max_workers and runs the blocks
-    # on this thread
-    opened = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", FakePool)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    base = McConfig(dims=normalize_dims(4, 2, 2), snr=SnrParam(10.0), trials=10 * _BLOCK, seed=3)
-    serial = moments(base)
-    for workers, trials, threads in ((100_000, 10 * _BLOCK, 3), (2, 10 * _BLOCK, 2), (8, 2 * _BLOCK, 2)):
-        cfg = McConfig(dims=base.dims, snr=base.snr, trials=trials, seed=3, workers=workers)
-        opened.clear()
-        result = moments(cfg)
-        assert opened == [threads]
-        if trials == base.trials:
-            assert result == serial
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
-    opened.clear()
-    assert moments(McConfig(dims=base.dims, snr=base.snr, trials=base.trials, seed=3, workers=4)) == serial
-    assert opened == []
-    # without an affinity mask the host's CPU count caps the pool
-    monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
-    for cpus, threads in ((3, [3]), (1, []), (None, [])):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        opened.clear()
-        assert moments(McConfig(dims=base.dims, snr=base.snr, trials=base.trials, seed=3, workers=4)) == serial
-        assert opened == threads
-
-
 @pytest.mark.parametrize("rho", [1e-2, 1.0, 1e4])
 def test_pivot_recurrence_matches_eigvalsh(rho):
     # log det(1 + rho B^T B) from the pivots against the eigenvalues of the
@@ -278,9 +218,8 @@ def test_eigen_histogram_counts_equal_dense_oracle(shape):
     for bins in (2, 16, 64):
         edges = np.linspace(0.0, 1.0, bins + 1)
         expected = np.histogram(lam, bins=edges)[0] / (trials * dims.Nt * np.diff(edges))
-        for workers in (1, 2):
-            cfg = McConfig(dims=dims, snr=SnrParam(1.0), trials=trials, seed=23, workers=workers)
-            assert eigen_histogram(cfg, bins).density.tolist() == expected.tolist()
+        cfg = McConfig(dims=dims, snr=SnrParam(1.0), trials=trials, seed=23)
+        assert eigen_histogram(cfg, bins).density.tolist() == expected.tolist()
 
 
 def test_sturm_counts_on_hand_built_bidiagonals():
