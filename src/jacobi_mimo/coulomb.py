@@ -173,11 +173,11 @@ class RegimeSolution:
         return e - e0
 
 
-def _check_params(n0: float, beta: float, snr: SnrParam):
-    if n0 < 0:
-        raise ValueError(f"n0 must be >= 0, got {n0!r}")
-    if beta < 1:
-        raise ValueError(f"beta must be >= 1, got {beta!r}")
+def _check_params(n0: float, beta: float):
+    if not 0 <= n0 < math.inf:
+        raise ValueError(f"n0 must be finite and >= 0, got {n0!r}")
+    if not 1 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and >= 1, got {beta!r}")
 
 
 def _xlogx(t: float) -> float:
@@ -228,6 +228,7 @@ def ergodic_density(n0: float, beta: float, x):
 
     x may be a float or an array; an array gives an array of the same shape.
     """
+    _check_params(n0, beta)
     a0, b0 = _ergodic_support(n0, beta)
     return _on_support(
         x, a0, b0,
@@ -455,7 +456,7 @@ def critical_thresholds(n0: float, beta: float, snr: SnrParam) -> list[tuple[flo
     cases have one; the fully detached case n0>0, beta>1 has none (Sab
     covers every rate).
     """
-    _check_params(n0, beta, snr)
+    _check_params(n0, beta)
     z = snr.z
     ks = ([_kc4(beta, z)[0]] if n0 == 0 else []) + ([_kc3(n0, z)[0]] if beta == 1.0 else [])
     return [(k, solve_at_multiplier(n0, beta, snr, k).r) for k in ks]
@@ -470,9 +471,12 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
     A failed support, or a rate that is not finite or outside the window
     (0, log(1+rho)), raises ArithmeticError with its reason.  At k > 0
     only r <= 0 is refused: near the top of the window the Newton on k
-    passes through iterates whose rate rounds above log(1+rho).
+    passes through iterates whose rate rounds above log(1+rho).  A k
+    that is not finite raises ValueError.
     """
-    _check_params(n0, beta, snr)
+    _check_params(n0, beta)
+    if not math.isfinite(k):
+        raise ValueError(f"multiplier k must be finite, got {k!r}")
     z = snr.z
     try:
         regime, a, b = _support(n0, beta, z, k)

@@ -58,9 +58,9 @@ one unit, a binary64 recurrence beside it carries each leaf's error,
 and the exact coefficients make the bound sum |C| * (leaf error) free;
 the working precision escalates until that bound is 2^-(53+16) of
 |P_out|, and the result is rounded to binary64 only at the end.  The
-rate density P'(r) is the same dot product: the leaf identity
-dh_t/dz = v h_t + h_{t-1} - [t = 0] turns the coefficients exactly into
-those of the derivative.
+rate density P'(r) is the same dot product on the same coefficients:
+dh_t/dz = -e^{vz} z^t / t!, so its leaves are the terms T_t that the leaf
+recurrence already forms.
 """
 
 from __future__ import annotations
@@ -266,23 +266,8 @@ def _coefficients(dims: ChannelDims, rho: float) -> tuple[tuple, int]:
     return coeffs, den << k * (n0 + smax) * nt
 
 
-def _slope_coefficients(coeffs: Sequence, nt: int) -> tuple[list, int]:
-    """Coefficients of the residue sum's derivative -d/dz, on the same leaves.
-
-    From dh_t/dz = -e^{vz} z^t / t! = v h_t + h_{t-1} - [t = 0],
-    -d/dz sum_t C[v,t] h_t(v) = -sum_t (v C[v,t] + C[v,t+1]) h_t(v) + C[v,0]
-    with C[v,Nt] = 0.  Returns the transformed coefficients of each l and
-    the sum of the constants, which rides on a unit leaf.
-    """
-    slopes = [
-        [-((i // nt + 1) * c + (acc[i + 1] if (i + 1) % nt else 0)) for i, c in enumerate(acc)]
-        for acc in coeffs
-    ]
-    return slopes, sum(c for acc in coeffs for c in acc[::nt])
-
-
-def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, den: int, unit: int):
-    """A' (unit + sum C[l][v,t] h_{l,t}(v)) / den and its rounding error bound.
+def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, den: int, slope: bool):
+    """A' sum C[l][v,t] L_{l,t}(v) / den, L = h (T with ``slope``), and its error bound.
 
     mpmath gives z = z_l and one exp per l; the rest is integer fixed
     point at scale 2^P, P = mp.prec, so the dot product with the exact
@@ -299,9 +284,10 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, de
     l log(1+rho)) and exp within eps, so d_Z = 2 reach + 1 and d_E =
     2 e^z (1 + reach) + 1; a product adds each error times the other
     factor, their product times u (0 in binary64 beyond 1074 bits, where
-    it is negligible) and 1.  The bound is A' sum |C| d_h u / den, plus
-    8 eps of the result for the roundings of A' and of the final
-    conversion and product.
+    it is negligible) and 1.  Since dh_t/dz = -T_t, the sum with the
+    leaves T_t in place of h_t is -d/dz of the outage's.  The bound is
+    A' sum |C| d_h u / den (d_T with ``slope``), plus 8 eps of the result
+    for the roundings of A' and of the final conversion and product.
     """
     dims, rho = cfg.dims, cfg.snr.rho
     nt, prec = dims.Nt, mp.prec
@@ -315,9 +301,9 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, de
         * den
     )
     one, u = 1 << prec, math.ldexp(1.0, -prec)
-    # sum |C| d_h in binary64, the coefficients cut to their top 64 bits
+    # sum |C| d (d_h, or d_T with slope) in binary64, the coefficients cut to their top 64 bits
     shift = max(0, max(max(map(abs, acc)) for acc in coeffs).bit_length() - 64)
-    total, bound = unit << prec, 0.0
+    total, bound = 0, 0.0
     for acc, l in zip(coeffs, ls):
         z = ntr - l * log_one_rho
         exp_z = mp.exp(z)
@@ -340,8 +326,8 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, de
                     h, d_h = (-term - h) // v, (d_term + d_h) / v + 1
                 c = acc[(v - 1) * nt + t]
                 if c:
-                    total += c * h
-                    bound += float(abs(c) >> shift) * d_h
+                    total += c * (term if slope else h)
+                    bound += float(abs(c) >> shift) * (d_term if slope else d_h)
     total = a_norm * mpf((total, -prec))
     return total, a_norm * mp.ldexp(bound, shift - prec) + mp.ldexp(abs(total), 4 - prec)  # 8 eps
 
@@ -365,14 +351,12 @@ def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
     ls = range(l_min, nt + 1)
     coeffs, den = _coefficients(cfg.dims, rho)
     coeffs = coeffs[l_min - 1:]
-    unit = 0
-    if slope:  # P' = Nt A' (-d/dz sum) / den
-        coeffs, unit = _slope_coefficients(coeffs, nt)
     what, top = ("density", math.inf) if slope else ("outage", 1.0)
     prec = _START_BITS
     while True:
         with mp.workprec(prec):
-            total, err = _residue_sum(cfg, r_eff, ls, coeffs, den, unit)
+            total, err = _residue_sum(cfg, r_eff, ls, coeffs, den, slope)
+            # P' = Nt A' sum C T / den, as dz/dr = Nt and dh_t/dz = -T_t
             p, err = (nt * total, nt * err) if slope else (1 - total, err)
             needed = prec + 53 + _GUARD_BITS + mp.mag(err / max(abs(p), _TINY))
         if needed <= prec:

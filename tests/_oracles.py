@@ -556,7 +556,7 @@ def density_sum_per_s(cfg, r_eff: float, bits: int) -> float:
 
     d/dz h(x) = -e^{xz}, so P' = Nt A' sum_s w_s (-1)^{n-1} H_s with the
     exponential leaves e^{vz} z^t / t! in place of the h_t; this does not
-    use the production solver's integer transform of the coefficients.
+    use the production solver's integer coefficients or fixed point.
     """
     total = _sum_per_s(cfg, r_eff, bits, _exp_leaves)
     return 0.0 if total is None else float(cfg.dims.Nt * total)

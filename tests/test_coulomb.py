@@ -443,6 +443,19 @@ def test_solve_regime_validates_rate_window():
         solve_regime(-0.5, 1.0, SNR3, 0.3)
     with pytest.raises(ValueError):
         solve_regime(0.0, 0.5, SNR3, 0.3)
+    # a channel parameter or multiplier that is not finite, and an invalid
+    # channel's ergodic density, are refused rather than computed
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="n0 must be finite"):
+            solve_regime(bad, 1.0, SNR3, 0.3)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            solve_regime(0.0, bad, SNR3, 0.3)
+    for k in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="multiplier k must be finite"):
+            solve_at_multiplier(0.0, 1.0, SNR3, k)
+    for n0, beta in ((-0.5, 1.0), (1.0, 0.5), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            ergodic_density(n0, beta, 0.3)
 
 
 @pytest.mark.parametrize(

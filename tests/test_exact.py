@@ -324,11 +324,11 @@ def test_leaf_bound_covers_powers_of_exp():
             r = frac * math.log1p(rho)
             l_min = int(nt * r / math.log1p(rho)) + 1
             ls = range(l_min, nt + 1)
-            for c, unit in ((coeffs[l_min - 1:], 0), exact._slope_coefficients(coeffs[l_min - 1:], nt)):
+            for slope in (False, True):
                 with mp.workprec(1024):
-                    ref, _ = exact._residue_sum(cfg, r, ls, c, den, unit)
+                    ref, _ = exact._residue_sum(cfg, r, ls, coeffs[l_min - 1:], den, slope)
                 with mp.workprec(256):
-                    total, err = exact._residue_sum(cfg, r, ls, c, den, unit)
+                    total, err = exact._residue_sum(cfg, r, ls, coeffs[l_min - 1:], den, slope)
                     assert 0 < err and abs(total - ref) <= err, (shape, rho, frac)
             for l in ls:
                 with mp.workprec(256):
@@ -444,30 +444,43 @@ def test_escalation_recovers_cancelled_tail():
 
 
 def test_escalation_is_logged(caplog):
+    # the outage and the density each log their steps; the density's one
+    # step is 256 -> 512 bits
     shape, rho, r = CANCELLING[1]
     cfg = ExactConfig(dims=normalize_dims(*shape), snr=SnrParam(rho))
-    with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
-        outage_exact(cfg, r)
-    steps = [rec.args for rec in caplog.records if rec.name == "jacobi_mimo"]
-    assert steps and steps[0][0] == 256
-    for prec, needed, new in steps:
-        assert needed > prec and new >= needed
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
-        outage_exact(ExactConfig(dims=normalize_dims(12, 5, 5), snr=SnrParam(10.0)), 0.33 * math.log1p(10.0))
-    assert not caplog.records
+    for solve in (outage_exact, outage_density_exact):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
+            solve(cfg, r)
+        steps = [rec.args for rec in caplog.records if rec.name == "jacobi_mimo"]
+        assert steps and steps[0][0] == 256
+        for prec, needed, new in steps:
+            assert needed > prec and new >= needed
+    assert [(prec, new) for prec, _, new in steps] == [(256, 512)]
+    quiet = ExactConfig(dims=normalize_dims(12, 5, 5), snr=SnrParam(10.0))
+    for solve in (outage_exact, outage_density_exact):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
+            solve(quiet, 0.33 * math.log1p(10.0))
+        assert not caplog.records
 
 
 def test_digitless_sum_doubles_the_precision(caplog):
     # the 256-bit sum has no correct digit, so its |P| says little of the
-    # precision needed; small steps took seven sums here
+    # precision needed; small steps took seven sums here.  The density's
+    # sum at the same point escalates the same way.
     cfg = ExactConfig(dims=normalize_dims(12, 4, 6), snr=SnrParam(2.1e-4))
-    with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
-        p = outage_exact(cfg, 0.00253 * math.log1p(2.1e-4)).p
-    assert p == 1.2873935689031418e-52
-    steps = [rec.args for rec in caplog.records if rec.name == "jacobi_mimo"]
-    assert len(steps) <= 2  # at most three sums
-    assert steps[0][0] == 256 and steps[0][2] == 512
+    r = 0.00253 * math.log1p(2.1e-4)
+    for solve, ref in (
+        (lambda: outage_exact(cfg, r).p, 1.2873935689031418e-52),
+        (lambda: outage_density_exact(cfg, r).value, 5.811329058315339e-45),
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="jacobi_mimo"):
+            assert solve() == ref
+        steps = [rec.args for rec in caplog.records if rec.name == "jacobi_mimo"]
+        assert len(steps) <= 2  # at most three sums
+        assert steps[0][0] == 256 and steps[0][2] == 512
 
 
 def test_escalation_ceiling_raises(monkeypatch):
@@ -611,7 +624,7 @@ def test_density_flat_law():
 
 
 def test_density_matches_per_s_oracle():
-    # the integer transform of the coefficients against the per-s sum with
+    # the recurrence's own e^{vz} z^t/t! terms against the per-s sum with
     # the exponential leaves e^{vz} z^t / t!, the leaves' own z-derivative
     shapes = [(2, 1, 1), (7, 2, 3), (8, 4, 4), (10, 4, 5), (12, 5, 5), (9, 3, 3)]
     points = [
