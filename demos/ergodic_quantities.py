@@ -9,7 +9,7 @@ The agreement at Nt=8 shows how quickly the large-channel limit bites.
 from jacobi_mimo import McConfig, SnrParam, ergodic_summary, moments, normalize_dims
 
 dims = normalize_dims(24, 8, 8)
-n0, beta = float(dims.n0), float(dims.beta)
+n0, beta = dims.n0, dims.beta
 
 print(f"channel: N=24, Nt=Nr=8 (n0={n0}, beta={beta})")
 print(f"{'rho':>6} {'r_erg':>8} {'mc mean':>9} {'v_erg':>8} {'Nt^2 var':>9} {'support':>20}")

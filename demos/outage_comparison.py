@@ -23,7 +23,7 @@ from jacobi_mimo import (
 
 dims = normalize_dims(6, 2, 2)
 snr = SnrParam(10.0)
-n0, beta = float(dims.n0), float(dims.beta)
+n0, beta = dims.n0, dims.beta
 
 erg = ergodic_summary(n0, beta, snr)
 print(f"channel: N=6, Nt=Nr=2 (n0={n0}, beta={beta}), rho={snr.rho}")

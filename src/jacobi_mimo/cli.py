@@ -118,8 +118,6 @@ class Channel:
 
     dims: ChannelDims
     snr: SnrParam
-    n0: float
-    beta: float
     offset: float  # nats per channel carried by eigenvalues pinned at 1
     unit: float  # nats per unit of the rates read and written: ln 2 under --bits, else 1
 
@@ -140,8 +138,6 @@ def _channel(args) -> Channel:
     return Channel(
         dims=dims,
         snr=snr,
-        n0=float(dims.n0),
-        beta=float(dims.beta),
         offset=dims.pinned_rate(args.rho),
         unit=_LN2 if args.bits else 1.0,
     )
@@ -178,9 +174,9 @@ def _meta(args, ch: Channel, fields: dict, started: float) -> dict:
             "Nt": ch.dims.Nt,
             "Nr": ch.dims.Nr,
             "N0": ch.dims.N0,
-            "beta": ch.beta,
-            "n0": ch.n0,
-            "rate_offset": float(ch.dims.rate_offset),
+            "beta": ch.dims.beta,
+            "n0": ch.dims.n0,
+            "rate_offset": ch.dims.rate_offset,
         },
     }
     warnings = fields.pop("warnings", None)
@@ -211,7 +207,7 @@ def _column(make, name: str, ch: Channel, mc: McConfig, rates: list[float], warn
 
 def _reduced(solver, ch: Channel, r: float):
     """A Coulomb-gas solver at rate r: reduced channel, rate less the pinned offset."""
-    return solver(ch.n0, ch.beta, ch.snr, ch.dims.Nt, r - ch.offset)
+    return solver(ch.dims.n0, ch.dims.beta, ch.snr, ch.dims.Nt, r - ch.offset)
 
 
 def _mc_curve(name: str, ch: Channel, mc: McConfig, rates: list[float], warnings: list[str]):
@@ -307,9 +303,9 @@ def cmd_density(args, ch: Channel):
             r_nat = args.r * ch.unit - ch.offset
             if not 0.0 < r_nat < rmax:
                 raise UsageError("--r outside the achievable open interval")
-            sol = solve_regime(ch.n0, ch.beta, ch.snr, r_nat)
+            sol = solve_regime(ch.dims.n0, ch.dims.beta, ch.snr, r_nat)
         else:
-            sol = solve_at_multiplier(ch.n0, ch.beta, ch.snr, args.k)
+            sol = solve_at_multiplier(ch.dims.n0, ch.dims.beta, ch.snr, args.k)
             if not sol.r < rmax:  # solve_at_multiplier lets a k > 0 rate round past the window
                 raise ArithmeticError(f"rate {sol.r!r} at k = {sol.k!r} outside the window (0, {rmax!r})")
         a, b = sol.a, sol.b
@@ -325,9 +321,9 @@ def cmd_density(args, ch: Channel):
     else:
         if args.r is not None or args.k is not None:
             raise UsageError("--r and --k apply only to --kind constrained")
-        erg = ergodic_summary(ch.n0, ch.beta, ch.snr)
+        erg = ergodic_summary(ch.dims.n0, ch.dims.beta, ch.snr)
         a, b = erg.a, erg.b
-        density = lambda x: ergodic_density(ch.n0, ch.beta, x)
+        density = lambda x: ergodic_density(ch.dims.n0, ch.dims.beta, x)
         fields = {
             "kind": "ergodic",
             "support": [a, b],
@@ -350,7 +346,7 @@ def cmd_density(args, ch: Channel):
 
 
 def cmd_ergodic(args, ch: Channel):
-    erg = ergodic_summary(ch.n0, ch.beta, ch.snr)
+    erg = ergodic_summary(ch.dims.n0, ch.dims.beta, ch.snr)
     row = {
         "a0": erg.a,
         "b0": erg.b,

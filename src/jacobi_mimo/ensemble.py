@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = ["ChannelDims", "SnrParam", "normalize_dims"]
 
@@ -35,16 +34,16 @@ class ChannelDims:
     """Canonical channel dimensions (Nt <= Nr, N0 >= 0).
 
     ``N0 = N - Nt - Nr``, ``beta = Nr/Nt`` and ``n0 = N0/Nt`` follow from
-    the counts; the last two are exact rationals.  ``rate_offset`` is the
-    coefficient of log(1 + rho) contributed by eigenvalues pinned at 1
-    after the N0 < 0 reduction; it is zero for channels that were already
-    canonical.
+    the counts; the last two are floats, each the correctly rounded ratio.
+    ``rate_offset`` is the float coefficient of log(1 + rho) contributed by
+    eigenvalues pinned at 1 after the N0 < 0 reduction; it is zero for
+    channels that were already canonical.
     """
 
     N: int
     Nt: int
     Nr: int
-    rate_offset: Fraction = Fraction(0)
+    rate_offset: float = 0.0
 
     def __post_init__(self):
         if self.Nt < 1 or self.Nr < 1:
@@ -59,16 +58,16 @@ class ChannelDims:
         return self.N - self.Nt - self.Nr
 
     @property
-    def beta(self) -> Fraction:
-        return Fraction(self.Nr, self.Nt)
+    def beta(self) -> float:
+        return self.Nr / self.Nt
 
     @property
-    def n0(self) -> Fraction:
-        return Fraction(self.N0, self.Nt)
+    def n0(self) -> float:
+        return self.N0 / self.Nt
 
     def pinned_rate(self, rho: float) -> float:
         """Rate of the eigenvalues pinned at 1: rate_offset * log(1+rho) nats per channel."""
-        return float(self.rate_offset) * math.log1p(rho)
+        return self.rate_offset * math.log1p(rho)
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def normalize_dims(N: int, Nt: int, Nr: int) -> ChannelDims:
     if Nt > Nr:
         Nt, Nr = Nr, Nt
     N0 = N - Nt - Nr
-    offset = Fraction(0)
+    offset = 0.0
     if N0 < 0:
         Nt, Nr, N0 = N - Nr, N - Nt, -N0
         if Nt == 0:
@@ -116,5 +115,5 @@ def normalize_dims(N: int, Nt: int, Nr: int) -> ChannelDims:
                 "rows/columns, every singular value is 1 and no eigenvalue "
                 "ensemble remains after reduction"
             )
-        offset = Fraction(N0, Nt)
+        offset = N0 / Nt
     return ChannelDims(N=N, Nt=Nt, Nr=Nr, rate_offset=offset)

@@ -360,7 +360,7 @@ def mutual_information(s: SpectrumSample, snr: SnrParam, dims: ChannelDims) -> f
     """
     body = float(np.log1p(snr.rho * s.eigenvalues).sum()) / dims.Nt
     if dims.rate_offset:
-        body += float(dims.rate_offset) * np.log1p(snr.rho)
+        body += dims.rate_offset * np.log1p(snr.rho)
     return body
 
 

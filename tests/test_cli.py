@@ -293,7 +293,7 @@ def test_density_table_matches_per_point_scalar_reference(extra, n):
     from jacobi_mimo.ensemble import SnrParam, normalize_dims
 
     dims = normalize_dims(9, 3, 3)
-    n0, beta, snr = float(dims.n0), float(dims.beta), SnrParam(3.0)
+    n0, beta, snr = dims.n0, dims.beta, SnrParam(3.0)
     if not extra:
         erg = ergodic_summary(n0, beta, snr)
         a, b = erg.a, erg.b
@@ -566,6 +566,35 @@ def test_reduced_dims_equal_their_canonical_twin(reduced, twin, rho):
         tables.append([[row[col] for col in columns] for row in json.loads(out)["rows"]])
     assert all(v is not None for row in tables[0] for v in row)
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("bits", [False, True])
+def test_reduced_dims_ergodic_record_is_the_twins_plus_the_offset(bits):
+    # (5,3,3) at rho = 3 reduces to its twin (5,2,2) with half a log(1+rho) pinned:
+    # the record and the density table are the twin's, and only r_erg carries the offset
+    unit = ["--bits"] if bits else []
+    docs = {}
+    for shape in ((5, 3, 3), (5, 2, 2)):
+        channel = ["--N", str(shape[0]), "--Nt", str(shape[1]), "--Nr", str(shape[2]), "--rho", "3"]
+        for command in ("ergodic", "density"):
+            code, out, err = run_cli([command, *channel, "--format", "json", "--reproducible", *unit])
+            assert code == 0, err
+            docs[command, shape] = json.loads(out)
+    (erg,), (twin,) = docs["ergodic", (5, 3, 3)]["rows"], docs["ergodic", (5, 2, 2)]["rows"]
+    den, twin_den = docs["density", (5, 3, 3)], docs["density", (5, 2, 2)]
+    assert {key: erg[key] for key in erg if key != "r_erg"} == {key: twin[key] for key in twin if key != "r_erg"}
+    for key in ("support", "v_erg", "e0"):
+        assert den["meta"][key] == twin_den["meta"][key]
+    assert den["meta"]["support"] == [erg["a0"], erg["b0"]]
+    assert den["rows"] == twin_den["rows"]
+    nats = (1.385341647794729, 0.6921944672347837)
+    expected = tuple(r / math.log(2.0) for r in nats) if bits else nats
+    assert (erg["r_erg"], twin["r_erg"]) == expected
+    assert den["meta"]["r_erg"] == erg["r_erg"]
+    assert nats[0] == nats[1] + math.log1p(3.0) / 2
+    for doc, offset in ((docs["ergodic", (5, 3, 3)], 0.5), (docs["ergodic", (5, 2, 2)], 0.0)):
+        assert doc["meta"]["normalized"] == {"Nt": 2, "Nr": 2, "N0": 1, "beta": 1.0, "n0": 0.5,
+                                             "rate_offset": offset}
 
 
 def _fresh_python(code: str) -> str:

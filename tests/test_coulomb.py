@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -1134,3 +1135,51 @@ def test_negative_exponent_beyond_rounding_raises():
         with pytest.raises(ArithmeticError, match=r"exponent -.* below 0 beyond rounding"):
             sol.exponent
 
+
+# Solver failures raise with their reason; these reach the raises that no
+# solvable channel reaches, by a direct call or a stubbed step.
+
+
+def test_endpoints_raise_on_a_complex_root_pair():
+    # s^2 < 4m: the support's root pair is not real
+    with pytest.raises(ArithmeticError, match=r"support endpoints not real and positive \(s=.*, ab=0\.3\)"):
+        coulomb._endpoints(1.0, 0.1, 0.5, 0.3)
+
+
+def test_support_raises_on_a_non_positive_soft_edge(monkeypatch):
+    # an edge root at the low end of its bracket leaves 1/X or 1/W <= 0
+    monkeypatch.setattr(coulomb, "bracketed_root", lambda f, lo, hi, *rest: lo)
+    with pytest.raises(
+        ArithmeticError,
+        match=r"soft edge 1/X = .* or 1/W = .* not positive at the root y = .* at \(n0, beta, rho, k\)",
+    ):
+        solve_at_multiplier(1.0, 2.0, SnrParam(10.0), 1.0)
+
+
+def test_solve_regime_raises_when_k_cannot_be_bracketed(monkeypatch):
+    # every iterate past k = 0 stays 5% above the rate with a vanishing
+    # slope, so the open bracket doubles k past 2^60
+    snr = SnrParam(10.0)
+    erg = ergodic_summary(1.0, 2.0, snr)
+    r = 0.9 * erg.r
+    stuck = lambda n0, beta, snr, k: dataclasses.replace(erg, k=k, r=1.05 * r, v=1e-300)
+    monkeypatch.setattr(coulomb, "solve_at_multiplier", stuck)
+    with pytest.raises(ArithmeticError, match=f"failed to bracket k for rate {r!r}"):
+        solve_regime(1.0, 2.0, snr, r)
+
+
+def test_solve_regime_raises_when_the_iteration_cap_is_reached(monkeypatch):
+    snr = SnrParam(10.0)
+    r = 0.5 * ergodic_summary(1.0, 2.0, snr).r
+    monkeypatch.setattr(coulomb, "_K_ITER", 1)
+    with pytest.raises(ArithmeticError, match=f"multiplier iteration for rate {r!r} did not converge"):
+        solve_regime(1.0, 2.0, snr, r)
+
+
+def test_outage_asymptotic_raises_on_a_non_positive_slope(monkeypatch):
+    snr = SnrParam(10.0)
+    r = 0.5 * ergodic_summary(1.0, 2.0, snr).r
+    solve = coulomb.solve_regime
+    monkeypatch.setattr(coulomb, "solve_regime", lambda *args: dataclasses.replace(solve(*args), v=0.0))
+    with pytest.raises(ArithmeticError, match=r"non-positive slope dr/dk=0\.0 at r=.*has collapsed"):
+        outage_asymptotic(1.0, 2.0, snr, 4, r)

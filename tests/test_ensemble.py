@@ -22,22 +22,22 @@ from _oracles import (
 def test_normalize_dims_already_canonical():
     dims = normalize_dims(4, 1, 2)
     assert (dims.Nt, dims.Nr, dims.N0) == (1, 2, 1)
-    assert dims.beta == Fraction(2) and dims.n0 == Fraction(1)
-    assert dims.rate_offset == 0
+    assert dims.beta == 2.0 and dims.n0 == 1.0
+    assert dims.rate_offset == 0.0
 
 
 def test_normalize_dims_reduction():
     dims = normalize_dims(4, 3, 3)
     assert (dims.Nt, dims.Nr, dims.N0) == (1, 1, 2)
-    assert dims.n0 == Fraction(2)
-    assert dims.rate_offset == Fraction(2)
+    assert dims.n0 == 2.0
+    assert dims.rate_offset == 2.0
 
 
 def test_normalize_dims_swap_then_reduce():
     # Nt > Nr swaps first; N0 < 0 then reduces
     dims = normalize_dims(4, 3, 2)
     assert (dims.Nt, dims.Nr, dims.N0) == (1, 2, 1)
-    assert dims.rate_offset == Fraction(1)
+    assert dims.rate_offset == 1.0
 
 
 def test_pinned_rate():
@@ -70,11 +70,37 @@ def test_normalize_dims_rejects_bad_counts():
 
 def test_channel_dims_derives_n0_and_ratios_from_the_counts():
     dims = ChannelDims(N=9, Nt=2, Nr=3)
-    assert (dims.N0, dims.beta, dims.n0) == (4, Fraction(3, 2), Fraction(2))
-    assert dims.rate_offset == 0
+    assert (dims.N0, dims.beta, dims.n0) == (4, 1.5, 2.0)
+    assert dims.rate_offset == 0.0
     for n, nt, nr in [(4, 0, 2), (5, 3, 2), (4, 2, 3)]:
         with pytest.raises(ValueError):
             ChannelDims(N=n, Nt=nt, Nr=nr)
+
+
+def test_channel_dims_ratios_are_the_correctly_rounded_rationals():
+    # every shape with N <= 30, canonical or reduced: the ratios are floats,
+    # each the rounding of the exact rational, and rate_offset is the pinned
+    # count over the reduced Nt (zero when no reduction applies)
+    shapes = 0
+    for n in range(2, 31):
+        for nt in range(1, n + 1):
+            for nr in range(1, n + 1):
+                lo, hi = sorted((nt, nr))
+                if lo + hi > n and hi == n:
+                    continue  # the deterministic corner
+                dims = normalize_dims(n, nt, nr)
+                pinned = max(lo + hi - n, 0)
+                assert dims.Nt == lo - pinned
+                for value, exact in [
+                    (dims.beta, Fraction(dims.Nr, dims.Nt)),
+                    (dims.n0, Fraction(dims.N0, dims.Nt)),
+                    (dims.rate_offset, Fraction(pinned, dims.Nt)),
+                ]:
+                    assert type(value) is float and value == float(exact)
+                shapes += 1
+    assert shapes == 8555
+    assert normalize_dims(8, 3, 4).n0 == 1 / 3  # non-dyadic: 1/3 is not a binary fraction
+    assert normalize_dims(9, 6, 5).rate_offset == 2 / 3
 
 
 def test_normalize_dims_rejects_deterministic_corner():

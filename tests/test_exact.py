@@ -491,6 +491,14 @@ def test_escalation_ceiling_raises(monkeypatch):
         outage_exact(cfg, r)
 
 
+def test_result_outside_the_unit_interval_raises(monkeypatch):
+    # a sum of -1 with no error bound makes P = 2: it raises, never clamps
+    cfg = ExactConfig(dims=normalize_dims(6, 2, 2), snr=SnrParam(10.0))
+    monkeypatch.setattr(exact, "_residue_sum", lambda *args: (mpf(-1), mpf(0)))
+    with pytest.raises(ArithmeticError, match=r"exact outage 2\.0 outside \[0, 1\.0\] beyond its rounding bound 0"):
+        outage_exact(cfg, 0.8)
+
+
 def test_outage_monotone_and_bounded():
     cfg = ExactConfig(dims=normalize_dims(5, 2, 2), snr=SnrParam(2.0))
     grid = np.linspace(0.0, math.log1p(2.0), 15)

@@ -161,7 +161,7 @@ def test_pivot_recurrence_matches_eigvalsh(rho):
         b[:, idx, idx] = np.sqrt(d2).T
         b[:, idx[:-1], idx[1:]] = -np.sqrt(e2).T
         lam = np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b))
-        expected = np.log1p(rho * lam).sum(axis=1) / dims.Nt + float(dims.rate_offset) * math.log1p(rho)
+        expected = np.log1p(rho * lam).sum(axis=1) / dims.Nt + dims.rate_offset * math.log1p(rho)
         assert np.max(np.abs(_block_rates(cfg, 0, cfg.trials) - expected)) < 1e-10
 
 

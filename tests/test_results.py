@@ -28,7 +28,7 @@ def test_only_monte_carlo_claims_an_interval(shape, rho):
     dims, snr = normalize_dims(*shape), SnrParam(rho)
     offset = dims.pinned_rate(rho)
     r = offset + 0.5 * math.log1p(rho)  # mid-window
-    n0, beta = float(dims.n0), float(dims.beta)
+    n0, beta = dims.n0, dims.beta
     (mc,) = outage_curve(McConfig(dims=dims, snr=snr, trials=2000, seed=1), [r])
     assert mc.method == "mc"
     assert isinstance(mc.ci_low, float) and isinstance(mc.ci_high, float)

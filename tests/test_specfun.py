@@ -235,6 +235,13 @@ def test_clopper_pearson_errors(monkeypatch):
         clopper_pearson([5], 100)
 
 
+def test_clopper_pearson_raises_on_a_nan_residual(monkeypatch):
+    # a NaN residual would stop no root; it raises with the count and the iterate
+    monkeypatch.setattr(specfun, "_stirlerr", lambda k: math.nan)
+    with pytest.raises(ArithmeticError, match=r"Clopper-Pearson residual for count 5 of 100 is nan at t="):
+        clopper_pearson([5], 100)
+
+
 def _esp_bruteforce(values, degree):
     from itertools import combinations
 
