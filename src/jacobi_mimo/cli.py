@@ -10,7 +10,10 @@ Everything is emitted as CSV (metadata in leading ``#`` comment lines,
 then an RFC-4180 body) or JSON ({"meta": ..., "rows": ...}).  Identical
 spec + seed give byte-identical output; the wall-time metadata field is
 suppressed under --reproducible.  Rates are nats by default, bits with
---bits (inputs and outputs alike).
+--bits (inputs and outputs alike): under --bits the rates r, r_erg,
+--r, --r-min, --r-max and --rates are divided by ln 2, the rate variance
+v_erg by (ln 2)^2, and the multiplier k = dE/dr and --k are multiplied
+by ln 2; the rest (support, density, exponent, e0) has no rate unit.
 
 Exit codes: 0 success, 2 usage error, 1 when a solver failure left no
 usable row, such as a ``density --k`` whose rate lies outside the window.
@@ -200,7 +203,7 @@ def _column(make, name: str, ch: Channel, mc: McConfig, rates: list[float], warn
         try:
             values.append(estimate(r).p)
         except (ArithmeticError, ValueError) as err:
-            warnings.append(f"{name}: r={r!r} failed: {err}")
+            warnings.append(f"{name}: r={r / ch.unit!r} failed: {err}")
             values.append(None)
     return [values]
 
@@ -298,23 +301,20 @@ def cmd_density(args, ch: Channel):
     if args.kind == "constrained":
         if (args.r is None) == (args.k is None):
             raise UsageError("constrained density needs exactly one of --r or --k")
-        rmax = math.log1p(ch.snr.rho)
         if args.r is not None:
             r_nat = args.r * ch.unit - ch.offset
-            if not 0.0 < r_nat < rmax:
+            if not 0.0 < r_nat < math.log1p(ch.snr.rho):
                 raise UsageError("--r outside the achievable open interval")
             sol = solve_regime(ch.dims.n0, ch.dims.beta, ch.snr, r_nat)
         else:
-            sol = solve_at_multiplier(ch.dims.n0, ch.dims.beta, ch.snr, args.k)
-            if not sol.r < rmax:  # solve_at_multiplier lets a k > 0 rate round past the window
-                raise ArithmeticError(f"rate {sol.r!r} at k = {sol.k!r} outside the window (0, {rmax!r})")
+            sol = solve_at_multiplier(ch.dims.n0, ch.dims.beta, ch.snr, args.k / ch.unit)
         a, b = sol.a, sol.b
         density = lambda x: density_at(sol, x)
         fields = {
             "kind": "constrained",
             "regime": sol.regime,
             "support": [a, b],
-            "k": sol.k,
+            "k": sol.k * ch.unit,
             "r": (sol.r + ch.offset) / ch.unit,
             "exponent": sol.exponent,
         }
@@ -328,7 +328,7 @@ def cmd_density(args, ch: Channel):
             "kind": "ergodic",
             "support": [a, b],
             "r_erg": (erg.r + ch.offset) / ch.unit,
-            "v_erg": erg.v,
+            "v_erg": erg.v / ch.unit**2,
             "e0": erg.e0,
         }
 
@@ -351,7 +351,7 @@ def cmd_ergodic(args, ch: Channel):
         "a0": erg.a,
         "b0": erg.b,
         "r_erg": (erg.r + ch.offset) / ch.unit,
-        "v_erg": erg.v,
+        "v_erg": erg.v / ch.unit**2,
         "e0": erg.e0,
         "regime": erg.regime,
     }

@@ -469,10 +469,8 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
     comes out of the solution (use :func:`solve_regime` to prescribe the
     rate instead), and the solution depends on (n0, beta, rho, k) alone.
     A failed support, or a rate that is not finite or outside the window
-    (0, log(1+rho)), raises ArithmeticError with its reason.  At k > 0
-    only r <= 0 is refused: near the top of the window the Newton on k
-    passes through iterates whose rate rounds above log(1+rho).  A k
-    that is not finite raises ValueError.
+    (0, log(1+rho)), raises ArithmeticError with its reason.  A k that
+    is not finite raises ValueError.
     """
     _check_params(n0, beta)
     if not math.isfinite(k):
@@ -488,7 +486,7 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
         if not math.isfinite(r):
             raise ArithmeticError(f"rate {r!r} of the support ({a!r}, {b!r}) not finite")
         rmax = math.log1p(snr.rho)
-        if not 0.0 < r or k <= 0.0 and not r < rmax:
+        if not 0.0 < r < rmax:
             raise ArithmeticError(f"rate {r!r} of the support ({a!r}, {b!r}) outside the window (0, {rmax!r})")
     except ArithmeticError as err:
         raise ArithmeticError(f"{err} at (n0, beta, rho, k) = {(n0, beta, snr.rho, k)!r}") from err
@@ -515,8 +513,12 @@ def solve_regime(n0: float, beta: float, snr: SnrParam, r: float) -> RegimeSolut
     which at rho <= 0.1 is about 1e-11 of r).
     It returns the iterate whose rate is closest to r; one that misses r
     by more than _LD_TOL (near the ends of the window) raises
-    ArithmeticError.  One DEBUG record on the ``jacobi_mimo`` logger
-    gives the solves and the stop reason.
+    ArithmeticError.  So does an iterate whose rate rounds outside the
+    window (0, log(1+rho)): :func:`solve_at_multiplier` refuses it, which
+    ends the solve with that reason (at the very top of the window, as at
+    (n0, beta, rho) = (0.25, 1, 10) with r = (1 - 1e-6) log(1+rho)).
+    One DEBUG record on the ``jacobi_mimo`` logger gives the solves and
+    the stop reason.
     """
     rmax = math.log1p(snr.rho)
     if not 0.0 < r < rmax:

@@ -17,8 +17,12 @@ the binomial-expansion coefficient ``c_coefficient`` and the Selberg
 normalization ``log_selberg_z``.  Clopper-Pearson bounds are checked
 against 40-digit roots of the binomial tails themselves, summed term by
 term (``clopper_pearson_mp``), not against an incomplete beta inverse.
+The moments of X = Nt I come from the determinantal structure of the
+Jacobi ensemble instead (``rate_cumulants``): traces of the projection
+kernel on a Lanczos basis of its orthogonal polynomials, in numpy alone.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -625,3 +629,56 @@ def clopper_pearson_mp(k: int, n: int) -> tuple[tuple[float, float], tuple[float
             tail, _ = _binomial_tail_mp(n, k, x, upper)
             out.append((float(x), float(mp.log(tail) - target)))
     return out[0], out[1]
+
+
+# ---------------------------------------------------------------------------
+# Cumulants of X = Nt I = sum log(1 + rho lambda) on a Lanczos basis
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=32)
+def _rate_nodes(n: int, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes u on (0, U), U = log1p(rho); x = expm1(u)/rho; log of (U w/2) dx/du."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    top = math.log1p(rho)
+    u = 0.5 * top * (t + 1.0)
+    return u, np.expm1(u) / rho, np.log(0.5 * top * w) + u - math.log(rho)
+
+
+def rate_cumulants(nt: int, dn: float, n_zero: float, rho: float, n: int | None = None):
+    """(log M, kappa1, kappa2) of X = sum_i log(1 + rho lambda_i), at c = 0.
+
+    The eigenvalues follow the Jacobi weight x^dn (1-x)^N0 on [0, 1];
+    dn = Nr - Nt and N0 are taken as reals.  The weight is sampled at n
+    Gauss-Legendre nodes in u = log1p(rho x) (n = 96 + 8 Nt by default),
+    and the first Nt orthonormal polynomials are built there by plain
+    float64 Lanczos, each new vector x q projected off the basis twice.
+    M is the Hankel determinant of the weight, Z / Nt! for the Selberg
+    integral Z: Nt log h_0 + sum_i 2(Nt-i) log r_i over the Lanczos
+    off-diagonals r_i.  With M_a = Q^T diag(u^a) Q, kappa1 = tr M_1 and
+    kappa2 = tr M_2 - tr M_1^2, so E[I] = kappa1/Nt and Var[I] = kappa2/Nt^2.
+
+    The rule converges geometrically when dn and N0 are integers.  A
+    non-integer one leaves a branch point at an end of the interval, and
+    the convergence turns algebraic: at Nt = 1, (dn, N0) = (0.5, 1.5),
+    rho = 0.01, kappa1 is 4.6e-7 off at n = 104, and n against 2n shows
+    4.0e-7 of it.
+    """
+    n = 96 + 8 * nt if n is None else n
+    u, x, log_w = _rate_nodes(n, rho)
+    ell = log_w + dn * np.log(x) + n_zero * np.log1p(-x)
+    top = float(ell.max())
+    s = np.exp(0.5 * (ell - top))
+    norm = float(np.linalg.norm(s))
+    q = np.empty((n, nt))
+    q[:, 0] = s / norm
+    log_m = nt * (top + 2.0 * math.log(norm))
+    for i in range(1, nt):
+        v = x * q[:, i - 1]
+        for _ in range(2):
+            v -= q[:, :i] @ (q[:, :i].T @ v)
+        r = float(np.linalg.norm(v))
+        q[:, i] = v / r
+        log_m += 2.0 * (nt - i) * math.log(r)
+    m1 = q.T @ (u[:, None] * q)
+    m2 = q.T @ (u[:, None] ** 2 * q)
+    return log_m, float(np.trace(m1)), float(np.trace(m2) - np.sum(m1 * m1))

@@ -104,6 +104,69 @@ def test_outage_bits_conversion():
         assert abs(bi["pout_gauss"] - na["pout_gauss"]) < 1e-12
 
 
+LN2 = math.log(2.0)
+# the power of ln 2 that a field's bits value is multiplied by to give its
+# nats value: rates 1, the rate variance v_erg 2, the multiplier k = dDeltaE/dr
+# -1; the other fields carry no rate unit and must not move at all
+BITS_POWER = {"r": 1, "r_erg": 1, "v_erg": 2, "k": -1}
+
+
+def assert_bits_record_matches_nats(bits: dict, nats: dict):
+    assert bits.keys() == nats.keys()
+    for key, value in nats.items():
+        power = BITS_POWER.get(key, 0)
+        if power:
+            assert abs(bits[key] * LN2**power - value) <= 4 * math.ulp(value), (key, bits[key], value)
+        else:
+            assert bits[key] == value, key
+
+
+@pytest.mark.parametrize(
+    "nats_argv, bits_argv",
+    [
+        (["ergodic", "--N", "24", "--Nt", "8", "--Nr", "8", "--rho", "10"], None),
+        (["density", "--N", "24", "--Nt", "8", "--Nr", "8", "--rho", "10", "--kind", "ergodic"], None),
+        # (5,3,3) reduces with a rate offset, which r_erg carries in the request's unit
+        (["ergodic", "--N", "5", "--Nt", "3", "--Nr", "3", "--rho", "3"], None),
+        # each --k and --r below converts to exactly the nats value, so the solve is the same
+        (["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--kind", "constrained", "--k", "1.5"],
+         ["--k", repr(1.5 * LN2)]),
+        (["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--kind", "constrained", "--r", "0.3"],
+         ["--r", repr(0.3 / LN2)]),
+    ],
+    ids=["ergodic", "density-ergodic", "ergodic-reduced", "density-k", "density-r"],
+)
+def test_bits_run_is_the_nats_run_field_by_field(nats_argv, bits_argv):
+    argv = nats_argv[:-2] + bits_argv if bits_argv else nats_argv
+    if bits_argv:  # the CLI reads --r as bits * ln 2 and --k as bits / ln 2
+        value = float(bits_argv[1])
+        assert (value * LN2 if bits_argv[0] == "--r" else value / LN2) == float(nats_argv[-1])
+    docs = []
+    for run in (nats_argv, argv + ["--bits"]):
+        code, out, err = run_cli(run + ["--format", "json", "--reproducible"])
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    nats, bits = docs
+    assert (nats["meta"].pop("rate_unit"), bits["meta"].pop("rate_unit")) == ("nats", "bits")
+    assert (nats["meta"]["config"].pop("bits"), bits["meta"]["config"].pop("bits")) == (False, True)
+    assert_bits_record_matches_nats(bits["meta"], nats["meta"])
+    assert len(bits["rows"]) == len(nats["rows"])
+    for b, n in zip(bits["rows"], nats["rows"]):
+        assert_bits_record_matches_nats(b, n)
+
+
+def test_failed_rate_warning_names_the_rate_in_the_requests_unit(monkeypatch):
+    def fail(*args):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(cli, "gaussian_outage", fail)
+    # 0.5 and 1.0 bits convert to nats and back exactly; the nats run's rates are the same numbers
+    for unit in ([], ["--bits"]):
+        code, _, err = run_cli(BASE + ["--methods", "gauss", "--rates", "0.5,1.0", "--reproducible", *unit])
+        assert code == 1  # no usable row
+        assert err.splitlines() == [f"warning: gauss: r={r} failed: injected" for r in ("0.5", "1.0")]
+
+
 def test_outage_usage_errors():
     assert run_cli(BASE + ["--methods", ""])[0] == 2
     assert run_cli(BASE + ["--methods", "mc,bogus"])[0] == 2

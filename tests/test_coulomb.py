@@ -460,17 +460,51 @@ def test_solve_regime_validates_rate_window():
 
 
 @pytest.mark.parametrize(
-    "n0, beta, rho, frac",
-    [(0.25, 1.1, 0.01, 0.999), (1.0, 1.0, 1.0, 0.99999)],
-    ids=["generic-rho0.01", "beta1-rho1"],
+    "n0, beta, rho, frac, reason",
+    [
+        (0.25, 1.1, 0.01, 0.999, "reaches rate"),
+        # the iterate at k ~ 2.9e5 has a rate past log 2, which ends the solve
+        (1.0, 1.0, 1.0, 0.99999, "outside the window"),
+        # the iterate at k ~ 4.5e4 has a rate past log 11
+        (0.25, 1.0, 10.0, 1.0 - 1e-6, "outside the window"),
+    ],
+    ids=["generic-rho0.01", "beta1-rho1", "beta1-rho10-top"],
 )
-def test_solve_regime_raises_when_root_misses_rate(n0, beta, rho, frac):
+def test_solve_regime_raises_when_root_misses_rate(n0, beta, rho, frac, reason):
     # near the top of the window the support shrinks toward 1 and the
-    # multiplier root reaches a rate 9e-5 / 4e-6 relative off target (the
-    # beta = 1 point at f = 0.9999 solves since the wall pole carries 1 + y)
+    # multiplier root reaches a rate 9e-5 relative off target (the beta = 1
+    # point at f = 0.9999 solves since the wall pole carries 1 + y)
     r = frac * math.log1p(rho)
-    with pytest.raises(ArithmeticError, match="reaches rate"):
+    with pytest.raises(ArithmeticError, match=reason):
         solve_regime(n0, beta, SnrParam(rho), r)
+
+
+WINDOW_RHOS = (1e-2, 1.0, 3.0, 1e2, 1e4)
+
+
+def test_solve_at_multiplier_returns_only_rates_inside_the_window():
+    # one window rule at every k: a solve returns 0 < r < log(1+rho) or
+    # raises, also where the rate rounds past log(1+rho), as it does in 229
+    # of these calls at k > 0
+    solved = 0
+    for (n0, beta), rho in itertools.product(CHANNELS_16, WINDOW_RHOS):
+        snr = SnrParam(rho)
+        for j in range(16):
+            try:
+                sol = solve_at_multiplier(n0, beta, snr, 10.0**j)
+            except ArithmeticError:
+                continue
+            assert 0.0 < sol.r < math.log1p(rho), (n0, beta, rho, j, sol.r)
+            solved += 1
+    assert solved >= 638  # what this grid solves with the rule in place
+    with pytest.raises(ArithmeticError, match=r"outside the window \(0, 1\.3862943611198906\)"):
+        solve_at_multiplier(0.0, 1.0, SNR3, 1e11)
+
+
+def test_critical_thresholds_lie_inside_the_window():
+    for (n0, beta), rho in itertools.product(CHANNELS_16, WINDOW_RHOS):
+        for _, r in critical_thresholds(n0, beta, SnrParam(rho)):
+            assert 0.0 < r < math.log1p(rho), (n0, beta, rho, r)
 
 
 @pytest.mark.parametrize(
