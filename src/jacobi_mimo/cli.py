@@ -9,7 +9,9 @@ Subcommands:
 Everything is emitted as CSV (metadata in leading ``#`` comment lines,
 then an RFC-4180 body) or JSON ({"meta": ..., "rows": ...}).  Identical
 spec + seed give byte-identical output; the wall-time metadata field is
-suppressed under --reproducible.  Rates are nats by default, bits with
+suppressed under --reproducible.  Rates read and written are the original
+channel's, the pinned offset of reduced dims included; the library's
+routes get them less that offset.  Rates are nats by default, bits with
 --bits (inputs and outputs alike): under --bits the rates r, r_erg,
 --r, --r-min, --r-max and --rates are divided by ln 2, the rate variance
 v_erg by (ln 2)^2, and the multiplier k = dE/dr and --k are multiplied
@@ -191,29 +193,27 @@ def _meta(args, ch: Channel, fields: dict, started: float) -> dict:
     return meta
 
 
-def _column(make, name: str, ch: Channel, mc: McConfig, rates: list[float], warnings: list[str]):
+def _column(make, name: str, ch: Channel, mc: McConfig, rates: list[float], shown: list[float],
+            warnings: list[str]):
     """The per-rate route: ``make(ch)`` once, then its estimate's ``p`` at each rate.
 
     ``make`` may refuse the channel (``TermBudgetError``) before any rate is
-    tried.  A failed rate leaves None and a warning; the rest of the column stands.
+    tried.  A failed rate leaves None and a warning that names it as ``shown``
+    does; the rest of the column stands.
     """
     estimate = make(ch)
     values = []
-    for r in rates:
+    for r, label in zip(rates, shown):
         try:
             values.append(estimate(r).p)
         except (ArithmeticError, ValueError) as err:
-            warnings.append(f"{name}: r={r / ch.unit!r} failed: {err}")
+            warnings.append(f"{name}: r={label!r} failed: {err}")
             values.append(None)
     return [values]
 
 
-def _reduced(solver, ch: Channel, r: float):
-    """A Coulomb-gas solver at rate r: reduced channel, rate less the pinned offset."""
-    return solver(ch.dims.n0, ch.dims.beta, ch.snr, ch.dims.Nt, r - ch.offset)
-
-
-def _mc_curve(name: str, ch: Channel, mc: McConfig, rates: list[float], warnings: list[str]):
+def _mc_curve(name: str, ch: Channel, mc: McConfig, rates: list[float], shown: list[float],
+              warnings: list[str]):
     """The one curve route: a single Monte Carlo pass gives p and its interval at every rate."""
     ests = outage_curve(mc, rates)
     low = sum(e.p * mc.trials < 10 for e in ests)
@@ -224,14 +224,18 @@ def _mc_curve(name: str, ch: Channel, mc: McConfig, rates: list[float], warnings
 
 
 # The outage routes in column and warning order: name -> (CSV columns, route).
-# A route returns one list per column.  Each looks its solver up by name when
-# it runs, so a wrapper patched onto this module's solver names sees the call.
+# Every route takes the same rates, those of the reduced ensemble (the request's
+# rates less the pinned offset), and for its warnings the rates as the request
+# states them.  A route returns one list per column.  Each looks its solver up by
+# name when it runs, so a wrapper patched onto this module's solver names sees the call.
 _ROUTES = {
     "mc": (("pout_mc", "ci_lo", "ci_hi"), _mc_curve),
     "exact": (("pout_exact",),
               partial(_column, lambda ch: partial(outage_exact, ExactConfig(dims=ch.dims, snr=ch.snr)))),
-    "ld": (("pout_ld",), partial(_column, lambda ch: partial(_reduced, outage_asymptotic, ch))),
-    "gauss": (("pout_gauss",), partial(_column, lambda ch: partial(_reduced, gaussian_outage, ch))),
+    "ld": (("pout_ld",),
+           partial(_column, lambda ch: partial(outage_asymptotic, ch.dims.n0, ch.dims.beta, ch.snr, ch.dims.Nt))),
+    "gauss": (("pout_gauss",),
+              partial(_column, lambda ch: partial(gaussian_outage, ch.dims.n0, ch.dims.beta, ch.snr, ch.dims.Nt))),
 }
 _CSV_HEADER = ["r", *(col for cols, _ in _ROUTES.values() for col in cols)]
 
@@ -267,7 +271,7 @@ def cmd_outage(args, ch: Channel):
     for m in methods:
         if m not in _ROUTES:
             raise UsageError(f"unknown method {m!r}; choose from {tuple(_ROUTES)}")
-    rates = _rate_grid(args, ch)
+    requested = _rate_grid(args, ch)
     try:
         mc = McConfig(dims=ch.dims, snr=ch.snr, trials=args.trials, seed=args.seed)
     except ValueError as err:
@@ -275,12 +279,13 @@ def cmd_outage(args, ch: Channel):
     if args.workers < 1:
         raise UsageError("workers must be >= 1")
     warnings: list[str] = []
-    columns = dict.fromkeys(_CSV_HEADER, [None] * len(rates))  # header order; blank until a route fills it
-    columns["r"] = [r / ch.unit for r in rates]
+    columns = dict.fromkeys(_CSV_HEADER, [None] * len(requested))  # header order; blank until a route fills it
+    shown = columns["r"] = [r / ch.unit for r in requested]
+    rates = [r - ch.offset for r in requested]  # the one place the pinned offset leaves a rate
     for name, (cols, route) in _ROUTES.items():
         if name in methods:
             try:
-                columns.update(zip(cols, route(name, ch, mc, rates, warnings)))
+                columns.update(zip(cols, route(name, ch, mc, rates, shown, warnings)))
             except TermBudgetError as err:
                 warnings.append(f"{name}: disabled ({err})")
     rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
@@ -293,6 +298,11 @@ def cmd_outage(args, ch: Channel):
         "warnings": warnings,
     }
     return fields, _CSV_HEADER, rows, usable
+
+
+def _ergodic_fields(erg, ch: Channel) -> dict:
+    """The fields the ergodic record and table share: r_erg, offset added back, and v_erg in the request's unit; e0."""
+    return {"r_erg": (erg.r + ch.offset) / ch.unit, "v_erg": erg.v / ch.unit**2, "e0": erg.e0}
 
 
 def cmd_density(args, ch: Channel):
@@ -324,13 +334,7 @@ def cmd_density(args, ch: Channel):
         erg = ergodic_summary(ch.dims.n0, ch.dims.beta, ch.snr)
         a, b = erg.a, erg.b
         density = lambda x: ergodic_density(ch.dims.n0, ch.dims.beta, x)
-        fields = {
-            "kind": "ergodic",
-            "support": [a, b],
-            "r_erg": (erg.r + ch.offset) / ch.unit,
-            "v_erg": erg.v / ch.unit**2,
-            "e0": erg.e0,
-        }
+        fields = {"kind": "ergodic", "support": [a, b], **_ergodic_fields(erg, ch)}
 
     n = args.grid_points
     u = (2.0 * np.arange(n) + 1.0) / n - 1.0
@@ -347,14 +351,7 @@ def cmd_density(args, ch: Channel):
 
 def cmd_ergodic(args, ch: Channel):
     erg = ergodic_summary(ch.dims.n0, ch.dims.beta, ch.snr)
-    row = {
-        "a0": erg.a,
-        "b0": erg.b,
-        "r_erg": (erg.r + ch.offset) / ch.unit,
-        "v_erg": erg.v / ch.unit**2,
-        "e0": erg.e0,
-        "regime": erg.regime,
-    }
+    row = {"a0": erg.a, "b0": erg.b, **_ergodic_fields(erg, ch), "regime": erg.regime}
     return {}, list(row), [row], True
 
 

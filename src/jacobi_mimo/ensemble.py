@@ -17,8 +17,10 @@ bookkeeping normalizes every input into the canonical cone Nt <= Nr and
 N0 >= 0: when Nt > Nr the roles are swapped, and when N0 < 0 the known
 reduction (Nt, Nr, N0) -> (N-Nr, N-Nt, -N0) applies, with the pinned
 unit eigenvalues contributing a deterministic rate offset
-(N0'/Nt') * log(1 + rho).  All rates produced downstream are in these
-canonical per-transmit-channel units.
+(N0'/Nt') * log(1 + rho).  Every rate the library takes or returns is
+per canonical transmit channel and belongs to the reduced ensemble,
+without that offset; adding ``ChannelDims.pinned_rate(rho)`` gives the
+original channel's rate.
 """
 
 from __future__ import annotations

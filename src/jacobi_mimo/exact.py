@@ -382,23 +382,22 @@ def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
 def outage_exact(cfg: ExactConfig, r: float) -> OutageEstimate:
     """P_out(r) from the closed-form finite-size expression.
 
-    ``r`` is the full per-channel rate including any deterministic
-    offset carried by reduced dims; the random part is what the formula
-    sees.  The sum starts at 256 bits and escalates until its measured
-    rounding error bound allows a relative 2^-53, so the result is
-    accurate to 1e-9 absolute and, in the tail, relative.
+    ``r`` is a rate of the reduced ensemble, as for every outage route:
+    for reduced dims it excludes the offset of the eigenvalues pinned at
+    1 (see ``ensemble``).  The sum starts at 256 bits and escalates until
+    its measured rounding error bound allows a relative 2^-53, so the
+    result is accurate to 1e-9 absolute and, in the tail, relative.
     ``ArithmeticError`` means the bound could not be met within 4096
     bits, or the result left [0, 1] by more than it.
     """
     if not r >= 0:
         raise ValueError(f"rate threshold r must be >= 0, got {r!r}")
-    r_eff = r - cfg.dims.pinned_rate(cfg.snr.rho)
-    if r_eff <= 0:
+    if r == 0:
         p = 0.0
-    elif r_eff >= math.log1p(cfg.snr.rho):
+    elif r >= math.log1p(cfg.snr.rho):
         p = 1.0
     else:
-        p = _series(cfg, r_eff, slope=False)
+        p = _series(cfg, r, slope=False)
     return OutageEstimate(p=p, method="exact")
 
 
@@ -411,8 +410,7 @@ def outage_density_exact(cfg: ExactConfig, r: float) -> DensityEstimate:
     """
     if math.isnan(r):
         raise ValueError(f"rate r must be a number, got {r!r}")
-    r_eff = r - cfg.dims.pinned_rate(cfg.snr.rho)
-    if not 0 < r_eff < math.log1p(cfg.snr.rho):
+    if not 0 < r < math.log1p(cfg.snr.rho):
         return DensityEstimate(value=0.0, error=0.0)
-    value = _series(cfg, r_eff, slope=True)
+    value = _series(cfg, r, slope=True)
     return DensityEstimate(value=value, error=math.ulp(value))

@@ -124,7 +124,7 @@ def _block_rates(cfg: McConfig, lo: int, hi: int) -> np.ndarray:
         w[i] += u
         u = rho * e2[i] * (1.0 + u) / (1.0 + w[i])
     w[-1] += u
-    return np.log1p(w).sum(axis=0) / cfg.dims.Nt + cfg.dims.pinned_rate(rho)
+    return np.log1p(w).sum(axis=0) / cfg.dims.Nt
 
 
 def _sturm_counts(d2: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -151,7 +151,8 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
     """Outage estimates at several thresholds over one shared sample set.
 
     Sharing samples makes the curve exactly monotone in r and amortizes
-    the sampling cost over the whole rate grid.
+    the sampling cost over the whole rate grid.  The thresholds, like the
+    rates ``moments`` summarizes, are rates of the reduced ensemble.
     """
     thresholds = np.asarray(list(rs), dtype=float)
     bad = thresholds[~(thresholds >= 0)]

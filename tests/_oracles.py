@@ -357,15 +357,12 @@ def spectrum(H: np.ndarray) -> SpectrumSample:
 
 
 def mutual_information(s: SpectrumSample, snr: SnrParam, dims: ChannelDims) -> float:
-    """Per-channel mutual information in nats.
+    """Per-channel mutual information in nats: (1/Nt) * sum log(1 + rho*lambda).
 
-    (1/Nt) * sum log(1 + rho*lambda) plus the deterministic
-    rate_offset * log(1 + rho) carried by reduced dims.
+    Like the library's rates, it is the reduced ensemble's: the offset of
+    the eigenvalues pinned at 1 is left out for reduced dims.
     """
-    body = float(np.log1p(snr.rho * s.eigenvalues).sum()) / dims.Nt
-    if dims.rate_offset:
-        body += dims.rate_offset * np.log1p(snr.rho)
-    return body
+    return float(np.log1p(snr.rho * s.eigenvalues).sum()) / dims.Nt
 
 
 def block_eigenvalues(dims: ChannelDims, seed: int, lo: int, hi: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, kstest
 
+from jacobi_mimo import ExactConfig, eigen_histogram, moments, outage_curve, outage_density_exact, outage_exact
 from jacobi_mimo.ensemble import ChannelDims, SnrParam, normalize_dims
 from jacobi_mimo.montecarlo import McConfig, _block_rates
 
@@ -112,8 +113,8 @@ def test_normalize_dims_rejects_deterministic_corner():
 def test_reduction_preserves_rate_distribution():
     # Monte Carlo equivalence of the N0 < 0 reduction: the original
     # truncation's rate, normalized per reduced transmit channel, must
-    # match the sampler's reduced-ensemble rate, which adds the
-    # deterministic offset itself.
+    # match the sampler's reduced-ensemble rate plus the deterministic
+    # offset of the eigenvalues pinned at 1.
     N, Nt_raw, Nr_raw = 4, 3, 2
     dims = normalize_dims(N, Nt_raw, Nr_raw)
     snr = SnrParam(3.0)
@@ -124,8 +125,35 @@ def test_reduction_preserves_rate_distribution():
         u = sample_haar_unitary(N, rng)
         lam = np.linalg.eigvalsh(u[:Nr_raw, :Nt_raw].conj().T @ u[:Nr_raw, :Nt_raw])
         raw[i] = np.log1p(snr.rho * np.clip(lam, 0, 1)).sum() / dims.Nt
-    red = _block_rates(McConfig(dims=dims, snr=snr, trials=draws, seed=99), lo=0, hi=draws)
+    cfg = McConfig(dims=dims, snr=snr, trials=draws, seed=99)
+    red = _block_rates(cfg, lo=0, hi=draws) + dims.pinned_rate(snr.rho)
     assert ks_2samp(raw, red).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("reduced, twin", [((5, 3, 3), (5, 2, 2)), ((7, 4, 5), (7, 2, 3)), ((4, 3, 3), (4, 1, 1))])
+@pytest.mark.parametrize("rho", [1e-2, 1.0, 1e4])
+def test_reduced_dims_equal_their_canonical_twin(reduced, twin, rho):
+    # reduced dims and their canonical twin share one reduced ensemble, and every
+    # route takes that ensemble's rate: so each returns equal results for the two
+    # at equal rates, though only the reduced dims carry a pinned offset
+    dims, twin_dims = normalize_dims(*reduced), normalize_dims(*twin)
+    assert (dims.Nt, dims.Nr, dims.N0) == (twin_dims.Nt, twin_dims.Nr, twin_dims.N0)
+    assert dims.rate_offset > 0.0 == twin_dims.rate_offset
+    snr = SnrParam(rho)
+    rates = [f * math.log1p(rho) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    results = []
+    for d in (dims, twin_dims):
+        mc = McConfig(dims=d, snr=snr, trials=5000, seed=41)
+        ex = ExactConfig(dims=d, snr=snr)
+        hist = eigen_histogram(mc, bins=16)
+        results.append((
+            outage_curve(mc, rates),
+            moments(mc),
+            (hist.edges.tolist(), hist.density.tolist()),
+            [outage_exact(ex, r) for r in rates],
+            [outage_density_exact(ex, r) for r in rates],
+        ))
+    assert results[0] == results[1]
 
 
 def test_haar_unitarity_and_scalar_case():
@@ -219,14 +247,12 @@ def test_mutual_information_closed_cases():
 
 
 def test_mutual_information_offset_and_monotonicity():
-    dims = normalize_dims(4, 3, 3)  # rate_offset 2
+    # reduced dims (rate_offset 2): like the library, the oracle leaves the offset out
+    dims = normalize_dims(4, 3, 3)
     s = SpectrumSample(np.array([0.25]))
     vals = [mutual_information(s, SnrParam(rho), dims) for rho in (0.5, 1.0, 2.0, 5.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert abs(
-        mutual_information(SpectrumSample(np.zeros(1)), SnrParam(3.0), dims)
-        - 2.0 * math.log(4.0)
-    ) < 1e-14
+    assert mutual_information(SpectrumSample(np.zeros(1)), SnrParam(3.0), dims) == 0.0
 
 
 def test_log_joint_density_cases():

@@ -509,13 +509,14 @@ def test_outage_monotone_and_bounded():
 
 
 def test_reduced_dims_offset_handling():
-    # (4,3,3) reduces to Nt=Nr=1, N0=2 with offset 2*log(1+rho); outage
-    # below the deterministic floor is 0
+    # (4,3,3) reduces to Nt=Nr=1, N0=2 with offset 2*log(1+rho), which the rate
+    # leaves out: outage at rate 0 is 0, and a negative rate raises
     dims = normalize_dims(4, 3, 3)
     cfg = ExactConfig(dims=dims, snr=SNR3)
-    floor = 2.0 * math.log(4.0)
-    assert outage_exact(cfg, floor - 0.01).p == 0.0
-    mid = outage_exact(cfg, floor + math.log(2.0)).p
+    assert outage_exact(cfg, 0.0).p == 0.0
+    with pytest.raises(ValueError, match="must be >= 0"):
+        outage_exact(cfg, -0.01)
+    mid = outage_exact(cfg, math.log(2.0)).p
     lam = 1.0 / 3.0  # flat part: P(log(1+rho x) < log 2) under (1-x)^2 law
     ref = 1.0 - (1.0 - lam) ** 3
     assert abs(mid - ref) < 1e-9
@@ -589,7 +590,7 @@ def test_monte_carlo_matches_exact_across_snr_corners(shape):
     trials, alpha = 100_000, 1e-6
     for rho in (1e-2, 1.0, 1e4):
         snr = SnrParam(rho)
-        rates = [dims.pinned_rate(rho) + f * math.log1p(rho) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        rates = [f * math.log1p(rho) for f in (0.1, 0.3, 0.5, 0.7, 0.9)]
         ests = outage_curve(McConfig(dims=dims, snr=snr, trials=trials, seed=41), rates)
         ecfg = ExactConfig(dims=dims, snr=snr)
         for r, est in zip(rates, ests):
@@ -664,12 +665,13 @@ def test_density_golden():
 
 def test_density_reduced_dims_and_window():
     # (4,3,3): the flat part has law 3(1-x)^2, so P(log(1+3x) < r) = 1 - (1 - x)^3
-    # with x = (e^r - 1)/3, whose slope at r = log 2 is (2/3)^2 * 2 = 8/9
+    # with x = (e^r - 1)/3, whose slope at r = log 2 is (2/3)^2 * 2 = 8/9; the rate
+    # leaves out the offset 2*log(1+rho), so the window is (0, log 4)
     cfg = ExactConfig(dims=normalize_dims(4, 3, 3), snr=SNR3)
     floor = 2.0 * math.log(4.0)
-    est = outage_density_exact(cfg, floor + math.log(2.0))
+    est = outage_density_exact(cfg, math.log(2.0))
     assert abs(est.value - 8.0 / 9.0) <= 1e-12
-    for r in (0.0, floor - 0.01, floor, floor + 5.0):
+    for r in (-floor, -0.01, 0.0, math.log(4.0), 5.0):
         assert outage_density_exact(cfg, r) == (0.0, 0.0)
     flat = ExactConfig(dims=FLAT, snr=SNR3)
     for r in (-0.1, 0.0, math.log(4.0), 5.0):

@@ -39,9 +39,9 @@ def test_outage_trivial_bounds():
     cfg = McConfig(dims=FLAT, snr=SNR3, trials=2000, seed=1)
     assert outage_curve(cfg, [0.0])[0].p == 0.0
     assert outage_curve(cfg, [math.log1p(3.0) + 0.01])[0].p == 1.0
+    # reduced dims: the rate leaves out the offset 2 log(1+rho), so log(1+rho) tops the window
     offs = McConfig(dims=normalize_dims(4, 3, 3), snr=SNR3, trials=500, seed=1)
-    hi = (1.0 + 2.0) * math.log1p(3.0) + 0.01
-    assert outage_curve(offs, [hi])[0].p == 1.0
+    assert outage_curve(offs, [math.log1p(3.0) + 0.01])[0].p == 1.0
 
 
 def test_flat_law_outage_within_ci():
@@ -161,7 +161,7 @@ def test_pivot_recurrence_matches_eigvalsh(rho):
         b[:, idx, idx] = np.sqrt(d2).T
         b[:, idx[:-1], idx[1:]] = -np.sqrt(e2).T
         lam = np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b))
-        expected = np.log1p(rho * lam).sum(axis=1) / dims.Nt + dims.rate_offset * math.log1p(rho)
+        expected = np.log1p(rho * lam).sum(axis=1) / dims.Nt
         assert np.max(np.abs(_block_rates(cfg, 0, cfg.trials) - expected)) < 1e-10
 
 
