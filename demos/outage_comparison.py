@@ -36,8 +36,8 @@ ecfg = ExactConfig(dims=dims, snr=snr)
 print(f"{'r':>7} {'P_mc':>10} {'P_exact':>10} {'P_ld':>10} {'P_gauss':>10}")
 for r, est in zip(grid, mc):
     pe = outage_exact(ecfg, r).p
-    pl = outage_asymptotic(n0, beta, snr, dims.Nt, r).p
-    pg = gaussian_outage(n0, beta, snr, dims.Nt, r).p
+    pl = outage_asymptotic(dims, snr, r).p
+    pg = gaussian_outage(dims, snr, r).p
     print(f"{r:7.3f} {est.p:10.3e} {pe:10.3e} {pl:10.3e} {pg:10.3e}")
 
 print(

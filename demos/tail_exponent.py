@@ -16,11 +16,11 @@ snr = SnrParam(1.0)
 ecfg = ExactConfig(dims=dims, snr=snr)
 
 print("Nt=Nr=4, N0=0, rho=1: deep lower tail")
-print(f"{'r':>7} {'P_exact':>11} {'P_ld':>11} {'-log ratio':>11} {'Nt^2 dE':>9}")
+print(f"{'r':>7} {'P_exact':>11} {'P_ld':>11} {'log ratio':>11} {'Nt^2 dE':>9}")
 for r in np.linspace(0.10, 0.28, 7):
     pe = outage_exact(ecfg, float(r)).p
-    pl = outage_asymptotic(0.0, 1.0, snr, dims.Nt, float(r)).p
-    de = rate_exponent(0.0, 1.0, snr, float(r))
+    pl = outage_asymptotic(dims, snr, float(r)).p
+    de = rate_exponent(dims.n0, dims.beta, snr, float(r))
     ratio = math.log(pl) / math.log(pe) if pe > 0 else float("nan")
     print(f"{r:7.3f} {pe:11.3e} {pl:11.3e} {ratio:11.3f} {dims.Nt**2 * de:9.3f}")
 

@@ -233,9 +233,9 @@ _ROUTES = {
     "exact": (("pout_exact",),
               partial(_column, lambda ch: partial(outage_exact, ExactConfig(dims=ch.dims, snr=ch.snr)))),
     "ld": (("pout_ld",),
-           partial(_column, lambda ch: partial(outage_asymptotic, ch.dims.n0, ch.dims.beta, ch.snr, ch.dims.Nt))),
+           partial(_column, lambda ch: partial(outage_asymptotic, ch.dims, ch.snr))),
     "gauss": (("pout_gauss",),
-              partial(_column, lambda ch: partial(gaussian_outage, ch.dims.n0, ch.dims.beta, ch.snr, ch.dims.Nt))),
+              partial(_column, lambda ch: partial(gaussian_outage, ch.dims, ch.snr))),
 }
 _CSV_HEADER = ["r", *(col for cols, _ in _ROUTES.values() for col in cols)]
 

@@ -92,7 +92,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import SnrParam
+from .ensemble import ChannelDims, SnrParam
 from .results import OutageEstimate
 from .specfun import bracketed_root, g_closed, log_q, q_fn
 
@@ -592,18 +592,22 @@ def rate_exponent(n0: float, beta: float, snr: SnrParam, r: float) -> float:
     return solve_regime(n0, beta, snr, r).exponent
 
 
-def density_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) -> float:
-    """Large-Nt rate density: Nt exp(-Nt^2 Delta E(r)) / sqrt(2 pi v_erg)."""
-    if nt < 1:
-        raise ValueError("nt must be >= 1")
+def density_asymptotic(dims: ChannelDims, snr: SnrParam, r: float) -> float:
+    """Large-Nt rate density of the channel: Nt exp(-Nt^2 Delta E(r)) / sqrt(2 pi v_erg).
+
+    Delta E and v_erg are those of (n0, beta) = (dims.n0, dims.beta).
+    """
+    n0, beta, nt = dims.n0, dims.beta, dims.Nt
     de = solve_regime(n0, beta, snr, r).exponent
     return nt * math.exp(-nt * nt * de) / math.sqrt(_TWO_PI * ergodic_summary(n0, beta, snr).v)
 
 
-def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) -> OutageEstimate:
-    """Finite-Nt outage from the rate function with the Gaussian-peak crossover.
+def outage_asymptotic(dims: ChannelDims, snr: SnrParam, r: float) -> OutageEstimate:
+    """Finite-Nt outage of the channel from the rate function with the Gaussian-peak crossover.
 
-    Laplace integration of the asymptotic density gives, for r < r_erg,
+    The rate function is that of (n0, beta) = (dims.n0, dims.beta), and
+    Nt = dims.Nt sets its scale.  Laplace integration of the asymptotic
+    density gives, for r < r_erg,
 
         P_out ~ exp(-Nt^2 (dE - k^2/(2 k'))) * Q(Nt |k| / sqrt(k')) / sqrt(k' v_erg)
 
@@ -612,8 +616,7 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
     branches meet at 1/2 at the ergodic rate.  Evaluated in log space so
     deep tails neither underflow nor lose the exponent.
     """
-    if nt < 1:
-        raise ValueError("nt must be >= 1")
+    n0, beta, nt = dims.n0, dims.beta, dims.Nt
     sol = solve_regime(n0, beta, snr, r)
     v = sol.v
     if not v > 0:
@@ -634,17 +637,16 @@ def outage_asymptotic(n0: float, beta: float, snr: SnrParam, nt: int, r: float) 
     return OutageEstimate(p=p, method="ld")
 
 
-def gaussian_outage(n0: float, beta: float, snr: SnrParam, nt: int, r: float) -> OutageEstimate:
-    """Gaussian comparator: the rate treated as N(r_erg, v_erg / Nt^2).
+def gaussian_outage(dims: ChannelDims, snr: SnrParam, r: float) -> OutageEstimate:
+    """Gaussian comparator for the channel: the rate treated as N(r_erg, v_erg / Nt^2).
 
     P_out = Q((r_erg - r) * Nt / sqrt(v_erg)), read from the cached k = 0
-    solution of :func:`ergodic_summary`; the baseline the rate function is
-    meant to beat away from the peak.
+    solution of :func:`ergodic_summary` at (dims.n0, dims.beta), with
+    Nt = dims.Nt; the baseline the rate function is meant to beat away
+    from the peak.
     """
-    if nt < 1:
-        raise ValueError("nt must be >= 1")
     if not 0 <= r:
         raise ValueError(f"rate threshold r must be >= 0, got {r!r}")
-    erg = ergodic_summary(n0, beta, snr)
-    p = q_fn((erg.r - r) * nt / math.sqrt(erg.v))
+    erg = ergodic_summary(dims.n0, dims.beta, snr)
+    p = q_fn((erg.r - r) * dims.Nt / math.sqrt(erg.v))
     return OutageEstimate(p=p, method="gauss")

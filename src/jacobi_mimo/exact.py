@@ -266,7 +266,7 @@ def _coefficients(dims: ChannelDims, rho: float) -> tuple[tuple, int]:
     return coeffs, den << k * (n0 + smax) * nt
 
 
-def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, den: int, slope: bool):
+def _residue_sum(cfg: ExactConfig, r: float, ls: range, coeffs: Sequence, den: int, slope: bool):
     """A' sum C[l][v,t] L_{l,t}(v) / den, L = h (T with ``slope``), and its error bound.
 
     mpmath gives z = z_l and one exp per l; the rest is integer fixed
@@ -292,7 +292,7 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, de
     dims, rho = cfg.dims, cfg.snr.rho
     nt, prec = dims.Nt, mp.prec
     log_one_rho = mp.log(1 + mpf(rho))
-    ntr = nt * mpf(r_eff)
+    ntr = nt * mpf(r)
     zfrac = _selberg_z_fraction(dims)
     # A' / den, with A' = Nt! / (Z rho^(Nt^2 + (|Nt-Nr|+N0) Nt))
     a_norm = mpf(math.factorial(nt)) / (
@@ -308,7 +308,7 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, de
         z = ntr - l * log_one_rho
         exp_z = mp.exp(z)
         az, ez = abs(float(z)), float(exp_z)
-        reach = nt * r_eff + l * math.log1p(rho)
+        reach = nt * r + l * math.log1p(rho)
         big_z, big_e = to_fixed(z._mpf_, prec), to_fixed(exp_z._mpf_, prec)
         dz, de = 2 * reach + 1, 2 * ez * (1 + reach) + 1
         power, d_power, e_prev = one, 0.0, 1.0  # E^(v-1), its error and e^{(v-1)z}
@@ -332,8 +332,8 @@ def _residue_sum(cfg: ExactConfig, r_eff: float, ls: range, coeffs: Sequence, de
     return total, a_norm * mp.ldexp(bound, shift - prec) + mp.ldexp(abs(total), 4 - prec)  # 8 eps
 
 
-def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
-    """P_out(r_eff), or with ``slope`` its density P'(r_eff), to a relative 2^-53.
+def _series(cfg: ExactConfig, r: float, slope: bool) -> float:
+    """P_out(r), or with ``slope`` its density P'(r), to a relative 2^-53.
 
     The coefficients are built once per (dims, rho); a precision retry
     redoes only the leaves and the dot product.  A result is kept once its
@@ -345,7 +345,7 @@ def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
     # smallest l with Nt*r < l*log(1+rho); terms below it vanish.  Where
     # rounding puts l on the wrong side, its z_l is within rounding of 0
     # and its term, O(z^Nt) (O(z^(Nt-1)) in the density), with it.
-    l_min = int(nt * r_eff / math.log1p(rho)) + 1
+    l_min = int(nt * r / math.log1p(rho)) + 1
     if l_min > nt:
         return 0.0 if slope else 1.0
     ls = range(l_min, nt + 1)
@@ -355,7 +355,7 @@ def _series(cfg: ExactConfig, r_eff: float, slope: bool) -> float:
     prec = _START_BITS
     while True:
         with mp.workprec(prec):
-            total, err = _residue_sum(cfg, r_eff, ls, coeffs, den, slope)
+            total, err = _residue_sum(cfg, r, ls, coeffs, den, slope)
             # P' = Nt A' sum C T / den, as dz/dr = Nt and dh_t/dz = -T_t
             p, err = (nt * total, nt * err) if slope else (1 - total, err)
             needed = prec + 53 + _GUARD_BITS + mp.mag(err / max(abs(p), _TINY))

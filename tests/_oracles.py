@@ -474,7 +474,7 @@ def f_residue(zneg: float, s: Sequence):
     return dd if len(x) % 2 else -dd
 
 
-def _sum_per_s(cfg, r_eff: float, bits: int, leaf_fn):
+def _sum_per_s(cfg, r: float, bits: int, leaf_fn):
     """A' sum_s w_s (-1)^{n-1} H_s[s], one divided-difference table per sorted s.
 
     H_s = sum_l (-1)^{l-1} d_l g_l, where ``leaf_fn(v, z, count)`` gives the
@@ -486,7 +486,7 @@ def _sum_per_s(cfg, r_eff: float, bits: int, leaf_fn):
     with mp.workprec(bits):
         one_rho = 1 + mpf(rho)
         log_one_rho = mp.log(one_rho)
-        ntr = nt * mpf(r_eff)
+        ntr = nt * mpf(r)
         # smallest l with Nt*r < l*log(1+rho); terms below it vanish
         l_min = int(mp.floor(ntr / log_one_rho)) + 1
         if l_min > nt:
@@ -525,8 +525,8 @@ def _sum_per_s(cfg, r_eff: float, bits: int, leaf_fn):
         return a_norm * total
 
 
-def outage_sum_per_s(cfg, r_eff: float, bits: int) -> float:
-    """P_out(r_eff) from the residue sum, one divided-difference table per sorted s.
+def outage_sum_per_s(cfg, r: float, bits: int) -> float:
+    """P_out(r) from the residue sum, one divided-difference table per sorted s.
 
     Everything runs in mpmath at ``bits`` bits: for each sorted s of the
     key table, its weight sum count * prod c_m, one recurrence for all
@@ -535,7 +535,7 @@ def outage_sum_per_s(cfg, r_eff: float, bits: int) -> float:
     The production solver instead sums exact integer coefficients per
     (l, v, t) and takes one dot product with the leaves.
     """
-    total = _sum_per_s(cfg, r_eff, bits, taylor_leaves)
+    total = _sum_per_s(cfg, r, bits, taylor_leaves)
     if total is None:
         return 1.0
     with mp.workprec(bits):
@@ -552,14 +552,14 @@ def _exp_leaves(v, z, count: int) -> list:
     return coeffs
 
 
-def density_sum_per_s(cfg, r_eff: float, bits: int) -> float:
-    """The rate density P'(r_eff) from the per-s sum of the derivative.
+def density_sum_per_s(cfg, r: float, bits: int) -> float:
+    """The rate density P'(r) from the per-s sum of the derivative.
 
     d/dz h(x) = -e^{xz}, so P' = Nt A' sum_s w_s (-1)^{n-1} H_s with the
     exponential leaves e^{vz} z^t / t! in place of the h_t; this does not
     use the production solver's integer coefficients or fixed point.
     """
-    total = _sum_per_s(cfg, r_eff, bits, _exp_leaves)
+    total = _sum_per_s(cfg, r, bits, _exp_leaves)
     return 0.0 if total is None else float(cfg.dims.Nt * total)
 
 
@@ -641,18 +641,22 @@ def _rate_nodes(n: int, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return u, np.expm1(u) / rho, np.log(0.5 * top * w) + u - math.log(rho)
 
 
-def rate_cumulants(nt: int, dn: float, n_zero: float, rho: float, n: int | None = None):
-    """(log M, kappa1, kappa2) of X = sum_i log(1 + rho lambda_i), at c = 0.
+def rate_cumulants(nt: int, dn: float, n_zero: float, rho: float, n: int | None = None, c: float = 0.0):
+    """(log M, kappa1, kappa2) of X = sum_i log(1 + rho lambda_i) under the tilt e^{cX}.
 
-    The eigenvalues follow the Jacobi weight x^dn (1-x)^N0 on [0, 1];
-    dn = Nr - Nt and N0 are taken as reals.  The weight is sampled at n
+    The eigenvalues follow the Jacobi weight x^dn (1-x)^N0 (1+rho x)^c on
+    [0, 1]; dn = Nr - Nt and N0 are taken as reals, and the tilt adds
+    c u to the log-weight.  c = 0 is the channel itself; c = k Nt is the
+    finite-Nt twin of the Coulomb gas at multiplier k, so kappa1(k Nt)/Nt
+    tends to ``solve_at_multiplier(k).r``.  The weight is sampled at n
     Gauss-Legendre nodes in u = log1p(rho x) (n = 96 + 8 Nt by default),
     and the first Nt orthonormal polynomials are built there by plain
     float64 Lanczos, each new vector x q projected off the basis twice.
-    M is the Hankel determinant of the weight, Z / Nt! for the Selberg
-    integral Z: Nt log h_0 + sum_i 2(Nt-i) log r_i over the Lanczos
-    off-diagonals r_i.  With M_a = Q^T diag(u^a) Q, kappa1 = tr M_1 and
-    kappa2 = tr M_2 - tr M_1^2, so E[I] = kappa1/Nt and Var[I] = kappa2/Nt^2.
+    M is the Hankel determinant of the weight, Z / Nt! for its integral
+    Z over [0, 1]^Nt (the Selberg integral at c = 0): Nt log h_0 +
+    sum_i 2(Nt-i) log r_i over the Lanczos off-diagonals r_i.  With
+    M_a = Q^T diag(u^a) Q, kappa1 = tr M_1 and kappa2 = tr M_2 - tr M_1^2,
+    so E[I] = kappa1/Nt and Var[I] = kappa2/Nt^2 under the tilted law.
 
     The rule converges geometrically when dn and N0 are integers.  A
     non-integer one leaves a branch point at an end of the interval, and
@@ -662,7 +666,7 @@ def rate_cumulants(nt: int, dn: float, n_zero: float, rho: float, n: int | None 
     """
     n = 96 + 8 * nt if n is None else n
     u, x, log_w = _rate_nodes(n, rho)
-    ell = log_w + dn * np.log(x) + n_zero * np.log1p(-x)
+    ell = log_w + dn * np.log(x) + n_zero * np.log1p(-x) + c * u
     top = float(ell.max())
     s = np.exp(0.5 * (ell - top))
     norm = float(np.linalg.norm(s))

@@ -166,7 +166,7 @@ def test_c07_deep_tail_exponent():
     r_star = 0.5 * (lo + hi)
     pe = outage_exact(cfg, r_star).p
     assert 1e-7 <= pe <= 1e-5
-    pl = outage_asymptotic(0.0, 1.0, snr, 4, r_star).p
+    pl = outage_asymptotic(dims, snr, r_star).p
     rel = abs(math.log(pe) - math.log(pl)) / abs(math.log(pe))
     assert rel <= 0.20
     _report("C7", f"r*={r_star:.4f}, P_exact={pe:.2e}, P_ld={pl:.2e}, exponent err {rel:.3f}")
@@ -182,7 +182,7 @@ def test_c08_gaussian_vs_ld_ordering():
     lo, hi = 0.05 * math.log1p(20.0), ergodic_summary(1.0, 1.0, snr).r
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if outage_asymptotic(1.0, 1.0, snr, dims.Nt, mid).p < 1e-3:
+        if outage_asymptotic(dims, snr, mid).p < 1e-3:
             lo = mid
         else:
             hi = mid
@@ -192,8 +192,8 @@ def test_c08_gaussian_vs_ld_ordering():
     pick = min(range(len(grid)), key=lambda i: abs(ests[i].p - 1e-3))
     r, p_mc = grid[pick], ests[pick].p
     assert p_mc > 0
-    p_ld = outage_asymptotic(1.0, 1.0, snr, dims.Nt, r).p
-    p_gauss = gaussian_outage(1.0, 1.0, snr, dims.Nt, r).p
+    p_ld = outage_asymptotic(dims, snr, r).p
+    p_gauss = gaussian_outage(dims, snr, r).p
     d_ld = abs(math.log10(p_ld) - math.log10(p_mc))
     d_gauss = abs(math.log10(p_gauss) - math.log10(p_mc))
     elapsed = time.time() - started

@@ -21,7 +21,7 @@ from jacobi_mimo.coulomb import (
     solve_at_multiplier,
     solve_regime,
 )
-from jacobi_mimo.ensemble import SnrParam
+from jacobi_mimo.ensemble import SnrParam, normalize_dims
 
 from _oracles import (
     density_mass_and_rate, density_pole_sum_mp, energy_functional, energy_pole_sums_mp, quadrature,
@@ -29,6 +29,13 @@ from _oracles import (
 
 SNR3 = SnrParam(3.0)
 CORNERS = [(0.0, 1.0, 3.0), (1.0, 1.0, 3.0), (0.0, 2.0, 3.0), (1.0, 2.0, 10.0)]
+
+
+def _channel(n0, beta, nt):
+    """The channel (Nt(1+beta+n0), Nt, beta Nt), whose dims give back n0 and beta exactly."""
+    dims = normalize_dims(round(nt * (1.0 + beta + n0)), nt, round(beta * nt))
+    assert (dims.n0, dims.beta) == (n0, beta)
+    return dims
 
 
 def test_ergodic_summary_golden_corner():
@@ -524,7 +531,7 @@ def test_critical_thresholds_lie_inside_the_window():
 )
 def test_tiny_rho_failures_name_their_cause(n0, beta, rho, frac, reason):
     with pytest.raises(ArithmeticError, match=reason) as info:
-        outage_asymptotic(n0, beta, SnrParam(rho), 6, frac * math.log1p(rho))
+        outage_asymptotic(_channel(n0, beta, 6), SnrParam(rho), frac * math.log1p(rho))
     assert f"(n0, beta, rho, k) = ({n0!r}, {beta!r}, {rho!r}, " in str(info.value)
 
 
@@ -538,28 +545,19 @@ def test_edge_root_without_sign_change_names_its_bracket():
     assert isinstance(info.value.__cause__.__cause__, ValueError)  # the root's own error
 
 
-def test_asymptotic_routes_reject_nt_below_one():
-    for call in (
-        lambda: outage_asymptotic(1.0, 1.0, SNR3, 0, 0.5),
-        lambda: density_asymptotic(1.0, 1.0, SNR3, 0, 0.5),
-        lambda: gaussian_outage(1.0, 1.0, SNR3, 0, 0.5),
-    ):
-        with pytest.raises(ValueError, match="nt must be >= 1"):
-            call()
-
-
 def test_density_asymptotic_peak_and_normalization():
     snr = SnrParam(10.0)
-    nt = 8
+    dims = normalize_dims(24, 8, 8)
+    nt = dims.Nt
     erg = ergodic_summary(1.0, 1.0, snr)
-    peak = density_asymptotic(1.0, 1.0, snr, nt, erg.r)
+    peak = density_asymptotic(dims, snr, erg.r)
     assert abs(peak - nt / math.sqrt(2.0 * math.pi * erg.v)) < 1e-9
-    lo = density_asymptotic(1.0, 1.0, snr, nt, erg.r - 0.05)
-    hi = density_asymptotic(1.0, 1.0, snr, nt, erg.r + 0.05)
+    lo = density_asymptotic(dims, snr, erg.r - 0.05)
+    hi = density_asymptotic(dims, snr, erg.r + 0.05)
     assert lo < peak and hi < peak
     sigma = math.sqrt(erg.v) / nt
     val, _ = quadrature(
-        lambda r: density_asymptotic(1.0, 1.0, snr, nt, r),
+        lambda r: density_asymptotic(dims, snr, r),
         erg.r - 8 * sigma,
         erg.r + 8 * sigma,
         target=1e-6,
@@ -570,15 +568,15 @@ def test_density_asymptotic_peak_and_normalization():
 
 def test_outage_asymptotic_crossover_and_tail():
     snr = SnrParam(10.0)
-    nt = 8
+    dims = normalize_dims(24, 8, 8)
     erg = ergodic_summary(1.0, 1.0, snr)
-    at_peak = outage_asymptotic(1.0, 1.0, snr, nt, erg.r)
-    just_lo = outage_asymptotic(1.0, 1.0, snr, nt, erg.r - 1e-6)
-    just_hi = outage_asymptotic(1.0, 1.0, snr, nt, erg.r + 1e-6)
+    at_peak = outage_asymptotic(dims, snr, erg.r)
+    just_lo = outage_asymptotic(dims, snr, erg.r - 1e-6)
+    just_hi = outage_asymptotic(dims, snr, erg.r + 1e-6)
     assert abs(at_peak.p - 0.5) < 1e-6
     assert abs(just_hi.p - just_lo.p) < 1e-4
     probes = [0.2, 0.4, 0.7, 1.0]
-    vals = [outage_asymptotic(1.0, 1.0, snr, nt, r).p for r in probes]
+    vals = [outage_asymptotic(dims, snr, r).p for r in probes]
     assert all(0.0 <= v <= 1.0 for v in vals)
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[0] < 1e-30  # deep tail decays, no underflow to garbage
@@ -642,7 +640,7 @@ def test_outage_asymptotic_golden_per_regime(regime, n0, beta, rho, r, p_ref):
     # at rho >= 1; the closed-form slope must reproduce them
     snr = SnrParam(rho)
     assert solve_regime(n0, beta, snr, r).regime == regime
-    assert abs(outage_asymptotic(n0, beta, snr, 4, r).p - p_ref) <= 1e-6 * p_ref
+    assert abs(outage_asymptotic(_channel(n0, beta, 4), snr, r).p - p_ref) <= 1e-6 * p_ref
 
 
 def test_s01_quadratic_exponent_value():
@@ -661,24 +659,24 @@ def test_outage_asymptotic_raises_on_positive_log_tail(monkeypatch):
     monkeypatch.setattr(coulomb, "log_q", lambda u: 1.0)
     r = 0.9 * ergodic_summary(0.0, 1.0, SNR3).r
     with pytest.raises(ArithmeticError, match="log tail"):
-        outage_asymptotic(0.0, 1.0, SNR3, 4, r)
+        outage_asymptotic(normalize_dims(8, 4, 4), SNR3, r)
 
 
 def test_gaussian_outage_values():
+    dims = normalize_dims(8, 4, 4)
     erg = ergodic_summary(0.0, 1.0, SNR3)
-    assert abs(gaussian_outage(0.0, 1.0, SNR3, 4, erg.r).p - 0.5) < 1e-14
-    assert gaussian_outage(0.0, 1.0, SNR3, 4, 1e-6).p < 1e-10
-    assert gaussian_outage(0.0, 1.0, SNR3, 4, math.log(4.0) - 1e-6).p > 1 - 1e-3
+    assert abs(gaussian_outage(dims, SNR3, erg.r).p - 0.5) < 1e-14
+    assert gaussian_outage(dims, SNR3, 1e-6).p < 1e-10
+    assert gaussian_outage(dims, SNR3, math.log(4.0) - 1e-6).p > 1 - 1e-3
 
 
 @pytest.mark.parametrize("r", [math.nan, -0.5])
 def test_gaussian_outage_rejects_nan_and_negative_rate(r):
     with pytest.raises(ValueError, match=f"rate threshold r must be >= 0, got {r!r}"):
-        gaussian_outage(1.0, 1.0, SnrParam(10.0), 5, r)
+        gaussian_outage(normalize_dims(15, 5, 5), SnrParam(10.0), r)
 
 
 def test_gaussian_outage_near_peak_matches_mc():
-    from jacobi_mimo.ensemble import normalize_dims
     from jacobi_mimo.montecarlo import McConfig, outage_curve
 
     dims = normalize_dims(24, 8, 8)
@@ -688,7 +686,7 @@ def test_gaussian_outage_near_peak_matches_mc():
     grid = [erg.r - 0.5 * sigma, erg.r + 0.5 * sigma]
     ests = outage_curve(McConfig(dims=dims, snr=snr, trials=100_000, seed=55), grid)
     for r, est in zip(grid, ests):
-        pg = gaussian_outage(1.0, 1.0, snr, dims.Nt, r).p
+        pg = gaussian_outage(dims, snr, r).p
         assert abs(pg - est.p) / est.p < 0.10
 
 
@@ -905,9 +903,9 @@ OUTAGE_GOLDEN = [
 @pytest.mark.parametrize("params, expected", OUTAGE_GOLDEN, ids=[str(p) for p, _ in OUTAGE_GOLDEN])
 def test_outage_asymptotic_matches_bracketed_solve(params, expected):
     n0, beta, rho = params
-    snr = SnrParam(rho)
+    dims, snr = _channel(n0, beta, 4), SnrParam(rho)
     for f, want in zip(SOLVE_FRACS, expected):
-        got = outage_asymptotic(n0, beta, snr, 4, f * math.log1p(rho)).p
+        got = outage_asymptotic(dims, snr, f * math.log1p(rho)).p
         assert abs(got - want) <= 1e-9 * want
 
 
@@ -1150,8 +1148,10 @@ def test_huge_rho_points_solve_or_name_their_cause(beta, f):
     # underflowed here; neither may surface as a bare ZeroDivisionError
     rho = 1e300
     r = f * math.log1p(rho)
+    # the solver failures checked here do not depend on Nt; beta = 1.1 takes
+    # Nt = 10, as Nr = 8.8 is no channel
     try:
-        outage_asymptotic(0.0, beta, SnrParam(rho), 8, r)
+        outage_asymptotic(_channel(0.0, beta, 10 if beta == 1.1 else 8), SnrParam(rho), r)
     except ArithmeticError as err:
         assert type(err) is ArithmeticError and "division by zero" not in str(err)
         assert "at (n0, beta, rho, k) = (0.0, " in str(err)
@@ -1216,4 +1216,4 @@ def test_outage_asymptotic_raises_on_a_non_positive_slope(monkeypatch):
     solve = coulomb.solve_regime
     monkeypatch.setattr(coulomb, "solve_regime", lambda *args: dataclasses.replace(solve(*args), v=0.0))
     with pytest.raises(ArithmeticError, match=r"non-positive slope dr/dk=0\.0 at r=.*has collapsed"):
-        outage_asymptotic(1.0, 2.0, snr, 4, r)
+        outage_asymptotic(normalize_dims(16, 4, 8), snr, r)

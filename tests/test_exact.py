@@ -256,9 +256,9 @@ def test_one_exp_per_l(monkeypatch):
         calls[-1][1] += 1
         return exp(*args, **kw)
 
-    def counted_residue_sum(cfg, r_eff, ls, *args):
+    def counted_residue_sum(cfg, r, ls, *args):
         calls.append([len(ls), 0])
-        return residue_sum(cfg, r_eff, ls, *args)
+        return residue_sum(cfg, r, ls, *args)
 
     monkeypatch.setattr(mp, "exp", counted_exp)
     monkeypatch.setattr(exact, "_residue_sum", counted_residue_sum)

@@ -1,10 +1,12 @@
-"""The c = 0 cumulant oracle of X = Nt I against quadrature, Selberg, itself and Monte Carlo."""
+"""The cumulant oracle of X = Nt I against quadrature, Selberg, itself and Monte Carlo, and
+the Coulomb gas's ergodic record and r(k) against its finite-Nt limit."""
 
 import math
 
 import pytest
 from scipy import integrate, stats
 
+from jacobi_mimo.coulomb import _LD_TOL, ergodic_summary, solve_at_multiplier
 from jacobi_mimo.ensemble import SnrParam, normalize_dims
 from jacobi_mimo.montecarlo import McConfig, moments
 
@@ -122,3 +124,62 @@ def test_monte_carlo_moments_agree(shape, rho):
     mc_mean, mc_var = moments(McConfig(dims=dims, snr=SnrParam(rho), trials=MC_TRIALS, seed=5))
     assert abs(mc_mean - mean) <= MEAN_Z * math.sqrt(var / MC_TRIALS)
     assert abs(mc_var / var - 1.0) <= VAR_REL
+
+
+# The Coulomb gas against the oracle on channels (n0, beta) at Nt = 32, 64 and
+# 128, where dn = (beta-1) Nt and N0 = n0 Nt are integers.  The finite-Nt mean
+# tends to the Coulomb rate with an O(1/Nt^2) remainder, so Richardson
+# (4 f(2 Nt) - f(Nt))/3 on Nt and 2 Nt takes the limit.  At tiny rho the
+# Coulomb rate misses it by more than _LD_TOL: its pole sum cancels there
+# (ROADMAP item 6).
+TINY_RHO = "ROADMAP item 6: the Coulomb gas's pole-sum rate cancels at tiny rho"
+
+
+def _tiny_rho(*values):
+    return pytest.param(*values, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=TINY_RHO))
+
+
+def _mean(n0, beta, rho, nt, c=0.0):
+    """kappa1/Nt of the channel (n0, beta) at Nt, tilted by e^{cX}: E[I] at c = 0."""
+    return rate_cumulants(nt, (beta - 1.0) * nt, n0 * nt, rho, c=c)[1] / nt
+
+
+def _richardson(f, nt):
+    return (4.0 * f(2 * nt) - f(nt)) / 3.0
+
+
+# ROADMAP item 10's table: c1 = lim Nt^2 (E[I] - r_erg), to its printed digits
+C1_ROWS = [((1.0, 2.0, 10.0), 0.023060), ((1.0, 1.0, 20.0), 0.117901),
+           ((0.0, 1.0, 10.0), 0.101134), ((0.25, 1.25, 100.0), 0.207285)]
+
+
+@pytest.mark.parametrize("channel, c1", C1_ROWS, ids=[str(ch) for ch, _ in C1_ROWS])
+def test_ergodic_rate_correction_matches_its_table(channel, c1):
+    n0, beta, rho = channel
+    r_erg = ergodic_summary(n0, beta, SnrParam(rho)).r
+    got = _richardson(lambda nt: nt * nt * (_mean(n0, beta, rho, nt) - r_erg), 64)
+    assert abs(got - c1) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "n0, beta, rho",
+    [ch for ch, _ in C1_ROWS] + [(1.0, 1.0, 1e-2), (1.0, 1.0, 1e-4),
+                                 _tiny_rho(1.0, 1.0, 1e-6), _tiny_rho(1.0, 2.0, 1e-6)],
+)
+def test_ergodic_rate_is_the_finite_nt_limit(n0, beta, rho):
+    r_erg = ergodic_summary(n0, beta, SnrParam(rho)).r
+    limit = _richardson(lambda nt: _mean(n0, beta, rho, nt), 64)
+    assert abs(r_erg - limit) <= _LD_TOL * limit
+
+
+@pytest.mark.parametrize(
+    "regime, n0, beta, rho, k",
+    [("S01", 0.0, 1.0, 1e4, -1.0), ("S0b", 1.0, 1.0, 20.0, -1.0), ("Sa1", 0.0, 4.0, 1e-6, -5.0),
+     ("Sab", 1.0, 2.0, 10.0, -3.39233), ("Sab", 1.0, 2.0, 10.0, 2.0), _tiny_rho("Sab", 1.0, 2.0, 1e-6, -50.0)],
+)
+def test_multiplier_rate_is_the_tilted_finite_nt_limit(regime, n0, beta, rho, k):
+    # the ensemble tilted by c = k Nt is the finite-Nt twin of the multiplier k
+    sol = solve_at_multiplier(n0, beta, SnrParam(rho), k)
+    assert sol.regime == regime
+    limit = _richardson(lambda nt: _mean(n0, beta, rho, nt, c=k * nt), 32)
+    assert abs(sol.r - limit) <= _LD_TOL * limit

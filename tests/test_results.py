@@ -27,15 +27,14 @@ CORNERS = [(10, 4, 5), (5, 3, 3), (3, 1, 1)]
 def test_only_monte_carlo_claims_an_interval(shape, rho):
     dims, snr = normalize_dims(*shape), SnrParam(rho)
     r = 0.5 * math.log1p(rho)  # mid-window: every route takes the reduced ensemble's rate
-    n0, beta = dims.n0, dims.beta
     (mc,) = outage_curve(McConfig(dims=dims, snr=snr, trials=2000, seed=1), [r])
     assert mc.method == "mc"
     assert isinstance(mc.ci_low, float) and isinstance(mc.ci_high, float)
     assert mc.ci_low <= mc.p <= mc.ci_high
     deterministic = [
         outage_exact(ExactConfig(dims=dims, snr=snr), r),
-        outage_asymptotic(n0, beta, snr, dims.Nt, r),
-        gaussian_outage(n0, beta, snr, dims.Nt, r),
+        outage_asymptotic(dims, snr, r),
+        gaussian_outage(dims, snr, r),
     ]
     assert [est.method for est in deterministic] == ["exact", "ld", "gauss"]
     for est in deterministic:
