@@ -16,7 +16,10 @@ dense eigensolve.  Reproducibility contract: trials run in
 fixed blocks of ``_BLOCK``, each drawn from its own SFC64 stream seeded by
 ``SeedSequence(seed, spawn_key=(block index,))`` and reduced in block
 order on the calling thread, so results are bit-identical for a given
-(seed, trials).
+(seed, trials).  The block is the unit of streams and of reductions only:
+outage counts and moments run their elementwise rate arithmetic on spans
+of whole blocks, whose width follows from Nt alone (``_span_blocks``), and
+no output bit depends on it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ __all__ = [
 # therefore the random stream and the floating-point reduction order,
 # depends on (seed, trials) alone.
 _BLOCK = 1024
+
+# Gamma variates in one span's array (512 KiB): outage counts and moments
+# compute rates on spans of as many whole blocks as fit (see _span_blocks).
+_SPAN_DOUBLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,10 @@ def _block_bidiagonal(dims: ChannelDims, seed: int, lo: int, hi: int) -> tuple[n
     B is upper bidiagonal with diagonal (c_Nt, c_{Nt-1} s'_{Nt-1}, ..., c_1 s'_1)
     and superdiagonal (-s_Nt c'_{Nt-1}, ..., -s_2 c'_1), where with a = Nr - Nt,
     b = N0: c_k^2 ~ Beta(a+k, b+k), c'_j^2 ~ Beta(j, a+b+1+j), s = sqrt(1 - c^2).
-    Signs drop out of B^T B's spectrum, so only squares are returned.
+    Signs drop out of B^T B's spectrum, so only squares are returned.  The trials
+    [lo, hi) may span several blocks: the columns of the block starting at trial t
+    (every _BLOCK trials from lo) come from the stream of block t // _BLOCK, so a
+    span's columns equal those of its blocks drawn one at a time, bit for bit.
 
     The 2Nt-1 betas come from 3Nt-1 gammas, not 4Nt-2.  With G_k ~ Gamma(a+k) and
     H_k ~ Gamma(b+k), c_k^2 = G_k / S_k, and by Lukacs' theorem S_k = G_k + H_k ~
@@ -86,12 +96,14 @@ def _block_bidiagonal(dims: ChannelDims, seed: int, lo: int, hi: int) -> tuple[n
     for even j, both Gamma(a+b+1+j).  Each S and T feeds one later ratio, so the
     ratios stay mutually independent.
     """
-    nt, a, b, count = dims.Nt, dims.Nr - dims.Nt, dims.N0, hi - lo
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK,))))
-    x = np.empty((3 * nt - 1, count))
+    nt, a, b = dims.Nt, dims.Nr - dims.Nt, dims.N0
+    x = np.empty((3 * nt - 1, hi - lo))
     shapes = [a + k for k in range(nt, 0, -1)] + [b + k for k in range(nt, 0, -1)] + list(range(1, nt))
-    for shape, row in zip(shapes, x):
-        rng.standard_gamma(shape, out=row)
+    for start in range(lo, hi, _BLOCK):  # each block's columns from that block's own stream
+        cols = slice(start - lo, min(start + _BLOCK, hi) - lo)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(start // _BLOCK,))))
+        for shape, row in zip(shapes, x):
+            rng.standard_gamma(shape, out=row[cols])
     gk, sk, gj = x[:nt], x[nt : 2 * nt], x[2 * nt :]  # G_k, H_k for k = Nt..1; g_j for j = 1..Nt-1
     sk += gk
     c2 = gk / sk  # a new array, so that the returned d2 does not keep x alive
@@ -142,9 +154,18 @@ def _sturm_counts(d2: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     return below
 
 
-def _map_blocks(cfg: McConfig, fn):
-    """Apply fn(lo, hi) to every block of trials, in block order, on the calling thread."""
-    return [fn(lo, min(lo + _BLOCK, cfg.trials)) for lo in range(0, cfg.trials, _BLOCK)]
+def _span_blocks(nt: int) -> int:
+    """Blocks per span: as many as keep a span's (3Nt-1, span) gamma array within _SPAN_DOUBLES."""
+    return max(1, _SPAN_DOUBLES // ((3 * nt - 1) * _BLOCK))
+
+
+def _map_blocks(cfg: McConfig, fn, blocks: int = 1):
+    """Apply fn(lo, hi) to spans of `blocks` whole blocks of trials, in order, on the calling thread.
+
+    Every span starts on a block boundary; only the last span, and its last block, may be short.
+    """
+    step = blocks * _BLOCK
+    return [fn(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
 
 
 def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
@@ -152,15 +173,17 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
 
     Sharing samples makes the curve exactly monotone in r and amortizes
     the sampling cost over the whole rate grid.  The thresholds, like the
-    rates ``moments`` summarizes, are rates of the reduced ensemble.
+    rates ``moments`` summarizes, are rates of the reduced ensemble.  A trial
+    is in outage at r when its rate is strictly below r (a NaN rate never is);
+    each span counts its trials by a left-side binary search of the thresholds,
+    in any order, in its sorted rates.
     """
     thresholds = np.asarray(list(rs), dtype=float)
     bad = thresholds[~(thresholds >= 0)]
     if bad.size:
         raise ValueError(f"rate thresholds must be >= 0, got {float(bad[0])!r}")
     counts = _map_blocks(
-        cfg,
-        lambda lo, hi: np.count_nonzero(_block_rates(cfg, lo, hi)[:, None] < thresholds[None, :], axis=0),
+        cfg, lambda lo, hi: np.searchsorted(np.sort(_block_rates(cfg, lo, hi)), thresholds), _span_blocks(cfg.dims.Nt)
     )
     totals = np.sum(counts, axis=0).tolist()
     return [
@@ -177,9 +200,12 @@ def moments(cfg: McConfig) -> tuple[float, float]:
     """
     if cfg.trials < 2:
         raise ValueError("moments needs at least 2 trials")
-    partials = _map_blocks(
-        cfg, lambda lo, hi: (float(np.sum(r := _block_rates(cfg, lo, hi))), float(np.sum(r * r)))
-    )
+
+    def span(lo, hi):  # one (sum r, sum r^2) per block, so the sums keep their order
+        r = _block_rates(cfg, lo, hi)
+        return [(float(np.sum(x)), float(np.sum(x * x))) for x in np.split(r, range(_BLOCK, hi - lo, _BLOCK))]
+
+    partials = [p for ps in _map_blocks(cfg, span, _span_blocks(cfg.dims.Nt)) for p in ps]
     s1 = sum(p[0] for p in partials)
     s2 = sum(p[1] for p in partials)
     n = cfg.trials

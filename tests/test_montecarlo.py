@@ -17,6 +17,7 @@ from jacobi_mimo.montecarlo import (
     moments,
     outage_curve,
 )
+from jacobi_mimo.specfun import clopper_pearson
 
 from _oracles import SpectrumSample, block_eigenvalues, mutual_information, sample_truncation, spectrum
 
@@ -116,12 +117,33 @@ def test_block_draws_3nt_minus_1_gamma_rows(monkeypatch):
     for shape in ((3, 1, 1), (4, 2, 2), (12, 4, 6), (48, 16, 16)):
         dims = normalize_dims(*shape)
         nt, a, b = dims.Nt, dims.Nr - dims.Nt, dims.N0
+        ks = range(1, nt + 1)
+        expected = sorted([a + k for k in ks] + [b + k for k in ks] + list(range(1, nt)))
         calls.clear()
         _block_bidiagonal(dims, 3, _BLOCK, _BLOCK + 100)
         assert len(calls) == 3 * nt - 1
         assert all(size == (100,) for _, size in calls)
-        ks = range(1, nt + 1)
-        assert sorted(s for s, _ in calls) == sorted([a + k for k in ks] + [b + k for k in ks] + list(range(1, nt)))
+        assert sorted(s for s, _ in calls) == expected
+        # two blocks in one call: each block's rows at that block's own width
+        calls.clear()
+        _block_bidiagonal(dims, 3, _BLOCK, 2 * _BLOCK + 100)
+        assert len(calls) == 2 * (3 * nt - 1)
+        for part, width in ((calls[: 3 * nt - 1], _BLOCK), (calls[3 * nt - 1 :], 100)):
+            assert all(size == (width,) for _, size in part)
+            assert sorted(s for s, _ in part) == expected
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 2), (18, 6, 6), (48, 16, 16)])
+def test_span_columns_equal_their_blocks_drawn_one_at_a_time(shape):
+    # a call over several blocks, the last one partial, draws each block from its own
+    # stream: its columns are the one-block calls' columns side by side, bit for bit
+    dims = normalize_dims(*shape)
+    lo, hi = _BLOCK, 4 * _BLOCK + 452
+    span = _block_bidiagonal(dims, 9, lo, hi)
+    blocks = [_block_bidiagonal(dims, 9, start, min(start + _BLOCK, hi)) for start in range(lo, hi, _BLOCK)]
+    for got, parts in zip(span, zip(*blocks)):
+        assert got.shape == (len(parts[0]), hi - lo)
+        assert got.tobytes() == np.hstack(parts).tobytes()
 
 
 def test_block_streams_keyed_by_seed_and_block():
@@ -163,6 +185,46 @@ def test_pivot_recurrence_matches_eigvalsh(rho):
         lam = np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b))
         expected = np.log1p(rho * lam).sum(axis=1) / dims.Nt
         assert np.max(np.abs(_block_rates(cfg, 0, cfg.trials) - expected)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "shape, trials", [((4, 2, 2), 3 * 12 * _BLOCK + 452), ((18, 6, 6), 3 * 3 * _BLOCK + 452)], ids=["nt2", "nt6"]
+)
+def test_outage_counts_and_moments_equal_per_block_references(shape, trials):
+    # trial counts that end in a partial span whose last block is partial; the counts
+    # are the strict rate < r of the concatenated one-block rates, and the moments sum
+    # one (sum r, sum r^2) per block in block order
+    cfg = McConfig(dims=normalize_dims(*shape), snr=SnrParam(10.0), trials=trials, seed=29)
+    blocks = [_block_rates(cfg, lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    rates = np.concatenate(blocks)
+    # unsorted, duplicated, equal to sampled rates (a tie is not below), 0 and +inf
+    ties = [float(rates[i]) for i in (0, _BLOCK - 1, _BLOCK, 5 * _BLOCK + 3, trials - 1)]
+    ts = [1.2, 0.4, ties[3], 2.0, 0.0, 1.2, math.inf, *ties, 0.7, ties[0]]
+    counts = [int(np.count_nonzero(rates < t)) for t in ts]
+    assert counts[ts.index(math.inf)] == trials and counts[ts.index(0.0)] == 0
+    expected = [
+        OutageEstimate(p=k / trials, method="mc", ci_low=lo, ci_high=hi)
+        for k, (lo, hi) in zip(counts, clopper_pearson(counts, trials))
+    ]
+    assert outage_curve(cfg, ts) == expected
+    s1 = sum(float(np.sum(r)) for r in blocks)
+    s2 = sum(float(np.sum(r * r)) for r in blocks)
+    mean = s1 / trials
+    assert moments(cfg) == (mean, (s2 - trials * mean * mean) / (trials - 1))
+
+
+def test_outage_counts_never_count_a_nan_rate(monkeypatch):
+    # a NaN rate is below no threshold, +inf included, wherever it falls in a span
+    def rates(cfg, lo, hi):
+        r = np.arange(lo, hi) * 1e-4
+        r[np.arange(lo, hi) % 7 == 0] = np.nan
+        return r
+
+    monkeypatch.setattr(montecarlo, "_block_rates", rates)
+    cfg = McConfig(dims=normalize_dims(4, 2, 2), snr=SnrParam(10.0), trials=2 * 12 * _BLOCK + 452, seed=0)
+    every = rates(cfg, 0, cfg.trials)
+    ts = [math.inf, 1.0, 0.0, 2.0, 0.5]
+    assert [e.p for e in outage_curve(cfg, ts)] == [np.count_nonzero(every < t) / cfg.trials for t in ts]
 
 
 def test_outage_curve_monotone_on_shared_samples():
