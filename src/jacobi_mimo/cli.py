@@ -7,15 +7,22 @@ Subcommands:
     ergodic   support endpoints, ergodic rate, peak variance, E0
 
 Everything is emitted as CSV (metadata in leading ``#`` comment lines,
-then an RFC-4180 body) or JSON ({"meta": ..., "rows": ...}).  Identical
-spec + seed give byte-identical output; the wall-time metadata field is
-suppressed under --reproducible.  Rates read and written are the original
-channel's, the pinned offset of reduced dims included; the library's
-routes get them less that offset.  Rates are nats by default, bits with
---bits (inputs and outputs alike): under --bits the rates r, r_erg,
---r, --r-min, --r-max and --rates are divided by ln 2, the rate variance
-v_erg by (ln 2)^2, and the multiplier k = dE/dr and --k are multiplied
-by ln 2; the rest (support, density, exponent, e0) has no rate unit.
+then an RFC-4180 body) or JSON ({"meta": ..., "rows": ...}), both written
+from the same table: a command returns it as columns in header order.
+In CSV each metadata line is ``# key: <json>`` and ends in ``\\n``; the
+header and rows end in ``\\r\\n``, a None cell is blank, a float is its
+shortest round-trip ``repr`` and a str is written verbatim.  In JSON each
+row is an object with its keys in header order.  The density table has
+--grid-points rows (512 by default); its node map is built once per grid
+size.  Identical spec + seed give byte-identical output; the wall-time
+metadata field is suppressed under --reproducible.  Rates read and
+written are the original channel's, the pinned offset of reduced dims
+included; the library's routes get them less that offset.  Rates are
+nats by default, bits with --bits (inputs and outputs alike): under
+--bits the rates r, r_erg, --r, --r-min, --r-max and --rates are divided
+by ln 2, the rate variance v_erg by (ln 2)^2, and the multiplier
+k = dE/dr and --k are multiplied by ln 2; the rest (support, density,
+exponent, e0) has no rate unit.
 
 Exit codes: 0 success, 2 usage error, 1 when a solver failure left no
 usable row, such as a ``density --k`` whose rate lies outside the window.
@@ -37,7 +44,8 @@ import stat
 import sys
 import time
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -56,13 +64,6 @@ from .exact import ExactConfig, TermBudgetError, outage_exact
 from .montecarlo import McConfig, outage_curve
 
 _LN2 = math.log(2.0)
-
-
-def _csv_cell(value) -> str:
-    """Blank for None, text verbatim, numbers by ``repr`` (round-trip exact)."""
-    if value is None:
-        return ""
-    return value if isinstance(value, str) else repr(value)
 
 
 def _common_channel_args(sub):
@@ -189,7 +190,7 @@ def _meta(args, ch: Channel, fields: dict, started: float) -> dict:
     if warnings is not None:
         meta["warnings"] = warnings
     if not args.reproducible:
-        meta["wall_time_s"] = round(time.time() - started, 3)
+        meta["wall_time_s"] = round(time.perf_counter() - started, 3)
     return meta
 
 
@@ -288,7 +289,6 @@ def cmd_outage(args, ch: Channel):
                 columns.update(zip(cols, route(name, ch, mc, rates, shown, warnings)))
             except TermBudgetError as err:
                 warnings.append(f"{name}: disabled ({err})")
-    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
     usable = any(v is not None for col, vals in columns.items() if col != "r" for v in vals)
     fields = {
         "methods": methods,
@@ -297,7 +297,7 @@ def cmd_outage(args, ch: Channel):
         "workers": args.workers,
         "warnings": warnings,
     }
-    return fields, _CSV_HEADER, rows, usable
+    return fields, columns, usable
 
 
 def _ergodic_fields(erg, ch: Channel) -> dict:
@@ -336,38 +336,59 @@ def cmd_density(args, ch: Channel):
         density = lambda x: ergodic_density(ch.dims.n0, ch.dims.beta, x)
         fields = {"kind": "ergodic", "support": [a, b], **_ergodic_fields(erg, ch)}
 
-    n = args.grid_points
+    sq, den = _density_nodes(args.grid_points)
+    x = a + (b - a) * sq / den
+    return fields, {"x": x.tolist(), "p": density(x).tolist()}, True
+
+
+@lru_cache(maxsize=4)
+def _density_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The density table's node map on ``n`` points, read-only: ``(1+u)**2`` and ``2(1+u*u)``.
+
+    x = a + (b - a) (1+u)^2 / (2(1+u^2)) at u = (2i+1)/n - 1 is the
+    tanh(2 atanh(u)) map: it clusters at both edges tightly enough that
+    trapezoid over the table resolves inverse-square-root hard-wall
+    divergences to ~1e-5 at the default 512 points.  The square stays libm
+    pow per node, as Python's ** takes it: at grid sizes that are not powers
+    of two it can differ from (1+u)*(1+u) in the last bit.
+    """
     u = (2.0 * np.arange(n) + 1.0) / n - 1.0
-    # tanh(2 atanh(u)) node map: clusters at both edges tightly enough
-    # that trapezoid over the table resolves inverse-square-root
-    # hard-wall divergences to ~1e-5 at the default 512 points.  The square
-    # stays libm pow per node, as Python's ** takes it: at grid sizes that
-    # are not powers of two it can differ from (1+u)*(1+u) in the last bit.
     sq = np.array([w**2 for w in (1.0 + u).tolist()])
-    x = a + (b - a) * sq / (2.0 * (1.0 + u * u))
-    rows = [{"x": xi, "p": pi} for xi, pi in zip(x.tolist(), density(x).tolist())]
-    return fields, ["x", "p"], rows, True
+    den = 2.0 * (1.0 + u * u)
+    sq.flags.writeable = den.flags.writeable = False
+    return sq, den
 
 
 def cmd_ergodic(args, ch: Channel):
     erg = ergodic_summary(ch.dims.n0, ch.dims.beta, ch.snr)
     row = {"a0": erg.a, "b0": erg.b, **_ergodic_fields(erg, ch), "regime": erg.regime}
-    return {}, list(row), [row], True
+    return {}, {key: [value] for key, value in row.items()}, True
 
 
-# Each command returns (metadata fields, header, rows, usable); usable is
-# False when every data cell is empty, which exits 1.
+# Each command returns (metadata fields, columns, usable).  The columns are
+# the table, {name: list of cells} in header order; usable is False when
+# every data cell is empty, which exits 1.
 _COMMANDS = {"outage": cmd_outage, "density": cmd_density, "ergodic": cmd_ergodic}
+
+
+def _json_cells(values: list) -> list[str]:
+    """Each cell's JSON text, split from one ``json.dumps`` of the whole column.
+
+    A str cell that holds the ``", "`` separator itself makes the split
+    come out long; such a column is encoded cell by cell instead.
+    """
+    cells = json.dumps(values)[1:-1].split(", ")
+    return cells if len(cells) == len(values) else [json.dumps(value) for value in values]
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         ch = _channel(args)
         if args.output:
             _check_output(args.output)
-        fields, header, rows, usable = _COMMANDS[args.command](args, ch)
+        fields, columns, usable = _COMMANDS[args.command](args, ch)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -377,14 +398,17 @@ def main(argv=None) -> int:
     meta = _meta(args, ch, fields, started)
     for warning in meta.get("warnings", ()):
         print(f"warning: {warning}", file=sys.stderr)
-    if args.format == "json":
-        text = json.dumps({"meta": meta, "rows": rows}) + "\n"
-    else:
+    if args.format == "json":  # one row template filled from each column's one json.dumps
+        row = "{%s}" % ", ".join(f"{json.dumps(name)}: %s" for name in columns)
+        cells = tuple(chain.from_iterable(zip(*map(_json_cells, columns.values()))))
+        rows = ", ".join([row] * (len(cells) // len(columns))) % cells
+        text = f'{{"meta": {json.dumps(meta)}, "rows": [{rows}]}}\n'
+    else:  # csv writes None blank, a float by repr, a str verbatim
         buf = io.StringIO()
         buf.writelines(f"# {key}: {json.dumps(value)}\n" for key, value in meta.items())
         writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows([_csv_cell(row[col]) for col in header] for row in rows)
+        writer.writerow(columns)
+        writer.writerows(zip(*columns.values()))
         text = buf.getvalue()
     if args.output:
         try:

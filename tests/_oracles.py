@@ -20,10 +20,16 @@ term (``clopper_pearson_mp``), not against an incomplete beta inverse.
 The moments of X = Nt I come from the determinantal structure of the
 Jacobi ensemble instead (``rate_cumulants``): traces of the projection
 kernel on a Lanczos basis of its orthogonal polynomials, in numpy alone.
+The CLI's tables are checked against a renderer that works row by row
+and cell by cell (``render_table``): row dicts through ``json.dumps``,
+and each CSV cell formatted by hand before ``csv.writer`` sees it.
 """
 
+import csv
 import functools
+import io
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -683,3 +689,34 @@ def rate_cumulants(nt: int, dn: float, n_zero: float, rho: float, n: int | None 
     m1 = q.T @ (u[:, None] * q)
     m2 = q.T @ (u[:, None] ** 2 * q)
     return log_m, float(np.trace(m1)), float(np.trace(m2) - np.sum(m1 * m1))
+
+
+# ---------------------------------------------------------------------------
+# The CLI's table rendering, one row dict and one cell at a time
+# ---------------------------------------------------------------------------
+
+def _csv_cell(value) -> str:
+    """Blank for None, text verbatim, numbers by ``repr`` (round-trip exact)."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
+
+
+def render_table(fmt: str, meta: dict, columns: dict) -> str:
+    """The CLI's output for ``meta`` and ``columns`` ({name: cells} in header order).
+
+    The columns are turned into one dict per row first.  JSON is
+    ``json.dumps({"meta": meta, "rows": rows})`` and a newline; CSV is the
+    metadata as ``# key: json`` lines, then ``csv.writer`` over the header
+    and over each row's cells, every cell already a str (``_csv_cell``).
+    """
+    header = list(columns)
+    rows = [dict(zip(header, row)) for row in zip(*columns.values())]
+    if fmt == "json":
+        return json.dumps({"meta": meta, "rows": rows}) + "\n"
+    buf = io.StringIO()
+    buf.writelines(f"# {key}: {json.dumps(value)}\n" for key, value in meta.items())
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_csv_cell(row[col]) for col in header] for row in rows)
+    return buf.getvalue()

@@ -1,18 +1,22 @@
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import jacobi_mimo
+from _oracles import render_table
 from jacobi_mimo import cli
 from jacobi_mimo.cli import main
 
@@ -342,14 +346,8 @@ def test_density_constrained_matches_ergodic_at_peak():
 DENSITY_CHANNEL = ["--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3"]
 
 
-# at 41 nodes libm's pow and (1+u)*(1+u) round one node's square apart
-@pytest.mark.parametrize("n", [512, 41])
-@pytest.mark.parametrize(
-    "extra", [[], ["--kind", "constrained", "--k", "1.5"], ["--kind", "constrained", "--r", "0.3"]]
-)
-def test_density_table_matches_per_point_scalar_reference(extra, n):
-    # the table was built one scalar density call per node before it moved
-    # to one array pass; both formats must keep every byte
+def density_reference(extra, n):
+    """The DENSITY_CHANNEL table's (x, p) pairs, one scalar density call per node."""
     from jacobi_mimo.coulomb import (
         density_at, ergodic_density, ergodic_summary, solve_at_multiplier, solve_regime,
     )
@@ -373,6 +371,18 @@ def test_density_table_matches_per_point_scalar_reference(extra, n):
         u = (2.0 * i + 1.0) / n - 1.0
         x = a + (b - a) * (1.0 + u) ** 2 / (2.0 * (1.0 + u * u))
         ref.append((x, density(x)))
+    return ref
+
+
+# at 41 nodes libm's pow and (1+u)*(1+u) round one node's square apart
+@pytest.mark.parametrize("n", [512, 41])
+@pytest.mark.parametrize(
+    "extra", [[], ["--kind", "constrained", "--k", "1.5"], ["--kind", "constrained", "--r", "0.3"]]
+)
+def test_density_table_matches_per_point_scalar_reference(extra, n):
+    # the table was built one scalar density call per node before it moved
+    # to one array pass; both formats must keep every byte
+    ref = density_reference(extra, n)
     argv = ["density", *DENSITY_CHANNEL, *extra, "--grid-points", str(n), "--reproducible"]
     code, out, _ = run_cli(argv)
     assert code == 0
@@ -383,6 +393,116 @@ def test_density_table_matches_per_point_scalar_reference(extra, n):
     assert code == 0
     meta = json.loads(out)["meta"]
     assert out == json.dumps({"meta": meta, "rows": [{"x": x, "p": p} for x, p in ref]}) + "\n"
+
+
+def run_captured(monkeypatch, argv):
+    """run_cli(argv), with the metadata block and the columns its table was rendered from."""
+    seen = {}
+    meta_of, command = cli._meta, cli._COMMANDS[argv[0]]
+
+    def meta(*args):
+        seen["meta"] = meta_of(*args)
+        return seen["meta"]
+
+    def capture(args, ch):
+        result = command(args, ch)
+        seen["columns"] = result[1]
+        return result
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_meta", meta)
+        patched.setitem(cli._COMMANDS, argv[0], capture)
+        result = run_cli(argv)
+    return result, seen["meta"], seen["columns"]
+
+
+def gauss_cells(monkeypatch, *cells):
+    """Make the gauss route give ``cells`` at the request's rates in turn; None raises."""
+    it = iter(cells)
+
+    def gauss(dims, snr, r):
+        p = next(it)
+        if p is None:
+            raise ArithmeticError("injected")
+        return SimpleNamespace(p=p)
+
+    monkeypatch.setattr(cli, "gaussian_outage", gauss)
+
+
+ODD_REGIME = 'S0b, "quoted", 1.0'  # a str cell holding the ", " JSON list separator
+
+
+def odd_regime_record(monkeypatch):
+    erg = cli.ergodic_summary(1.0, 1.0, cli.SnrParam(3.0))
+    monkeypatch.setattr(cli, "ergodic_summary", lambda *args: SimpleNamespace(
+        a=erg.a, b=erg.b, r=erg.r, v=erg.v, e0=erg.e0, regime=ODD_REGIME))
+
+
+# case -> (argv, patch, the last column's cells in CSV and in JSON, or None
+# when the oracle alone judges); JSON's NaN and infinities are read as their text
+RENDER_CASES = {
+    # a route that fails on one rate leaves a None cell
+    "failed-cell": (BASE + ["--rates", "0.25,0.5,0.75", "--methods", "ld,gauss"],
+                    lambda mp: gauss_cells(mp, 0.125, None, 0.5),
+                    (["0.125", "", "0.5"], [0.125, None, 0.5])),
+    "non-finite": (BASE + ["--rates", "0.25,0.5,0.75", "--methods", "gauss"],
+                   lambda mp: gauss_cells(mp, math.nan, math.inf, -math.inf),
+                   (["nan", "inf", "-inf"], ["NaN", "Infinity", "-Infinity"])),
+    "mixed-routes": (BASE + ["--points", "4", "--methods", "mc,exact,ld,gauss", "--trials", "2048"],
+                     lambda mp: None, None),
+    "ergodic": (["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3"], lambda mp: None, None),
+    "str-with-separator": (["ergodic", *DENSITY_CHANNEL], odd_regime_record, ([ODD_REGIME], [ODD_REGIME])),
+    "density-2": (["density", *DENSITY_CHANNEL, "--grid-points", "2"], lambda mp: None, None),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(RENDER_CASES))
+def test_table_renders_as_the_row_by_row_oracle(monkeypatch, case, fmt):
+    argv, patch, last = RENDER_CASES[case]
+    patch(monkeypatch)
+    (code, out, _), meta, columns = run_captured(monkeypatch, argv + ["--format", fmt, "--reproducible"])
+    assert code == 0
+    assert out == render_table(fmt, meta, columns)
+    if last is None:
+        return
+    if fmt == "csv":
+        cells = [row[-1] for row in parse_csv(out)[2]]
+    else:
+        cells = [list(row.values())[-1] for row in json.loads(out, parse_constant=str)["rows"]]
+    assert cells == last[fmt == "json"]
+
+
+def test_json_cells_split_one_dump_and_never_a_str_cell():
+    assert cli._json_cells([0.1, None, math.nan, -math.inf, 2]) == ["0.1", "null", "NaN", "-Infinity", "2"]
+    assert cli._json_cells(["S0b", ODD_REGIME, None]) == ['"S0b"', json.dumps(ODD_REGIME), "null"]
+    assert cli._json_cells([]) == []
+
+
+def test_density_nodes_do_not_leak_between_grid_sizes(monkeypatch):
+    # 41 -> 512 -> 41 in one process: each table is its own size's, byte for
+    # byte as the per-point reference renders it, and the cached nodes are read-only
+    cli._density_nodes.cache_clear()
+    outs = []
+    for n in (41, 512, 41):
+        for fmt in ("csv", "json"):
+            argv = ["density", *DENSITY_CHANNEL, "--grid-points", str(n), "--format", fmt, "--reproducible"]
+            (code, out, _), meta, _ = run_captured(monkeypatch, argv)
+            ref = density_reference([], n)
+            assert code == 0
+            assert out == render_table(fmt, meta, {"x": [x for x, _ in ref], "p": [p for _, p in ref]})
+            outs.append(out)
+    assert outs[4:] == outs[:2]
+    sq, den = cli._density_nodes(41)
+    assert not sq.flags.writeable and not den.flags.writeable
+
+
+def test_wall_time_survives_a_wall_clock_step_back(monkeypatch):
+    steps = itertools.count(2e9, -3600.0)  # every read of the wall clock is an hour before the last
+    monkeypatch.setattr(time, "time", lambda: next(steps))
+    code, out, _ = run_cli(["ergodic", *DENSITY_CHANNEL, "--format", "json"])
+    assert code == 0
+    assert 0.0 <= json.loads(out)["meta"]["wall_time_s"] < 60.0
 
 
 def test_density_constrained_needs_exactly_one_constraint():
