@@ -17,18 +17,24 @@ row is an object with its keys in header order.  The density table has
 size.  Identical spec + seed give byte-identical output; the wall-time
 metadata field is suppressed under --reproducible.  Rates read and
 written are the original channel's, the pinned offset of reduced dims
-included; the library's routes get them less that offset.  Rates are
-nats by default, bits with --bits (inputs and outputs alike): under
---bits the rates r, r_erg, --r, --r-min, --r-max and --rates are divided
-by ln 2, the rate variance v_erg by (ln 2)^2, and the multiplier
-k = dE/dr and --k are multiplied by ln 2; the rest (support, density,
-exponent, e0) has no rate unit.
+included, and the ``r`` column echoes the request's own numbers in its
+unit.  Every rate a command hands a route is converted and tested once,
+by ``_reduced``: less that offset, in nats, it must lie in the library's
+open window 0 < r < log(1+rho).  Rates are nats by default, bits with
+--bits (inputs and outputs alike; the default and --r-min/--r-max grids
+are built in bits too): under --bits the rates r, r_erg, --r, --r-min,
+--r-max and --rates are nats over ln 2, the rate variance v_erg is over
+(ln 2)^2, and the multiplier k = dE/dr and --k are times ln 2; the rest
+(support, density, exponent, e0) has no rate unit.
 
-Exit codes: 0 success, 2 usage error, 1 when a solver failure left no
-usable row, such as a ``density --k`` whose rate lies outside the window.
-Usage errors include a non-finite --rho, --r or --k, a --rho whose
-reciprocal overflows, --r or --k given with ``density --kind ergodic``,
-and an --output path that cannot be written.
+Exit codes: 0 success, 2 usage error, 1 when a solver failure ended the
+command or left no cell past the table's first column, such as a
+``density --k`` whose rate lies outside the window.  Usage errors
+include a --rho that ``SnrParam`` refuses (not positive and finite, or
+with an overflowing reciprocal), with its message; a rate outside the
+window, NaN and infinities included; a non-finite --k; --rates given
+with --r-min or --r-max; --r or --k given with ``density --kind
+ergodic``; and an --output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -92,8 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_channel_args(p_out)
     p_out.add_argument("--r-min", type=float, default=None)
     p_out.add_argument("--r-max", type=float, default=None)
-    p_out.add_argument("--points", type=int, default=11)
-    p_out.add_argument("--rates", default=None, help="explicit comma-separated rate list")
+    p_out.add_argument("--points", type=int, default=11, help="grid size; unread with --rates (not refused: "
+                       "a --points 11 cannot be told from the default)")
+    p_out.add_argument("--rates", default=None, help="explicit comma-separated rate list, without --r-min/--r-max")
     p_out.add_argument(
         "--methods", default="mc,ld,gauss", help=f"comma-separated subset of {tuple(_ROUTES)}"
     )
@@ -129,13 +136,7 @@ class Channel:
 
 
 def _channel(args) -> Channel:
-    """Parse the channel flags every subcommand shares; bad values are usage errors."""
-    for name in ("rho", "r", "k"):
-        value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
-            raise UsageError(f"--{name} must be finite, got {value!r}")
-    if args.rho <= 0:
-        raise UsageError("--rho must be positive")
+    """Parse the channel flags every subcommand shares; the library's refusals are usage errors."""
     try:
         dims = normalize_dims(args.N, args.Nt, args.Nr)
         snr = SnrParam(args.rho)
@@ -241,28 +242,43 @@ _ROUTES = {
 _CSV_HEADER = ["r", *(col for cols, _ in _ROUTES.values() for col in cols)]
 
 
-def _rate_grid(args, ch: Channel) -> list[float]:
-    """The outage rates in nats, sorted, each inside the achievable open window."""
-    lo = ch.offset
-    hi = lo + math.log1p(ch.snr.rho)
+def _reduced(ch: Channel, value: float) -> float:
+    """A rate as the request states it, in the library's nats less the pinned offset.
+
+    The window test is the library's own, 0 < r < log(1+rho) on the
+    reduced rate, so a rate it passes is one the routes accept; NaN and the
+    infinities fail it.  A refusal is a usage error that names the rate and
+    its interval in the request's unit and, for reduced dims, the reduced
+    rate and log(1+rho) too: the stated interval can round so that a refused
+    rate looks inside it.
+    """
+    r = value * ch.unit - ch.offset
+    top = math.log1p(ch.snr.rho)
+    if not 0.0 < r < top:
+        reduced = f"; less the pinned offset it is {r!r} nats, not in (0, {top!r})" if ch.offset else ""
+        raise UsageError(f"rate {value!r} outside the achievable open interval "
+                         f"({ch.offset / ch.unit!r}, {(ch.offset + top) / ch.unit!r}){reduced}")
+    return r
+
+
+def _rate_grid(args, ch: Channel) -> tuple[list[float], list[float]]:
+    """The outage rates, sorted: as the request states them, and reduced by ``_reduced``."""
     if args.rates is not None:
+        if args.r_min is not None or args.r_max is not None:
+            raise UsageError("--r-min and --r-max do not apply with --rates")
         try:
-            rates = [float(tok) * ch.unit for tok in args.rates.split(",")]
+            stated = [float(tok) for tok in args.rates.split(",")]
         except ValueError as err:
             raise UsageError(f"bad --rates list: {err}") from err
     elif args.points < 1:
         raise UsageError("--points must be >= 1")
     else:
-        r_min = lo + 0.05 * (hi - lo) if args.r_min is None else args.r_min * ch.unit
-        r_max = lo + 0.95 * (hi - lo) if args.r_max is None else args.r_max * ch.unit
-        rates = [float(v) for v in np.linspace(r_min, r_max, args.points)]
-    for r in rates:
-        if not lo < r < hi:
-            raise UsageError(
-                f"rate {r / ch.unit!r} outside the achievable open interval "
-                f"({lo / ch.unit!r}, {hi / ch.unit!r})"
-            )
-    return sorted(rates)
+        lo, hi = ch.offset / ch.unit, (ch.offset + math.log1p(ch.snr.rho)) / ch.unit
+        r_min = lo + 0.05 * (hi - lo) if args.r_min is None else args.r_min
+        r_max = lo + 0.95 * (hi - lo) if args.r_max is None else args.r_max
+        stated = np.linspace(r_min, r_max, args.points).tolist()
+    stated.sort()
+    return stated, [_reduced(ch, value) for value in stated]
 
 
 def cmd_outage(args, ch: Channel):
@@ -272,7 +288,7 @@ def cmd_outage(args, ch: Channel):
     for m in methods:
         if m not in _ROUTES:
             raise UsageError(f"unknown method {m!r}; choose from {tuple(_ROUTES)}")
-    requested = _rate_grid(args, ch)
+    shown, rates = _rate_grid(args, ch)
     try:
         mc = McConfig(dims=ch.dims, snr=ch.snr, trials=args.trials, seed=args.seed)
     except ValueError as err:
@@ -280,16 +296,14 @@ def cmd_outage(args, ch: Channel):
     if args.workers < 1:
         raise UsageError("workers must be >= 1")
     warnings: list[str] = []
-    columns = dict.fromkeys(_CSV_HEADER, [None] * len(requested))  # header order; blank until a route fills it
-    shown = columns["r"] = [r / ch.unit for r in requested]
-    rates = [r - ch.offset for r in requested]  # the one place the pinned offset leaves a rate
+    # header order, the request's own rates in r, the rest blank until a route fills it
+    columns = dict.fromkeys(_CSV_HEADER, [None] * len(rates)) | {"r": shown}
     for name, (cols, route) in _ROUTES.items():
         if name in methods:
             try:
                 columns.update(zip(cols, route(name, ch, mc, rates, shown, warnings)))
             except TermBudgetError as err:
                 warnings.append(f"{name}: disabled ({err})")
-    usable = any(v is not None for col, vals in columns.items() if col != "r" for v in vals)
     fields = {
         "methods": methods,
         "trials": mc.trials,
@@ -297,7 +311,7 @@ def cmd_outage(args, ch: Channel):
         "workers": args.workers,
         "warnings": warnings,
     }
-    return fields, columns, usable
+    return fields, columns
 
 
 def _ergodic_fields(erg, ch: Channel) -> dict:
@@ -312,10 +326,9 @@ def cmd_density(args, ch: Channel):
         if (args.r is None) == (args.k is None):
             raise UsageError("constrained density needs exactly one of --r or --k")
         if args.r is not None:
-            r_nat = args.r * ch.unit - ch.offset
-            if not 0.0 < r_nat < math.log1p(ch.snr.rho):
-                raise UsageError("--r outside the achievable open interval")
-            sol = solve_regime(ch.dims.n0, ch.dims.beta, ch.snr, r_nat)
+            sol = solve_regime(ch.dims.n0, ch.dims.beta, ch.snr, _reduced(ch, args.r))
+        elif not math.isfinite(args.k):
+            raise UsageError(f"--k must be finite, got {args.k!r}")
         else:
             sol = solve_at_multiplier(ch.dims.n0, ch.dims.beta, ch.snr, args.k / ch.unit)
         a, b = sol.a, sol.b
@@ -338,7 +351,7 @@ def cmd_density(args, ch: Channel):
 
     sq, den = _density_nodes(args.grid_points)
     x = a + (b - a) * sq / den
-    return fields, {"x": x.tolist(), "p": density(x).tolist()}, True
+    return fields, {"x": x.tolist(), "p": density(x).tolist()}
 
 
 @lru_cache(maxsize=4)
@@ -362,12 +375,12 @@ def _density_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def cmd_ergodic(args, ch: Channel):
     erg = ergodic_summary(ch.dims.n0, ch.dims.beta, ch.snr)
     row = {"a0": erg.a, "b0": erg.b, **_ergodic_fields(erg, ch), "regime": erg.regime}
-    return {}, {key: [value] for key, value in row.items()}, True
+    return {}, {key: [value] for key, value in row.items()}
 
 
-# Each command returns (metadata fields, columns, usable).  The columns are
-# the table, {name: list of cells} in header order; usable is False when
-# every data cell is empty, which exits 1.
+# Each command returns (metadata fields, columns).  The columns are the table,
+# {name: list of cells} in header order; main exits 1 when no cell past the
+# first column holds a value.
 _COMMANDS = {"outage": cmd_outage, "density": cmd_density, "ergodic": cmd_ergodic}
 
 
@@ -388,7 +401,7 @@ def main(argv=None) -> int:
         ch = _channel(args)
         if args.output:
             _check_output(args.output)
-        fields, columns, usable = _COMMANDS[args.command](args, ch)
+        fields, columns = _COMMANDS[args.command](args, ch)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -419,7 +432,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return 0 if usable else 1
+    return 0 if any(v is not None for cells in list(columns.values())[1:] for v in cells) else 1
 
 
 if __name__ == "__main__":

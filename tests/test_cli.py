@@ -183,7 +183,7 @@ def test_outage_usage_errors():
     assert run_cli(BASE + ["--points", "0"]) == (2, "", "error: --points must be >= 1\n")
     for rho in ("0", "-1"):
         argv = ["outage", "--N", "2", "--Nt", "1", "--Nr", "1", f"--rho={rho}"]
-        assert run_cli(argv) == (2, "", "error: --rho must be positive\n")
+        assert run_cli(argv) == (2, "", f"error: rho must be positive and finite, with 1/rho finite, got {float(rho)!r}\n")
 
 
 def test_outage_exact_auto_disabled_over_caps(tmp_path):
@@ -294,6 +294,86 @@ def test_outage_explicit_rate_list():
     assert [row["r"] for row in rows] == [0.25, 0.5, 0.75]  # sorted
     bad = run_cli(BASE + ["--rates", "0.25,oops"])
     assert bad[0] == 2
+
+
+def test_rates_with_r_min_or_r_max_is_a_usage_error():
+    # --r-min and --r-max shape only the default grid; given with --rates they used to be ignored
+    for extra in (["--r-min", "0.1"], ["--r-max", "1.0"], ["--r-min", "0.1", "--r-max", "1.0"]):
+        code, out, err = run_cli(BASE + ["--rates", "0.5", *extra])
+        assert (code, out, err) == (2, "", "error: --r-min and --r-max do not apply with --rates\n")
+
+
+def test_rate_refusal_names_the_smallest_rate_outside_the_window():
+    # the rates are sorted before they are tested, so the refusal names the smallest
+    code, out, err = run_cli(BASE + ["--rates", "2.0,0.5,-1.0,1.5"])
+    assert (code, out, err) == (2, "", f"error: rate -1.0 outside the achievable open interval (0.0, {math.log(4.0)!r})\n")
+
+
+# (9,5,5) reduces with offset log(1+rho)/4.  As stated, this rate lies below
+# offset + log(1+rho), but less the offset it rounds to log(1+rho) itself
+EDGE_CHANNEL = ["--N", "9", "--Nt", "5", "--Nr", "5", "--rho", "0.00448667014015137"]
+EDGE_RATE = "0.005595793800753973"
+
+
+def test_window_edge_rate_is_refused_as_density_refuses_it():
+    # it used to pass the CLI's window test and fail in the ld route: exit 1 with ld
+    # alone, and an empty ld cell beside 1.0 in every other column with exit 0
+    code, out, err = run_cli(["density", *EDGE_CHANNEL, "--kind", "constrained", "--r", EDGE_RATE])
+    assert (code, out) == (2, "")
+    assert err == (f"error: rate {EDGE_RATE} outside the achievable open interval "
+                   "(0.0011191587601507946, 0.0055957938007539735); less the pinned offset it is "
+                   "0.0044766350406031784 nats, not in (0, 0.0044766350406031784)\n")
+    for methods in ("ld", "ld,gauss,exact,mc"):
+        assert run_cli(["outage", *EDGE_CHANNEL, "--rates", EDGE_RATE, "--methods", methods]) == (2, "", err)
+
+
+def test_every_accepted_rate_reaches_the_routes_inside_the_window(monkeypatch):
+    # on reduced dims, the largest double below offset + log(1+rho) and the smallest
+    # above the offset: the CLI refuses each or hands it to the routes strictly inside
+    # (0, log(1+rho)); some 2% of the top-edge draws used to slip through at or past it
+    seen = []
+
+    def gauss(dims, snr, r):
+        seen.append(r)
+        return SimpleNamespace(p=0.5)
+
+    monkeypatch.setattr(cli, "gaussian_outage", gauss)
+    rng = np.random.default_rng(20240607)
+    refused = 0
+    for shape in ((9, 5, 5), (5, 3, 3), (7, 4, 5), (4, 3, 3)):
+        for rho in (10.0 ** rng.uniform(-4.0, 4.0, 250)).tolist():
+            top, offset = math.log1p(rho), jacobi_mimo.normalize_dims(*shape).pinned_rate(rho)
+            for rate in (math.nextafter(offset + top, 0.0), math.nextafter(offset, math.inf)):
+                channel = ["--N", str(shape[0]), "--Nt", str(shape[1]), "--Nr", str(shape[2]), "--rho", repr(rho)]
+                code, out, err = run_cli(["outage", *channel, "--rates", repr(rate), "--methods", "gauss"])
+                if code == 2:
+                    assert out == "" and "outside the achievable open interval" in err
+                    refused += 1
+                else:
+                    assert code == 0, err
+                    assert 0.0 < seen.pop() < top
+    assert not seen and 0 < refused < 1000  # the bottom edge always passes
+
+
+def test_bits_rates_are_echoed_as_stated(monkeypatch):
+    # r used to be the bits value times ln 2 over ln 2: 0.029999999999999995,
+    # 0.09999999999999999 and 0.19999999999999998
+    argv = ["outage", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "3", "--bits",
+            "--rates", "0.03,0.1,0.2", "--methods", "gauss", "--reproducible"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert [row[0] for row in parse_csv(out)[2]] == ["0.03", "0.1", "0.2"]
+    code, out, _ = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    assert [row["r"] for row in json.loads(out)["rows"]] == [0.03, 0.1, 0.2]
+
+    def fail(*args):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(cli, "gaussian_outage", fail)
+    code, _, err = run_cli(argv)
+    assert code == 1
+    assert err.splitlines() == [f"warning: gauss: r={r} failed: injected" for r in ("0.03", "0.1", "0.2")]
 
 
 @pytest.mark.parametrize(
@@ -526,7 +606,7 @@ def test_density_usage_errors():
     assert (code, out, err) == (2, "", "error: --grid-points must be >= 2\n")
     for r in ("0.0", "1.4", "-0.1"):  # the open window is (0, log 4)
         code, out, err = run_cli(base + ["--kind", "constrained", "--r", r])
-        assert (code, out, err) == (2, "", "error: --r outside the achievable open interval\n")
+        assert (code, out, err) == (2, "", f"error: rate {r} outside the achievable open interval (0.0, {math.log(4.0)!r})\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -541,7 +621,12 @@ def test_non_finite_input_is_a_usage_error(command, flag, value):
         argv += ["--kind", "constrained"]
     code, out, err = run_cli(argv + [f"{flag}={value}"])
     assert (code, out) == (2, "")
-    assert err == f"error: {flag} must be finite, got {float(value)!r}\n"
+    # rho is refused by SnrParam's rule, a rate by the window test, --k by its own check
+    assert err == {
+        "--rho": f"error: rho must be positive and finite, with 1/rho finite, got {float(value)!r}\n",
+        "--r": f"error: rate {float(value)!r} outside the achievable open interval (0.0, {math.log(4.0)!r})\n",
+        "--k": f"error: --k must be finite, got {float(value)!r}\n",
+    }[flag]
 
 
 @pytest.mark.parametrize("command", ["outage", "density", "ergodic"])
