@@ -262,7 +262,12 @@ def _reduced(ch: Channel, value: float) -> float:
 
 
 def _rate_grid(args, ch: Channel) -> tuple[list[float], list[float]]:
-    """The outage rates, sorted: as the request states them, and reduced by ``_reduced``."""
+    """The outage rates, sorted: as the request states them, and reduced by ``_reduced``.
+
+    A grid's ends pass ``_reduced`` before ``np.linspace`` runs, so a
+    refused --r-min or --r-max is named as stated (the smaller first), not
+    by a grid point, and a non-finite end never reaches ``linspace``.
+    """
     if args.rates is not None:
         if args.r_min is not None or args.r_max is not None:
             raise UsageError("--r-min and --r-max do not apply with --rates")
@@ -276,6 +281,8 @@ def _rate_grid(args, ch: Channel) -> tuple[list[float], list[float]]:
         lo, hi = ch.offset / ch.unit, (ch.offset + math.log1p(ch.snr.rho)) / ch.unit
         r_min = lo + 0.05 * (hi - lo) if args.r_min is None else args.r_min
         r_max = lo + 0.95 * (hi - lo) if args.r_max is None else args.r_max
+        for end in sorted((r_min, r_max)):
+            _reduced(ch, end)
         stated = np.linspace(r_min, r_max, args.points).tolist()
     stated.sort()
     return stated, [_reduced(ch, value) for value in stated]

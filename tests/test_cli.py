@@ -45,6 +45,10 @@ def parse_csv(text):
 
 BASE = ["outage", "--N", "2", "--Nt", "1", "--Nr", "1", "--rho", "3"]
 K_CHANNEL = ["density", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "3", "--kind", "constrained"]
+# the README's outage example at 20000 trials
+README_OUTAGE = ["outage", "--N", "18", "--Nt", "6", "--Nr", "6", "--rho", "20", "--r-min", "1.2", "--r-max", "1.7",
+                 "--points", "11", "--methods", "mc,exact,ld,gauss", "--trials", "20000", "--seed", "1",
+                 "--reproducible"]
 
 
 def test_outage_flat_law_exact_column_and_mc_ci():
@@ -256,6 +260,26 @@ def test_output_write_failure_is_a_usage_error():
     assert run_cli(argv) == (2, "", "error: cannot write --output /dev/full: No space left on device\n")
 
 
+def _open_as_on_windows(file, mode="r", *args, newline=None, **kwargs):
+    """``open`` with the text-mode default of Windows: unless newline="", each \\n is written as \\r\\n."""
+    return open(file, mode, *args, newline="\r\n" if newline is None else newline, **kwargs)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_file_holds_the_bytes_stdout_gets(monkeypatch, tmp_path, fmt):
+    # compared as bytes, since a file whose CSV rows end in \r\r\n or \n reads back
+    # as the same text; the second opener writes as Windows would without newline=""
+    argv = README_OUTAGE + ["--format", fmt]
+    code, out, err = run_cli(argv)
+    assert code == 0
+    assert out.count("\r\n") == (12 if fmt == "csv" else 0)  # the header and 11 rows
+    for opener in (open, _open_as_on_windows):
+        monkeypatch.setattr(cli, "open", opener, raising=False)
+        path = tmp_path / f"{opener.__name__}.{fmt}"
+        assert run_cli(argv + ["--output", str(path)]) == (0, "", err)
+        assert path.read_bytes() == out.encode()
+
+
 def test_routes_look_their_solvers_up_when_they_run(monkeypatch):
     # a wrapper patched onto the solver names of the cli module, as a tracer
     # patches them, must see every call: the one Monte Carlo curve once per
@@ -307,6 +331,20 @@ def test_rate_refusal_names_the_smallest_rate_outside_the_window():
     # the rates are sorted before they are tested, so the refusal names the smallest
     code, out, err = run_cli(BASE + ["--rates", "2.0,0.5,-1.0,1.5"])
     assert (code, out, err) == (2, "", f"error: rate -1.0 outside the achievable open interval (0.0, {math.log(4.0)!r})\n")
+
+
+def test_grid_ends_are_refused_as_stated():
+    # the ends are tested before np.linspace builds the grid: an infinite end used to
+    # reach it, warn twice and be refused as "rate nan", and --r-max 5 as the grid point 1.4
+    window = f"outside the achievable open interval (0.0, {math.log(4.0)!r})\n"
+    for extra, named in (
+        (["--r-min", "inf", "--points", "3"], "inf"),
+        (["--r-min", "0.5", "--r-max", "5", "--points", "11", "--methods", "gauss"], "5.0"),
+        (["--r-min", "5", "--r-max", "0.5", "--methods", "gauss"], "5.0"),
+        (["--r-min=-inf", "--r-max", "inf"], "-inf"),  # the smaller end is named
+        (["--r-max", "nan"], "nan"),
+    ):
+        assert run_cli(BASE + extra) == (2, "", f"error: rate {named} {window}")
 
 
 # (9,5,5) reduces with offset log(1+rho)/4.  As stated, this rate lies below
@@ -389,6 +427,27 @@ def test_outage_exact_deep_cancellation(argv, ref):
     assert code == 0
     (row,) = json.loads(out)["rows"]
     assert abs(row["pout_exact"] - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize(
+    "channel, methods",
+    [
+        # the exact route at an integer and a non-integer 1 + rho
+        (["--N", "12", "--Nt", "5", "--Nr", "5", "--rho", "10"], "exact,ld"),
+        (["--N", "12", "--Nt", "5", "--Nr", "5", "--rho", "1.9952623149688795"], "exact,ld"),
+        # the ld route in all four regimes: S01/S0b/Sa1, S0b/Sab and Sa1/Sab
+        (["--N", "12", "--Nt", "6", "--Nr", "6", "--rho", "1"], "ld,gauss"),
+        (["--N", "18", "--Nt", "6", "--Nr", "6", "--rho", "10"], "ld,gauss"),
+        (["--N", "12", "--Nt", "4", "--Nr", "8", "--rho", "100"], "ld,gauss"),
+    ],
+    ids=["exact-12-5-5-rho10", "exact-12-5-5-rho10^0.3", "ld-12-6-6", "ld-18-6-6", "ld-12-4-8"],
+)
+def test_default_grid_solves_every_point_without_a_warning(channel, methods):
+    # no route is disabled and no rate fails, and a repeat in the same process gives the same bytes
+    argv = ["outage", *channel, "--methods", methods, "--points", "11", "--reproducible"]
+    first = run_cli(argv)
+    assert first[::2] == (0, "")
+    assert run_cli(argv) == first
 
 
 def test_density_ergodic_trapezoid_mass():
@@ -865,12 +924,13 @@ def test_reduced_dims_ergodic_record_is_the_twins_plus_the_offset(bits):
                                              "rate_offset": offset}
 
 
-def _fresh_python(code: str) -> str:
-    """stdout of ``python -c code`` in a new interpreter that imports this package."""
+def _fresh_python(*args: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``python *args`` in a new interpreter that imports this package."""
     src = str(Path(jacobi_mimo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
-    return proc.stdout.decode()  # no newline translation: CSV rows end in \r\n
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True)
+    # no newline translation: CSV rows end in \r\n
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
 MIXED_REQUESTS = [
@@ -882,17 +942,66 @@ MIXED_REQUESTS = [
 ]
 
 
+# run alone through the module entry, ``python -m jacobi_mimo.cli``
+MODULE_REQUESTS = [
+    README_OUTAGE,
+    ["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--kind", "constrained", "--r", "0.5",
+     "--format", "json", "--reproducible"],
+    # reduced dims: every route, the pinned offset added back
+    ["outage", "--N", "5", "--Nt", "3", "--Nr", "3", "--rho", "3", "--points", "5",
+     "--methods", "mc,exact,ld,gauss", "--trials", "20000", "--seed", "1", "--reproducible"],
+]
+
+
 def test_requests_back_to_back_match_fresh_processes():
     # the parser is built once per process and the k = 0 solution cached:
-    # neither may carry state from one request into the next
+    # neither may carry state from one request into the next; and the module
+    # entry prints what main prints, its warnings and exit code included
     alone = [
-        _fresh_python(f"import sys; from jacobi_mimo.cli import main; sys.exit(main({argv!r}))")
+        _fresh_python("-c", f"import sys; from jacobi_mimo.cli import main; sys.exit(main({argv!r}))")
         for argv in MIXED_REQUESTS
     ]
-    for order in (MIXED_REQUESTS, MIXED_REQUESTS[::-1]):
+    assert all(code == 0 and err == "" for code, _, err in alone)
+    alone += [_fresh_python("-m", "jacobi_mimo.cli", *argv) for argv in MODULE_REQUESTS]
+    requests = MIXED_REQUESTS + MODULE_REQUESTS
+    for order in (requests, requests[::-1]):
         outs = {tuple(argv): run_cli(argv) for argv in order}
-        for argv, want in zip(MIXED_REQUESTS, alone):
-            assert outs[tuple(argv)] == (0, want, "")
+        for argv, want in zip(requests, alone):
+            assert outs[tuple(argv)] == want
+
+
+# the Monte Carlo requests whose bytes may not depend on the CPUs or workers:
+# (4,2,2)'s 30000 trials are three spans of 12 blocks, the last one partial
+MC_REQUESTS = [
+    ["outage", "--N", "18", "--Nt", "6", "--Nr", "6", "--rho", "20", "--r-min", "1.2", "--r-max", "1.7",
+     "--points", "11", "--methods", "mc", "--trials", "20000", "--seed", "1", "--reproducible"],
+    ["outage", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "10", "--points", "11",
+     "--methods", "mc", "--trials", "30000", "--seed", "1", "--reproducible"],
+]
+
+
+def test_monte_carlo_bytes_do_not_depend_on_the_cpus_or_workers():
+    # a child pinned to one CPU before numpy loads prints what this unpinned
+    # process prints, at --workers 1 and 2, whose runs differ only in that echo
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("os.sched_setaffinity is not available on this platform")
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("this process may use one CPU only, so pinning changes nothing")
+    requests = [argv + ["--workers", workers] for argv in MC_REQUESTS for workers in ("1", "2")]
+    pinned = _fresh_python("-c", (
+        "import os, sys\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"os.sched_setaffinity(0, {{{min(cpus)}}})\n"
+        "from jacobi_mimo.cli import main\n"
+        f"for argv in {requests!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+    ))
+    unpinned = [run_cli(argv) for argv in requests]
+    assert all(code == 0 for code, _, _ in unpinned)
+    assert pinned == (0, "".join(out for _, out, _ in unpinned), "".join(err for _, _, err in unpinned))
+    for (_, one, _), (_, two, _) in zip(unpinned[::2], unpinned[1::2]):
+        assert two == one.replace("# workers: 1\n", "# workers: 2\n", 1) != one
 
 
 def test_no_scipy_module_loads_at_runtime():
@@ -905,7 +1014,8 @@ def test_no_scipy_module_loads_at_runtime():
          "--r", "0.5", "--format", "json"],
         ["ergodic", "--N", "24", "--Nt", "8", "--Nr", "8", "--rho", "10"],
     ]
-    loaded = _fresh_python(
+    code, loaded, err = _fresh_python(
+        "-c",
         "import contextlib, io, sys\n"
         "from jacobi_mimo.cli import main\n"
         f"for argv in {requests!r}:\n"
@@ -913,6 +1023,7 @@ def test_no_scipy_module_loads_at_runtime():
         "        assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
     )
+    assert code == 0, err
     assert loaded.strip() == "[]"
 
 
