@@ -34,7 +34,9 @@ include a --rho that ``SnrParam`` refuses (not positive and finite, or
 with an overflowing reciprocal), with its message; a rate outside the
 window, NaN and infinities included; a non-finite --k; --rates given
 with --r-min or --r-max; --r or --k given with ``density --kind
-ergodic``; and an --output path that cannot be written.
+ergodic``; and an --output path that cannot be written.  A negative
+value may follow its flag space-separated or with ``=``: ``--k -1e-3``
+parses as ``--k=-1e-3`` does (see ``_joined``).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 import time
@@ -72,53 +75,77 @@ from .montecarlo import McConfig, outage_curve
 _LN2 = math.log(2.0)
 
 
-def _common_channel_args(sub):
-    sub.add_argument("--N", type=int, required=True, help="total fiber channels")
-    sub.add_argument("--Nt", type=int, required=True, help="transmit channels")
-    sub.add_argument("--Nr", type=int, required=True, help="receive channels")
-    sub.add_argument("--rho", type=float, required=True, help="total SNR (linear)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--output", default=None, help="output path (default stdout)")
-    sub.add_argument("--bits", action="store_true", help="rates in bits instead of nats")
-    sub.add_argument(
-        "--reproducible", action="store_true", help="omit wall-time metadata"
-    )
-
-
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
+def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
+    """The argument parser, built once per process (parsing leaves it unchanged), and its value flags.
+
+    A value flag takes one argument, as ``--flag value`` or ``--flag=value``.
+    """
     parser = argparse.ArgumentParser(
         prog="jacobi-mimo",
         description="Outage probability for the Jacobi (truncated Haar unitary) MIMO channel",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    value_flags = set()
+
+    def arg(p, flag, **kwargs):
+        if p.add_argument(flag, **kwargs).nargs is None:
+            value_flags.add(flag)
+
+    def channel_args(p):
+        arg(p, "--N", type=int, required=True, help="total fiber channels")
+        arg(p, "--Nt", type=int, required=True, help="transmit channels")
+        arg(p, "--Nr", type=int, required=True, help="receive channels")
+        arg(p, "--rho", type=float, required=True, help="total SNR (linear)")
+        arg(p, "--format", choices=("csv", "json"), default="csv")
+        arg(p, "--output", default=None, help="output path (default stdout)")
+        arg(p, "--bits", action="store_true", help="rates in bits instead of nats")
+        arg(p, "--reproducible", action="store_true", help="omit wall-time metadata")
 
     p_out = sub.add_parser("outage", help="outage-vs-rate comparison table")
-    _common_channel_args(p_out)
-    p_out.add_argument("--r-min", type=float, default=None)
-    p_out.add_argument("--r-max", type=float, default=None)
-    p_out.add_argument("--points", type=int, default=11, help="grid size; unread with --rates (not refused: "
-                       "a --points 11 cannot be told from the default)")
-    p_out.add_argument("--rates", default=None, help="explicit comma-separated rate list, without --r-min/--r-max")
-    p_out.add_argument(
-        "--methods", default="mc,ld,gauss", help=f"comma-separated subset of {tuple(_ROUTES)}"
-    )
-    p_out.add_argument("--trials", type=int, default=100_000)
-    p_out.add_argument("--seed", type=int, default=0)
-    p_out.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
+    channel_args(p_out)
+    arg(p_out, "--r-min", type=float, default=None)
+    arg(p_out, "--r-max", type=float, default=None)
+    arg(p_out, "--points", type=int, default=11, help="grid size; unread with --rates (not refused: "
+        "a --points 11 cannot be told from the default)")
+    arg(p_out, "--rates", default=None, help="explicit comma-separated rate list, without --r-min/--r-max")
+    arg(p_out, "--methods", default="mc,ld,gauss", help=f"comma-separated subset of {tuple(_ROUTES)}")
+    arg(p_out, "--trials", type=int, default=100_000)
+    arg(p_out, "--seed", type=int, default=0)
+    arg(p_out, "--workers", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p_den = sub.add_parser("density", help="eigenvalue density table")
-    _common_channel_args(p_den)
-    p_den.add_argument("--kind", choices=("ergodic", "constrained"), default="ergodic")
-    p_den.add_argument("--r", type=float, default=None, help="rate constraint")
-    p_den.add_argument("--k", type=float, default=None, help="multiplier constraint")
-    p_den.add_argument("--grid-points", type=int, default=512)
+    channel_args(p_den)
+    arg(p_den, "--kind", choices=("ergodic", "constrained"), default="ergodic")
+    arg(p_den, "--r", type=float, default=None, help="rate constraint")
+    arg(p_den, "--k", type=float, default=None, help="multiplier constraint")
+    arg(p_den, "--grid-points", type=int, default=512)
 
     p_erg = sub.add_parser("ergodic", help="ergodic summary record")
-    _common_channel_args(p_erg)
+    channel_args(p_erg)
 
-    return parser
+    return parser, frozenset(value_flags)
+
+
+# A token that starts as a negative number: -1e-3, -.5, -inf, -inf,0.5
+_NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+def _joined(argv: list[str], value_flags: frozenset[str]) -> list[str]:
+    """``argv`` with each value flag followed by a negative number written ``--flag=value``.
+
+    argparse takes a token that starts with "-" for an option unless it
+    reads like -12 or -1.5, so ``--k -1e-3``, ``--k -inf`` or ``--rates
+    -inf,0.5`` would leave the flag without its value.  Joined, the request
+    parses as its ``=`` form does.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in value_flags and _NEGATIVE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 class UsageError(ValueError):
@@ -402,7 +429,8 @@ def _json_cells(values: list) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, value_flags = _build_parser()
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv, value_flags))
     started = time.perf_counter()
     try:
         ch = _channel(args)

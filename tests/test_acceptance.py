@@ -43,6 +43,10 @@ def test_c01_flat_law_golden():
     for r in grid:
         worst = max(worst, abs(outage_exact(cfg, r).p - (math.exp(r) - 1.0) / 3.0))
     assert worst < 1e-9
+    # the window's ends and a rate beyond it are exact, not within a tolerance
+    assert outage_exact(cfg, 0.0).p == 0.0
+    assert outage_exact(cfg, math.log(4.0)).p == 1.0
+    assert outage_exact(cfg, 5.0).p == 1.0
     mc = McConfig(dims=dims, snr=snr, trials=1_000_000, seed=101)
     covered = sum(
         est.ci_low <= (math.exp(r) - 1.0) / 3.0 <= est.ci_high
@@ -146,6 +150,7 @@ def test_c06_regime_boundary_continuity():
             hi = solve_regime(n0, beta, snr, r_c + 1e-9)
             assert lo.regime != hi.regime
             worst = max(worst, abs(hi.k - lo.k), abs(hi.energy - lo.energy))
+            assert abs(0.5 * (hi.k + lo.k) - k_c) < 1e-6  # the threshold sits at the reported k_c
             checked += 1
     assert checked == 4  # two thresholds at (0,1), one each at (1,1), (0,2)
     assert worst <= 1e-6

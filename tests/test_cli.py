@@ -342,6 +342,7 @@ def test_grid_ends_are_refused_as_stated():
         (["--r-min", "0.5", "--r-max", "5", "--points", "11", "--methods", "gauss"], "5.0"),
         (["--r-min", "5", "--r-max", "0.5", "--methods", "gauss"], "5.0"),
         (["--r-min=-inf", "--r-max", "inf"], "-inf"),  # the smaller end is named
+        (["--r-min", "-inf", "--r-max", "inf"], "-inf"),  # argparse alone takes "-inf" for an option
         (["--r-max", "nan"], "nan"),
     ):
         assert run_cli(BASE + extra) == (2, "", f"error: rate {named} {window}")
@@ -679,6 +680,7 @@ def test_non_finite_input_is_a_usage_error(command, flag, value):
     if flag != "--rho":
         argv += ["--kind", "constrained"]
     code, out, err = run_cli(argv + [f"{flag}={value}"])
+    assert run_cli(argv + [flag, value]) == (code, out, err)  # "-inf" is a value, not an option
     assert (code, out) == (2, "")
     # rho is refused by SnrParam's rule, a rate by the window test, --k by its own check
     assert err == {
@@ -686,6 +688,25 @@ def test_non_finite_input_is_a_usage_error(command, flag, value):
         "--r": f"error: rate {float(value)!r} outside the achievable open interval (0.0, {math.log(4.0)!r})\n",
         "--k": f"error: --k must be finite, got {float(value)!r}\n",
     }[flag]
+
+
+def test_negative_value_parses_space_separated_as_with_equals(capsys):
+    # argparse reads only -12 and -1.5 as negative numbers; these used to exit 2 with
+    # "argument --k: expected one argument" unless written --flag=value
+    accepted = run_cli(K_CHANNEL + ["--k=-1e-3", "--grid-points", "5", "--reproducible"])
+    assert accepted[0] == 0
+    assert run_cli(K_CHANNEL + ["--k", "-1e-3", "--grid-points", "5", "--reproducible"]) == accepted
+    # a solver failure (exit 1) or the CLI's own refusal (exit 2), never argparse's
+    for base, flag, value, code in ((K_CHANNEL, "--k", "-1e300", 1), (BASE, "--rates", "-inf", 2),
+                                    (BASE, "--rates", "-inf,0.5", 2), (BASE, "--r-min", "-1e-3", 2)):
+        refused = run_cli(base + [f"{flag}={value}"])
+        assert refused[:2] == (code, "") and refused[2].startswith(("solver failure: ", "error: rate -"))
+        assert run_cli(base + [flag, value]) == refused
+    # a flag after a value flag is not its value: argparse still refuses the request
+    with pytest.raises(SystemExit) as exc:
+        main(K_CHANNEL + ["--k", "--grid-points", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --k: expected one argument\n")
 
 
 @pytest.mark.parametrize("command", ["outage", "density", "ergodic"])

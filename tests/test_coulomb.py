@@ -421,6 +421,27 @@ def test_exponent_derivative_is_multiplier():
                 assert abs(fd - sol.k) / abs(sol.k) < 1e-4
 
 
+def test_complementary_channel_pairs_rates_and_exponents():
+    # The twin of (n0, beta) is (beta - 1, 1 + n0): the complementary channel, whose
+    # eigenvalues are 1 - lambda.  With m = 1 + beta + n0 and L = log(1+rho), A at
+    # multiplier k - m and B at -k give r_A + r_B = L and dE_A - dE_B = beta L - m r_A.
+    # Bounds: 1e-9 of L, and 1e-9 of |dE_A| + |dE_B| + beta L; measured 2.8e-11 and 3.9e-11.
+    # ROADMAP item 6's sweep holds the wall channel (0.001, 100), which misses the rate bound.
+    for n0, beta in [(1.0, 2.0), (1.0, 1.0), (0.0, 1.0), (0.0, 2.0), (0.25, 1.25), (3.0, 4.0), (0.0, 1.1),
+                     (1.0, 1.1)]:
+        m = 1.0 + beta + n0
+        for rho in (0.01, 1.0, 10.0, 1e4):
+            snr = SnrParam(rho)
+            big_l = math.log1p(rho)
+            for k in (-2.0, -0.5, 0.0, 0.5, 1.0, 3.0):
+                a = solve_at_multiplier(n0, beta, snr, k - m)
+                b = solve_at_multiplier(beta - 1.0, 1.0 + n0, snr, -k)
+                where = (n0, beta, rho, k)
+                assert abs(a.r + b.r - big_l) <= 1e-9 * big_l, where
+                scale = abs(a.exponent) + abs(b.exponent) + beta * big_l
+                assert abs(a.exponent - b.exponent - (beta * big_l - m * a.r)) <= 1e-9 * scale, where
+
+
 def test_exponent_convex_on_grid():
     snr = SnrParam(10.0)
     rmax = math.log1p(10.0)
