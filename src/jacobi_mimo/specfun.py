@@ -51,9 +51,6 @@ def g_closed(x: float, y: float, y1: float) -> float:
     sgn(y)*sqrt|y(1+y)| prefactor vanishes there) and are evaluated with
     that term dropped; x = 0 is the plain x -> 0+ limit, at which every
     term is already finite.
-
-    This is the permissive evaluator used by the Coulomb-gas rate and
-    energy formulas.
     """
     if x < 0:
         raise ValueError(f"g_closed requires x >= 0, got x={x!r}")

@@ -1,28 +1,47 @@
-"""Independent numerical oracles shared by the test modules.
+"""Independent references the library is checked against, shared by the test modules.
 
-These deliberately avoid the code paths they validate: integrals are
-taken by adaptive Gauss-Legendre quadrature (the kernel integral from
-its definition), the electrostatic energy functional by a cosine-series
-(DCT) expansion of the density, which turns the double logarithmic
-integral into a fast spectral sum, and the channel itself by drawing
-Haar unitaries (QR of a Ginibre matrix) in place of the Monte Carlo
-sampler's bidiagonal model, whose pivot-count histograms are in turn
-checked against a dense eigensolve of the same draws.  The exact
-solver's residue sum is checked against its evaluation one
-divided-difference table per sorted s, all in mpmath, in place of the
-exact integer coefficients.  The references behind that evaluation live
-here: the residue function ``f_residue`` (its Newton/Hermite table
-``_divided_difference`` on mpmath Taylor leaves, each with its own exp),
-the binomial-expansion coefficient ``c_coefficient`` and the Selberg
-normalization ``log_selberg_z``.  Clopper-Pearson bounds are checked
-against 40-digit roots of the binomial tails themselves, summed term by
-term (``clopper_pearson_mp``), not against an incomplete beta inverse.
-The moments of X = Nt I come from the determinantal structure of the
-Jacobi ensemble instead (``rate_cumulants``): traces of the projection
-kernel on a Lanczos basis of its orthogonal polynomials, in numpy alone.
-The CLI's tables are checked against a renderer that works row by row
-and cell by cell (``render_table``): row dicts through ``json.dumps``,
-and each CSV cell formatted by hand before ``csv.writer`` sees it.
+Each one avoids the code path it checks, and some test compares library
+output against each:
+
+- ``quadrature``, adaptive Gauss-Legendre on the sin^2 substitution:
+  the mass of ``coulomb.ergodic_density``, ``coulomb.density_asymptotic``
+  and ``exact.outage_density_exact``, the bin averages of
+  ``ergodic_density`` that C9 holds ``montecarlo.eigen_histogram`` to,
+  and the Selberg integral that C10 holds ``log_selberg_z`` to.  Through
+  ``g_defining_integral``, the kernel integral from its definition, it
+  checks ``specfun.g_closed``.
+- ``pole_sums_mp``, the Coulomb gas's pole decomposition summed in 300-bit
+  mpmath from a solution's floats: the rate of
+  ``coulomb.solve_at_multiplier``, ``RegimeSolution.energy`` and
+  ``coulomb.density_at``.
+- ``density_mass_and_rate`` and ``energy_functional``, the solved density
+  sampled on a cosine grid: its mass and rate against
+  ``RegimeSolution.r``, and the electrostatic energy functional, its
+  double logarithmic integral by a DCT, against ``RegimeSolution.energy``.
+- ``sample_truncation`` (Haar unitaries by QR of a Ginibre matrix),
+  ``spectrum`` and ``mutual_information``: the rates and extreme
+  eigenvalues of the Monte Carlo sampler's bidiagonal model
+  (``montecarlo._block_rates``).  ``block_eigenvalues``, a dense
+  eigensolve of the sampler's own draws: the pivot counts of
+  ``montecarlo.eigen_histogram``.
+- ``outage_sum_per_s`` and ``density_sum_per_s``, the residue sum one
+  divided-difference table per sorted s, all in mpmath, in place of the
+  exact integer coefficients: ``exact.outage_exact`` and
+  ``exact.outage_density_exact``.  Its parts are the residue function
+  ``f_residue`` (a Newton/Hermite table on mpmath Taylor leaves
+  ``taylor_leaves``, each with its own exp), against which the integer
+  weights of ``exact._key_table`` are checked, the binomial-expansion
+  coefficient ``c_coefficient`` and the Selberg normalization
+  ``log_selberg_z`` (``exact._selberg_z_fraction``).
+- ``clopper_pearson_mp``, 40-digit roots of the binomial tails summed term
+  by term, not an incomplete beta inverse: ``specfun.clopper_pearson``.
+- ``rate_cumulants``, the moments of X = Nt I from traces of the Jacobi
+  ensemble's projection kernel on a Lanczos basis, in numpy alone:
+  ``montecarlo.moments``, and the finite-Nt limits of
+  ``coulomb.ergodic_summary`` and ``coulomb.solve_at_multiplier``.
+- ``render_table``, the CLI's tables row by row and cell by cell (row
+  dicts through ``json.dumps``, each CSV cell formatted by hand before
+  ``csv.writer`` sees it): the output of ``cli.main``.
 """
 
 import csv
@@ -31,8 +50,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
@@ -43,7 +61,7 @@ from jacobi_mimo import exact
 from jacobi_mimo.coulomb import density_at
 from jacobi_mimo.ensemble import ChannelDims, SnrParam
 from jacobi_mimo.montecarlo import _block_bidiagonal
-from jacobi_mimo.specfun import elementary_symmetric_all, g_closed
+from jacobi_mimo.specfun import elementary_symmetric_all
 
 
 # ---------------------------------------------------------------------------
@@ -144,32 +162,8 @@ def quadrature(
 
 
 # ---------------------------------------------------------------------------
-# G(x, y) on its strict domain, and the kernel integral itself
+# The kernel integral, and the Coulomb gas's pole sums in mpmath
 # ---------------------------------------------------------------------------
-
-def g_fn(x: float, y: float) -> float:
-    """G(x, y) for x > 0 and y > 0 or y <= -1.
-
-    Must agree with the defining integral
-    (1/pi) * int_0^1 sqrt(t(1-t)) log(t+x)/(t+y) dt; y = -1 is allowed as
-    the continuity limit (see :func:`i3_fn`), anything in (-1, 0] is a
-    domain error.
-    """
-    if x <= 0:
-        raise ValueError(f"g_fn requires x > 0, got x={x!r}")
-    if y > 0 or y <= -1.0:
-        return g_closed(x, y, 1.0 + y)
-    raise ValueError(f"g_fn domain excludes y in (-1, 0], got y={y!r}")
-
-
-def i3_fn(x: float) -> float:
-    """I3(x) = -G(x, -1), the y -> -1 limit of the kernel integral."""
-    if x <= 0:
-        raise ValueError(f"i3_fn requires x > 0, got x={x!r}")
-    return -g_closed(x, -1.0, 0.0)
-
-
-
 
 def g_defining_integral(x: float, y: float, target: float = 1e-13) -> float:
     """(1/pi) * int_0^1 sqrt(t(1-t)) log(t+x)/(t+y) dt by adaptive quadrature."""
@@ -203,16 +197,25 @@ def _poles_mp(n0, beta, z, k, a, b):
     return [(gz, (a + z) / d), (g1, -(1 - a) / d), (g0, a / d)]
 
 
-def energy_pole_sums_mp(n0, beta, z, k, a, b, r) -> float:
-    """E(r) from the pole sums of the support (a, b) at multiplier k, in 300-bit mpmath.
+class PoleSums(NamedTuple):
+    rate: float
+    energy: float
+    density: Callable[[float], float]
 
-    The same decomposition and assembly as ``coulomb._poles`` and
-    ``coulomb._energy_from_poles`` (see the comment block above them),
-    evaluated exactly from the float inputs, so that only the float
-    code's rounding separates the two.
+
+def pole_sums_mp(sol) -> PoleSums:
+    """The rate, energy and density of a solution's pole decomposition, in 300-bit mpmath.
+
+    The same decomposition and assembly as ``coulomb._poles``, the rate of
+    ``solve_at_multiplier`` and ``coulomb._energy_from_poles`` (see the
+    comment block above them), evaluated exactly from the solution's
+    floats n0, beta, 1/rho, k, a and b, so that only the float code's
+    rounding separates the two.  The energy is taken at the solution's
+    float rate ``sol.r``; ``density(x)`` is ``density_at(sol, x)`` for
+    a < x < b.
     """
     with mp.workprec(300):
-        n0, beta, z, k, a, b, r = map(mpf, (n0, beta, z, k, a, b, r))
+        n0, beta, z, k, a, b, r = map(mpf, (sol.n0, sol.beta, 1.0 / sol.rho, sol.k, sol.a, sol.b, sol.r))
         d = b - a
         poles = _poles_mp(n0, beta, z, k, a, b)
 
@@ -227,16 +230,15 @@ def energy_pole_sums_mp(n0, beta, z, k, a, b, r) -> float:
             e -= n0 / 2 * (integral((1 - b) / d, flip=True) + mp.log(1 - x0))
         if beta > 1:
             e -= (beta - 1) / 2 * (integral(a / d) + mp.log(x0))
-        return float(e - integral(0, flip=x0 == b))
+        e -= integral(0, flip=x0 == b)
+        rate = integral((a + z) / d) - mp.log(z)
 
+    def density(x: float) -> float:
+        with mp.workprec(300):
+            t = (mpf(x) - a) / d
+            return float(mp.sqrt(t * (1 - t)) * sum(g / (t + y) for g, y in poles) / (2 * mp.pi * d))
 
-def density_pole_sum_mp(sol, x: float) -> float:
-    """``density_at(sol, x)`` for a < x < b, evaluated exactly from the solution's floats."""
-    with mp.workprec(300):
-        a, b, x = mpf(sol.a), mpf(sol.b), mpf(x)
-        d, t = b - a, (x - a) / (b - a)
-        poles = _poles_mp(*map(mpf, (sol.n0, sol.beta, 1.0 / sol.rho, sol.k)), a, b)
-        return float(mp.sqrt(t * (1 - t)) * sum(g / (t + y) for g, y in poles) / (2 * mp.pi * d))
+    return PoleSums(float(rate), float(e), density)
 
 
 _M = 1 << 15
@@ -289,13 +291,6 @@ def energy_functional(sol) -> float:
 _EIG_HARD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Eigenvalues of U^H U for one channel draw, ascending, in [0, 1]."""
-
-    eigenvalues: np.ndarray
-
-
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     g = rng.standard_normal((rows, 2 * cols))
     return (g[:, :cols] + 1j * g[:, cols:]) / np.sqrt(2.0)
@@ -343,8 +338,8 @@ def truncate(U: np.ndarray, dims: ChannelDims) -> np.ndarray:
     return U[: dims.Nr, : dims.Nt]
 
 
-def spectrum(H: np.ndarray) -> SpectrumSample:
-    """Eigenvalues of H^H H for an Nr x Nt truncation block (Nr >= Nt).
+def spectrum(H: np.ndarray) -> np.ndarray:
+    """Eigenvalues of H^H H for an Nr x Nt truncation block (Nr >= Nt), ascending.
 
     The Gram matrix of the smaller side keeps the eigenproblem at
     Nt x Nt.  Values outside [-1e-9, 1+1e-9] signal a non-unitary source
@@ -359,16 +354,16 @@ def spectrum(H: np.ndarray) -> SpectrumSample:
             f"eigenvalues {lam.min()!r}..{lam.max()!r} outside [0,1] beyond "
             f"tolerance {_EIG_HARD_TOL}; source matrix is not a unitary truncation"
         )
-    return SpectrumSample(np.sort(np.clip(lam, 0.0, 1.0)))
+    return np.sort(np.clip(lam, 0.0, 1.0))
 
 
-def mutual_information(s: SpectrumSample, snr: SnrParam, dims: ChannelDims) -> float:
+def mutual_information(lam: np.ndarray, snr: SnrParam, dims: ChannelDims) -> float:
     """Per-channel mutual information in nats: (1/Nt) * sum log(1 + rho*lambda).
 
     Like the library's rates, it is the reduced ensemble's: the offset of
     the eigenvalues pinned at 1 is left out for reduced dims.
     """
-    return float(np.log1p(snr.rho * s.eigenvalues).sum()) / dims.Nt
+    return float(np.log1p(snr.rho * lam).sum()) / dims.Nt
 
 
 def block_eigenvalues(dims: ChannelDims, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -383,25 +378,6 @@ def block_eigenvalues(dims: ChannelDims, seed: int, lo: int, hi: int) -> np.ndar
     b[:, idx, idx] = np.sqrt(d2).T
     b[:, idx[:-1], idx[1:]] = np.sqrt(e2).T
     return np.clip(np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b)), 0.0, 1.0)
-
-
-def log_joint_density_unnormalized(s: SpectrumSample, dims: ChannelDims) -> float:
-    """Log of the unnormalized Jacobi joint eigenvalue density.
-
-    sum_{i<j} 2 log|l_i - l_j| + sum_k [ |Nt-Nr| log l_k + N0 log(1-l_k) ].
-    Returns -inf for eigenvalues at the boundary or coinciding (the
-    Vandermonde factor vanishes).
-    """
-    lam = np.asarray(s.eigenvalues, dtype=float)
-    if lam.min() <= 0.0 or lam.max() >= 1.0:
-        return -np.inf
-    diffs = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, k=1)]
-    if diffs.size and diffs.min() == 0.0:
-        return -np.inf
-    val = 2.0 * float(np.log(diffs).sum()) if diffs.size else 0.0
-    val += (dims.Nr - dims.Nt) * float(np.log(lam).sum())
-    val += dims.N0 * float(np.log1p(-lam).sum())
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from jacobi_mimo.coulomb import (
 )
 from jacobi_mimo.ensemble import SnrParam, normalize_dims
 
-from _oracles import (
-    density_mass_and_rate, density_pole_sum_mp, energy_functional, energy_pole_sums_mp, quadrature,
-)
+from _oracles import density_mass_and_rate, energy_functional, pole_sums_mp, quadrature
 
 SNR3 = SnrParam(3.0)
 CORNERS = [(0.0, 1.0, 3.0), (1.0, 1.0, 3.0), (0.0, 2.0, 3.0), (1.0, 2.0, 10.0)]
@@ -834,11 +832,39 @@ def test_energy_from_poles_matches_mpmath_pole_sums(n0, rho):
     for k in (-1.0, -0.1):
         sol = solve_at_multiplier(n0, 1.0, snr, k)
         assert sol.regime == "S0b"
-        got = coulomb._energy_from_poles(
-            n0, 1.0, snr.z, k, sol.a, sol.b, sol.r, coulomb._poles(n0, 1.0, snr.z, k, sol.a, sol.b), sol.b
-        )
-        ref = energy_pole_sums_mp(n0, 1.0, snr.z, k, sol.a, sol.b, sol.r)
-        assert abs(got - ref) <= 2.0**-52 * math.sqrt(rho), (k, got, ref)
+        ref = pole_sums_mp(sol).energy
+        assert abs(sol.energy - ref) <= 2.0**-52 * math.sqrt(rho), (k, sol.energy, ref)
+
+
+# The rate of solve_at_multiplier against the same pole sum in 300 bits, to
+# the multiplier solve's own tolerance _LD_TOL: 8 channels in all four
+# regimes, rho from 1e-2 to 1e16 and |k| up to 1e3.
+RATE_CHANNELS = [(0.0, 1.0), (1.0, 1.0), (0.0, 2.0), (1.0, 2.0), (3.0, 4.0), (0.25, 1.1), (0.0, 1.1), (1.0, 1.1)]
+RATE_RHOS = [1e-2, 1.0, 1e4, 1e16]
+RATE_KS = [-1e3, -50.0, -1.0, 0.0, 1.0, 50.0, 1e3]
+
+
+def test_rate_matches_mpmath_pole_sum_on_the_bulk_grid():
+    for (n0, beta), rho, k in itertools.product(RATE_CHANNELS, RATE_RHOS, RATE_KS):
+        sol = solve_at_multiplier(n0, beta, SnrParam(rho), k)
+        ref = pole_sums_mp(sol).rate
+        assert abs(sol.r - ref) <= coulomb._LD_TOL * ref, (n0, beta, rho, k, sol.r, ref)
+
+
+LARGE_K = "ROADMAP item 6: the pole-sum rate cancels at large |k| (small support)"
+
+
+@pytest.mark.parametrize(
+    "k",
+    [-1e3, pytest.param(-1e6, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=LARGE_K)),
+     pytest.param(-1e9, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=LARGE_K))],
+)
+def test_rate_at_large_negative_multipliers_matches_mpmath_pole_sum(k):
+    # (n0, beta, rho) = (0, 1, 3): the support is (0, about 4/(3|k|)), S0b
+    sol = solve_at_multiplier(0.0, 1.0, SNR3, k)
+    assert sol.regime == "S0b"
+    ref = pole_sums_mp(sol).rate
+    assert abs(sol.r - ref) <= coulomb._LD_TOL * ref, (sol.r, ref)
 
 
 def test_density_next_to_a_soft_edge_near_the_wall():
@@ -848,9 +874,10 @@ def test_density_next_to_a_soft_edge_near_the_wall():
     sol = solve_at_multiplier(1e-6, 2.0, SnrParam(10.0), -0.5)
     assert sol.regime == "Sab" and 1.0 - sol.b < 1e-12
     d = sol.b - sol.a
+    ref = pole_sums_mp(sol).density
     for gap in (1e-3, 1e-6, 4.5e-7 * d):
         x = sol.b - gap
-        assert abs(density_at(sol, x) - density_pole_sum_mp(sol, x)) <= 8 * math.ulp(density_at(sol, x)), gap
+        assert abs(density_at(sol, x) - ref(x)) <= 8 * math.ulp(density_at(sol, x)), gap
 
 
 def _density_per_point(sol, x):

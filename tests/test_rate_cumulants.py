@@ -164,7 +164,8 @@ def test_ergodic_rate_correction_matches_its_table(channel, c1):
 @pytest.mark.parametrize(
     "n0, beta, rho",
     [ch for ch, _ in C1_ROWS] + [(1.0, 1.0, 1e-2), (1.0, 1.0, 1e-4),
-                                 _tiny_rho(1.0, 1.0, 1e-6), _tiny_rho(1.0, 2.0, 1e-6)],
+                                 _tiny_rho(1.0, 1.0, 1e-6), _tiny_rho(1.0, 2.0, 1e-6),
+                                 _tiny_rho(1.0, 1.0, 1e-9), _tiny_rho(1.0, 1.0, 1e-12)],
 )
 def test_ergodic_rate_is_the_finite_nt_limit(n0, beta, rho):
     r_erg = ergodic_summary(n0, beta, SnrParam(rho)).r

@@ -10,7 +10,7 @@ from scipy.special import betaincinv, log_ndtr
 from jacobi_mimo import specfun
 from jacobi_mimo.specfun import bracketed_root, clopper_pearson, elementary_symmetric_all, g_closed, log_q, q_fn
 
-from _oracles import QuadratureError, clopper_pearson_mp, g_defining_integral, g_fn, i3_fn, quadrature
+from _oracles import QuadratureError, clopper_pearson_mp, g_defining_integral, quadrature
 
 # frozen from the quadrature oracle (target 1e-13)
 G_1_1 = 0.031019311907168664
@@ -54,24 +54,14 @@ def test_quadrature_rejects_bad_interval_and_weight():
 
 
 def test_g_fn_golden_values():
-    assert abs(g_fn(1.0, 1.0) - G_1_1) < 1e-10
-    assert abs(g_fn(0.5, -2.0) - G_HALF_NEG2) < 1e-10
+    assert abs(g_closed(1.0, 1.0, 2.0) - G_1_1) < 1e-10
+    assert abs(g_closed(0.5, -2.0, -1.0) - G_HALF_NEG2) < 1e-10
 
 
 def test_g_fn_limit_path_at_minus_one():
     # integrable as written at y = -1; the closed form drops the vanishing term
-    assert abs(g_fn(1.0, -1.0) - (-I3_1)) < 1e-9
-    assert abs(g_fn(1.0, -1.0) - g_defining_integral(1.0, -1.0, target=1e-12)) < 1e-9
-
-
-def test_g_fn_domain_errors():
-    for y in (-0.5, 0.0, -0.999, -1e-12):
-        with pytest.raises(ValueError):
-            g_fn(1.0, y)
-    with pytest.raises(ValueError):
-        g_fn(0.0, 1.0)
-    with pytest.raises(ValueError):
-        g_fn(-1.0, 1.0)
+    assert abs(g_closed(1.0, -1.0, 0.0) - (-I3_1)) < 1e-9
+    assert abs(g_closed(1.0, -1.0, 0.0) - g_defining_integral(1.0, -1.0, target=1e-12)) < 1e-9
 
 
 def test_g_closed_domain_errors():
@@ -91,12 +81,9 @@ def test_g_closed_edge_arguments_match_integral():
 
 
 def test_i3_golden_and_identity():
-    assert abs(i3_fn(1.0) - I3_1) < 1e-9
-    assert abs(i3_fn(0.25) - I3_QUARTER) < 1e-9
-    for x in np.logspace(-3, 3, 25):
-        assert i3_fn(float(x)) == -g_closed(float(x), -1.0, 0.0)
-    with pytest.raises(ValueError):
-        i3_fn(0.0)
+    # I3(x) = -G(x, -1)
+    assert abs(-g_closed(1.0, -1.0, 0.0) - I3_1) < 1e-9
+    assert abs(-g_closed(0.25, -1.0, 0.0) - I3_QUARTER) < 1e-9
 
 
 def test_q_fn_values_and_symmetry():
