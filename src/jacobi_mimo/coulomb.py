@@ -57,7 +57,9 @@ with poles y = (a+z)/d, -(1-a)/d and a/d and weights d k rho/Y,
 weight that makes them sum to zero, and in S01 the wall at 1 carries
 -d(c - k/Y); each pole also carries its 1 + y (see _poles).  All the rate
 and energy integrals then reduce to closed forms in the kernel function
-G(x, y) from :mod:`.specfun`.
+G(x, y) from :mod:`.specfun`: each is one pole sum (``_pole_integral``,
+the specfun kernel behind ``g_closed``), which forms G's x-part once and
+adds each pole's y-part.
 
 The rate function's curvature needs no differencing.  At fixed k the
 density is the equilibrium measure on one interval (a, b) in a field
@@ -94,7 +96,7 @@ import numpy as np
 
 from .ensemble import ChannelDims, SnrParam
 from .results import OutageEstimate
-from .specfun import bracketed_root, g_closed, log_q, q_fn
+from .specfun import _g_sum as _pole_integral, bracketed_root, log_q, q_fn
 
 __all__ = [
     "RegimeSolution",
@@ -308,11 +310,12 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
     positive.  The edge equation changes sign there, and the root checks
     that it does.
     """
-    k_c3, e3 = _kc3(n0, z)
-    k_c4, e4 = _kc4(beta, z)
-    s01 = n0 == 0 and beta == 1.0 and k_c4 <= k <= k_c3
-    pin_a = s01 or beta == 1.0 and k < k_c3
-    pin_b = s01 or n0 == 0 and k > k_c4
+    # only beta = 1 can pin a and only n0 = 0 can pin b: otherwise k_c3 = -inf, k_c4 = inf
+    k_c3, e3 = _kc3(n0, z) if beta == 1.0 else (-math.inf, None)
+    k_c4, e4 = _kc4(beta, z) if n0 == 0 else (math.inf, None)
+    s01 = k_c4 <= k <= k_c3
+    pin_a = s01 or k < k_c3
+    pin_b = s01 or k > k_c4
     regime = _REGIMES[pin_a, pin_b]
     if k == 0.0:
         return regime, *_ergodic_support(n0, beta)
@@ -331,21 +334,23 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
             ((beta - 1.0) * z / c) ** 2,
         )
 
-    def inverses(y):  # 1/X and 1/W from the soft-edge conditions
+    rho1, beta1, rr1 = 1.0 + rho, beta - 1.0, rho * (1.0 + rho)
+
+    def tie(y, edges=False):
+        # rho X^2 + Y^2 - (1+rho)(1+rho W^2), times the soft edges' (ix iw)^2;
+        # with edges, ix and iw themselves: 1/X and 1/W from the soft-edge conditions
         t = k / (1.0 + y)
         ix = 0.0 if pin_b else (c - t) / n0
-        iw = 0.0 if pin_a else (c - (1.0 + rho) * t) / (beta - 1.0)
-        return ix, iw
-
-    def tie(y):  # rho X^2 + Y^2 - (1+rho)(1+rho W^2), times the soft edges' (ix iw)^2
-        ix, iw = inverses(y)
+        iw = 0.0 if pin_a else (c - rho1 * t) / beta1
+        if edges:
+            return ix, iw
         fx = 1.0 if pin_b else ix * ix
         fw = 1.0 if pin_a else iw * iw
         t = (y * (2.0 + y) - rho) * fx * fw
         if not pin_b:
             t += rho * fw
         if not pin_a:
-            t -= rho * (1.0 + rho) * fx
+            t -= rr1 * fx
         return t
 
     # the soft edges' ix, iw > 0 on (lo, hi); tie < 0 at lo and > 0 at hi
@@ -359,7 +364,7 @@ def _support(n0: float, beta: float, z: float, k: float) -> tuple[str, float, fl
         y = bracketed_root(tie, lo, hi, tie(lo), tie(hi), 1e-300, 8.9e-16)
     except ValueError as err:
         raise ArithmeticError(f"no sign change of the edge equation on ({lo!r}, {hi!r})") from err
-    ix, iw = inverses(y)
+    ix, iw = tie(y, edges=True)
     if not (pin_b or ix > 0.0) or not (pin_a or iw > 0.0):
         raise ArithmeticError(f"soft edge 1/X = {ix!r} or 1/W = {iw!r} not positive at the root y = {y!r}")
     x2 = 0.0 if pin_b else 1.0 / (ix * ix)
@@ -406,8 +411,9 @@ def _poles(
 #
 # (the flipped arguments come from t -> 1-t, which negates gamma and maps
 # the pole pair (y, 1+y) to (-(1+y), -y), exactly).  One routine,
-# _pole_integral, sums every one of them over the decomposition a solve
-# builds once and stores.  Multiplying the stationarity condition by p and
+# _pole_integral (specfun's pole sum: G's x-part once per sum, the y-part
+# per pole), sums every one of them over the decomposition a solve builds
+# once and stores.  Multiplying the stationarity condition by p and
 # integrating eliminates the double logarithmic integral, leaving
 #
 #   E(r) = (k/2)(r - log(1+rho x0)) - (n0/2)(Ic + log(1-x0))
@@ -417,20 +423,6 @@ def _poles(
 # the wall at 1 (then x0 = a).  The assembly is validated against direct
 # quadrature of the energy functional in the tests.
 # ---------------------------------------------------------------------------
-
-def _pole_integral(start: float, poles, w: float, flip: bool = False) -> float:
-    """start + (1/2) sum gamma G(w, y), or start - (1/2) sum gamma G(w, -(1+y)) with flip.
-
-    The terms are added in pole order after ``start``; zero weights are
-    skipped.
-    """
-    total = start
-    for gamma, y, y1 in poles:
-        if gamma:
-            term = 0.5 * gamma * (g_closed(w, -y1, -y) if flip else g_closed(w, y, y1))
-            total = total - term if flip else total + term
-    return total
-
 
 def _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0) -> float:
     d = b - a

@@ -8,7 +8,10 @@ which shows up whenever an equilibrium eigenvalue density with
 square-root edges is integrated against log(1 + rho*x).  For x > 0 and
 y outside [-1, 0] it has a closed form in elementary functions; the
 points y = -1 and y = 0 (and x = 0) are removable and are evaluated as
-continuity limits.
+continuity limits.  Every Coulomb-gas integral is a pole sum
+start + (1/2) sum gamma_i G(x, y_i) at one x; ``_g_sum`` forms G's x-part
+(two square roots and a log) once per sum and adds each pole's y-part,
+and ``g_closed`` is its one-term case, so the closed form has one copy.
 
 Also here: the Gaussian upper tail Q and its logarithm ``log_q`` (finite
 where Q underflows), exact Clopper-Pearson binomial intervals
@@ -50,24 +53,48 @@ def g_closed(x: float, y: float, y1: float) -> float:
     y1 = 0 points are removable singularities of the closed form (the
     sgn(y)*sqrt|y(1+y)| prefactor vanishes there) and are evaluated with
     that term dropped; x = 0 is the plain x -> 0+ limit, at which every
-    term is already finite.
+    term is already finite.  This is the one-term case of ``_g_sum``
+    (weight 2, so that the half weight is exactly 1).
+    """
+    return _g_sum(0.0, ((2.0, y, y1),), x)
+
+
+def _g_sum(start: float, poles, x: float, flip: bool = False) -> float:
+    """start + (1/2) sum gamma G(x, y) over poles (gamma, y, 1+y), or with flip
+    start - (1/2) sum gamma G(x, -(1+y)) (its 1 + y is then -y).
+
+    G's x-part, sqrt(x), sqrt(1+x), log((sqrt(1+x)+sqrt x)/2) and
+    (sqrt(1+x)-sqrt x)^2/2, is formed once per sum; each pole adds only its
+    y-part.  The terms are added in pole order after ``start``; zero
+    weights are skipped, and their y is not checked.
     """
     if x < 0:
         raise ValueError(f"g_closed requires x >= 0, got x={x!r}")
-    if -1.0 < y < 0.0:
-        raise ValueError(f"g_closed requires y > 0, y = 0, or y <= -1, got y={y!r}")
-
-    sx = math.sqrt(x)
-    sx1 = math.sqrt(1.0 + x)
-    val = (y + y1) * math.log(0.5 * (sx1 + sx)) - 0.5 * (sx1 - sx) ** 2
-    if y != 0.0 and y1 != 0.0:
-        ay = abs(y)
-        ay1 = abs(y1)
-        num = math.sqrt(x * ay1) + math.sqrt(ay * (1.0 + x))
-        den = math.sqrt(ay1) + math.sqrt(ay)
-        val -= 2.0 * math.copysign(1.0, y) * math.sqrt(ay * ay1) * math.log(num / den)
-    return val
-
+    sqrt, log = math.sqrt, math.log
+    sx = sqrt(x)
+    x1 = 1.0 + x
+    sx1 = sqrt(x1)
+    lx = log(0.5 * (sx1 + sx))
+    qx = 0.5 * (sx1 - sx) ** 2
+    half = -0.5 if flip else 0.5
+    total = start
+    for gamma, y, y1 in poles:
+        if not gamma:
+            continue
+        if flip:
+            y, y1 = -y1, -y
+        if -1.0 < y < 0.0:
+            raise ValueError(f"g_closed requires y > 0, y = 0, or y <= -1, got y={y!r}")
+        val = (y + y1) * lx - qx
+        if y != 0.0 and y1 != 0.0:  # the sgn(y) sqrt|y(1+y)| term
+            ay = y if y > 0.0 else -y
+            ay1 = y1 if y1 > 0.0 else -y1
+            num = sqrt(x * ay1) + sqrt(ay * x1)
+            den = sqrt(ay1) + sqrt(ay)
+            m = 2.0 * sqrt(ay * ay1) * log(num / den)
+            val = val - m if y > 0.0 else val + m
+        total += half * gamma * val
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -119,27 +146,38 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float, xtol: float, rto
     """
     if fa != fa or fb != fb:
         raise ValueError(f"the function value at an end of [{a!r}, {b!r}] is NaN")
-    if min(fa, fb) > 0 or max(fa, fb) < 0:
+    if fa > 0 and fb > 0 or fa < 0 and fb < 0:
         raise ValueError("f(a) and f(b) must have different signs")
     x1, f1, x2, f2, t = a, fa, b, fb, 0.5  # x1 the newest point; f1, f2 of opposite signs
     for _ in range(maxiter):
-        xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
-        tol, dx = xtol + rtol * abs(xm), abs(x2 - x1)
-        if fm == 0 or dx < tol:
+        if (f1 if f1 >= 0 else -f1) < (f2 if f2 >= 0 else -f2):
+            xm, fm = x1, f1
+        else:
+            xm, fm = x2, f2
+        dx = x2 - x1
+        adx = dx if dx >= 0 else -dx
+        tol = xtol + rtol * (xm if xm >= 0 else -xm)
+        if fm == 0 or adx < tol:
             return xm
-        tl = 0.5 * tol / dx
-        x = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
+        tl = 0.5 * tol / adx
+        tu = 1.0 - tl
+        if tl > t:
+            t = tl
+        x = x1 + (tu if tu < t else t) * dx
         fx = f(x)
         if fx != fx:
             raise ValueError(f"the function value at x={x!r} is NaN")
         if (fx < 0) == (f1 < 0):
             x3, f3 = x1, f1
         else:
-            x3, f3, x2, f2 = x2, f2, x1, f1
+            x3, f3 = x2, f2
+            x2, f2 = x1, f1
         x1, f1 = x, fx
-        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        x12, f12, f32 = x1 - x2, f1 - f2, f3 - f2
+        xi, phi = x12 / (x3 - x2), f12 / f32
         if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:  # inverse quadratic interpolation
-            t = f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3)
+            # x2 - x1 and f2 - f3 enter as -x12 and -f32: the two exact sign flips cancel
+            t = f1 / f12 * f3 / f32 - (x3 - x1) / x12 * f1 / (f3 - f1) * f2 / f32
         else:
             t = 0.5
     raise ArithmeticError(f"bracketed root failed to converge after {maxiter} steps, value is {x1!r}")

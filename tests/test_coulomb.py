@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from jacobi_mimo.coulomb import (
     solve_regime,
 )
 from jacobi_mimo.ensemble import SnrParam, normalize_dims
+from jacobi_mimo.specfun import g_closed
 
 from _oracles import density_mass_and_rate, energy_functional, pole_sums_mp, quadrature
 
@@ -803,6 +805,48 @@ def test_lazy_energy_is_the_direct_assembly_bit_for_bit():
             assert sol.exponent == direct - coulomb._e0_value(n0, beta)
             regimes.add(sol.regime)
     assert regimes == {"S01", "S0b", "Sa1", "Sab"}
+
+
+def _pole_draw(rng, size):
+    # (gamma, y, 1+y) with both signs of gamma, some zero weights, y > 0,
+    # y <= -1 and the removable points y = 0 and 1 + y = 0
+    poles = []
+    for _ in range(size):
+        kind = rng.integers(5)
+        y = (10.0 ** rng.uniform(-8, 6), -1.0 - 10.0 ** rng.uniform(-8, 6), 0.0, -1.0, 10.0 ** rng.uniform(-1, 1))[kind]
+        gamma = 0.0 if rng.random() < 0.15 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+        poles.append((gamma, y, 1.0 + y))
+    return tuple(poles)
+
+
+def test_pole_sum_is_the_g_closed_sum_term_by_term():
+    # every pole sum forms G's x-part once; its terms stay g_closed's
+    # values, added in pole order, bit for bit
+    rng = np.random.default_rng(48)
+    for _ in range(400):
+        poles = _pole_draw(rng, int(rng.integers(1, 5)))
+        w = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-8, 8)
+        start = rng.uniform(-5.0, 5.0)
+        plain = flipped = start
+        for gamma, y, y1 in poles:
+            plain += 0.5 * gamma * g_closed(w, y, y1)
+            flipped -= 0.5 * gamma * g_closed(w, -y1, -y)
+        assert coulomb._pole_integral(start, poles, w).hex() == plain.hex(), (start, poles, w)
+        assert coulomb._pole_integral(start, poles, w, flip=True).hex() == flipped.hex(), (start, poles, w)
+
+
+@pytest.mark.parametrize(
+    "w, pole, flip",
+    [(-1e-300, (1.0, 2.0, 3.0), False), (-1.0, (1.0, -2.0, -1.0), True),
+     (0.5, (1.0, -0.25, 0.75), False), (0.5, (-2.0, -0.25, 0.75), True)],
+)
+def test_pole_sum_refuses_what_g_closed_refuses(w, pole, flip):
+    # w < 0, or a pole whose (flipped) y lies in (-1, 0), raises g_closed's error
+    _, y, y1 = pole
+    with pytest.raises(ValueError) as ref:
+        g_closed(w, -y1, -y) if flip else g_closed(w, y, y1)
+    with pytest.raises(ValueError, match=re.escape(str(ref.value))):
+        coulomb._pole_integral(0.5, ((1.0, 0.5, 1.5), pole), w, flip=flip)
 
 
 @pytest.mark.parametrize("n0, beta", [(1.0, 1.0), (3.0, 1.0), (0.25, 1.25)], ids=["S0b-1", "S0b-3", "Sab"])
