@@ -147,11 +147,7 @@ class RegimeSolution:
 
     @functools.cached_property
     def energy(self) -> float:
-        a, b = self.a, self.b
-        return _energy_from_poles(
-            self.n0, self.beta, 1.0 / self.rho, self.k, a, b, self.r, self.poles,
-            x0=a if b == 1.0 else b,
-        )
+        return _energy_from_poles(self)
 
     @property
     def e0(self) -> float:
@@ -424,10 +420,12 @@ def _poles(
 # quadrature of the energy functional in the tests.
 # ---------------------------------------------------------------------------
 
-def _energy_from_poles(n0, beta, z, k, a, b, r, poles, x0) -> float:
+def _energy_from_poles(sol: RegimeSolution) -> float:
+    n0, beta, k, a, b, poles = sol.n0, sol.beta, sol.k, sol.a, sol.b, sol.poles
+    x0 = a if b == 1.0 else b
     d = b - a
-    rho = 1.0 / z
-    e = 0.5 * k * (r - math.log1p(rho * x0))
+    rho = 1.0 / (1.0 / sol.rho)  # the rho of z = 1/rho, which the poles and the rate were formed from
+    e = 0.5 * k * (sol.r - math.log1p(rho * x0))
     if n0:
         ic = _pole_integral(math.log(d), poles, (1.0 - b) / d, flip=True)
         e -= 0.5 * n0 * (ic + math.log1p(-x0))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -207,10 +208,9 @@ def test_outage_exact_auto_disabled_over_caps(tmp_path):
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file", "below-a-file"])
-def test_unwritable_output_is_a_usage_error(monkeypatch, tmp_path, where):
+def test_unwritable_output_is_a_usage_error(spy, tmp_path, where):
     # refused before the request runs: one error line, exit 2, no solve, no file
-    calls = []
-    monkeypatch.setattr(cli, "ergodic_summary", lambda *args: calls.append(args))
+    calls = spy(cli, "ergodic_summary")
     path, reason = {  # the reason as the write reports it
         "missing-dir": (tmp_path / "no" / "such" / "x.csv", errno.ENOENT),
         "a-dir": (tmp_path, errno.EISDIR),
@@ -280,22 +280,16 @@ def test_output_file_holds_the_bytes_stdout_gets(monkeypatch, tmp_path, fmt):
         assert path.read_bytes() == out.encode()
 
 
-def test_routes_look_their_solvers_up_when_they_run(monkeypatch):
+def test_routes_look_their_solvers_up_when_they_run(spy):
     # a wrapper patched onto the solver names of the cli module, as a tracer
     # patches them, must see every call: the one Monte Carlo curve once per
     # request, each per-rate route once per rate
-    calls = dict.fromkeys(("outage_curve", "outage_exact", "outage_asymptotic", "gaussian_outage"), 0)
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(cli, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, name, counting)
+    log = spy(cli, ("outage_curve", "outage_exact", "outage_asymptotic", "gaussian_outage"))
     code, _, err = run_cli(
         BASE + ["--points", "4", "--methods", "mc,exact,ld,gauss", "--trials", "2048", "--reproducible"]
     )
     assert code == 0, err
-    assert calls == {"outage_curve": 1, "outage_exact": 4, "outage_asymptotic": 4, "gaussian_outage": 4}
+    assert Counter(call.name for call in log) == {"outage_curve": 1, "outage_exact": 4, "outage_asymptotic": 4, "gaussian_outage": 4}
 
 
 def test_outage_exit_one_when_no_usable_rows():
@@ -803,26 +797,22 @@ def test_ergodic_csv_schema():
     assert rows[0][-1] in ("S01", "S0b", "Sa1", "Sab")
 
 
-def test_ergodic_solves_zero_multiplier_once(monkeypatch):
-    from jacobi_mimo import cli, coulomb
+def test_ergodic_solves_zero_multiplier_once(spy):
+    from jacobi_mimo import coulomb
 
-    solves = []
-    original = coulomb.solve_at_multiplier
+    logs = spy(coulomb, "solve_at_multiplier"), spy(cli, "solve_at_multiplier")
 
-    def counting(n0, beta, snr, k):
-        solves.append(k)
-        return original(n0, beta, snr, k)
+    def solves():
+        return [call.args[3] for log in logs for call in log]
 
-    monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
-    monkeypatch.setattr(cli, "solve_at_multiplier", counting)
     coulomb.ergodic_summary.cache_clear()
     argv = ["ergodic", "--N", "12", "--Nt", "4", "--Nr", "5", "--rho", "3", "--reproducible"]
     code, out, _ = run_cli(argv)
     assert code == 0
-    assert solves == [0.0]
+    assert solves() == [0.0]
     assert parse_csv(out)[2][0][-1] == "Sab"
     assert run_cli(argv) == (code, out, "")
-    assert solves == [0.0]  # the repeat reuses the cached k = 0 solution
+    assert solves() == [0.0]  # the repeat reuses the cached k = 0 solution
 
 
 def test_solver_failure_exits_one(monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import logging
@@ -442,6 +443,46 @@ def test_complementary_channel_pairs_rates_and_exponents():
                 assert abs(a.exponent - b.exponent - (beta * big_l - m * a.r)) <= 1e-9 * scale, where
 
 
+# ROADMAP item 6's sweep through the twin identity above: 16 channels, 8 rhos and 7
+# window fractions f of L = log(1+rho).  A = solve_regime at f L; its twin B is at
+# multiplier -(k_A + m).  A point passes when both residuals meet _LD_TOL (of L, and of
+# |dE_A| + |dE_B| + beta L), misses when A and B return numbers that fail either, and
+# otherwise raises ArithmeticError at A or at the twin (B or its exponent).  When this
+# test was written: 325 pass, 77 miss (0, 5, 8, 25, 4, 9, 20, 6 by rho in SWEEP_RHOS),
+# 477 raise at A and 17 at the twin.  A miss is a plausible-looking wrong number, so
+# the counts may only improve.
+SWEEP_RHOS = (1e-12, 1e-6, 1e-2, 1.0, 1e4, 1e16, 1e32, 1e150)
+SWEEP_FRACS = (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6)
+SWEEP_PASS_MIN, SWEEP_MISS_MAX = 325, 77
+
+
+def test_complementary_channel_sweep_misses_no_more_points():
+    counts = dict.fromkeys(("pass", "miss", "raise at A", "raise at the twin"), 0)
+    for n0, beta in itertools.product((0.0, 0.25, 1.0, 3.0), (1.0, 1.1, 2.0, 4.0)):
+        m = 1.0 + beta + n0
+        for rho, f in itertools.product(SWEEP_RHOS, SWEEP_FRACS):
+            snr, big_l = SnrParam(rho), math.log1p(rho)
+            try:
+                a = solve_regime(n0, beta, snr, f * big_l)
+                de_a = a.exponent
+            except ArithmeticError:
+                counts["raise at A"] += 1
+                continue
+            try:
+                b = solve_at_multiplier(beta - 1.0, 1.0 + n0, snr, -(a.k + m))
+                de_b = b.exponent
+            except ArithmeticError:
+                counts["raise at the twin"] += 1
+                continue
+            scale = abs(de_a) + abs(de_b) + beta * big_l
+            holds = (abs(a.r + b.r - big_l) <= coulomb._LD_TOL * big_l
+                     and abs(de_a - de_b - (beta * big_l - m * a.r)) <= coulomb._LD_TOL * scale)
+            counts["pass" if holds else "miss"] += 1
+    print(counts)
+    assert sum(counts.values()) == 896
+    assert counts["pass"] >= SWEEP_PASS_MIN and counts["miss"] <= SWEEP_MISS_MAX, counts
+
+
 def test_exponent_convex_on_grid():
     snr = SnrParam(10.0)
     rmax = math.log1p(10.0)
@@ -724,86 +765,56 @@ SOLVE_GRID = [(n0, beta, rho) for n0, beta, _ in CORNERS for rho in (1.0, 10.0, 
 SOLVE_FRACS = (0.1, 0.3, 0.7, 0.9)
 
 
-def test_solve_regime_newton_solve_count(monkeypatch):
-    # Newton on k from the Gaussian guess takes 5.4 multiplier solves per
-    # rate here; the bracketed brentq search it replaced took 12.3
-    ks = []
-    original = coulomb.solve_at_multiplier
-
-    def counting(n0, beta, snr, k, **kwargs):
-        ks.append(k)
-        return original(n0, beta, snr, k, **kwargs)
-
-    monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
+def _solve_grid():
+    """(n0, beta, snr, solve_regime's solution) over SOLVE_GRID x SOLVE_FRACS, from a cold k = 0 cache."""
     coulomb.ergodic_summary.cache_clear()
     for n0, beta, rho in SOLVE_GRID:
+        snr = SnrParam(rho)
         for f in SOLVE_FRACS:
-            solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
+            yield n0, beta, snr, solve_regime(n0, beta, snr, f * math.log1p(rho))
+
+
+def test_solve_regime_newton_solve_count(spy):
+    # Newton on k from the Gaussian guess takes 5.4 multiplier solves per
+    # rate here; the bracketed brentq search it replaced took 12.3
+    solves = spy(coulomb, "solve_at_multiplier")
+    list(_solve_grid())
+    ks = [call.args[3] for call in solves]
     assert len(ks) / (len(SOLVE_GRID) * len(SOLVE_FRACS)) <= 8.0
     assert ks.count(0.0) == len(SOLVE_GRID)  # k = 0 once per channel
 
 
-def test_each_multiplier_solve_builds_one_support_and_one_decomposition(monkeypatch):
+def test_each_multiplier_solve_builds_one_support_and_one_decomposition(spy):
     # solve_regime, density_at and critical_thresholds reuse what
     # solve_at_multiplier built instead of rebuilding it
-    calls = {"solve_at_multiplier": 0, "_support": 0, "_poles": 0}
-
-    def counting(name):
-        original = getattr(coulomb, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(coulomb, name, wrapper)
-
-    for name in calls:
-        counting(name)
-    coulomb.ergodic_summary.cache_clear()
+    log = spy(coulomb, ("solve_at_multiplier", "_support", "_poles"))
+    for _, _, _, sol in _solve_grid():
+        assert density_at(sol, 0.5 * (sol.a + sol.b)) > 0.0
     for n0, beta, rho in SOLVE_GRID:
-        snr = SnrParam(rho)
-        for f in SOLVE_FRACS:
-            sol = solve_regime(n0, beta, snr, f * math.log1p(rho))
-            assert density_at(sol, 0.5 * (sol.a + sol.b)) > 0.0
-        critical_thresholds(n0, beta, snr)
+        critical_thresholds(n0, beta, SnrParam(rho))
+    calls = collections.Counter(call.name for call in log)
     assert calls["solve_at_multiplier"] > len(SOLVE_GRID) * len(SOLVE_FRACS)
     assert calls["_poles"] == calls["_support"] == calls["solve_at_multiplier"]
 
 
-def test_solve_regime_builds_the_energy_at_most_once(monkeypatch):
+def test_solve_regime_builds_the_energy_at_most_once(spy):
     # the Newton iterates carry no energy; the returned solution builds it
     # on first read and keeps it
-    calls = []
-    original = coulomb._energy_from_poles
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(coulomb, "_energy_from_poles", counting)
-    coulomb.ergodic_summary.cache_clear()
-    for n0, beta, rho in SOLVE_GRID:
-        for f in SOLVE_FRACS:
-            calls.clear()
-            sol = solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
-            assert calls == []
-            sol.energy, sol.exponent, sol.energy, sol.exponent
-            assert len(calls) == 1
+    calls = spy(coulomb, "_energy_from_poles")
+    for *_, sol in _solve_grid():
+        assert calls == []
+        sol.energy, sol.exponent, sol.energy, sol.exponent
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_lazy_energy_is_the_direct_assembly_bit_for_bit():
     regimes = set()
-    for n0, beta, rho in SOLVE_GRID:
-        snr = SnrParam(rho)
-        for f in SOLVE_FRACS:
-            sol = solve_regime(n0, beta, snr, f * math.log1p(rho))
-            x0 = sol.a if sol.b == 1.0 else sol.b
-            direct = coulomb._energy_from_poles(
-                n0, beta, snr.z, sol.k, sol.a, sol.b, sol.r, sol.poles, x0
-            )
-            assert sol.energy.hex() == direct.hex()
-            assert sol.exponent == direct - coulomb._e0_value(n0, beta)
-            regimes.add(sol.regime)
+    for n0, beta, _, sol in _solve_grid():
+        direct = coulomb._energy_from_poles(sol)
+        assert sol.energy.hex() == direct.hex()
+        assert sol.exponent == direct - coulomb._e0_value(n0, beta)
+        regimes.add(sol.regime)
     assert regimes == {"S01", "S0b", "Sa1", "Sab"}
 
 
@@ -1065,33 +1076,23 @@ def _edge_root_bracket(n0, beta, rho, k, regime):
     return lo, hi
 
 
-def test_solve_regime_iterates_are_the_direct_supports(monkeypatch):
+def test_solve_regime_iterates_are_the_direct_supports(spy):
     # a support depends on (n0, beta, rho, k) alone: every support a
     # solve_regime iterate builds is the one a direct solve_at_multiplier
     # call at its k builds, bit for bit, and each edge root is one root
     # call on the full bracket (lo, hi)
-    root, solve = coulomb.bracketed_root, coulomb.solve_at_multiplier
-    ends, iterates = [], []
-
-    def recording_root(f, lo, hi, *args):
-        ends.append((lo, hi))
-        return root(f, lo, hi, *args)
-
-    def recording_solve(n0, beta, snr, k):
-        ends.clear()
-        iterates.append((solve(n0, beta, snr, k), list(ends)))
-        return iterates[-1][0]
-
-    monkeypatch.setattr(coulomb, "bracketed_root", recording_root)
-    monkeypatch.setattr(coulomb, "solve_at_multiplier", recording_solve)
-    coulomb.ergodic_summary.cache_clear()
-    for n0, beta, rho in SOLVE_GRID:
-        for f in SOLVE_FRACS:
-            solve_regime(n0, beta, SnrParam(rho), f * math.log1p(rho))
+    log = spy(coulomb, ("solve_at_multiplier", "bracketed_root"))
+    list(_solve_grid())
+    iterates = []  # each solve with the (lo, hi) of the root calls it made
+    for call in log:
+        if call.name == "solve_at_multiplier":
+            iterates.append((call.result, []))
+        else:
+            iterates[-1][1].append(call.args[1:3])
     roots = 0
     for sol, calls in iterates:
         key = (sol.n0, sol.beta, sol.rho, sol.k)
-        direct = solve(sol.n0, sol.beta, SnrParam(sol.rho), sol.k)
+        direct = solve_at_multiplier(sol.n0, sol.beta, SnrParam(sol.rho), sol.k)
         assert (sol.regime, sol.a, sol.b) == (direct.regime, direct.a, direct.b), key
         bracket = _edge_root_bracket(*key, sol.regime)
         assert calls == ([] if bracket is None else [bracket]), key
@@ -1108,46 +1109,31 @@ def test_solve_regime_iterates_are_the_direct_supports(monkeypatch):
         (0.0, 1.0, 0.01, 0.0009774805986716773),  # an ld_sweep point, f = 0.098
     ],
 )
-def test_multiplier_newton_stops_at_its_noise_floor(monkeypatch, n0, beta, rho, r):
+def test_multiplier_newton_stops_at_its_noise_floor(spy, n0, beta, rho, r):
     # r(k) jitters by ~1e-11 of r at rho <= 0.1, so the Newton step on k
     # need not fall below its tolerance; the iteration stops at the first
     # iterate no better than the best
     snr = SnrParam(rho)
     ergodic_summary(n0, beta, snr)
-    ks = []
-    original = coulomb.solve_at_multiplier
-
-    def counting(*args, **kwargs):
-        ks.append(args[3])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
+    solves = spy(coulomb, "solve_at_multiplier")
     sol = solve_regime(n0, beta, snr, r)
-    assert len(ks) <= 10
+    assert len(solves) <= 10
     assert abs(sol.r - r) <= coulomb._LD_TOL * r
 
 
-def test_solve_regime_at_r_erg_returns_the_cached_k0_solution(monkeypatch):
+def test_solve_regime_at_r_erg_returns_the_cached_k0_solution(spy):
+    calls = spy(coulomb, "solve_at_multiplier")
     for n0, beta, rho in SOLVE_GRID:
         snr = SnrParam(rho)
         erg = ergodic_summary(n0, beta, snr)
-        calls = []
-        monkeypatch.setattr(coulomb, "solve_at_multiplier", lambda *a, **kw: calls.append(a))
+        calls.clear()
         sol = solve_regime(n0, beta, snr, erg.r)
-        monkeypatch.undo()
         assert calls == []
         assert sol is erg and sol.k == 0.0
 
 
-def test_solve_regime_logs_one_debug_record(monkeypatch, caplog):
-    calls = []
-    original = coulomb.solve_at_multiplier
-
-    def counting(*args, **kwargs):
-        calls.append(args[3])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(coulomb, "solve_at_multiplier", counting)
+def test_solve_regime_logs_one_debug_record(spy, caplog):
+    calls = spy(coulomb, "solve_at_multiplier")
     snr = SnrParam(10.0)
     erg = ergodic_summary(1.0, 2.0, snr)
     for r in (0.3 * erg.r, erg.r, 1.2 * erg.r):
@@ -1182,21 +1168,14 @@ def test_solve_regime_reaches_rates_an_a_priori_rounding_floor_stopped_short_of(
 
 
 @pytest.mark.parametrize("frac", [0.3, 1.2])
-def test_first_multiplier_solve_is_the_gaussian_guess(monkeypatch, frac):
+def test_first_multiplier_solve_is_the_gaussian_guess(spy, frac):
     # Newton's step from the cached k = 0 record is (r - r_erg)/v_erg, bit for bit
     snr = SnrParam(10.0)
     erg = ergodic_summary(1.0, 2.0, snr)
     r = frac * erg.r
-    ks = []
-    original = coulomb.solve_at_multiplier
-
-    def recording(*args, **kwargs):
-        ks.append(args[3])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(coulomb, "solve_at_multiplier", recording)
+    solves = spy(coulomb, "solve_at_multiplier")
     solve_regime(1.0, 2.0, snr, r)
-    assert ks[0] == (r - erg.r) / erg.v
+    assert solves[0].args[3] == (r - erg.r) / erg.v
 
 
 @pytest.mark.parametrize("k", [1e100, 1e200, 1e300])
