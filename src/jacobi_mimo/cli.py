@@ -37,6 +37,14 @@ with --r-min or --r-max; --r or --k given with ``density --kind
 ergodic``; and an --output path that cannot be written.  A negative
 value may follow its flag space-separated or with ``=``: ``--k -1e-3``
 parses as ``--k=-1e-3`` does (see ``_joined``).
+
+A request is parsed from a flag table taken from the parser's own
+actions: each subcommand's exact option strings, with the types, choices,
+defaults and required flags declared once in ``_build_parser`` (see
+``_parsed``).  Whatever the table does not take, such as help, an
+abbreviated or unknown flag or a value argparse would refuse, is parsed
+by argparse, so every request gets argparse's Namespace, help text or
+usage error; argparse runs on no other request.
 """
 
 from __future__ import annotations
@@ -76,10 +84,12 @@ _LN2 = math.log(2.0)
 
 
 @cache
-def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
-    """The argument parser, built once per process (parsing leaves it unchanged), and its value flags.
+def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str], dict[str, dict[str, argparse.Action]]]:
+    """The argument parser, built once per process (parsing leaves it unchanged), its value flags and flag tables.
 
     A value flag takes one argument, as ``--flag value`` or ``--flag=value``.
+    A subcommand's flag table maps each of its store and store_true option
+    strings to the Action ``add_argument`` returned for it (see ``_parsed``).
     """
     parser = argparse.ArgumentParser(
         prog="jacobi-mimo",
@@ -87,10 +97,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     value_flags = set()
+    flags: dict[argparse.ArgumentParser, dict[str, argparse.Action]] = {}
 
     def arg(p, flag, **kwargs):
-        if p.add_argument(flag, **kwargs).nargs is None:
+        action = p.add_argument(flag, **kwargs)
+        if action.nargs is None:
             value_flags.add(flag)
+        if (kwargs.get("action", "store"), action.nargs) in (("store", None), ("store_true", 0)):
+            flags.setdefault(p, {})[flag] = action
 
     def channel_args(p):
         arg(p, "--N", type=int, required=True, help="total fiber channels")
@@ -124,7 +138,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
     p_erg = sub.add_parser("ergodic", help="ergodic summary record")
     channel_args(p_erg)
 
-    return parser, frozenset(value_flags)
+    return parser, frozenset(value_flags), {name: flags[p] for name, p in sub.choices.items()}
 
 
 # A token that starts as a negative number: -1e-3, -.5, -inf, -inf,0.5
@@ -146,6 +160,59 @@ def _joined(argv: list[str], value_flags: frozenset[str]) -> list[str]:
         else:
             joined.append(token)
     return joined
+
+
+def _parsed(argv: list[str], tables: dict[str, dict[str, argparse.Action]]) -> argparse.Namespace | None:
+    """The Namespace ``parser.parse_args(argv)`` gives, read from a flag table; None leaves ``argv`` to argparse.
+
+    argv[0] names the subcommand, whose table then takes only exact option
+    strings: a bare store_true flag, or a value flag as ``--flag=value`` or
+    as ``--flag value`` with a value that does not start with "-".  Each
+    value goes through its action's ``type`` and ``choices``, the last of a
+    repeated flag wins, every required flag must be given, and a str
+    default goes through its ``type``, as in argparse.  Anything else is
+    argparse's to parse: help, an abbreviation, an unknown flag or one of
+    another subcommand, a missing or flag-like value, "--", a store_true
+    flag given a value, and a value its type or choices refuse.
+    """
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = table.get(token)
+        if action is None:
+            flag, eq, value = token.partition("=")
+            action = table.get(flag) if eq else None
+            if action is None or action.nargs is not None or value == "--":
+                return None
+        elif action.nargs == 0:
+            given[action.dest] = action.const
+            continue
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    args = argparse.Namespace(command=argv[0])
+    for action in table.values():
+        if action.dest in given:
+            value = given[action.dest]
+        elif action.required:
+            return None
+        elif isinstance(action.default, str) and action.type is not None:
+            value = action.type(action.default)
+        else:
+            value = action.default
+        setattr(args, action.dest, value)
+    return args
 
 
 class UsageError(ValueError):
@@ -429,8 +496,11 @@ def _json_cells(values: list) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser, value_flags = _build_parser()
-    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv, value_flags))
+    parser, value_flags, tables = _build_parser()
+    argv = _joined(sys.argv[1:] if argv is None else argv, value_flags)
+    args = _parsed(argv, tables)
+    if args is None:
+        args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
         ch = _channel(args)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import io
@@ -50,6 +51,14 @@ K_CHANNEL = ["density", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "3", "--k
 README_OUTAGE = ["outage", "--N", "18", "--Nt", "6", "--Nr", "6", "--rho", "20", "--r-min", "1.2", "--r-max", "1.7",
                  "--points", "11", "--methods", "mc,exact,ld,gauss", "--trials", "20000", "--seed", "1",
                  "--reproducible"]
+# one request per layer: the argvs of perfbench.workloads.warmup_argvs()
+WARMUP_ARGVS = [
+    ["outage", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "10", "--points", "3",
+     "--methods", "mc,exact,ld,gauss", "--trials", "2048", "--seed", "1"],
+    ["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--kind", "constrained",
+     "--r", "0.5", "--format", "json"],
+    ["ergodic", "--N", "24", "--Nt", "8", "--Nr", "8", "--rho", "10"],
+]
 
 
 def test_outage_flat_law_exact_column_and_mc_ci():
@@ -703,6 +712,95 @@ def test_negative_value_parses_space_separated_as_with_equals(capsys):
     assert capsys.readouterr().err.endswith("error: argument --k: expected one argument\n")
 
 
+# The flag table (cli._parsed) and argparse.  Each base request is cheap to
+# run: outage takes the gauss column at two points.
+TABLE_BASES = {
+    "outage": ["outage", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--methods", "gauss", "--points", "2"],
+    "density": ["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--grid-points", "16"],
+    "ergodic": ["ergodic", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3"],
+}
+CHANNEL_VALUES = {"--N": "12", "--Nt": "4", "--Nr": "5", "--rho": "10", "--format": "json", "--output": os.devnull}
+# a value for every value flag of each subcommand
+TABLE_VALUES = {
+    "outage": {**CHANNEL_VALUES, "--r-min": "0.2", "--r-max": "1.2", "--points": "3", "--rates": "0.2,0.5",
+               "--methods": "ld", "--trials": "1000", "--seed": "7", "--workers": "2"},
+    "density": {**CHANNEL_VALUES, "--kind": "constrained", "--r": "0.5", "--k": "1.5", "--grid-points": "8"},
+    "ergodic": CHANNEL_VALUES,
+}
+# requests the table parses: every flag in both forms, every choice, repeats, negative values
+TABLE_ACCEPTS = {
+    "readme-outage": README_OUTAGE,
+    **{f"warmup-{argv[0]}": argv for argv in WARMUP_ARGVS},
+    "k-negative": TABLE_BASES["density"] + ["--kind", "constrained", "--k", "-1e-3"],
+    "rates-negative": TABLE_BASES["outage"] + ["--rates", "-inf,0.5"],
+    "r-min-negative": TABLE_BASES["outage"] + ["--r-min", "-1e-3"],
+    "kind-ergodic": TABLE_BASES["density"] + ["--kind", "ergodic"],
+}
+for _command, _base in TABLE_BASES.items():
+    for _flag, _value in TABLE_VALUES[_command].items():
+        TABLE_ACCEPTS[f"{_command}{_flag}"] = _base + [_flag, _value]
+        TABLE_ACCEPTS[f"{_command}{_flag}="] = _base + [f"{_flag}={_value}"]
+    TABLE_ACCEPTS[f"{_command}--bits"] = _base + ["--bits"]
+    TABLE_ACCEPTS[f"{_command}--reproducible"] = _base + ["--reproducible"]
+    TABLE_ACCEPTS[f"{_command}--format-csv"] = _base + ["--format", "csv"]
+    TABLE_ACCEPTS[f"{_command}-repeated"] = _base + ["--N", "18", "--format", "json", "--bits", "--N=12",
+                                                     "--format=csv", "--bits", "--rho", "5"]
+# requests the table leaves to argparse, all refused by it but the abbreviation
+TABLE_DECLINES = {
+    "abbreviation": TABLE_BASES["ergodic"] + ["--rep"],
+    "help": TABLE_BASES["outage"] + ["--help"],
+    "h": ["density", "-h"],
+    "missing-rho": TABLE_BASES["ergodic"][:-2],
+    "N-not-int": TABLE_BASES["ergodic"] + ["--N", "4.5"],
+    "format-xml": TABLE_BASES["ergodic"] + ["--format", "xml"],
+    "bits-with-value": TABLE_BASES["ergodic"] + ["--bits=1"],
+    "k-on-outage": TABLE_BASES["outage"] + ["--k", "1.5"],
+    "unknown-flag": TABLE_BASES["ergodic"] + ["--foo", "1"],
+    "trailing-value-flag": TABLE_BASES["outage"] + ["--points"],
+    "flag-as-value": TABLE_BASES["density"] + ["--kind", "constrained", "--k", "--grid-points", "5"],
+    "flag-as-str-value": TABLE_BASES["outage"] + ["--methods", "--reproducible"],
+    "double-dash": TABLE_BASES["ergodic"] + ["--", "--reproducible"],
+    "flag-before-subcommand": ["--N", "9", "ergodic", "--Nt", "3", "--Nr", "3", "--rho", "3"],
+    "no-subcommand": [],
+}
+TABLE_CASES = TABLE_ACCEPTS | TABLE_DECLINES
+
+
+def _outcome(call):
+    """(result, stdout, stderr) of ``call()``: its return value, or the code of the SystemExit it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_flag_table_parses_as_argparse_does(case):
+    parser, value_flags, tables = cli._build_parser()
+    argv = cli._joined(TABLE_CASES[case], value_flags)
+    parsed = cli._parsed(argv, tables)
+    if case in TABLE_ACCEPTS:
+        assert parsed is not None and vars(parsed) == vars(parser.parse_args(argv))
+        return
+    assert parsed is None
+    expected = _outcome(lambda: parser.parse_args(argv))
+    if isinstance(expected[0], argparse.Namespace):  # argparse completes --rep to --reproducible
+        spelled = TABLE_BASES["ergodic"] + ["--reproducible"]
+        assert vars(expected[0]) == vars(parser.parse_args(spelled))
+        expected = _outcome(lambda: main(spelled))
+    assert _outcome(lambda: main(TABLE_CASES[case])) == expected
+
+
+@pytest.mark.parametrize("case", list(TABLE_CASES))
+def test_argparse_runs_only_on_what_the_flag_table_declines(spy, case):
+    calls = spy(cli._build_parser()[0], "parse_args")
+    _outcome(lambda: main(TABLE_CASES[case]))
+    assert len(calls) == (case in TABLE_DECLINES)
+
+
 @pytest.mark.parametrize("command", ["outage", "density", "ergodic"])
 def test_rho_too_small_to_invert_is_a_usage_error(command):
     # z = 1/rho overflows below rho ~ 5.6e-309; it used to surface as the
@@ -1016,15 +1114,8 @@ def test_monte_carlo_bytes_do_not_depend_on_the_cpus_or_workers():
 
 
 def test_no_scipy_module_loads_at_runtime():
-    # one request per layer: the argvs of perfbench.workloads.warmup_argvs(), the
-    # Monte Carlo one with two workers asked for, which open no thread pool
-    requests = [
-        ["outage", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "10", "--points", "3",
-         "--methods", "mc,exact,ld,gauss", "--trials", "2048", "--seed", "1", "--workers", "2"],
-        ["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--kind", "constrained",
-         "--r", "0.5", "--format", "json"],
-        ["ergodic", "--N", "24", "--Nt", "8", "--Nr", "8", "--rho", "10"],
-    ]
+    # one request per layer, the Monte Carlo one with two workers asked for, which open no thread pool
+    requests = [WARMUP_ARGVS[0] + ["--workers", "2"], *WARMUP_ARGVS[1:]]
     code, loaded, err = _fresh_python(
         "-c",
         "import contextlib, io, sys\n"
