@@ -36,15 +36,17 @@ window, NaN and infinities included; a non-finite --k; --rates given
 with --r-min or --r-max; --r or --k given with ``density --kind
 ergodic``; and an --output path that cannot be written.  A negative
 value may follow its flag space-separated or with ``=``: ``--k -1e-3``
-parses as ``--k=-1e-3`` does (see ``_joined``).
+parses as ``--k=-1e-3`` does.
 
-A request is parsed from a flag table taken from the parser's own
-actions: each subcommand's exact option strings, with the types, choices,
-defaults and required flags declared once in ``_build_parser`` (see
-``_parsed``).  Whatever the table does not take, such as help, an
-abbreviated or unknown flag or a value argparse would refuse, is parsed
-by argparse, so every request gets argparse's Namespace, help text or
-usage error; argparse runs on no other request.
+Every request is parsed by one flag table taken from the parser's own
+actions, with the types, choices, defaults and required flags declared
+once in ``_build_parser``: a subcommand's option strings, each exact or
+as a unique prefix, and their values as argparse reads them (see
+``_parsed``).  argparse runs only on what the table declines, and only
+to print help or a usage error in its own words; no command runs on a
+Namespace argparse built.  A request argparse would take all the same,
+``--rates=--`` say (argparse 3.11 stores the value as []), is a usage
+error that names the token the table declined.
 """
 
 from __future__ import annotations
@@ -84,27 +86,23 @@ _LN2 = math.log(2.0)
 
 
 @cache
-def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str], dict[str, dict[str, argparse.Action]]]:
-    """The argument parser, built once per process (parsing leaves it unchanged), its value flags and flag tables.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The argument parser, built once per process (parsing leaves it unchanged), and its flag tables.
 
-    A value flag takes one argument, as ``--flag value`` or ``--flag=value``.
-    A subcommand's flag table maps each of its store and store_true option
-    strings to the Action ``add_argument`` returned for it (see ``_parsed``).
+    A subcommand's flag table maps each of its option strings to the Action
+    ``add_argument`` returned for it.  Every flag is a store flag, which
+    takes one value (``nargs`` None), or a store_true one (``nargs`` 0);
+    see ``_parsed``.
     """
     parser = argparse.ArgumentParser(
         prog="jacobi-mimo",
         description="Outage probability for the Jacobi (truncated Haar unitary) MIMO channel",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    value_flags = set()
-    flags: dict[argparse.ArgumentParser, dict[str, argparse.Action]] = {}
+    tables: dict[argparse.ArgumentParser, dict[str, argparse.Action]] = {}
 
     def arg(p, flag, **kwargs):
-        action = p.add_argument(flag, **kwargs)
-        if action.nargs is None:
-            value_flags.add(flag)
-        if (kwargs.get("action", "store"), action.nargs) in (("store", None), ("store_true", 0)):
-            flags.setdefault(p, {})[flag] = action
+        tables.setdefault(p, {})[flag] = p.add_argument(flag, **kwargs)
 
     def channel_args(p):
         arg(p, "--N", type=int, required=True, help="total fiber channels")
@@ -138,80 +136,92 @@ def _build_parser() -> tuple[argparse.ArgumentParser, frozenset[str], dict[str, 
     p_erg = sub.add_parser("ergodic", help="ergodic summary record")
     channel_args(p_erg)
 
-    return parser, frozenset(value_flags), {name: flags[p] for name, p in sub.choices.items()}
+    return parser, {name: tables[p] for name, p in sub.choices.items()}
 
 
 # A token that starts as a negative number: -1e-3, -.5, -inf, -inf,0.5
 _NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-def _joined(argv: list[str], value_flags: frozenset[str]) -> list[str]:
+def _action(table: dict[str, argparse.Action], name: str) -> argparse.Action | None:
+    """The Action of the option string ``name`` names in a flag table, exactly or as a unique prefix, or None.
+
+    An exact option string wins, as in argparse.  An unknown name, a prefix
+    of several option strings, and a name for "--help" give None.
+    """
+    found = [name] if name in table else [flag for flag in (*table, "--help") if flag.startswith(name)]
+    return table.get(found[0]) if len(found) == 1 else None
+
+
+def _joined(argv: list[str], tables: dict[str, dict[str, argparse.Action]]) -> list[str]:
     """``argv`` with each value flag followed by a negative number written ``--flag=value``.
 
-    argparse takes a token that starts with "-" for an option unless it
-    reads like -12 or -1.5, so ``--k -1e-3``, ``--k -inf`` or ``--rates
-    -inf,0.5`` would leave the flag without its value.  Joined, the request
-    parses as its ``=`` form does.
+    A value flag is a token that names (see ``_action``) an option string
+    that takes a value in any subcommand's table.  argparse takes a token
+    that starts with "-" for an option unless it reads like -12 or -1.5, so
+    ``--k -1e-3``, ``--k -inf`` or ``--rates -inf,0.5`` would leave the flag
+    without its value.  Joined, the request parses as its ``=`` form does,
+    as the flag table reads it; ``main`` hands argparse only joined
+    requests, so its usage errors are about the request as meant.
     """
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in value_flags and _NEGATIVE.match(token):
+        actions = [_action(table, joined[-1]) for table in tables.values()] if joined else []
+        if _NEGATIVE.match(token) and any(action and action.nargs is None for action in actions):
             joined[-1] += "=" + token
         else:
             joined.append(token)
     return joined
 
 
-def _parsed(argv: list[str], tables: dict[str, dict[str, argparse.Action]]) -> argparse.Namespace | None:
-    """The Namespace ``parser.parse_args(argv)`` gives, read from a flag table; None leaves ``argv`` to argparse.
+def _parsed(argv: list[str], tables: dict[str, dict[str, argparse.Action]]) -> argparse.Namespace | str:
+    """The Namespace argparse gives ``_joined(argv, tables)``, read from a flag table, or the token the table declines.
 
-    argv[0] names the subcommand, whose table then takes only exact option
-    strings: a bare store_true flag, or a value flag as ``--flag=value`` or
-    as ``--flag value`` with a value that does not start with "-".  Each
-    value goes through its action's ``type`` and ``choices``, the last of a
-    repeated flag wins, every required flag must be given, and a str
-    default goes through its ``type``, as in argparse.  Anything else is
-    argparse's to parse: help, an abbreviation, an unknown flag or one of
-    another subcommand, a missing or flag-like value, "--", a store_true
-    flag given a value, and a value its type or choices refuse.
+    argv[0] names the subcommand, whose table then reads its option
+    strings, each exact or as a unique prefix (an exact one wins, as in
+    argparse): a bare store_true flag, or a value flag as ``--flag=value``
+    or as ``--flag value``.  The value in the second form is a token
+    argparse also reads as one: it does not start with "-", or it is a lone
+    "-", a negative number (``_NEGATIVE``, as ``_joined`` joins it) or has a
+    space and names no flag.  Each value goes through its action's ``type``
+    and ``choices``, the last of a repeated flag wins, and every required
+    flag must be given.  Anything else is declined: help, an ambiguous or
+    unknown flag or one of another subcommand, a missing or flag-like
+    value, a store_true flag given a value, a value its type or choices
+    refuse, a missing required flag (the flag is returned) and
+    ``--flag=--``, which argparse 3.11 stores as [].
     """
     table = tables.get(argv[0]) if argv else None
     if table is None:
-        return None
+        return argv[0] if argv else ""
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        action = table.get(token)
-        if action is None:
-            flag, eq, value = token.partition("=")
-            action = table.get(flag) if eq else None
-            if action is None or action.nargs is not None or value == "--":
-                return None
-        elif action.nargs == 0:
+        name, eq, value = token.partition("=")
+        action = _action(table, name)
+        if action is None or eq and (action.nargs == 0 or value == "--"):
+            return token
+        if action.nargs == 0:
             given[action.dest] = action.const
             continue
-        else:
-            value = next(tokens, "-")
-            if value.startswith("-"):
-                return None
+        if not eq:
+            value = next(tokens, "--")  # a missing value is declined as a flag-like one is
+            if value.startswith("-") and value != "-" and not _NEGATIVE.match(value) and (
+                    " " not in value or value.startswith("-h") or value.startswith("--")
+                    and any(flag.startswith(value.partition("=")[0]) for flag in (*table, "--help"))):
+                return token
         try:
             value = value if action.type is None else action.type(value)
         except (TypeError, ValueError):
-            return None
+            return token
         if action.choices is not None and value not in action.choices:
-            return None
+            return token
         given[action.dest] = value
     args = argparse.Namespace(command=argv[0])
-    for action in table.values():
-        if action.dest in given:
-            value = given[action.dest]
-        elif action.required:
-            return None
-        elif isinstance(action.default, str) and action.type is not None:
-            value = action.type(action.default)
-        else:
-            value = action.default
-        setattr(args, action.dest, value)
+    for flag, action in table.items():
+        if action.required and action.dest not in given:
+            return flag
+        setattr(args, action.dest, given.get(action.dest, action.default))
     return args
 
 
@@ -394,8 +404,6 @@ def cmd_outage(args, ch: Channel):
         mc = McConfig(dims=ch.dims, snr=ch.snr, trials=args.trials, seed=args.seed)
     except ValueError as err:
         raise UsageError(str(err)) from err
-    if args.workers < 1:
-        raise UsageError("workers must be >= 1")
     warnings: list[str] = []
     # header order, the request's own rates in r, the rest blank until a route fills it
     columns = dict.fromkeys(_CSV_HEADER, [None] * len(rates)) | {"r": shown}
@@ -409,7 +417,6 @@ def cmd_outage(args, ch: Channel):
         "methods": methods,
         "trials": mc.trials,
         "seed": mc.seed,
-        "workers": args.workers,
         "warnings": warnings,
     }
     return fields, columns
@@ -496,11 +503,12 @@ def _json_cells(values: list) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser, value_flags, tables = _build_parser()
-    argv = _joined(sys.argv[1:] if argv is None else argv, value_flags)
+    parser, tables = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = _parsed(argv, tables)
-    if args is None:
-        args = parser.parse_args(argv)
+    if isinstance(args, str):  # argparse prints the help or usage error and exits
+        parser.parse_args(_joined(argv, tables))
+        parser.error(f"cannot read {args!r}")  # argparse took it: 3.11 stores a --flag=-- as []
     started = time.perf_counter()
     try:
         ch = _channel(args)

@@ -130,8 +130,11 @@ def log_q(u: float) -> float:
     return -0.5 * u * u - math.log(u) - _HALF_LOG_2PI + math.log(total)
 
 
-def bracketed_root(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float,
-                   maxiter: int = 100) -> float:
+# Steps before bracketed_root gives up.
+_ROOT_MAXITER = 100
+
+
+def bracketed_root(f, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float) -> float:
     """Root of f in the bracket [a, b], given fa = f(a) and fb = f(b), by Chandrupatla's method.
 
     Each step interpolates the last three points by an inverse quadratic
@@ -141,15 +144,15 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float, xtol: float, rto
     ``find_root``).  It stops, as ``scipy.optimize.brentq`` does, on a zero
     or on a bracket narrower than xtol + rtol |x|, and returns the end x
     with the smaller |f|.  Raises ValueError when fa and fb share a sign or
-    f is NaN at an end or a step, and ArithmeticError after ``maxiter``
-    steps.
+    f is NaN at an end or a step, and ArithmeticError after
+    ``_ROOT_MAXITER`` steps.
     """
     if fa != fa or fb != fb:
         raise ValueError(f"the function value at an end of [{a!r}, {b!r}] is NaN")
     if fa > 0 and fb > 0 or fa < 0 and fb < 0:
         raise ValueError("f(a) and f(b) must have different signs")
     x1, f1, x2, f2, t = a, fa, b, fb, 0.5  # x1 the newest point; f1, f2 of opposite signs
-    for _ in range(maxiter):
+    for _ in range(_ROOT_MAXITER):
         if (f1 if f1 >= 0 else -f1) < (f2 if f2 >= 0 else -f2):
             xm, fm = x1, f1
         else:
@@ -180,7 +183,7 @@ def bracketed_root(f, a: float, b: float, fa: float, fb: float, xtol: float, rto
             t = f1 / f12 * f3 / f32 - (x3 - x1) / x12 * f1 / (f3 - f1) * f2 / f32
         else:
             t = 0.5
-    raise ArithmeticError(f"bracketed root failed to converge after {maxiter} steps, value is {x1!r}")
+    raise ArithmeticError(f"bracketed root failed to converge after {_ROOT_MAXITER} steps, value is {x1!r}")
 
 
 def elementary_symmetric_all(values: Sequence) -> list:

@@ -1,3 +1,4 @@
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -5,25 +6,28 @@ import pytest
 
 @pytest.fixture
 def spy(monkeypatch):
-    """spy(module, name) or spy(module, (name, ...)): watch module attributes for the test.
+    """spy(owner, name) or spy(owner, (name, ...)): watch a module's attributes, or a dict's entries, for the test.
 
-    Each named attribute is wrapped so that it calls through, and the
-    returned list gains one entry per call, in the order the calls begin
-    (an outer call precedes the calls it makes), with ``name``, ``args``,
-    ``kwargs`` and, once the call returns, ``result``.  Several names log
-    into one list, so a test can group one function's calls by another's.
+    Each named attribute (or entry) is wrapped so that it calls through,
+    and the returned list gains one entry per call, in the order the calls
+    begin (an outer call precedes the calls it makes), with ``name``,
+    ``args``, ``kwargs`` and, once the call returns, ``result``.  Several
+    names log into one list, so a test can group one function's calls by
+    another's.
     """
 
-    def watch(module, names):
+    def watch(owner, names):
         log = []
+        get, put = ((owner.__getitem__, monkeypatch.setitem) if isinstance(owner, dict)
+                    else (partial(getattr, owner), monkeypatch.setattr))
         for name in (names,) if isinstance(names, str) else names:
-            def wrapper(*args, _name=name, _original=getattr(module, name), **kwargs):
+            def wrapper(*args, _name=name, _original=get(name), **kwargs):
                 call = SimpleNamespace(name=_name, args=args, kwargs=kwargs)
                 log.append(call)
                 call.result = _original(*args, **kwargs)
                 return call.result
 
-            monkeypatch.setattr(module, name, wrapper)
+            put(owner, name, wrapper)
         return log
 
     return watch

@@ -193,7 +193,6 @@ def test_outage_usage_errors():
     assert run_cli(BASE + ["--trials", "0"])[0] == 2
     assert run_cli(BASE + ["--seed", "-1"])[0] == 2
     assert run_cli(BASE + ["--seed", str(2**128)])[0] == 2
-    assert run_cli(BASE + ["--workers", "0"]) == (2, "", "error: workers must be >= 1\n")
     assert run_cli(BASE + ["--points", "0"]) == (2, "", "error: --points must be >= 1\n")
     for rho in ("0", "-1"):
         argv = ["outage", "--N", "2", "--Nt", "1", "--Nr", "1", f"--rho={rho}"]
@@ -240,25 +239,17 @@ def test_unwritable_output_is_a_usage_error(spy, tmp_path, where):
 
 
 def test_worker_count_is_invisible():
-    # --workers is accepted and echoed but changes nothing else; neither trial
-    # count is a multiple of the block size, so the last block is partial
+    # --workers is accepted, whatever its value, and changes nothing; neither
+    # trial count is a multiple of the block size, so the last block is partial
     for shape, trials in (((4, 2, 2), 30_000), ((7, 2, 3), 2 * 1024 + 452)):
         n, nt, nr = map(str, shape)
         argv = ["outage", "--N", n, "--Nt", nt, "--Nr", nr, "--rho", "10", "--points", "5",
                 "--methods", "mc", "--trials", str(trials), "--seed", "3", "--reproducible"]
-        csv_out, json_out = {}, {}
-        for workers in (1, 2, 4):
-            code, out, _ = run_cli(argv + ["--workers", str(workers)])
-            assert code == 0
-            assert f"# workers: {workers}\n" in out
-            csv_out[workers] = out.replace(f"# workers: {workers}\n", "", 1)
-            code, out, _ = run_cli(argv + ["--workers", str(workers), "--format", "json"])
-            assert code == 0
-            doc = json.loads(out)
-            assert doc["meta"].pop("workers") == workers
-            json_out[workers] = doc
-        assert csv_out[1] == csv_out[2] == csv_out[4]
-        assert json_out[1] == json_out[2] == json_out[4]
+        for fmt in ("csv", "json"):
+            plain = run_cli(argv + ["--format", fmt])
+            assert plain[0] == 0 and "workers" not in plain[1]
+            for workers in ("0", "1", "2", "4"):
+                assert run_cli(argv + ["--format", fmt, "--workers", workers]) == plain
 
 
 def test_output_write_failure_is_a_usage_error():
@@ -727,7 +718,8 @@ TABLE_VALUES = {
     "density": {**CHANNEL_VALUES, "--kind": "constrained", "--r": "0.5", "--k": "1.5", "--grid-points": "8"},
     "ergodic": CHANNEL_VALUES,
 }
-# requests the table parses: every flag in both forms, every choice, repeats, negative values
+# requests the table parses: every flag in both forms, every choice, repeats,
+# negative values, abbreviations, and the values argparse reads although they start with "-"
 TABLE_ACCEPTS = {
     "readme-outage": README_OUTAGE,
     **{f"warmup-{argv[0]}": argv for argv in WARMUP_ARGVS},
@@ -735,6 +727,15 @@ TABLE_ACCEPTS = {
     "rates-negative": TABLE_BASES["outage"] + ["--rates", "-inf,0.5"],
     "r-min-negative": TABLE_BASES["outage"] + ["--r-min", "-1e-3"],
     "kind-ergodic": TABLE_BASES["density"] + ["--kind", "ergodic"],
+    "abbreviation": TABLE_BASES["ergodic"] + ["--rep"],
+    "abbreviated-value-flag": TABLE_BASES["density"] + ["--gri", "5"],
+    "abbreviation-with-equals": TABLE_BASES["ergodic"] + [f"--out={os.devnull}"],
+    "abbreviated-str-flag": TABLE_BASES["outage"] + ["--meth", "gauss"],
+    "exact-beats-prefix": TABLE_BASES["density"] + ["--gri", "5", "--k", "-1e-3"],
+    "abbreviation-negative-value": TABLE_BASES["outage"] + ["--r-mi", "-1e-3"],
+    "lone-dash-value": TABLE_BASES["ergodic"] + ["--output", "-"],
+    "spaced-dash-value": TABLE_BASES["outage"] + ["--methods", "-mc, gauss"],
+    "spaced-dash-equals-value": TABLE_BASES["outage"] + ["--methods", "-=mc, gauss"],
 }
 for _command, _base in TABLE_BASES.items():
     for _flag, _value in TABLE_VALUES[_command].items():
@@ -745,9 +746,10 @@ for _command, _base in TABLE_BASES.items():
     TABLE_ACCEPTS[f"{_command}--format-csv"] = _base + ["--format", "csv"]
     TABLE_ACCEPTS[f"{_command}-repeated"] = _base + ["--N", "18", "--format", "json", "--bits", "--N=12",
                                                      "--format=csv", "--bits", "--rho", "5"]
-# requests the table leaves to argparse, all refused by it but the abbreviation
+# requests the table leaves to argparse, each ending in its help or a usage error
 TABLE_DECLINES = {
-    "abbreviation": TABLE_BASES["ergodic"] + ["--rep"],
+    "ambiguous-abbreviation": TABLE_BASES["outage"] + ["--r", "0.5"],
+    "help-abbreviation": TABLE_BASES["ergodic"] + ["--he"],
     "help": TABLE_BASES["outage"] + ["--help"],
     "h": ["density", "-h"],
     "missing-rho": TABLE_BASES["ergodic"][:-2],
@@ -759,11 +761,18 @@ TABLE_DECLINES = {
     "trailing-value-flag": TABLE_BASES["outage"] + ["--points"],
     "flag-as-value": TABLE_BASES["density"] + ["--kind", "constrained", "--k", "--grid-points", "5"],
     "flag-as-str-value": TABLE_BASES["outage"] + ["--methods", "--reproducible"],
+    "spaced-flag-as-value": TABLE_BASES["outage"] + ["--methods", "--out=a b"],
+    "spaced-help-as-value": TABLE_BASES["outage"] + ["--methods", "-h x"],
+    "spaced-help-abbreviation-as-value": TABLE_BASES["outage"] + ["--methods", "--he=a b"],
+    "missing-rho-negative-value": TABLE_BASES["outage"][:7] + ["--r-min", "-1e-3"],
     "double-dash": TABLE_BASES["ergodic"] + ["--", "--reproducible"],
     "flag-before-subcommand": ["--N", "9", "ergodic", "--Nt", "3", "--Nr", "3", "--rho", "3"],
     "no-subcommand": [],
 }
 TABLE_CASES = TABLE_ACCEPTS | TABLE_DECLINES
+# every value flag given "--" as an "=" value, which argparse 3.11 stores as []
+DASH_VALUES = {f"{command}{flag}": TABLE_BASES[command] + [f"{flag}=--"]
+               for command, values in TABLE_VALUES.items() for flag in values}
 
 
 def _outcome(call):
@@ -779,26 +788,43 @@ def _outcome(call):
 
 @pytest.mark.parametrize("case", list(TABLE_CASES))
 def test_flag_table_parses_as_argparse_does(case):
-    parser, value_flags, tables = cli._build_parser()
-    argv = cli._joined(TABLE_CASES[case], value_flags)
+    parser, tables = cli._build_parser()
+    argv = TABLE_CASES[case]
     parsed = cli._parsed(argv, tables)
+    expected = _outcome(lambda: parser.parse_args(cli._joined(argv, tables)))
     if case in TABLE_ACCEPTS:
-        assert parsed is not None and vars(parsed) == vars(parser.parse_args(argv))
+        assert isinstance(parsed, argparse.Namespace) and vars(parsed) == vars(expected[0])
         return
-    assert parsed is None
-    expected = _outcome(lambda: parser.parse_args(argv))
-    if isinstance(expected[0], argparse.Namespace):  # argparse completes --rep to --reproducible
-        spelled = TABLE_BASES["ergodic"] + ["--reproducible"]
-        assert vars(expected[0]) == vars(parser.parse_args(spelled))
-        expected = _outcome(lambda: main(spelled))
-    assert _outcome(lambda: main(TABLE_CASES[case])) == expected
+    assert isinstance(parsed, str) and expected[0] in (0, 2)  # help, or argparse's usage error
+    assert _outcome(lambda: main(argv)) == expected
+    if case == "missing-rho-negative-value":  # the joined --r-min=-1e-3 leaves --rho the one thing missing
+        assert expected[2].endswith("error: the following arguments are required: --rho\n")
 
 
 @pytest.mark.parametrize("case", list(TABLE_CASES))
-def test_argparse_runs_only_on_what_the_flag_table_declines(spy, case):
+def test_argparse_runs_only_on_what_the_flag_table_declines(spy, monkeypatch, tmp_path, case):
+    # and once argparse has run, no command does
+    monkeypatch.chdir(tmp_path)  # where "--output -" writes
     calls = spy(cli._build_parser()[0], "parse_args")
+    commands = spy(cli._COMMANDS, tuple(cli._COMMANDS))
     _outcome(lambda: main(TABLE_CASES[case]))
     assert len(calls) == (case in TABLE_DECLINES)
+    assert not (calls and commands)
+
+
+@pytest.mark.parametrize("case", list(DASH_VALUES))
+def test_double_dash_value_is_a_usage_error(spy, monkeypatch, tmp_path, case):
+    # argparse 3.11 takes --flag=-- and stores [] where a command expects a str or a
+    # number, so the command would end in a traceback or, given --output, --format or
+    # --kind, run as if the flag were absent
+    monkeypatch.chdir(tmp_path)
+    parses = spy(cli._build_parser()[0], "parse_args")
+    commands = spy(cli._COMMANDS, tuple(cli._COMMANDS))
+    flag = DASH_VALUES[case][-1].removesuffix("=--")
+    output = [] if flag == "--output" else ["--output", "out.csv"]
+    code, out, err = _outcome(lambda: main(DASH_VALUES[case] + output))
+    assert (code, out, len(parses), commands, list(tmp_path.iterdir())) == (2, "", 1, [], [])
+    assert "Traceback" not in err and flag in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("command", ["outage", "density", "ergodic"])
@@ -825,9 +851,9 @@ def test_density_integrates_across_regimes():
 
 # The metadata block's keys in order, per request kind; wall_time_s closes
 # every block without --reproducible.  Consumers read these lines by
-# position and by their literal text (a "# workers: N" line, say).
+# position and by their literal text (a "# seed: N" line, say).
 META_KEYS = {
-    "outage": ["methods", "trials", "seed", "workers", "rate_unit", "warnings"],
+    "outage": ["methods", "trials", "seed", "rate_unit", "warnings"],
     "density": ["kind", "support", "r_erg", "v_erg", "e0", "rate_unit"],
     "density-constrained": ["kind", "regime", "support", "k", "r", "exponent", "rate_unit"],
     "ergodic": ["rate_unit"],
@@ -867,7 +893,7 @@ def test_metadata_block_order_and_line_format(kind):
         code, doc, _ = run_cli(argv + extra + ["--format", "json"])
         assert list(json.loads(doc)["meta"]) == keys
         if kind == "outage":
-            assert block[8:10] == ["# workers: 2\n", '# rate_unit: "nats"\n']
+            assert block[7:9] == ["# seed: 5\n", '# rate_unit: "nats"\n']
 
 
 def test_ergodic_golden_record():
@@ -1091,7 +1117,7 @@ MC_REQUESTS = [
 
 def test_monte_carlo_bytes_do_not_depend_on_the_cpus_or_workers():
     # a child pinned to one CPU before numpy loads prints what this unpinned
-    # process prints, at --workers 1 and 2, whose runs differ only in that echo
+    # process prints, at --workers 1 and 2, whose runs are the same bytes
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("os.sched_setaffinity is not available on this platform")
     cpus = os.sched_getaffinity(0)
@@ -1110,7 +1136,7 @@ def test_monte_carlo_bytes_do_not_depend_on_the_cpus_or_workers():
     assert all(code == 0 for code, _, _ in unpinned)
     assert pinned == (0, "".join(out for _, out, _ in unpinned), "".join(err for _, _, err in unpinned))
     for (_, one, _), (_, two, _) in zip(unpinned[::2], unpinned[1::2]):
-        assert two == one.replace("# workers: 1\n", "# workers: 2\n", 1) != one
+        assert two == one
 
 
 def test_no_scipy_module_loads_at_runtime():

@@ -275,7 +275,7 @@ def test_bracketed_root_errors():
         bracketed_root(lambda x: math.nan, -1.0, 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
     with pytest.raises(ValueError, match="NaN"):  # at an end
         bracketed_root(lambda x: x, -1.0, 1.0, -1.0, math.nan, 1e-12, 8.9e-16)
-    with pytest.raises(ArithmeticError, match="converge"):
+    with pytest.raises(ArithmeticError, match="converge after 100 steps"):  # no tolerance to meet
         f = lambda x: math.copysign(1.0, x - 0.3)
-        bracketed_root(f, -1.0, 1.0, -1.0, 1.0, 1e-300, 8.9e-16, maxiter=20)
+        bracketed_root(f, -1.0, 1.0, -1.0, 1.0, 0.0, 0.0)
     assert bracketed_root(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-12, 8.9e-16) == 0.0
