@@ -32,7 +32,7 @@ from .coulomb import (
 )
 from . import specfun
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ChannelDims",

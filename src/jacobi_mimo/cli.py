@@ -157,17 +157,21 @@ def _joined(argv: list[str], tables: dict[str, dict[str, argparse.Action]]) -> l
     """``argv`` with each value flag followed by a negative number written ``--flag=value``.
 
     A value flag is a token that names (see ``_action``) an option string
-    that takes a value in any subcommand's table.  argparse takes a token
-    that starts with "-" for an option unless it reads like -12 or -1.5, so
+    that takes a value in the table of the subcommand argv[0] names; with
+    no subcommand first, nothing is joined.  argparse takes a token that
+    starts with "-" for an option unless it reads like -12 or -1.5, so
     ``--k -1e-3``, ``--k -inf`` or ``--rates -inf,0.5`` would leave the flag
     without its value.  Joined, the request parses as its ``=`` form does,
     as the flag table reads it; ``main`` hands argparse only joined
     requests, so its usage errors are about the request as meant.
     """
-    joined: list[str] = []
-    for token in argv:
-        actions = [_action(table, joined[-1]) for table in tables.values()] if joined else []
-        if _NEGATIVE.match(token) and any(action and action.nargs is None for action in actions):
+    table = tables.get(argv[0]) if argv else None
+    if table is None:
+        return list(argv)
+    joined = argv[:1]
+    for token in argv[1:]:
+        action = _action(table, joined[-1])
+        if _NEGATIVE.match(token) and action is not None and action.nargs is None:
             joined[-1] += "=" + token
         else:
             joined.append(token)

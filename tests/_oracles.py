@@ -60,7 +60,7 @@ from scipy.special import betaincinv
 from jacobi_mimo import exact
 from jacobi_mimo.coulomb import density_at
 from jacobi_mimo.ensemble import ChannelDims, SnrParam
-from jacobi_mimo.montecarlo import _block_bidiagonal
+from jacobi_mimo.montecarlo import _block_bidiagonal, _block_streams
 from jacobi_mimo.specfun import elementary_symmetric_all
 
 
@@ -372,7 +372,7 @@ def block_eigenvalues(dims: ChannelDims, seed: int, lo: int, hi: int) -> np.ndar
     A dense batched ``eigvalsh`` of B^T B, built from the same draws as the
     sampler's block, in place of its pivot counts.
     """
-    d2, e2 = _block_bidiagonal(dims, seed, lo, hi)
+    d2, e2 = _block_bidiagonal(dims, _block_streams(seed, hi), lo, hi)
     idx = np.arange(dims.Nt)
     b = np.zeros((hi - lo, dims.Nt, dims.Nt))
     b[:, idx, idx] = np.sqrt(d2).T

@@ -739,6 +739,13 @@ def test_gaussian_outage_rejects_nan_and_negative_rate(r):
 
 
 def test_gaussian_outage_near_peak_matches_mc():
+    """gauss within 10% of Monte Carlo half a standard deviation either side of r_erg at (24,8,8).
+
+    Rule: |P_gauss - P_mc| / P_mc < 0.10 at both rates, with 1e5 trials.
+    At each end of the 1 - 1e-6 interval of P from a reference run of 4e6
+    trials at another seed, the bound lies 15.9 or more binomial standard
+    errors from P: false-alarm rate below 1e-50 (normal approximation).
+    """
     from jacobi_mimo.montecarlo import McConfig, outage_curve
 
     dims = normalize_dims(24, 8, 8)
