@@ -458,9 +458,11 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
     The regime follows from k against the critical thresholds; the rate
     comes out of the solution (use :func:`solve_regime` to prescribe the
     rate instead), and the solution depends on (n0, beta, rho, k) alone.
-    A failed support, or a rate that is not finite or outside the window
-    (0, log(1+rho)), raises ArithmeticError with its reason.  A k that
-    is not finite raises ValueError.
+    A failed support, one narrower than its own rounding (the width
+    d = b - a carries an error of about eps b, here over _LD_TOL d), or a
+    rate that is not finite or outside the window (0, log(1+rho)), raises
+    ArithmeticError with its reason.  A k that is not finite raises
+    ValueError.
     """
     _check_params(n0, beta)
     if not math.isfinite(k):
@@ -471,6 +473,8 @@ def solve_at_multiplier(n0: float, beta: float, snr: SnrParam, k: float) -> Regi
         if a == 0.0 and beta > 1.0:  # a charged soft a has ab > 0; it underflowed (rho ~ 1e300)
             raise ArithmeticError(f"soft edge a underflowed to 0 (b = {b!r})")
         d = b - a
+        if 2.0**-52 * b > _LD_TOL * d:
+            raise ArithmeticError(f"support width {d!r} lost to the rounding of b = {b!r}")
         poles = _poles(n0, beta, z, k, a, b)
         r = _pole_integral(math.log(d / z), poles, (a + z) / d)
         if not math.isfinite(r):

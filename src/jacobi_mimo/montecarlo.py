@@ -15,13 +15,18 @@ negative pivots of B^T B - x count the eigenvalues below a bin edge x
 dense eigensolve.  Reproducibility contract: trials run in
 fixed blocks of ``_BLOCK``, each drawn from its own SFC64 stream and reduced
 in block order on the calling thread, so results are bit-identical for a
-given (seed, trials).  One ``SeedSequence(seed)`` hash per public call
-gives every block its three SFC64 state words (``_block_streams``), and its
-output is prefix-stable, so block b's stream depends on (seed, b) alone.
-The block is the unit of streams and of reductions only:
-outage counts and moments run their elementwise rate arithmetic on spans
-of whole blocks, whose width follows from Nt alone (``_span_blocks``), and
-no output bit depends on it.
+given (seed, trials).  ``_spans`` is the one place that knows streams,
+blocks and spans, and every public call is a loop over the B it yields.
+One ``SeedSequence(seed)`` hash per call gives every block its three SFC64
+state words, and its output is prefix-stable, so block b's stream depends
+on (seed, b) alone.  The block is the unit of streams and of reductions
+only: outage counts and moments run their elementwise rate arithmetic on
+spans of whole blocks, whose width follows from Nt alone, and no output bit
+depends on it.  Histograms take one block per span: their Sturm counts
+hold a (bins-1, span) array per row, and on the rates' wider spans they
+ran 1.63x and 1.40x slower at (4,2,2) and (6,3,3) (20 and 16 bins, medians
+of 30 interleaved pairs on a shared 2-core Xeon), for 3-6% gained at
+(18,6,6) and (24,8,8), where those spans hold only 3 and 2 blocks.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ _BLOCK = 1024
 _EXP_SHAPES = 3
 
 # Gamma variates in one span's array (512 KiB): outage counts and moments
-# compute rates on spans of as many whole blocks as fit (see _span_blocks).
+# compute rates on spans of as many whole blocks as fit (see _spans).
 _SPAN_DOUBLES = 2**16
 
 
@@ -96,7 +101,7 @@ class _StateWords:
 
     numpy's SFC64 seeds itself from the three uint64 words its seed sequence
     generates: the state (w0, w1, w2, counter 1), then 12 outputs dropped.
-    ``_block_streams`` registers it as numpy's ISeedSequence, not the import,
+    ``_spans`` registers it as numpy's ISeedSequence, not the import,
     so that importing this package does not import numpy.random.
     """
 
@@ -109,33 +114,18 @@ class _StateWords:
         return self.words
 
 
-def _block_streams(seed: int, trials: int):
-    """block -> the Generator of that block's SFC64 stream, for every block of `trials`.
-
-    One SeedSequence(seed) hash gives block b the state words 3b to 3b+2, and
-    its output is prefix-stable, so the stream depends on (seed, b) alone.
-    Seeding SFC64 from given words costs about 1 us a block, where a
-    SeedSequence and an SFC64 seeding of a block's own cost 11.
-    """
-    np.random.bit_generator.ISeedSequence.register(_StateWords)
-    blocks = -(-trials // _BLOCK)
-    words = np.random.SeedSequence(seed).generate_state(3 * blocks, np.uint64).reshape(blocks, 3)
-    return lambda block: np.random.Generator(np.random.SFC64(_StateWords(words[block])))
-
-
-def _block_bidiagonal(dims: ChannelDims, streams, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared diagonal (Nt, hi-lo) and superdiagonal (Nt-1, hi-lo) of B, one column per trial.
+def _block_bidiagonal(dims: ChannelDims, streams, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared diagonal (Nt, trials) and superdiagonal (Nt-1, trials) of B, one column per trial.
 
     B is upper bidiagonal with diagonal (c_Nt, c_{Nt-1} s'_{Nt-1}, ..., c_1 s'_1)
     and superdiagonal (-s_Nt c'_{Nt-1}, ..., -s_2 c'_1), where with a = Nr - Nt,
     b = N0: c_k^2 ~ Beta(a+k, b+k), c'_j^2 ~ Beta(j, a+b+1+j), s = sqrt(1 - c^2).
     Signs drop out of B^T B's spectrum, so only squares are returned.  The trials
-    [lo, hi) may span several blocks: the columns of the block starting at trial t
-    (every _BLOCK trials from lo) come from the Generator ``streams(t // _BLOCK)``
-    (see ``_block_streams``), so a span's columns equal those of its blocks drawn one
-    at a time, bit for bit.  A block first draws one array of standard exponentials,
-    a row for each unit of shape up to _EXP_SHAPES in row order, and then one
-    standard_gamma row for each larger shape.
+    may span several blocks: the i-th Generator of `streams` draws the columns of
+    the i-th block of _BLOCK trials, so a span's columns equal those of its blocks
+    drawn one at a time, bit for bit.  A block first draws one array of standard
+    exponentials, a row for each unit of shape up to _EXP_SHAPES in row order, and
+    then one standard_gamma row for each larger shape.
 
     The 2Nt-1 betas come from 3Nt-1 gammas, not 4Nt-2.  With G_k ~ Gamma(a+k) and
     H_k ~ Gamma(b+k), c_k^2 = G_k / S_k, and by Lukacs' theorem S_k = G_k + H_k ~
@@ -145,15 +135,14 @@ def _block_bidiagonal(dims: ChannelDims, streams, lo: int, hi: int) -> tuple[np.
     ratios stay mutually independent.
     """
     nt, a, b = dims.Nt, dims.Nr - dims.Nt, dims.N0
-    x = np.empty((3 * nt - 1, hi - lo))
+    x = np.empty((3 * nt - 1, trials))
     shapes = [a + k for k in range(nt, 0, -1)] + [b + k for k in range(nt, 0, -1)] + list(range(1, nt))
     summed = [(row, shape) for shape, row in zip(shapes, x) if shape <= _EXP_SHAPES]
     drawn = [(row, shape) for shape, row in zip(shapes, x) if shape > _EXP_SHAPES]
     units = sum(shape for _, shape in summed)
     full = np.empty((units, _BLOCK))
-    for start in range(lo, hi, _BLOCK):  # each block's columns from that block's own stream
-        cols = slice(start - lo, min(start + _BLOCK, hi) - lo)
-        rng = streams(start // _BLOCK)
+    for start, rng in zip(range(0, trials, _BLOCK), streams):  # each block's columns from its own stream
+        cols = slice(start, min(start + _BLOCK, trials))
         width = cols.stop - cols.start
         # out= must be contiguous, so a short last block draws into an array of its own
         exp = rng.standard_exponential(out=full if width == _BLOCK else np.empty((units, width)))
@@ -183,14 +172,13 @@ def _block_bidiagonal(dims: ChannelDims, streams, lo: int, hi: int) -> tuple[np.
     return c2, e2
 
 
-def _block_rates(cfg: McConfig, streams, lo: int, hi: int) -> np.ndarray:
-    """Per-trial rates for trials [lo, hi) from the LDL^T pivots of 1 + rho B^T B.
+def _rates(cfg: McConfig, d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Per-trial rates from the LDL^T pivots of 1 + rho B^T B, for B's squares d2 and e2 (see _spans).
 
     On the tridiagonal T = B^T B the pivots p_i = 1 + rho T_ii - (rho T_{i-1,i})^2 / p_{i-1}
     equal 1 + u_i + rho d_i^2, with u_1 = 0 and u_{i+1} = rho e_i^2 (1 + u_i) / p_i.  No
     term is negative, so nothing cancels at large rho and log1p keeps small rho accurate.
     """
-    d2, e2 = _block_bidiagonal(cfg.dims, streams, lo, hi)
     rho = cfg.snr.rho
     w = rho * d2
     u = 0.0
@@ -216,18 +204,23 @@ def _sturm_counts(d2: np.ndarray, e2: np.ndarray, x: np.ndarray) -> np.ndarray:
     return below
 
 
-def _span_blocks(nt: int) -> int:
-    """Blocks per span: as many as keep a span's (3Nt-1, span) gamma array within _SPAN_DOUBLES."""
-    return max(1, _SPAN_DOUBLES // ((3 * nt - 1) * _BLOCK))
+def _spans(cfg: McConfig, blocks: int = 0):
+    """Yield B's squares (d2, e2) (see _block_bidiagonal) for each span of `blocks` whole blocks, in trial order.
 
-
-def _map_blocks(cfg: McConfig, fn, blocks: int = 1):
-    """Apply fn(lo, hi) to spans of `blocks` whole blocks of trials, in order, on the calling thread.
-
-    Every span starts on a block boundary; only the last span, and its last block, may be short.
+    Only the last span, and its last block, may be short.  One SeedSequence(cfg.seed)
+    hash gives block b the state words 3b to 3b+2, and its output is prefix-stable, so
+    the block's SFC64 stream depends on (seed, b) alone.  Seeding SFC64 from given words
+    costs about 1 us a block, where a SeedSequence and an SFC64 seeding of a block's
+    own cost 11.  By default a span holds as many blocks as keep its (3Nt-1, span)
+    gamma array within _SPAN_DOUBLES; no output bit depends on the span width.
     """
-    step = blocks * _BLOCK
-    return [fn(lo, min(lo + step, cfg.trials)) for lo in range(0, cfg.trials, step)]
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    count = -(-cfg.trials // _BLOCK)
+    words = np.random.SeedSequence(cfg.seed).generate_state(3 * count, np.uint64).reshape(count, 3)
+    step = blocks or max(1, _SPAN_DOUBLES // ((3 * cfg.dims.Nt - 1) * _BLOCK))
+    for first in range(0, count, step):
+        streams = (np.random.Generator(np.random.SFC64(_StateWords(w))) for w in words[first : first + step])
+        yield _block_bidiagonal(cfg.dims, streams, min(step * _BLOCK, cfg.trials - first * _BLOCK))
 
 
 def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
@@ -244,11 +237,7 @@ def outage_curve(cfg: McConfig, rs) -> list[OutageEstimate]:
     bad = thresholds[~(thresholds >= 0)]
     if bad.size:
         raise ValueError(f"rate thresholds must be >= 0, got {float(bad[0])!r}")
-    streams = _block_streams(cfg.seed, cfg.trials)
-    counts = _map_blocks(
-        cfg, lambda lo, hi: np.searchsorted(np.sort(_block_rates(cfg, streams, lo, hi)), thresholds), _span_blocks(cfg.dims.Nt)
-    )
-    totals = np.sum(counts, axis=0).tolist()
+    totals = sum(np.searchsorted(np.sort(_rates(cfg, *span)), thresholds) for span in _spans(cfg)).tolist()
     return [
         OutageEstimate(p=k / cfg.trials, method="mc", ci_low=lo, ci_high=hi)
         for k, (lo, hi) in zip(totals, clopper_pearson(totals, cfg.trials))
@@ -263,16 +252,11 @@ def moments(cfg: McConfig) -> tuple[float, float]:
     """
     if cfg.trials < 2:
         raise ValueError("moments needs at least 2 trials")
-
-    streams = _block_streams(cfg.seed, cfg.trials)
-
-    def span(lo, hi):  # one (sum r, sum r^2) per block, so the sums keep their order
-        r = _block_rates(cfg, streams, lo, hi)
-        return [(float(np.sum(x)), float(np.sum(x * x))) for x in np.split(r, range(_BLOCK, hi - lo, _BLOCK))]
-
-    partials = [p for ps in _map_blocks(cfg, span, _span_blocks(cfg.dims.Nt)) for p in ps]
-    s1 = sum(p[0] for p in partials)
-    s2 = sum(p[1] for p in partials)
+    partials = []  # one (sum r, sum r^2) per block, so the sums keep their order
+    for span in _spans(cfg):
+        r = _rates(cfg, *span)
+        partials += [(float(np.sum(x)), float(np.sum(x * x))) for x in np.split(r, range(_BLOCK, r.size, _BLOCK))]
+    s1, s2 = (sum(column) for column in zip(*partials))
     n = cfg.trials
     mean = s1 / n
     var = (s2 - n * mean * mean) / (n - 1)
@@ -286,7 +270,6 @@ def eigen_histogram(cfg: McConfig, bins: int) -> EigenHistogram:
     if bins < 2:
         raise ValueError("bins must be >= 2")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    streams = _block_streams(cfg.seed, cfg.trials)
-    block = lambda lo, hi: _sturm_counts(*_block_bidiagonal(cfg.dims, streams, lo, hi), edges[1:-1, None])
-    total = np.diff(np.sum(_map_blocks(cfg, block), axis=0), prepend=0, append=cfg.trials * cfg.dims.Nt)
+    below = sum(_sturm_counts(*span, edges[1:-1, None]) for span in _spans(cfg, blocks=1))
+    total = np.diff(below, prepend=0, append=cfg.trials * cfg.dims.Nt)
     return EigenHistogram(edges=edges, density=total / (cfg.trials * cfg.dims.Nt * np.diff(edges)))

@@ -21,7 +21,7 @@ output against each:
 - ``sample_truncation`` (Haar unitaries by QR of a Ginibre matrix),
   ``spectrum`` and ``mutual_information``: the rates and extreme
   eigenvalues of the Monte Carlo sampler's bidiagonal model
-  (``montecarlo._block_rates``).  ``block_eigenvalues``, a dense
+  (``montecarlo._rates``).  ``block_eigenvalues``, a dense
   eigensolve of the sampler's own draws: the pivot counts of
   ``montecarlo.eigen_histogram``.
 - ``outage_sum_per_s`` and ``density_sum_per_s``, the residue sum one
@@ -60,7 +60,7 @@ from scipy.special import betaincinv
 from jacobi_mimo import exact
 from jacobi_mimo.coulomb import density_at
 from jacobi_mimo.ensemble import ChannelDims, SnrParam
-from jacobi_mimo.montecarlo import _block_bidiagonal, _block_streams
+from jacobi_mimo.montecarlo import McConfig, _spans
 from jacobi_mimo.specfun import elementary_symmetric_all
 
 
@@ -366,18 +366,20 @@ def mutual_information(lam: np.ndarray, snr: SnrParam, dims: ChannelDims) -> flo
     return float(np.log1p(snr.rho * lam).sum()) / dims.Nt
 
 
-def block_eigenvalues(dims: ChannelDims, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Eigenvalues of B^T B for the sampler's trials [lo, hi): shape (hi-lo, Nt), in [0, 1].
+def block_eigenvalues(cfg: McConfig) -> np.ndarray:
+    """Eigenvalues of B^T B for each of the sampler's trials: shape (trials, Nt), in [0, 1].
 
-    A dense batched ``eigvalsh`` of B^T B, built from the same draws as the
-    sampler's block, in place of its pivot counts.
+    A dense batched ``eigvalsh`` of B^T B, built block by block from the
+    same draws as the sampler's, in place of its pivot counts.
     """
-    d2, e2 = _block_bidiagonal(dims, _block_streams(seed, hi), lo, hi)
-    idx = np.arange(dims.Nt)
-    b = np.zeros((hi - lo, dims.Nt, dims.Nt))
-    b[:, idx, idx] = np.sqrt(d2).T
-    b[:, idx[:-1], idx[1:]] = np.sqrt(e2).T
-    return np.clip(np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b)), 0.0, 1.0)
+    nt, idx = cfg.dims.Nt, np.arange(cfg.dims.Nt)
+    lam = []
+    for d2, e2 in _spans(cfg, blocks=1):
+        b = np.zeros((d2.shape[1], nt, nt))
+        b[:, idx, idx] = np.sqrt(d2).T
+        b[:, idx[:-1], idx[1:]] = np.sqrt(e2).T
+        lam.append(np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b)))
+    return np.clip(np.vstack(lam), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

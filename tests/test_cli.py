@@ -974,10 +974,15 @@ def test_rate_outside_the_window_exits_one(argv):
     # of the wall-to-wall support cancels to 0 at rho = 1e300; both used to
     # be printed (r_erg = -3.6e-14; r = 0.0 with exponent -1.39), exit 0.
     # At (4,2,2), rho = 3, k = 1e8 and 1e11 gave rates 1.0e-7 and 2.0e-6
-    # above log 4 (exponents 22.7 and 99097), also printed with exit 0
+    # above log 4 (exponents 22.7 and 99097), also printed with exit 0.  At
+    # k = 1e11 the support (1 - 5.3e-11, 1) is now refused first, as narrower
+    # than its own rounding
     code, out, err = run_cli(argv + ["--reproducible"])
     assert (code, out) == (1, "")
-    assert err.startswith("solver failure: rate ") and " outside the window (0, " in err
+    if argv[-1] == "1e11":
+        assert err.startswith("solver failure: support width 5.33") and " lost to the rounding of b = 1.0" in err
+    else:
+        assert err.startswith("solver failure: rate ") and " outside the window (0, " in err
 
 
 def test_rate_just_inside_the_window_still_prints():
@@ -992,12 +997,13 @@ def test_rate_just_inside_the_window_still_prints():
 
 def test_negative_exponent_beyond_rounding_exits_one():
     # b pinned at the wall and a within 1e-9 of it: this printed support
-    # (1 - 5e-14, 1), r = 1.1118 and exponent -1.37e13, and exited 0
+    # (1 - 5e-14, 1), r = 1.1118 and exponent -1.37e13, and exited 0.  Its
+    # exponent then raised; now the solve refuses its width, 5.3e-14
     argv = ["density", "--N", "4", "--Nt", "2", "--Nr", "2", "--rho", "3", "--kind", "constrained",
             "--k", "1e14", "--reproducible"]
     code, out, err = run_cli(argv)
     assert (code, out) == (1, "")
-    assert err.startswith("solver failure: exponent -13722") and "below 0 beyond rounding" in err
+    assert err.startswith("solver failure: support width 5.329") and " lost to the rounding of b = 1.0" in err
 
 
 def test_offset_dims_rate_window():

@@ -553,8 +553,8 @@ WINDOW_RHOS = (1e-2, 1.0, 3.0, 1e2, 1e4)
 
 def test_solve_at_multiplier_returns_only_rates_inside_the_window():
     # one window rule at every k: a solve returns 0 < r < log(1+rho) or
-    # raises, also where the rate rounds past log(1+rho), as it does in 229
-    # of these calls at k > 0
+    # raises, also where the rate rounds past log(1+rho).  The width check
+    # refuses 49 more solves here, all at k >= 1e9 (see the test below)
     solved = 0
     for (n0, beta), rho in itertools.product(CHANNELS_16, WINDOW_RHOS):
         snr = SnrParam(rho)
@@ -565,9 +565,44 @@ def test_solve_at_multiplier_returns_only_rates_inside_the_window():
                 continue
             assert 0.0 < sol.r < math.log1p(rho), (n0, beta, rho, j, sol.r)
             solved += 1
-    assert solved >= 638  # what this grid solves with the rule in place
+    assert solved >= 589  # what this grid solves with the rule and the width check in place
     with pytest.raises(ArithmeticError, match=r"outside the window \(0, 1\.3862943611198906\)"):
-        solve_at_multiplier(0.0, 1.0, SNR3, 1e11)
+        solve_at_multiplier(0.0, 1.0, SNR3, 1e8)
+
+
+def test_solve_at_multiplier_refuses_only_supports_whose_rate_rounding_moves():
+    # a support whose width d = b - a is under eps b / _LD_TOL raises: on the window
+    # test's grid each refused support has a rate, formed as the solve forms it, that
+    # moves by more than _LD_TOL r when a moves one ulp (or b does, if b < 1).  49 of
+    # them have rates inside the window, which the solve returned before the check
+    def rate(n0, beta, z, k, a, b):
+        d = b - a
+        return coulomb._pole_integral(math.log(d / z), coulomb._poles(n0, beta, z, k, a, b), (a + z) / d)
+
+    inside = 0
+    for (n0, beta), rho in itertools.product(CHANNELS_16, WINDOW_RHOS):
+        snr = SnrParam(rho)
+        for j in range(16):
+            try:
+                solve_at_multiplier(n0, beta, snr, 10.0**j)
+                continue
+            except ArithmeticError as err:
+                if "support width" not in str(err):
+                    continue
+            _, a, b = coulomb._support(n0, beta, snr.z, 10.0**j)
+            r = rate(n0, beta, snr.z, 10.0**j, a, b)
+            moved = [(math.nextafter(a, math.inf), b)] + ([(a, math.nextafter(b, math.inf))] if b < 1.0 else [])
+            shift = max(abs(rate(n0, beta, snr.z, 10.0**j, *ab) - r) for ab in moved)
+            assert shift > coulomb._LD_TOL * abs(r), (n0, beta, rho, j, r, shift)
+            inside += 0.0 < r < math.log1p(rho)
+    assert inside == 49
+    # (0, 1, 3): b is pinned at the wall and a approaches it as k grows
+    for j in range(9, 16):
+        with pytest.raises(ArithmeticError, match=r"support width .* lost to the rounding of b = 1\.0"):
+            solve_at_multiplier(0.0, 1.0, SNR3, 10.0**j)
+    with pytest.raises(ArithmeticError, match="outside the window"):
+        solve_at_multiplier(0.0, 1.0, SNR3, 1e8)
+    assert 0.0 < solve_at_multiplier(0.0, 1.0, SNR3, 1e7).r < math.log(4.0)
 
 
 def test_critical_thresholds_lie_inside_the_window():
@@ -1240,16 +1275,32 @@ def test_huge_rho_points_solve_or_name_their_cause(beta, f):
 
 def test_negative_exponent_beyond_rounding_raises():
     # (0, 1, 3): from k = 1e10 on, b is pinned, a sits within 1e-9 of the
-    # wall and the energy is rounding noise; it read Delta E = -1.37e13 at
-    # k = 1e14.  The allowance is _LD_TOL (|E| + |E0|).
+    # wall and the energy was rounding noise; it read Delta E = -1.37e13 at
+    # k = 1e14.  The solve now refuses that support before its rate and
+    # energy are formed
     for k in (1e10, 1e12, 1e14):
-        sol = solve_at_multiplier(0.0, 1.0, SnrParam(3.0), k)
-        with pytest.raises(ArithmeticError, match=r"exponent -.* below 0 beyond rounding"):
-            sol.exponent
+        with pytest.raises(ArithmeticError, match=r"support width .* lost to the rounding of b"):
+            solve_at_multiplier(0.0, 1.0, SnrParam(3.0), k)
 
 
 # Solver failures raise with their reason; these reach the raises that no
 # solvable channel reaches, by a direct call or a stubbed step.
+
+
+def test_exponent_raises_below_zero_beyond_its_allowance(monkeypatch):
+    # an energy under E0 by more than _LD_TOL (|E| + |E0|) raises; one under it
+    # by less is rounding and reads as a small negative exponent
+    sol = solve_at_multiplier(0.0, 1.0, SNR3, 1e3)
+    e0 = sol.e0
+    for gap, raises in ((0.5, False), (2.0, True)):
+        energy = e0 - gap * coulomb._LD_TOL * 2.0 * abs(e0)
+        monkeypatch.setattr(coulomb, "_energy_from_poles", lambda sol: energy)
+        fresh = dataclasses.replace(sol)
+        if raises:
+            with pytest.raises(ArithmeticError, match=r"exponent -.* below 0 beyond rounding: the energy"):
+                fresh.exponent
+        else:
+            assert -coulomb._LD_TOL * 2.0 * abs(e0) < fresh.exponent < 0.0
 
 
 def test_endpoints_raise_on_a_complex_root_pair():

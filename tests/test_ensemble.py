@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp, kstest
 
 from jacobi_mimo import ExactConfig, eigen_histogram, moments, outage_curve, outage_density_exact, outage_exact
 from jacobi_mimo.ensemble import ChannelDims, SnrParam, normalize_dims
-from jacobi_mimo.montecarlo import McConfig, _block_rates, _block_streams
+from jacobi_mimo.montecarlo import McConfig, _rates, _spans
 
 from _oracles import (
     mutual_information,
@@ -125,7 +125,7 @@ def test_reduction_preserves_rate_distribution():
         lam = np.linalg.eigvalsh(u[:Nr_raw, :Nt_raw].conj().T @ u[:Nr_raw, :Nt_raw])
         raw[i] = np.log1p(snr.rho * np.clip(lam, 0, 1)).sum() / dims.Nt
     cfg = McConfig(dims=dims, snr=snr, trials=draws, seed=99)
-    red = _block_rates(cfg, _block_streams(cfg.seed, draws), 0, draws) + dims.pinned_rate(snr.rho)
+    red = np.concatenate([_rates(cfg, *span) for span in _spans(cfg)]) + dims.pinned_rate(snr.rho)
     assert ks_2samp(raw, red).pvalue > 1e-3
 
 

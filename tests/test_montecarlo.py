@@ -19,9 +19,8 @@ from jacobi_mimo.montecarlo import (
     _BLOCK,
     McConfig,
     OutageEstimate,
-    _block_bidiagonal,
-    _block_rates,
-    _block_streams,
+    _rates,
+    _spans,
     _sturm_counts,
     eigen_histogram,
     moments,
@@ -87,10 +86,8 @@ def test_bidiagonal_model_matches_haar_oracle(shape):
     """
     dims = normalize_dims(*shape)
     cfg = McConfig(dims=dims, snr=SnrParam(10.0), trials=10 * _BLOCK, seed=41)
-    spans = [(lo, lo + _BLOCK) for lo in range(0, cfg.trials, _BLOCK)]
-    streams = _block_streams(cfg.seed, cfg.trials)
-    rates = np.concatenate([_block_rates(cfg, streams, lo, hi) for lo, hi in spans])
-    lam = np.vstack([block_eigenvalues(dims, cfg.seed, lo, hi) for lo, hi in spans])
+    rates = np.concatenate([_rates(cfg, *span) for span in _spans(cfg)])
+    lam = block_eigenvalues(cfg)
     rng = np.random.default_rng(43)
     ref_lam = np.array([spectrum(sample_truncation(dims, rng)) for _ in range(cfg.trials)])
     ref_rates = np.array([mutual_information(row, cfg.snr, dims) for row in ref_lam])
@@ -121,9 +118,7 @@ def test_gamma_chain_gives_independent_betas(shape):
     dims = normalize_dims(*shape)
     nt, a, b = dims.Nt, dims.Nr - dims.Nt, dims.N0
     trials = 16 * _BLOCK
-    streams = _block_streams(31, trials)
-    blocks = [_block_bidiagonal(dims, streams, lo, lo + _BLOCK) for lo in range(0, trials, _BLOCK)]
-    d2, e2 = (np.hstack(part) for part in zip(*blocks))
+    d2, e2 = (np.hstack(part) for part in zip(*_spans(McConfig(dims=dims, snr=SNR3, trials=trials, seed=31))))
     c2, cp2 = [d2[0]], []
     for i in range(nt - 1):
         cp2.append(e2[i] / (1.0 - c2[i]))
@@ -184,11 +179,10 @@ def test_block_draws_3nt_minus_1_gamma_rows(monkeypatch):
         shapes = [a + k for k in ks] + [b + k for k in ks] + list(range(1, nt))
         units = sum(s for s in shapes if s <= 3)
         larger = [s for s in shapes if s > 3]
-        streams = _block_streams(3, 3 * _BLOCK)
-        # one block, and two blocks in one call, each block's draws at its own width
-        for hi, widths in ((_BLOCK + 100, [100]), (2 * _BLOCK + 100, [_BLOCK, 100])):
+        # one block, and two blocks in one span, each block's draws at its own width
+        for trials, widths in ((100, [100]), (_BLOCK + 100, [_BLOCK, 100])):
             calls.clear()
-            _block_bidiagonal(dims, streams, _BLOCK, hi)
+            assert len(list(_spans(McConfig(dims=dims, snr=SNR3, trials=trials, seed=3), blocks=2))) == 1
             assert [call for call in calls if call[0] != "state"] == [
                 draw for width in widths for draw in [("exp", (units, width))] + [(s, (width,)) for s in larger]
             ]
@@ -200,8 +194,7 @@ def test_gamma_rows_are_sums_of_the_exponential_rows():
     # order, and the larger shapes follow from the same stream: B equals B built from them by hand
     dims = normalize_dims(12, 4, 6)
     nt, a, b = dims.Nt, dims.Nr - dims.Nt, dims.N0
-    streams = _block_streams(7, _BLOCK)
-    d2, e2 = _block_bidiagonal(dims, streams, 0, 300)
+    ((d2, e2),) = _spans(McConfig(dims=dims, snr=SNR3, trials=300, seed=7))
     rng = np.random.Generator(_numpy_seeded(7, 0))
     ks = range(nt, 0, -1)
     shapes = [a + k for k in ks] + [b + k for k in ks] + list(range(1, nt))
@@ -223,16 +216,20 @@ def test_gamma_rows_are_sums_of_the_exponential_rows():
 
 @pytest.mark.parametrize("shape", [(4, 2, 2), (18, 6, 6), (48, 16, 16)])
 def test_span_columns_equal_their_blocks_drawn_one_at_a_time(shape):
-    # a call over several blocks, the last one partial, draws each block from its own
-    # stream: its columns are the one-block calls' columns side by side, bit for bit
-    dims = normalize_dims(*shape)
-    lo, hi = _BLOCK, 4 * _BLOCK + 452
-    streams = _block_streams(9, hi)
-    span = _block_bidiagonal(dims, streams, lo, hi)
-    blocks = [_block_bidiagonal(dims, streams, start, min(start + _BLOCK, hi)) for start in range(lo, hi, _BLOCK)]
-    for got, parts in zip(span, zip(*blocks)):
-        assert got.shape == (len(parts[0]), hi - lo)
-        assert got.tobytes() == np.hstack(parts).tobytes()
+    # a span of several blocks, the last one partial, draws each block from its own
+    # stream: its columns are the one-block spans' columns side by side, bit for bit.
+    # The default spans hold whole blocks, within 2^16 gamma variates unless one block
+    # is more, and only the last is short
+    cfg = McConfig(dims=normalize_dims(*shape), snr=SNR3, trials=5 * _BLOCK + 452, seed=9)
+    blocks = [np.hstack(part) for part in zip(*_spans(cfg, blocks=1))]
+    one, default = list(_spans(cfg, blocks=6)), list(_spans(cfg))
+    widths = [d2.shape[1] for d2, _ in default]
+    assert len(one) == 1 and sum(widths) == cfg.trials
+    assert all(w % _BLOCK == 0 and w == widths[0] for w in widths[:-1])
+    assert widths[0] == _BLOCK or (3 * cfg.dims.Nt - 1) * widths[0] <= 2**16
+    for spans in (one, default):
+        for got, want in zip((np.hstack(part) for part in zip(*spans)), blocks):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_block_streams_keyed_by_seed_and_block(monkeypatch):
@@ -249,22 +246,21 @@ def test_block_streams_keyed_by_seed_and_block(monkeypatch):
     dims = normalize_dims(4, 2, 2)
     blocks = 9
     calls = _recording_generator(monkeypatch)
-    streams = _block_streams(3, blocks * _BLOCK)
-    d2, e2 = _block_bidiagonal(dims, streams, 0, blocks * _BLOCK)
+    draw = lambda seed, trials: next(_spans(McConfig(dims=dims, snr=SNR3, trials=trials, seed=seed), blocks))
+    d2, e2 = draw(3, blocks * _BLOCK)
     starts = [_numpy_seeded(3, b).state["state"]["state"].tolist() for b in range(blocks)]
     assert [call[1] for call in calls if call[0] == "state"] == starts
     monkeypatch.undo()
-    short = _block_bidiagonal(dims, _block_streams(3, 2 * _BLOCK), 0, 2 * _BLOCK)
+    short = draw(3, 2 * _BLOCK)
     assert [part.tobytes() for part in short] == [part[:, : 2 * _BLOCK].tobytes() for part in (d2, e2)]
     d2, e2 = d2[:, _BLOCK : 2 * _BLOCK], e2[:, _BLOCK : 2 * _BLOCK]
     for seed in (4, 3):
-        other_d2, other_e2 = _block_bidiagonal(dims, _block_streams(seed, _BLOCK), 0, _BLOCK)
+        other_d2, other_e2 = draw(seed, _BLOCK)
         assert not np.any(d2 == other_d2) and not np.any(e2 == other_e2)
 
     def rates(seed):
         cfg = McConfig(dims=dims, snr=SnrParam(10.0), trials=blocks * _BLOCK, seed=seed)
-        streams = _block_streams(seed, cfg.trials)
-        return np.concatenate([_block_rates(cfg, streams, lo, lo + _BLOCK) for lo in range(0, cfg.trials, _BLOCK)])
+        return np.concatenate([_rates(cfg, *span) for span in _spans(cfg)])
 
     n = (blocks - 1) * _BLOCK
     for seed in (0, 3, 2**128 - 2):
@@ -282,15 +278,14 @@ def test_pivot_recurrence_matches_eigvalsh(rho):
     for shape in ((18, 6, 6), (7, 2, 3), (3, 1, 1), (6, 4, 4)):
         dims = normalize_dims(*shape)
         cfg = McConfig(dims=dims, snr=SnrParam(rho), trials=300, seed=5)
-        streams = _block_streams(cfg.seed, cfg.trials)
-        d2, e2 = _block_bidiagonal(dims, streams, 0, cfg.trials)
+        ((d2, e2),) = _spans(cfg)
         b = np.zeros((cfg.trials, dims.Nt, dims.Nt))
         idx = np.arange(dims.Nt)
         b[:, idx, idx] = np.sqrt(d2).T
         b[:, idx[:-1], idx[1:]] = -np.sqrt(e2).T
         lam = np.linalg.eigvalsh(np.matmul(b.transpose(0, 2, 1), b))
         expected = np.log1p(rho * lam).sum(axis=1) / dims.Nt
-        assert np.max(np.abs(_block_rates(cfg, streams, 0, cfg.trials) - expected)) < 1e-10
+        assert np.max(np.abs(_rates(cfg, d2, e2) - expected)) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -301,8 +296,7 @@ def test_outage_counts_and_moments_equal_per_block_references(shape, trials):
     # are the strict rate < r of the concatenated one-block rates, and the moments sum
     # one (sum r, sum r^2) per block in block order
     cfg = McConfig(dims=normalize_dims(*shape), snr=SnrParam(10.0), trials=trials, seed=29)
-    streams = _block_streams(cfg.seed, trials)
-    blocks = [_block_rates(cfg, streams, lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    blocks = [_rates(cfg, *span) for span in _spans(cfg, blocks=1)]
     rates = np.concatenate(blocks)
     # unsorted, duplicated, equal to sampled rates (a tie is not below), 0 and +inf
     ties = [float(rates[i]) for i in (0, _BLOCK - 1, _BLOCK, 5 * _BLOCK + 3, trials - 1)]
@@ -321,17 +315,25 @@ def test_outage_counts_and_moments_equal_per_block_references(shape, trials):
 
 
 def test_outage_counts_never_count_a_nan_rate(monkeypatch):
-    # a NaN rate is below no threshold, +inf included, wherever it falls in a span
-    def rates(cfg, streams, lo, hi):
+    # a NaN rate is below no threshold, +inf included, wherever it falls in a span:
+    # trial t's rate is t 1e-4, NaN at every 7th trial, over spans met in trial order
+    def rates(lo, hi):
         r = np.arange(lo, hi) * 1e-4
         r[np.arange(lo, hi) % 7 == 0] = np.nan
         return r
 
-    monkeypatch.setattr(montecarlo, "_block_rates", rates)
+    done = [0]
+
+    def span_rates(cfg, d2, e2):
+        done[0] += d2.shape[1]
+        return rates(done[0] - d2.shape[1], done[0])
+
+    monkeypatch.setattr(montecarlo, "_rates", span_rates)
     cfg = McConfig(dims=normalize_dims(4, 2, 2), snr=SnrParam(10.0), trials=2 * 12 * _BLOCK + 452, seed=0)
-    every = rates(cfg, None, 0, cfg.trials)
+    every = rates(0, cfg.trials)
     ts = [math.inf, 1.0, 0.0, 2.0, 0.5]
     assert [e.p for e in outage_curve(cfg, ts)] == [np.count_nonzero(every < t) / cfg.trials for t in ts]
+    assert done == [cfg.trials]
 
 
 def test_outage_curve_monotone_on_shared_samples():
@@ -363,7 +365,7 @@ def test_moments_flat_law():
 def test_moments_raise_on_a_cancelled_variance(monkeypatch):
     # five equal rates of 2.3: the one-pass variance rounds to -8.9e-16, which
     # is reported, not clamped to 0
-    monkeypatch.setattr(montecarlo, "_block_rates", lambda cfg, streams, lo, hi: np.full(hi - lo, 2.3))
+    monkeypatch.setattr(montecarlo, "_rates", lambda cfg, d2, e2: np.full(d2.shape[1], 2.3))
     with pytest.raises(ArithmeticError, match=r"variance of 5 rates about the mean 2\.3.* came out -8\.8"):
         moments(McConfig(dims=FLAT, snr=SNR3, trials=5, seed=0))
 
@@ -399,11 +401,11 @@ def test_eigen_histogram_counts_equal_dense_oracle(shape):
     # draws; the last block is partial
     dims = normalize_dims(*shape)
     trials = 2 * _BLOCK + 452
-    lam = np.vstack([block_eigenvalues(dims, 23, lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)])
+    cfg = McConfig(dims=dims, snr=SnrParam(1.0), trials=trials, seed=23)
+    lam = block_eigenvalues(cfg)
     for bins in (2, 16, 64):
         edges = np.linspace(0.0, 1.0, bins + 1)
         expected = np.histogram(lam, bins=edges)[0] / (trials * dims.Nt * np.diff(edges))
-        cfg = McConfig(dims=dims, snr=SnrParam(1.0), trials=trials, seed=23)
         assert eigen_histogram(cfg, bins).density.tolist() == expected.tolist()
 
 
