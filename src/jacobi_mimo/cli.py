@@ -38,15 +38,12 @@ ergodic``; and an --output path that cannot be written.  A negative
 value may follow its flag space-separated or with ``=``: ``--k -1e-3``
 parses as ``--k=-1e-3`` does.
 
-Every request is parsed by one flag table taken from the parser's own
+Every request is read by one flag table taken from the parser's own
 actions, with the types, choices, defaults and required flags declared
-once in ``_build_parser``: a subcommand's option strings, each exact or
-as a unique prefix, and their values as argparse reads them (see
-``_parsed``).  argparse runs only on what the table declines, and only
-to print help or a usage error in its own words; no command runs on a
-Namespace argparse built.  A request argparse would take all the same,
-``--rates=--`` say (argparse 3.11 stores the value as []), is a usage
-error that names the token the table declined.
+once in ``_build_parser``: a subcommand's exact option strings, no
+abbreviations, and their values (see ``_parsed``).  argparse parses no
+request; it only prints help and formats the usage errors the table
+raises, so a request means the same on every Python version.
 """
 
 from __future__ import annotations
@@ -86,8 +83,9 @@ _LN2 = math.log(2.0)
 
 
 @cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
-    """The argument parser, built once per process (parsing leaves it unchanged), and its flag tables.
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, tuple[argparse.ArgumentParser, dict[str, argparse.Action]]]]:
+    """The argument parser, built once per process, and each subcommand's parser and flag table.
 
     A subcommand's flag table maps each of its option strings to the Action
     ``add_argument`` returned for it.  Every flag is a store flag, which
@@ -136,95 +134,61 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpar
     p_erg = sub.add_parser("ergodic", help="ergodic summary record")
     channel_args(p_erg)
 
-    return parser, {name: tables[p] for name, p in sub.choices.items()}
+    return parser, {name: (p, tables[p]) for name, p in sub.choices.items()}
 
 
 # A token that starts as a negative number: -1e-3, -.5, -inf, -inf,0.5
 _NEGATIVE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-def _action(table: dict[str, argparse.Action], name: str) -> argparse.Action | None:
-    """The Action of the option string ``name`` names in a flag table, exactly or as a unique prefix, or None.
+def _parsed(argv: list[str], parser: argparse.ArgumentParser,
+            commands: dict[str, tuple[argparse.ArgumentParser, dict[str, argparse.Action]]]) -> argparse.Namespace:
+    """The Namespace of a request, read from its subcommand's flag table; help and usage errors exit.
 
-    An exact option string wins, as in argparse.  An unknown name, a prefix
-    of several option strings, and a name for "--help" give None.
+    argv[0] names the subcommand; ``-h`` or ``--help`` there prints the
+    top-level help.  Each later token is ``-h`` or ``--help``, which prints
+    the subcommand's help, or an exact option string of the subcommand: a
+    bare store_true flag, or a value flag as ``--flag=value`` or ``--flag
+    value``.  A value that starts with "-" must be a lone "-" or a negative
+    number (``_NEGATIVE``), in either form.  Each value goes through its
+    action's ``type`` and ``choices``, the last of a repeated flag wins,
+    every required flag must be given and the rest take their defaults.
+    Anything else is a usage error that names the token, raised through the
+    (sub)parser's ``error``: its usage line and message on stderr, exit 2.
     """
-    found = [name] if name in table else [flag for flag in (*table, "--help") if flag.startswith(name)]
-    return table.get(found[0]) if len(found) == 1 else None
-
-
-def _joined(argv: list[str], tables: dict[str, dict[str, argparse.Action]]) -> list[str]:
-    """``argv`` with each value flag followed by a negative number written ``--flag=value``.
-
-    A value flag is a token that names (see ``_action``) an option string
-    that takes a value in the table of the subcommand argv[0] names; with
-    no subcommand first, nothing is joined.  argparse takes a token that
-    starts with "-" for an option unless it reads like -12 or -1.5, so
-    ``--k -1e-3``, ``--k -inf`` or ``--rates -inf,0.5`` would leave the flag
-    without its value.  Joined, the request parses as its ``=`` form does,
-    as the flag table reads it; ``main`` hands argparse only joined
-    requests, so its usage errors are about the request as meant.
-    """
-    table = tables.get(argv[0]) if argv else None
-    if table is None:
-        return list(argv)
-    joined = argv[:1]
-    for token in argv[1:]:
-        action = _action(table, joined[-1])
-        if _NEGATIVE.match(token) and action is not None and action.nargs is None:
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    return joined
-
-
-def _parsed(argv: list[str], tables: dict[str, dict[str, argparse.Action]]) -> argparse.Namespace | str:
-    """The Namespace argparse gives ``_joined(argv, tables)``, read from a flag table, or the token the table declines.
-
-    argv[0] names the subcommand, whose table then reads its option
-    strings, each exact or as a unique prefix (an exact one wins, as in
-    argparse): a bare store_true flag, or a value flag as ``--flag=value``
-    or as ``--flag value``.  The value in the second form is a token
-    argparse also reads as one: it does not start with "-", or it is a lone
-    "-", a negative number (``_NEGATIVE``, as ``_joined`` joins it) or has a
-    space and names no flag.  Each value goes through its action's ``type``
-    and ``choices``, the last of a repeated flag wins, and every required
-    flag must be given.  Anything else is declined: help, an ambiguous or
-    unknown flag or one of another subcommand, a missing or flag-like
-    value, a store_true flag given a value, a value its type or choices
-    refuse, a missing required flag (the flag is returned) and
-    ``--flag=--``, which argparse 3.11 stores as [].
-    """
-    table = tables.get(argv[0]) if argv else None
-    if table is None:
-        return argv[0] if argv else ""
+    if argv[:1] in (["-h"], ["--help"]):
+        parser.print_help()
+        parser.exit()
+    if not argv or argv[0] not in commands:
+        parser.error(f"expected a command from {tuple(commands)}" + (f", got {argv[0]!r}" if argv else ""))
+    sub, table = commands[argv[0]]
     given = {}
     tokens = iter(argv[1:])
     for token in tokens:
+        if token in ("-h", "--help"):
+            sub.print_help()
+            sub.exit()
         name, eq, value = token.partition("=")
-        action = _action(table, name)
-        if action is None or eq and (action.nargs == 0 or value == "--"):
-            return token
+        action = table.get(name)
+        if action is None or eq and action.nargs == 0:
+            sub.error(f"unrecognized argument {token!r}")
         if action.nargs == 0:
             given[action.dest] = action.const
             continue
-        if not eq:
-            value = next(tokens, "--")  # a missing value is declined as a flag-like one is
-            if value.startswith("-") and value != "-" and not _NEGATIVE.match(value) and (
-                    " " not in value or value.startswith("-h") or value.startswith("--")
-                    and any(flag.startswith(value.partition("=")[0]) for flag in (*table, "--help"))):
-                return token
+        value = value if eq else next(tokens, None)
+        if value is None or value.startswith("-") and value != "-" and not _NEGATIVE.match(value):
+            sub.error(f"argument {name}: expected one value" + (f", got {value!r}" if value else ""))
         try:
             value = value if action.type is None else action.type(value)
-        except (TypeError, ValueError):
-            return token
+        except ValueError:
+            sub.error(f"argument {name}: invalid value {value!r}")
         if action.choices is not None and value not in action.choices:
-            return token
+            sub.error(f"argument {name}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
         given[action.dest] = value
     args = argparse.Namespace(command=argv[0])
     for flag, action in table.items():
         if action.required and action.dest not in given:
-            return flag
+            sub.error(f"the following arguments are required: {flag}")
         setattr(args, action.dest, given.get(action.dest, action.default))
     return args
 
@@ -507,12 +471,7 @@ def _json_cells(values: list) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser, tables = _build_parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parsed(argv, tables)
-    if isinstance(args, str):  # argparse prints the help or usage error and exits
-        parser.parse_args(_joined(argv, tables))
-        parser.error(f"cannot read {args!r}")  # argparse took it: 3.11 stores a --flag=-- as []
+    args = _parsed(sys.argv[1:] if argv is None else argv, *_build_parser())
     started = time.perf_counter()
     try:
         ch = _channel(args)

@@ -22,11 +22,13 @@ state words, and its output is prefix-stable, so block b's stream depends
 on (seed, b) alone.  The block is the unit of streams and of reductions
 only: outage counts and moments run their elementwise rate arithmetic on
 spans of whole blocks, whose width follows from Nt alone, and no output bit
-depends on it.  Histograms take one block per span: their Sturm counts
-hold a (bins-1, span) array per row, and on the rates' wider spans they
-ran 1.63x and 1.40x slower at (4,2,2) and (6,3,3) (20 and 16 bins, medians
-of 30 interleaved pairs on a shared 2-core Xeon), for 3-6% gained at
-(18,6,6) and (24,8,8), where those spans hold only 3 and 2 blocks.
+depends on it.  Histograms take one block per span, their Sturm counts
+holding a (bins-1, span) array per row: one-block spans were the fastest
+at every shape measured (20000 trials, 16 and 20 bins, medians of 30
+interleaved pairs on a shared 2-core Xeon).  The rates' wider spans ran
+1.63x and 1.40x slower at (4,2,2) and (6,3,3) and 1.10x to 1.35x slower
+at (18,6,6) and (24,8,8); a width capped by the bins-1 Sturm rows ran
+1.10x to 1.48x slower at all four shapes.
 """
 
 from __future__ import annotations

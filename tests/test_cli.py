@@ -705,15 +705,15 @@ def test_negative_value_parses_space_separated_as_with_equals(capsys):
         refused = run_cli(base + [f"{flag}={value}"])
         assert refused[:2] == (code, "") and refused[2].startswith(("solver failure: ", "error: rate -"))
         assert run_cli(base + [flag, value]) == refused
-    # a flag after a value flag is not its value: argparse still refuses the request
+    # a flag after a value flag is not its value: the request is refused, naming both
     with pytest.raises(SystemExit) as exc:
         main(K_CHANNEL + ["--k", "--grid-points", "5"])
     assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith("error: argument --k: expected one argument\n")
+    assert capsys.readouterr().err.endswith("error: argument --k: expected one value, got '--grid-points'\n")
 
 
-# The flag table (cli._parsed) and argparse.  Each base request is cheap to
-# run: outage takes the gauss column at two points.
+# The flag table (cli._parsed), the one grammar of every request.  Each base
+# request is cheap to run: outage takes the gauss column at two points.
 TABLE_BASES = {
     "outage": ["outage", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--methods", "gauss", "--points", "2"],
     "density": ["density", "--N", "9", "--Nt", "3", "--Nr", "3", "--rho", "3", "--grid-points", "16"],
@@ -728,7 +728,7 @@ TABLE_VALUES = {
     "ergodic": CHANNEL_VALUES,
 }
 # requests the table parses: every flag in both forms, every choice, repeats,
-# negative values, abbreviations, and the values argparse reads although they start with "-"
+# negative values and the lone "-"
 TABLE_ACCEPTS = {
     "readme-outage": README_OUTAGE,
     **{f"warmup-{argv[0]}": argv for argv in WARMUP_ARGVS},
@@ -736,15 +736,8 @@ TABLE_ACCEPTS = {
     "rates-negative": TABLE_BASES["outage"] + ["--rates", "-inf,0.5"],
     "r-min-negative": TABLE_BASES["outage"] + ["--r-min", "-1e-3"],
     "kind-ergodic": TABLE_BASES["density"] + ["--kind", "ergodic"],
-    "abbreviation": TABLE_BASES["ergodic"] + ["--rep"],
-    "abbreviated-value-flag": TABLE_BASES["density"] + ["--gri", "5"],
-    "abbreviation-with-equals": TABLE_BASES["ergodic"] + [f"--out={os.devnull}"],
-    "abbreviated-str-flag": TABLE_BASES["outage"] + ["--meth", "gauss"],
-    "exact-beats-prefix": TABLE_BASES["density"] + ["--gri", "5", "--k", "-1e-3"],
-    "abbreviation-negative-value": TABLE_BASES["outage"] + ["--r-mi", "-1e-3"],
+    "exact-beats-prefix": TABLE_BASES["density"] + ["--kind", "constrained", "--r", "0.5"],  # not --reproducible
     "lone-dash-value": TABLE_BASES["ergodic"] + ["--output", "-"],
-    "spaced-dash-value": TABLE_BASES["outage"] + ["--methods", "-mc, gauss"],
-    "spaced-dash-equals-value": TABLE_BASES["outage"] + ["--methods", "-=mc, gauss"],
 }
 for _command, _base in TABLE_BASES.items():
     for _flag, _value in TABLE_VALUES[_command].items():
@@ -755,33 +748,46 @@ for _command, _base in TABLE_BASES.items():
     TABLE_ACCEPTS[f"{_command}--format-csv"] = _base + ["--format", "csv"]
     TABLE_ACCEPTS[f"{_command}-repeated"] = _base + ["--N", "18", "--format", "json", "--bits", "--N=12",
                                                      "--format=csv", "--bits", "--rho", "5"]
-# requests the table leaves to argparse, each ending in its help or a usage error
-TABLE_DECLINES = {
-    "ambiguous-abbreviation": TABLE_BASES["outage"] + ["--r", "0.5"],
-    "help-abbreviation": TABLE_BASES["ergodic"] + ["--he"],
+# requests that print their parser's help
+TABLE_HELP = {
     "help": TABLE_BASES["outage"] + ["--help"],
     "h": ["density", "-h"],
-    "missing-rho": TABLE_BASES["ergodic"][:-2],
-    "N-not-int": TABLE_BASES["ergodic"] + ["--N", "4.5"],
-    "format-xml": TABLE_BASES["ergodic"] + ["--format", "xml"],
-    "bits-with-value": TABLE_BASES["ergodic"] + ["--bits=1"],
-    "k-on-outage": TABLE_BASES["outage"] + ["--k", "1.5"],
-    "unknown-flag": TABLE_BASES["ergodic"] + ["--foo", "1"],
-    "trailing-value-flag": TABLE_BASES["outage"] + ["--points"],
-    "flag-as-value": TABLE_BASES["density"] + ["--kind", "constrained", "--k", "--grid-points", "5"],
-    # --k is a density flag, so it is not joined to its negative value and --rates lacks one
-    "other-subcommands-flag-as-value": TABLE_BASES["outage"] + ["--rates", "--k", "-5 x"],
-    "flag-as-str-value": TABLE_BASES["outage"] + ["--methods", "--reproducible"],
-    "spaced-flag-as-value": TABLE_BASES["outage"] + ["--methods", "--out=a b"],
-    "spaced-help-as-value": TABLE_BASES["outage"] + ["--methods", "-h x"],
-    "spaced-help-abbreviation-as-value": TABLE_BASES["outage"] + ["--methods", "--he=a b"],
-    "missing-rho-negative-value": TABLE_BASES["outage"][:7] + ["--r-min", "-1e-3"],
-    "double-dash": TABLE_BASES["ergodic"] + ["--", "--reproducible"],
-    "flag-before-subcommand": ["--N", "9", "ergodic", "--Nt", "3", "--Nr", "3", "--rho", "3"],
-    "no-subcommand": [],
+    "top-help": ["--help"],
+    "top-h": ["-h"],
 }
-TABLE_CASES = TABLE_ACCEPTS | TABLE_DECLINES
-# every value flag given "--" as an "=" value, which argparse 3.11 stores as []
+# requests the table refuses, each with what the last line of its usage error names
+TABLE_DECLINES = {
+    "ambiguous-abbreviation": (TABLE_BASES["outage"] + ["--r", "0.5"], "'--r'"),
+    "abbreviation": (TABLE_BASES["ergodic"] + ["--rep"], "'--rep'"),
+    "abbreviated-value-flag": (TABLE_BASES["density"] + ["--gri", "5"], "'--gri'"),
+    "abbreviation-with-equals": (TABLE_BASES["ergodic"] + [f"--out={os.devnull}"], f"'--out={os.devnull}'"),
+    "abbreviated-str-flag": (TABLE_BASES["outage"] + ["--meth", "gauss"], "'--meth'"),
+    "abbreviation-negative-value": (TABLE_BASES["outage"] + ["--r-mi", "-1e-3"], "'--r-mi'"),
+    "help-abbreviation": (TABLE_BASES["ergodic"] + ["--he"], "'--he'"),
+    "spaced-dash-value": (TABLE_BASES["outage"] + ["--methods", "-mc, gauss"], "'-mc, gauss'"),
+    "spaced-dash-equals-value": (TABLE_BASES["outage"] + ["--methods", "-=mc, gauss"], "'-=mc, gauss'"),
+    "equals-dash-value": (TABLE_BASES["outage"] + ["--methods=-=mc, gauss"], "'-=mc, gauss'"),
+    "missing-rho": (TABLE_BASES["ergodic"][:-2], "--rho"),
+    "N-not-int": (TABLE_BASES["ergodic"] + ["--N", "4.5"], "'4.5'"),
+    "format-xml": (TABLE_BASES["ergodic"] + ["--format", "xml"], "'xml'"),
+    "bits-with-value": (TABLE_BASES["ergodic"] + ["--bits=1"], "'--bits=1'"),
+    "k-on-outage": (TABLE_BASES["outage"] + ["--k", "1.5"], "'--k'"),
+    "unknown-flag": (TABLE_BASES["ergodic"] + ["--foo", "1"], "'--foo'"),
+    "trailing-value-flag": (TABLE_BASES["outage"] + ["--points"], "--points"),
+    "flag-as-value": (TABLE_BASES["density"] + ["--kind", "constrained", "--k", "--grid-points", "5"],
+                      "'--grid-points'"),
+    "other-subcommands-flag-as-value": (TABLE_BASES["outage"] + ["--rates", "--k", "-5 x"], "'--k'"),
+    "flag-as-str-value": (TABLE_BASES["outage"] + ["--methods", "--reproducible"], "'--reproducible'"),
+    "spaced-flag-as-value": (TABLE_BASES["outage"] + ["--methods", "--out=a b"], "'--out=a b'"),
+    "spaced-help-as-value": (TABLE_BASES["outage"] + ["--methods", "-h x"], "'-h x'"),
+    "spaced-help-abbreviation-as-value": (TABLE_BASES["outage"] + ["--methods", "--he=a b"], "'--he=a b'"),
+    "missing-rho-negative-value": (TABLE_BASES["outage"][:7] + ["--r-min", "-1e-3"], "--rho"),
+    "double-dash": (TABLE_BASES["ergodic"] + ["--", "--reproducible"], "'--'"),
+    "flag-before-subcommand": (["--N", "9", "ergodic", "--Nt", "3", "--Nr", "3", "--rho", "3"], "'--N'"),
+    "no-subcommand": ([], "expected a command"),
+}
+TABLE_CASES = TABLE_ACCEPTS | TABLE_HELP | {case: argv for case, (argv, _) in TABLE_DECLINES.items()}
+# every value flag given "--" as an "=" value
 DASH_VALUES = {f"{command}{flag}": TABLE_BASES[command] + [f"{flag}=--"]
                for command, values in TABLE_VALUES.items() for flag in values}
 
@@ -797,44 +803,58 @@ def _outcome(call):
     return code, out.getvalue(), err.getvalue()
 
 
+def _equals_form(argv, table):
+    """``argv`` with every value flag of ``table`` written ``--flag=value``."""
+    tokens = iter(argv[1:])
+    return argv[:1] + [f"{token}={next(tokens)}" if token in table and table[token].nargs is None else token
+                       for token in tokens]
+
+
 @pytest.mark.parametrize("case", list(TABLE_CASES))
 def test_flag_table_parses_as_argparse_does(case):
-    parser, tables = cli._build_parser()
+    # an accepted request gives the Namespace argparse gives it written all in --flag=value
+    # form, whose values every supported argparse takes verbatim; help is the parser's own
+    # text; a refusal is the parser's usage line and an error line that names the token
+    parser, commands = cli._build_parser()
     argv = TABLE_CASES[case]
-    parsed = cli._parsed(argv, tables)
-    expected = _outcome(lambda: parser.parse_args(cli._joined(argv, tables)))
+    sub, table = commands[argv[0]] if argv and argv[0] in commands else (parser, {})
+    result, out, err = _outcome(lambda: cli._parsed(argv, parser, commands))
     if case in TABLE_ACCEPTS:
-        assert isinstance(parsed, argparse.Namespace) and vars(parsed) == vars(expected[0])
-        return
-    assert isinstance(parsed, str) and expected[0] in (0, 2)  # help, or argparse's usage error
-    assert _outcome(lambda: main(argv)) == expected
-    if case == "missing-rho-negative-value":  # the joined --r-min=-1e-3 leaves --rho the one thing missing
-        assert expected[2].endswith("error: the following arguments are required: --rho\n")
+        assert (out, err) == ("", "")
+        assert vars(result) == vars(parser.parse_args(_equals_form(argv, table)))
+    elif case in TABLE_HELP:
+        assert (result, out, err) == (0, sub.format_help(), "")
+    else:
+        assert (result, out) == (2, "") and err.startswith(sub.format_usage())
+        last = err.splitlines()[-1]
+        assert last.startswith(f"{sub.prog}: error: ") and TABLE_DECLINES[case][1] in last
 
 
 @pytest.mark.parametrize("case", list(TABLE_CASES))
 def test_argparse_runs_only_on_what_the_flag_table_declines(spy, monkeypatch, tmp_path, case):
-    # and once argparse has run, no command does
+    # argparse parses no request: it prints the help or the usage error of what the table
+    # declines, and then no command runs and nothing is written
     monkeypatch.chdir(tmp_path)  # where "--output -" writes
-    calls = spy(cli._build_parser()[0], "parse_args")
+    calls = spy(argparse.ArgumentParser, ("parse_known_args", "print_help", "error"))
     commands = spy(cli._COMMANDS, tuple(cli._COMMANDS))
     _outcome(lambda: main(TABLE_CASES[case]))
-    assert len(calls) == (case in TABLE_DECLINES)
-    assert not (calls and commands)
+    assert [call.name for call in calls] == ([] if case in TABLE_ACCEPTS else
+                                             ["print_help"] if case in TABLE_HELP else ["error"])
+    assert len(commands) == (case in TABLE_ACCEPTS)
+    assert case in TABLE_ACCEPTS or list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", list(DASH_VALUES))
 def test_double_dash_value_is_a_usage_error(spy, monkeypatch, tmp_path, case):
-    # argparse 3.11 takes --flag=-- and stores [] where a command expects a str or a
-    # number, so the command would end in a traceback or, given --output, --format or
-    # --kind, run as if the flag were absent
+    # "--" starts with "-" and is no number, so it is no value in either form (argparse 3.11
+    # stored --flag=-- as [], where a command expects a str or a number)
     monkeypatch.chdir(tmp_path)
-    parses = spy(cli._build_parser()[0], "parse_args")
+    parses = spy(argparse.ArgumentParser, "parse_known_args")
     commands = spy(cli._COMMANDS, tuple(cli._COMMANDS))
     flag = DASH_VALUES[case][-1].removesuffix("=--")
     output = [] if flag == "--output" else ["--output", "out.csv"]
     code, out, err = _outcome(lambda: main(DASH_VALUES[case] + output))
-    assert (code, out, len(parses), commands, list(tmp_path.iterdir())) == (2, "", 1, [], [])
+    assert (code, out, parses, commands, list(tmp_path.iterdir())) == (2, "", [], [], [])
     assert "Traceback" not in err and flag in err.splitlines()[-1]
 
 
